@@ -16,7 +16,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import SlvirError
 from .induced import MuData
@@ -35,8 +34,13 @@ _FACTOR_RE = re.compile(r"\(t(?P<shift>[+-][^)]+)\)(?:\^(?P<power>\d+))?")
 
 
 def _default_depth(fallback: int = 6) -> int:
+    """The depth from SLVIR_DEPTH (a positive integer), else ``fallback``."""
     value = os.environ.get("SLVIR_DEPTH", "")
-    return int(value) if value.isdigit() else fallback
+    if not value:
+        return fallback
+    if not re.fullmatch(r"[0-9]+", value) or int(value) < 1:
+        raise ValueError(f"SLVIR_DEPTH must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def parse_factored_poly(text: str) -> list:
@@ -239,11 +243,9 @@ def _run_report(args) -> int:
     for entry in entries:
         if not isinstance(entry, dict) or entry.get("name") not in _CONFIG_SUITES:
             raise ValueError(f"unknown suite name in config: {entry.get('name')!r}")
-    if config.get("parallel", False) and entries:
-        with ThreadPoolExecutor() as pool:
-            reports = list(pool.map(_run_config_entry, entries))
-    else:
-        reports = [_run_config_entry(e) for e in entries]
+    # the suites are bound by the interpreter lock, so a "parallel" key is
+    # accepted but ignored: they run one after another
+    reports = [_run_config_entry(e) for e in entries]
     payload = sorted(
         (r.to_json() for r in reports),
         key=lambda rep: (rep["suite"], json.dumps(rep["params"], sort_keys=True)),
@@ -338,13 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # building the parser reads SLVIR_DEPTH, which may be invalid input
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
     except (SlvirError, ValueError, KeyError, TypeError, IndexError,
             OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

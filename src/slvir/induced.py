@@ -18,9 +18,11 @@ Virasoro element is computed by commuting it rightward to the generator
 the window division t^m = q f + r, where q f acts through mu and the
 window remainder r acts as an sl2 element.
 
-Rows are the integer form of :mod:`slvir.sparse`.  The rows of e, h, f
-and of each e_n on a basis monomial are memoised per handle, and an action
-on a vector is one :func:`~slvir.sparse.lincomb` of them.
+Rows are the integer form of :mod:`slvir.sparse`.  Each ideal row is one
+:func:`~slvir.sparse.lincomb` of the cached integer normal forms of
+:mod:`slvir.pbw`, so the table build does no Scalar arithmetic.  The rows
+of e, h, f and of each e_n on a basis monomial are memoised per handle, and
+an action on a vector is one lincomb of them.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from .errors import BadPolynomial, DepthExceeded, InvalidParameter, NotInSubalge
 from .laurent import LaurentPoly, divmod_window, reduce_power, sl2_window
 from .lie import E, F, H, SL2Elt, VirElt, bracket_vir, embed_sl2, sl2_from_vir
 from .linalg import Echelon, degree_lex
-from .modules import Module, ModVec
-from .pbw import UEnvElt, gen_times_mono, monomial_letters, nf_multiply
+from .modules import LETTERS, Module
+from .pbw import UEnvElt, _word_normal_form, gen_times_mono, monomial_letters
 from .scalar import Scalar
-from .sparse import expand, gauss, lincomb, row_from_scalars, unit_row
+from .sparse import expand, gauss, lincomb, unit_row
 
 
 @dataclass(frozen=True)
@@ -141,12 +143,18 @@ class InducedModule(Module):
             raise InvalidParameter("depth must be at least 1")
         self.relations = tuple((s, Scalar.of(v)) for s, v in relations)
         self.depth = int(depth)
-        gens = [UEnvElt.from_sl2(s) - UEnvElt.one().scale(v) for s, v in self.relations]
+        # s - mu(s) as integer combinations of the letters and of 1
+        gens = [[gauss(c) + (letter,)
+                 for letter, c in (("e", s.ce), ("h", s.ch), ("f", s.cf))]
+                + [gauss(-v) + (None,)] for s, v in self.relations]
         ech = Echelon(degree_lex)
         for mono in _monomials_up_to(self.depth - 1):
-            lead = UEnvElt.monomial(mono)
+            word = monomial_letters(mono)
             for g in gens:
-                ech.insert(dict(nf_multiply(lead, g).terms))
+                # the ideal row nf(mono * (s - mu(s)))
+                ech.insert(lincomb([(cr, ci, cd, unit_row(mono) if letter is None
+                                     else (1, _word_normal_form(word + (letter,)), {}))
+                                    for cr, ci, cd, letter in g]))
         table = ech.reduction_table()
         self._basis = [m for m in _monomials_up_to(self.depth) if m not in table]
         self._basis_set = set(self._basis)
@@ -154,8 +162,7 @@ class InducedModule(Module):
             raise InvalidParameter("degenerate relations: the generator vanishes")
         # the reduced row of every monomial in the window
         self._rows = {m: unit_row(m) for m in self._basis}
-        self._rows.update((m, row_from_scalars(tail)) for m, tail in table.items())
-        self._letter_rows: dict = {}
+        self._rows.update(table)
 
     def _reduce_row(self, mono):
         row = self._rows.get(mono)
@@ -164,24 +171,9 @@ class InducedModule(Module):
                 f"degree {sum(mono)} escapes the depth-{self.depth} window")
         return row
 
-    def reduce_class(self, u: UEnvElt) -> ModVec:
-        """The canonical representative of u * generator."""
-        return ModVec._of_row(self, lincomb(
-            gauss(c) + (self._reduce_row(m),) for m, c in u.terms.items()))
-
-    def _letter_row(self, letter: str, mono):
-        """The reduced row of (letter * mono) . v for a letter e, h or f;
-        memoised per handle, like the Virasoro rows below."""
-        row = self._letter_rows.get((letter, mono))
-        if row is None:
-            row = lincomb([(k, 0, 1, self._reduce_row(m2))
-                           for m2, k in gen_times_mono(letter, mono).items()])
-            self._letter_rows[(letter, mono)] = row
-        return row
-
-    def _action(self, x):
-        return [gauss(c) + (partial(self._letter_row, letter),)
-                for letter, c in (("e", x.ce), ("h", x.ch), ("f", x.cf)) if not c.is_zero()]
+    def _build_letter_row(self, letter: str, mono):
+        return lincomb([(k, 0, 1, self._reduce_row(m2))
+                        for m2, k in gen_times_mono(letter, mono).items()])
 
     def validate_key(self, key):
         if key not in self._basis_set:
@@ -215,8 +207,7 @@ class InducedModule(Module):
         return [(UEnvElt.from_sl2(s), v) for s, v in self.relations]
 
     def basis_words(self, depth):
-        gens = {"e": E, "h": H, "f": F}
-        return [(m, tuple(gens[g] for g in monomial_letters(m)))
+        return [(m, tuple(LETTERS[g] for g in monomial_letters(m)))
                 for m in self.basis_keys(depth)]
 
     def params_json(self):

@@ -1,17 +1,18 @@
 """Exact sparse linear algebra over Q(i).
 
-Vectors are finite maps key -> Scalar over an arbitrary hashable key set
-with a caller-supplied total order.  The single structure here is an
-incrementally maintained reduced echelon: every stored row has pivot
-coefficient one and its tail is supported on non-pivot keys only, so
-membership tests, ranks and canonical reductions are all one substitution
-pass.  Rows are held in the integer form of :mod:`slvir.sparse`, so the
-elimination runs on exact integers; nothing is ever rounded.
+Vectors are the canonical integer rows of :mod:`slvir.sparse` over an
+arbitrary hashable key set with a caller-supplied total order (a module
+vector passes ``ModVec.row``, a basis key ``unit_row(key)``).  The single
+structure here is an incrementally maintained reduced echelon: every
+stored row has pivot coefficient one and its tail is supported on
+non-pivot keys only, so membership tests, ranks and canonical reductions
+are all one substitution pass.  The elimination runs on exact integers;
+nothing is ever rounded.
 """
 
 from __future__ import annotations
 
-from .sparse import lincomb, row_from_scalars, row_keys, row_to_scalars
+from .sparse import lincomb, row_keys
 
 
 class Echelon:
@@ -41,13 +42,13 @@ class Echelon:
                 items.append((-re.get(key, 0), -im.get(key, 0), den, prow))
         return lincomb(items)
 
-    def reduce(self, vec: dict) -> dict:
-        """Residue of vec after eliminating every pivot key."""
-        return row_to_scalars(self._residue(row_from_scalars(vec)))
+    def reduce(self, row) -> tuple:
+        """Residue of a row after eliminating every pivot key."""
+        return self._residue(row)
 
-    def insert(self, vec: dict) -> bool:
-        """Add a vector; True if it enlarged the span."""
-        residue = self._residue(row_from_scalars(vec))
+    def insert(self, row) -> bool:
+        """Add a row; True if it enlarged the span."""
+        residue = self._residue(row)
         den, re, im = residue
         if not re and not im:
             return False
@@ -64,29 +65,19 @@ class Echelon:
         self.rows[pivot] = row
         return True
 
-    def contains(self, vec: dict) -> bool:
-        den, re, im = self._residue(row_from_scalars(vec))
+    def contains(self, row) -> bool:
+        den, re, im = self._residue(row)
         return not re and not im
 
     def reduction_table(self) -> dict:
-        """pivot key -> tail map, i.e. pivot = sum(tail) on the row space."""
-        table = {}
-        for pivot, (den, re, im) in self.rows.items():
-            tail = (den, {k: -v for k, v in re.items() if k != pivot},
-                    {k: -v for k, v in im.items()})
-            table[pivot] = row_to_scalars(tail)
-        return table
+        """pivot key -> tail row, i.e. pivot = tail on the row space."""
+        return {pivot: (den, {k: -v for k, v in re.items() if k != pivot},
+                        {k: -v for k, v in im.items()})
+                for pivot, (den, re, im) in self.rows.items()}
 
 
 def _default_order(key):
     return key
-
-
-def rank_of(vectors, key_order=None) -> int:
-    ech = Echelon(key_order)
-    for v in vectors:
-        ech.insert(v)
-    return ech.rank
 
 
 def degree_lex(mono) -> tuple:

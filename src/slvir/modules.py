@@ -10,12 +10,15 @@ live in :mod:`slvir.induced` and share this interface.
 Closed-form actions (Vdense, Verma, Xbar) are the default path; where an
 independent generic route exists (multiply in U(sl2) and substitute, or
 act upstairs in X and reduce) it is implemented alongside and the test
-suite cross-checks the two.
+suite cross-checks the two.  Each family's action of e, h and f on a basis
+key is built once per handle as an integer row of :mod:`slvir.sparse`, and
+an action on a vector is one linear combination of those rows.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 
 from .errors import InvalidParameter, NotWeightModule, WrongAlgebra
 from .lie import E, F, H, SL2Elt, VirElt
@@ -23,6 +26,8 @@ from .pbw import UEnvElt, casimir_elt, monomial_letters, nf_multiply, aut_extend
 from .scalar import Scalar
 from .sparse import (ZERO_ROW, expand, gauss, lincomb, rekey, row_from_scalars,
                      row_to_scalars, unit_row)
+
+LETTERS = {"e": E, "h": H, "f": F}
 
 
 class ModVec:
@@ -150,13 +155,31 @@ class Module:
         the sum of (cr + ci*i)/cd times the operator whose row on a basis
         key k is ``row_of(k)`` (see :func:`~slvir.sparse.expand`).
 
-        Closed-form families implement ``_act_key`` (key -> Scalar dict)
-        and take this default; composite and induced families override it.
+        An sl2 element splits into its e, h and f parts, each acting
+        through the memoised :meth:`_letter_row`; composite families and
+        the Virasoro action override this.
         """
-        return [(1, 0, 1, lambda key: row_from_scalars(self._act_key(x, key)))]
+        return [gauss(c) + (partial(self._letter_row, letter),)
+                for letter, c in (("e", x.ce), ("h", x.ch), ("f", x.cf)) if not c.is_zero()]
+
+    def _letter_row(self, letter: str, key) -> tuple:
+        """The row of letter . key for a letter e, h or f; memoised per
+        handle (the cache only holds recomputable values)."""
+        rows = self.__dict__.setdefault("_letter_rows", {})
+        row = rows.get((letter, key))
+        if row is None:
+            row = rows[(letter, key)] = self._build_letter_row(letter, key)
+        return row
+
+    def _build_letter_row(self, letter: str, key) -> tuple:
+        return row_from_scalars(self._act_key(LETTERS[letter], key))
 
     def _act_key(self, x: SL2Elt, key) -> dict:
-        """x on one basis key as a dict key -> Scalar (zero values allowed)."""
+        """x on one basis key as a dict key -> Scalar (zero values allowed).
+
+        Closed-form families define their action here; it is evaluated once
+        per letter and key, and stays the per-key reference route.
+        """
         raise NotImplementedError
 
     # -- structure metadata ---------------------------------------------------
@@ -248,13 +271,8 @@ class WModule(Module):
         u = nf_multiply(UEnvElt.from_sl2(x), UEnvElt.monomial((a, b, 0)))
         out: dict = {}
         for (a2, b2, c2), coeff in u.terms.items():
-            val = coeff * self.eta**c2
             k2 = (a2, b2)
-            s = out.get(k2, Scalar.zero()) + val
-            if s.is_zero():
-                out.pop(k2, None)
-            else:
-                out[k2] = s
+            out[k2] = out.get(k2, Scalar.zero()) + coeff * self.eta**c2
         return out
 
     def validate_key(self, key):
@@ -304,13 +322,8 @@ class XModule(Module):
         u = nf_multiply(UEnvElt.from_sl2(x), UEnvElt.monomial((k, 0, l)))
         out: dict = {}
         for (a2, b2, c2), coeff in u.terms.items():
-            val = coeff * (self.xi + 2 * c2) ** b2
             k2 = (a2, c2)
-            s = out.get(k2, Scalar.zero()) + val
-            if s.is_zero():
-                out.pop(k2, None)
-            else:
-                out[k2] = s
+            out[k2] = out.get(k2, Scalar.zero()) + coeff * (self.xi + 2 * c2) ** b2
         return out
 
     def validate_key(self, key):
@@ -789,11 +802,10 @@ class TensorModule(Module):
 def act_uenv(module: Module, u: UEnvElt, vec: ModVec) -> ModVec:
     """Extend the action to U(sl2) by applying each PBW monomial."""
     out = module.zero()
-    gens = {"e": E, "h": H, "f": F}
     for mono, coeff in u.terms.items():
         cur = vec
         for letter in reversed(monomial_letters(mono)):
-            cur = module.act(gens[letter], cur)
+            cur = module.act(LETTERS[letter], cur)
         out = out + cur.scale(coeff)
     return out
 

@@ -36,11 +36,11 @@ from .modules import (
     XbarQuotientModule,
     XModule,
     act_uenv,
-    act_word,
     casimir_action,
 )
 from .pbw import casimir_elt
 from .scalar import Scalar, sqrt_exact
+from .sparse import unit_row
 
 
 def _scalar_multiple(v: ModVec, w: ModVec) -> bool:
@@ -111,6 +111,27 @@ class MapCheckReport(_Report):
         return {"scope": f"verified to depth {self.depth}"}
 
 
+def _word_images(act, words, vec: ModVec):
+    """Yield (key, image) for each (key, word) of ``words``, in order: the
+    image of vec under the word, applied right to left by ``act(x, v)``.
+
+    The image of a word is word[0] acting on the image of word[1:], so
+    every distinct suffix is acted on once.  Suffixes are keyed by the
+    indices of their letters in a table of the distinct letters, so that
+    each letter is hashed once per word.
+    """
+    letter_ids: dict = {}
+    images = {(): vec}
+    for key, word in words:
+        ids = tuple(letter_ids.setdefault(x, len(letter_ids)) for x in word)
+        start = 0
+        while ids[start:] not in images:
+            start += 1
+        for j in range(start - 1, -1, -1):
+            images[ids[j:]] = act(word[j], images[ids[j + 1:]])
+        yield key, images[ids]
+
+
 def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
                      window_span: bool = True) -> MapCheckReport:
     """Verify the module map src -> dst sending the generator to gen_image.
@@ -137,9 +158,8 @@ def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
     injective = True
     words = sorted(src.basis_words(depth),
                    key=lambda kw: (src.key_depth(kw[0]), src.key_sort_token(kw[0])))
-    for key, word in words:
-        img = act_word(dst, word, gen_image)
-        if not ech.insert(dict(img.terms)) and injective:
+    for key, img in _word_images(dst.act, words, gen_image):
+        if not ech.insert(img.row) and injective:
             injective = False
             if witness is None:
                 witness = {"kind": "dependent_image", "src_key": src.key_json(key)}
@@ -150,7 +170,7 @@ def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
     elif getattr(dst, "is_weight_family", False):
         surjective = True
         for dkey in dst.basis_keys(depth):
-            if ech.reduce({dkey: Scalar.one()}):
+            if not ech.contains(unit_row(dkey)):
                 surjective = False
                 if witness is None:
                     witness = {"kind": "not_spanned", "dst_key": dst.key_json(dkey)}
@@ -165,25 +185,19 @@ def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
 # -- simplicity and generation ------------------------------------------------
 
 
-@dataclass
-class SimplicityReport(_Report):
-    irreducible: bool
-    witness_i: int | None
-    params: dict = field(default_factory=dict)
-    suite = "simplicity"
+class _VerdictReport(_Report):
+    """A verdict, not a pass/fail check: its one flag is reported at the
+    top level, with the witnessing integer if there is one."""
+
     depth = 0
     witness = None
 
     @property
-    def flags(self):
-        return {"irreducible": self.irreducible}
-
-    @property
     def all_ok(self):
-        return True  # a verdict, not a pass/fail check
+        return True
 
     def extras(self):
-        out = {"irreducible": self.irreducible}
+        out = dict(self.flags)
         if self.witness_i is not None:
             out["witness_i"] = self.witness_i
         return out
@@ -192,6 +206,18 @@ class SimplicityReport(_Report):
         out = super().to_json(elapsed_ms)
         del out["flags"]
         return out
+
+
+@dataclass
+class SimplicityReport(_VerdictReport):
+    irreducible: bool
+    witness_i: int | None
+    params: dict = field(default_factory=dict)
+    suite = "simplicity"
+
+    @property
+    def flags(self):
+        return {"irreducible": self.irreducible}
 
 
 def _integer_roots(xi: Scalar, tau: Scalar, minimum: int | None) -> list[int]:
@@ -227,32 +253,15 @@ def simplicity_test(xi, tau) -> SimplicityReport:
 
 
 @dataclass
-class GeneratorReport(_Report):
+class GeneratorReport(_VerdictReport):
     generates: bool
     witness_i: int | None
     params: dict = field(default_factory=dict)
     suite = "generator"
-    depth = 0
-    witness = None
 
     @property
     def flags(self):
         return {"generates": self.generates}
-
-    @property
-    def all_ok(self):
-        return True
-
-    def extras(self):
-        out = {"generates": self.generates}
-        if self.witness_i is not None:
-            out["witness_i"] = self.witness_i
-        return out
-
-    def to_json(self, elapsed_ms=None):
-        out = super().to_json(elapsed_ms)
-        del out["flags"]
-        return out
 
 
 def generator_test(xi_prime, tau) -> GeneratorReport:
@@ -328,7 +337,7 @@ def suite_dense(xi, tau, depth: int = 6) -> DenseReport:
     injective = True
     for key in x_mod.basis_keys(max(depth - 2, 0)):
         img = _casimir_shift(x_mod, tau, x_mod.basis_vec(key))
-        if not ech.insert(dict(img.terms)):
+        if not ech.insert(img.row):
             injective = False
             witness = witness or {"kind": "shift_dependent", "key": x_mod.key_json(key)}
             break
@@ -349,12 +358,12 @@ def suite_dense(xi, tau, depth: int = 6) -> DenseReport:
             v = x_mod.basis_vec(key)
             for _ in range(n):
                 v = _casimir_shift(x_mod, tau, v)
-            rows.append(dict(v.terms))
+            rows.append(v.row)
         ech_n = Echelon(x_mod.key_sort_token)
         for r in rows:
             ech_n.insert(r)
         if prev_ech is not None:
-            contained = all(not prev_ech.reduce(r) for r in rows)
+            contained = all(prev_ech.contains(r) for r in rows)
             strictly_smaller = ech_n.rank < prev_rank
             if contained and strictly_smaller:
                 strict_to = n
@@ -490,14 +499,6 @@ class RestrictionReport(_Report):
         return out
 
 
-def _vir_route_image(vp: VirPolyModule, word) -> ModVec:
-    """Apply sl2 letters through the Virasoro action path (embedded)."""
-    cur = vp.generator()
-    for letter in reversed(word):
-        cur = vp.act(embed_sl2(letter), cur)
-    return cur
-
-
 def suite_restriction(mu: MuData, depth: int = 6) -> RestrictionReport:
     """Identify the polynomial-subalgebra module as a twisted sl2 module.
 
@@ -560,15 +561,16 @@ def suite_restriction(mu: MuData, depth: int = 6) -> RestrictionReport:
         injective = True
         words = sorted(vp.basis_words(depth - 1),
                        key=lambda kw: (vp.key_depth(kw[0]), vp.key_sort_token(kw[0])))
-        for key, word in words:
-            img = _vir_route_image(vp, word)
-            if not ech.insert(dict(img.terms)) and injective:
+        # the sl2 letters act through the Virasoro action path (embedded)
+        for key, img in _word_images(lambda x, v: vp.act(embed_sl2(x), v),
+                                     words, vp.generator()):
+            if not ech.insert(img.row) and injective:
                 injective = False
                 witness = witness or {"kind": "dependent_image",
                                       "src_key": vp.key_json(key)}
         surjective = True
         for dkey in vp.basis_keys(depth - 1):
-            if ech.reduce({dkey: Scalar.one()}):
+            if not ech.contains(unit_row(dkey)):
                 surjective = False
                 witness = witness or {"kind": "not_spanned", "dst_key": vp.key_json(dkey)}
                 break

@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +207,32 @@ def test_depth_env_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "dense", "--xi", "0", "--tau", "2")
     assert code == 0
     assert json.loads(out)["depth"] == 7
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "0", "7.5", " 7"])
+def test_invalid_depth_env_exits_two(capsys, monkeypatch, value):
+    monkeypatch.setenv("SLVIR_DEPTH", value)
+    code, out, err = run(capsys, "verify", "dense", "--xi", "0", "--tau", "2")
+    assert code == 2
+    assert out == ""
+    assert "SLVIR_DEPTH" in err and "Traceback" not in err
+
+
+REPO = Path(__file__).resolve().parent.parent
+SAMPLE_REPORT_MD5 = "5fde47567633fcc89a9abb37ecc91689"
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "7"])
+def test_sample_report_is_byte_identical_across_hash_seeds(hash_seed):
+    # the sample config's report, byte for byte, whatever the string hashing
+    path = [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(path))
+    env.pop("SLVIR_DEPTH", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "slvir.cli", "report",
+         "--config", str(REPO / "configs" / "sample-suites.json")],
+        env=env, capture_output=True, check=True)
+    assert hashlib.md5(proc.stdout).hexdigest() == SAMPLE_REPORT_MD5
 
 
 def test_exit_code_one_when_flags_fail(capsys, monkeypatch):

@@ -10,10 +10,13 @@ from slvir.errors import (
 )
 from slvir.induced import InducedModule, MuData, VirPolyModule, mu_eval
 from slvir.laurent import reduce_power, sl2_window
-from slvir.lie import E, F, H, VirElt, bracket_vir, embed_sl2, sl2_from_vir
+from slvir.lie import (E, F, H, SL2Elt, VirElt, bracket_vir, classify_subalgebra_1d,
+                       embed_sl2, sl2_from_vir)
+from slvir.linalg import Echelon, degree_lex
 from slvir.modules import casimir_action
 from slvir.pbw import UEnvElt, gen_times_mono, nf_multiply
 from slvir.scalar import Scalar
+from slvir.sparse import row_from_scalars
 
 S = Scalar.of
 
@@ -294,3 +297,37 @@ def test_virpoly_depth_exceeded():
 def test_mudata_json_round_trip():
     mu = mud([(S(1), 2), (S("2*i"), 1)], [[S(1), S("1/2")], [S(-1)]])
     assert MuData.from_json(mu.to_json()).to_json() == mu.to_json()
+
+
+def _nf_route_table(relations, depth):
+    """The reduction table built from Scalar products nf(m * (s - mu(s)))."""
+    gens = [UEnvElt.from_sl2(s) - UEnvElt.one().scale(v) for s, v in relations]
+    ech = Echelon(degree_lex)
+    for mono in product(range(depth), repeat=3):
+        if sum(mono) < depth:
+            for g in gens:
+                ech.insert(row_from_scalars(nf_multiply(UEnvElt.monomial(mono), g).terms))
+    return ech.reduction_table()
+
+
+@pytest.mark.parametrize("coords, mu0, kind", [
+    ((1, -3, -9), "5", "n_lambda"),
+    ((0, 0, 1), "1/2+1*i", "n_minus"),
+    ((0, 1, 4), "-2*i", "h_lambda"),
+    ((1, -3, -5), "3", "h_pair"),
+])
+def test_induced_table_matches_nf_multiply_route(coords, mu0, kind):
+    sub = classify_subalgebra_1d(SL2Elt(*coords))
+    assert sub.kind == kind
+    mod = InducedModule([(sub.generator, S(mu0))], 6)
+    table = _nf_route_table(mod.relations, 6)
+    assert set(mod.basis_keys(6)) == {m for m in product(range(7), repeat=3)
+                                      if sum(m) <= 6 and m not in table}
+    assert {m: mod._reduce_row(m) for m in table} == table
+
+
+def test_virpoly_table_matches_nf_multiply_route():
+    vp = VirPolyModule(mud([(S("1+1*i"), 1)], [[S("1*i")]]), 6)
+    table = _nf_route_table(vp.relations, 6)
+    assert {m: vp._reduce_row(m) for m in table} == table
+    assert not set(vp.basis_keys(6)) & set(table)

@@ -19,6 +19,7 @@ from slvir.lie import (
 )
 from slvir.linalg import Echelon
 from slvir.scalar import Scalar
+from slvir.sparse import row_from_scalars
 
 S = Scalar.of
 SL2_BASIS = (E, H, F)
@@ -195,8 +196,8 @@ def test_classify_1d_generator_spans_input():
         gen = res.generator
         # gen and x are proportional
         rows = Echelon()
-        rows.insert({0: x.ce, 1: x.ch, 2: x.cf})
-        assert not rows.insert({0: gen.ce, 1: gen.ch, 2: gen.cf})
+        rows.insert(row_from_scalars({0: x.ce, 1: x.ch, 2: x.cf}))
+        assert not rows.insert(row_from_scalars({0: gen.ce, 1: gen.ch, 2: gen.cf}))
 
 
 def test_classify_2d():
@@ -217,10 +218,10 @@ def test_gamma2_borel_matches_gamma_borel():
         g1 = Automorphism.gamma(l1)
         ech = Echelon()
         for img in (g1.apply(H), g1.apply(E)):
-            ech.insert({0: img.ce, 1: img.ch, 2: img.cf})
+            ech.insert(row_from_scalars({0: img.ce, 1: img.ch, 2: img.cf}))
         assert ech.rank == 2
         for img in (g2.apply(H), g2.apply(E)):
-            assert not ech.insert({0: img.ce, 1: img.ch, 2: img.cf})
+            assert not ech.insert(row_from_scalars({0: img.ce, 1: img.ch, 2: img.cf}))
 
 
 def test_intersections():

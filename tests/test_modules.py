@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slvir.errors import InvalidParameter, NotWeightModule, WrongAlgebra
-from slvir.lie import Automorphism, E, F, H, VirElt, bracket_sl2
+from slvir.lie import Automorphism, E, F, H, SL2Elt, VirElt, bracket_sl2
 from slvir.modules import (
     DenseModule,
     LowVermaModule,
+    ModVec,
     TensorModule,
     TwistModule,
     VermaModule,
@@ -264,3 +268,59 @@ def test_modvec_serialization():
     assert data["schema"] == "modvec/1"
     assert data["family"] == "Verma"
     assert data["terms"] == [[0, ["1", "2", "0", "1"]], [2, ["0", "1", "-1", "1"]]]
+
+
+# -- the memoised letter rows against the per-key Scalar route ------------------
+
+
+def _reference_key(module, x, key) -> dict:
+    """x on one basis key, summed from the families' per-key Scalar
+    ``_act_key``: twists act by aut(x), tensors by the Leibniz rule."""
+    if isinstance(module, TwistModule):
+        return _reference_key(module.inner, module.aut.apply(x), key)
+    if isinstance(module, TensorModule):
+        kl, kr = key
+        out = {(k, kr): c for k, c in _reference_key(module.left, x, kl).items()}
+        for k, c in _reference_key(module.right, x, kr).items():
+            out[(kl, k)] = out.get((kl, k), Scalar.zero()) + c
+        return out
+    return module._act_key(x, key)
+
+
+def _reference_act(module, x, vec):
+    out: dict = {}
+    for key, coeff in vec.terms.items():
+        for k2, c2 in _reference_key(module, x, key).items():
+            out[k2] = out.get(k2, Scalar.zero()) + coeff * c2
+    return ModVec(module, out)
+
+
+# one handle per family, with non-real parameters where the family allows;
+# the handles are shared across examples, so their caches are exercised warm
+FAMILY_HANDLES = [
+    WModule(S("1/2+1*i")),
+    XModule(S("1*i")),
+    XbarModule(S("1/3+1*i"), S("2-1*i")),
+    XbarQuotientModule(S(0), S(9), 1),
+    DenseModule(S("1*i"), S(3)),
+    VermaModule(S("2+1*i")),
+    LowVermaModule(S("-1/2*i")),
+    TwistModule(XModule(S("1*i")), Automorphism.gamma(S("1+1*i")).inverse()),
+    TensorModule(TwistModule(VermaModule(S(1)), Automorphism.gamma(S(2)).inverse()),
+                 LowVermaModule(S("1*i"))),
+]
+
+_fracs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+_nonzero_fracs = _fracs.filter(bool)
+_non_real = st.builds(Scalar, _fracs, _nonzero_fracs)
+_gaussian = st.builds(Scalar, _fracs, _fracs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FAMILY_HANDLES), _non_real, _non_real, _non_real, st.data())
+def test_act_matches_per_key_scalar_route(module, ce, ch, cf, data):
+    x = SL2Elt(ce, ch, cf)
+    keys = module.basis_keys(3)
+    coeffs = data.draw(st.dictionaries(st.sampled_from(keys), _gaussian, max_size=4))
+    vec = ModVec(module, coeffs)
+    assert module.act(x, vec) == _reference_act(module, x, vec), module.family

@@ -1,11 +1,14 @@
 import pytest
 
+import slvir.verify as verify_mod
 from slvir.errors import DepthExceeded, InvalidParameter
-from slvir.induced import MuData
+from slvir.induced import InducedModule, MuData
 from slvir.lie import SL2Elt, classify_subalgebra_1d
-from slvir.modules import DenseModule, VermaModule, XModule
+from slvir.modules import (DenseModule, TwistModule, VermaModule, XbarModule, XModule,
+                           act_word)
 from slvir.scalar import Scalar
 from slvir.verify import (
+    _word_images,
     check_module_map,
     generator_test,
     report_to_text,
@@ -238,3 +241,40 @@ def test_report_shapes():
     assert (report.j0 is not None) == (report.branch == "composition_series")
     text = report_to_text(report)
     assert "dense" in text and "ok" in text
+
+
+def _per_word_images(act, words, vec):
+    """The route shared images replace: every word applied from vec."""
+    out = []
+    for key, word in words:
+        cur = vec
+        for x in reversed(word):
+            cur = act(x, cur)
+        out.append((key, cur))
+    return out
+
+
+def _negative_control(case):
+    if case == "relation":
+        # the twist-induction target with its parameter moved by one
+        sub = classify_subalgebra_1d(SL2Elt(1, -3, -5))
+        src = InducedModule([(sub.generator, S("2+1*i"))], 6)
+        dst = TwistModule(XModule(S("3+1*i")), sub.aut.inverse())
+        return src, dst, dst.generator()
+    # X(xi) onto its Casimir quotient: the images become dependent
+    xbar = XbarModule(S("1/2"), S(9))
+    return XModule(S("1/2")), xbar, xbar.generator()
+
+
+@pytest.mark.parametrize("case", ["relation", "dependent_image"])
+def test_shared_word_images_match_per_word_route(case, monkeypatch):
+    src, dst, gen = _negative_control(case)
+    words = src.basis_words(6)
+    assert list(_word_images(dst.act, words, gen)) == \
+        [(key, act_word(dst, word, gen)) for key, word in words]
+    shared = check_module_map(src, dst, gen, 6)
+    assert not shared.all_ok and shared.witness["kind"] == case
+    monkeypatch.setattr(verify_mod, "_word_images", _per_word_images)
+    per_word = check_module_map(src, dst, gen, 6)
+    assert shared.to_json() == per_word.to_json()
+    assert shared.witness == per_word.witness
