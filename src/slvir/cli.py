@@ -207,10 +207,19 @@ _CONFIG_SUITES = {"dense", "restriction", "tensor_vermas", "twist_induction",
                   "simplicity"}
 
 
-def _run_config_entry(entry: dict):
+def _config_depth(entry: dict) -> int:
+    """An entry's depth: a JSON integer (not a bool) >= 1, else SLVIR_DEPTH."""
+    if "depth" not in entry:
+        return _default_depth()
+    depth = entry["depth"]
+    if type(depth) is not int or depth < 1:
+        raise ValueError(f"config depth must be an integer >= 1, got {depth!r}")
+    return depth
+
+
+def _run_config_entry(entry: dict, depth: int):
     name = entry["name"]
     params = entry.get("params", {})
-    depth = int(entry.get("depth", _default_depth()))
     if name == "dense":
         return suite_dense(Scalar.of(params["xi"]), Scalar.of(params["tau"]), depth)
     if name == "simplicity":
@@ -243,9 +252,10 @@ def _run_report(args) -> int:
     for entry in entries:
         if not isinstance(entry, dict) or entry.get("name") not in _CONFIG_SUITES:
             raise ValueError(f"unknown suite name in config: {entry.get('name')!r}")
+    depths = [_config_depth(e) for e in entries]
     # the suites are bound by the interpreter lock, so a "parallel" key is
     # accepted but ignored: they run one after another
-    reports = [_run_config_entry(e) for e in entries]
+    reports = [_run_config_entry(e, d) for e, d in zip(entries, depths)]
     payload = sorted(
         (r.to_json() for r in reports),
         key=lambda rep: (rep["suite"], json.dumps(rep["params"], sort_keys=True)),

@@ -148,7 +148,10 @@ class InducedModule(Module):
                  for letter, c in (("e", s.ce), ("h", s.ch), ("f", s.cf))]
                 + [gauss(-v) + (None,)] for s, v in self.relations]
         ech = Echelon(degree_lex)
-        for mono in _monomials_up_to(self.depth - 1):
+        # the leading monomial of nf(mono * s) is mono shifted by the top
+        # letter of s, so ascending monomials give (mostly) ascending
+        # pivots, which the echelon stores without back-substitution
+        for mono in sorted(_monomials_up_to(self.depth - 1), key=degree_lex):
             word = monomial_letters(mono)
             for g in gens:
                 # the ideal row nf(mono * (s - mu(s)))

@@ -18,11 +18,12 @@ an action on a vector is one linear combination of those rows.
 from __future__ import annotations
 
 import json
-from functools import partial
+from functools import cache, partial
 
 from .errors import InvalidParameter, NotWeightModule, WrongAlgebra
 from .lie import E, F, H, SL2Elt, VirElt
-from .pbw import UEnvElt, casimir_elt, monomial_letters, nf_multiply, aut_extend
+from .pbw import (UEnvElt, aut_extend, casimir_elt, gen_times_mono, monomial_letters,
+                  nf_multiply)
 from .scalar import Scalar
 from .sparse import (ZERO_ROW, expand, gauss, lincomb, rekey, row_from_scalars,
                      row_to_scalars, unit_row)
@@ -156,8 +157,8 @@ class Module:
         key k is ``row_of(k)`` (see :func:`~slvir.sparse.expand`).
 
         An sl2 element splits into its e, h and f parts, each acting
-        through the memoised :meth:`_letter_row`; composite families and
-        the Virasoro action override this.
+        through the memoised :meth:`_letter_row`; tensor products and the
+        Virasoro action override this.
         """
         return [gauss(c) + (partial(self._letter_row, letter),)
                 for letter, c in (("e", x.ce), ("h", x.ch), ("f", x.cf)) if not c.is_zero()]
@@ -178,7 +179,9 @@ class Module:
         """x on one basis key as a dict key -> Scalar (zero values allowed).
 
         Closed-form families define their action here; it is evaluated once
-        per letter and key, and stays the per-key reference route.
+        per letter and key, and stays the per-key reference route.  W and X
+        build their letter rows from integer normal forms instead and keep
+        this as their Scalar reference.
         """
         raise NotImplementedError
 
@@ -249,6 +252,19 @@ class Module:
         return self.signature()
 
 
+def _substituted_row(nf: dict, subst) -> tuple:
+    """The row of an integer PBW normal form after substituting a parameter.
+
+    ``subst(a, b, c)`` returns the basis key that f^a h^b e^c lands on and
+    the :func:`~slvir.sparse.gauss` form of the scalar it is multiplied by.
+    """
+    items = []
+    for (a, b, c), k in nf.items():
+        key, (pr, pi, pd) = subst(a, b, c)
+        items.append((k * pr, k * pi, pd, unit_row(key)))
+    return lincomb(items)
+
+
 def _pairs_up_to(depth: int):
     for total in range(depth + 1):
         for first in range(total, -1, -1):
@@ -258,13 +274,21 @@ def _pairs_up_to(depth: int):
 class WModule(Module):
     """Induced from Ce with e acting by eta; basis keys (a, b) for f^a h^b x.
 
-    The action multiplies in U(sl2) and substitutes e -> eta on the right.
+    The action multiplies in U(sl2) and substitutes e -> eta on the right:
+    letter rows on the integer normal forms, ``_act_key`` in Scalars.
     """
 
     family = "W"
 
     def __init__(self, eta):
-        self.eta = Scalar.of(eta)
+        self.eta = eta = Scalar.of(eta)
+        self._eta_power = cache(lambda c: gauss(eta**c))
+
+    def _build_letter_row(self, letter, key):
+        # e -> eta on the right: f^a h^b e^c x = eta^c f^a h^b x
+        a, b = key
+        return _substituted_row(gen_times_mono(letter, (a, b, 0)),
+                                lambda a2, b2, c2: ((a2, b2), self._eta_power(c2)))
 
     def _act_key(self, x, key):
         a, b = key
@@ -315,7 +339,14 @@ class XModule(Module):
     is_weight_family = True
 
     def __init__(self, xi):
-        self.xi = Scalar.of(xi)
+        self.xi = xi = Scalar.of(xi)
+        self._h_power = cache(lambda c, b: gauss((xi + 2 * c) ** b))
+
+    def _build_letter_row(self, letter, key):
+        # h acts by xi + 2l on e^l x: f^k h^b e^l x = (xi + 2l)^b f^k e^l x
+        k, l = key
+        return _substituted_row(gen_times_mono(letter, (k, 0, l)),
+                                lambda a2, b2, c2: ((a2, c2), self._h_power(c2, b2)))
 
     def _act_key(self, x, key):
         k, l = key
@@ -682,9 +713,11 @@ class TwistModule(Module):
         self.aut = aut
         self._aut_inv = aut.inverse()
         self.is_weight_family = inner.is_weight_family
+        # a letter acts as aut(letter) does on inner
+        self._inner_actions = cache(lambda letter: inner._action(aut.apply(LETTERS[letter])))
 
-    def _action(self, x):
-        return self.inner._action(self.aut.apply(x))
+    def _build_letter_row(self, letter, key):
+        return lincomb(expand(unit_row(key), self._inner_actions(letter)))
 
     def validate_key(self, key):
         self.inner.validate_key(key)

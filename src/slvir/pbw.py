@@ -10,6 +10,8 @@ rewriting terminates; results are memoised per word.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .lie import SL2Elt
 from .scalar import Scalar
 
@@ -188,8 +190,10 @@ def nf_multiply(u: UEnvElt, v: UEnvElt) -> UEnvElt:
     return UEnvElt._raw(out)
 
 
+@cache
 def casimir_elt() -> UEnvElt:
-    """The central element 4fe + (h+1)^2 in normal form."""
+    """The central element 4fe + (h+1)^2 in normal form; built once, as
+    UEnvElt is immutable."""
     fe = nf_multiply(UEnvElt.from_sl2(SL2Elt(0, 0, 1)), UEnvElt.from_sl2(SL2Elt(1, 0, 0)))
     h_plus_1 = UEnvElt({(0, 1, 0): 1, (0, 0, 0): 1})
     return fe.scale(4) + nf_multiply(h_plus_1, h_plus_1)

@@ -308,3 +308,31 @@ def test_c10_simplicity_against_window_oracle():
                 assert (tau - (xi + 2 * rep.witness_i + 1) ** 2).is_zero()
 
     _criterion(10, "simplicity-oracle", 2.0, body)
+
+
+def test_depth_10_restriction_and_twist_induction():
+    # "verified to depth N" at N = 10 for restriction and twist induction
+    def body():
+        lam, m = S("1*i"), S(2)
+        report = suite_restriction(MuData(((lam, 1),), ((m,),)), 10)
+        assert report.all_ok, report.flags
+        assert report.target["inner"] == {"family": "Verma",
+                                          "delta": (m * 2 / lam).to_json()}
+        report = suite_restriction(MuData(((S(2), 2),), ((S(1), S(-1)),)), 10)
+        assert report.all_ok, report.flags
+        assert report.target["inner"]["family"] == "W"
+        report = suite_restriction(MuData(((S(2), 1), (S(-2), 1)), ((S(1),), (S(2),))), 10)
+        assert report.all_ok, report.flags
+        assert report.target["inner"]["family"] == "X"
+        for elt, mu0, kind, family in [
+                (SL2Elt(1, -3, -9), S(5), "n_lambda", "W"),
+                (SL2Elt(0, 1, 2), S("1/2+1*i"), "h_lambda", "X"),
+                (SL2Elt(1, -3, -5), S(1), "h_pair", "X")]:
+            sub = classify_subalgebra_1d(elt)
+            assert sub.kind == kind, (elt, sub.kind)
+            report = suite_twist_induction(sub, mu0, 10)
+            assert report.all_ok, (kind, report.flags)
+            assert report.target["inner"]["family"] == family
+            assert report.depth == 10
+
+    _criterion(11, "depth-10", 3.0, body)

@@ -202,6 +202,30 @@ def test_report_config_empty_and_invalid(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", [7.5, True, False, 0, -3, "7", None, [7]])
+def test_invalid_config_depth_exits_two(tmp_path, capsys, value):
+    # a valid entry first: nothing runs and nothing is emitted
+    config = {"suites": [
+        {"name": "twist_induction", "params": {"x": "0,0,1", "mu0": "2"}, "depth": 4},
+        {"name": "twist_induction", "params": {"x": "1,-3,-9", "mu0": "5"}, "depth": value},
+    ]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "report", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "depth" in err and "Traceback" not in err
+
+
+def test_config_depth_integer_is_used(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"suites": [
+        {"name": "twist_induction", "params": {"x": "0,0,1", "mu0": "2"}, "depth": 7}]}))
+    code, out, _ = run(capsys, "report", "--config", str(path))
+    assert code == 0
+    assert json.loads(out)["reports"][0]["depth"] == 7
+
+
 def test_depth_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SLVIR_DEPTH", "7")
     code, out, _ = run(capsys, "verify", "dense", "--xi", "0", "--tau", "2")

@@ -331,3 +331,19 @@ def test_virpoly_table_matches_nf_multiply_route():
     table = _nf_route_table(vp.relations, 6)
     assert {m: vp._reduce_row(m) for m in table} == table
     assert not set(vp.basis_keys(6)) & set(table)
+
+
+@pytest.mark.parametrize("make", [
+    # degree 1 with a non-real root: two relations
+    lambda: VirPolyModule(mud([(S("1+1*i"), 1)], [[S("1*i")]]), 8),
+    lambda: InducedModule(
+        [(classify_subalgebra_1d(SL2Elt(1, -3, -9)).generator, S("1/2-2*i"))], 8),
+], ids=["virpoly_degree_1", "n_lambda"])
+def test_tables_match_nf_multiply_route_at_depth_8(make):
+    # the reference inserts in product order, so it back-substitutes; the
+    # module inserts in ascending degree-lex order and does not
+    mod = make()
+    table = _nf_route_table(mod.relations, 8)
+    assert set(mod.basis_keys(8)) == {m for m in product(range(9), repeat=3)
+                                      if sum(m) <= 8 and m not in table}
+    assert {m: mod._reduce_row(m) for m in table} == table

@@ -306,6 +306,7 @@ FAMILY_HANDLES = [
     VermaModule(S("2+1*i")),
     LowVermaModule(S("-1/2*i")),
     TwistModule(XModule(S("1*i")), Automorphism.gamma(S("1+1*i")).inverse()),
+    TwistModule(WModule(S("-1+1*i")), Automorphism.gamma2(S(2), S("1*i")).inverse()),
     TensorModule(TwistModule(VermaModule(S(1)), Automorphism.gamma(S(2)).inverse()),
                  LowVermaModule(S("1*i"))),
 ]

@@ -103,6 +103,23 @@ def _scalar_rref(vectors):
     return rows
 
 
+def _scalar_residue(rows, probe):
+    """The probe after eliminating every pivot of reduced rows ``rows``."""
+    residue = {k: x for k, x in probe.items() if not x.is_zero()}
+    for p, row in rows.items():
+        c = residue.get(p)
+        if c is not None:
+            for k, x in row.items():
+                residue[k] = residue.get(k, Scalar.zero()) - c * x
+    return {k: x for k, x in residue.items() if not x.is_zero()}
+
+
+def _scalar_table(rows):
+    # the tails are canonical rows, so they compare equal as rows
+    return {p: row_from_scalars({k: -x for k, x in row.items() if k != p})
+            for p, row in rows.items()}
+
+
 @settings(max_examples=50)
 @given(st.lists(vectors, max_size=6), vectors)
 def test_echelon_matches_scalar_elimination(vecs, probe):
@@ -110,16 +127,29 @@ def test_echelon_matches_scalar_elimination(vecs, probe):
     grew = [ech.insert(row_from_scalars(v)) for v in vecs]
     rows = _scalar_rref(vecs)
     assert ech.rank == len(rows) == sum(grew)
-    # the tails are canonical rows, so they compare equal as rows
-    assert ech.reduction_table() == {
-        p: row_from_scalars({k: -x for k, x in row.items() if k != p})
-        for p, row in rows.items()}
-    residue = {k: x for k, x in probe.items() if not x.is_zero()}
-    for p, row in rows.items():
-        c = residue.get(p)
-        if c is not None:
-            for k, x in row.items():
-                residue[k] = residue.get(k, Scalar.zero()) - c * x
-    residue = {k: x for k, x in residue.items() if not x.is_zero()}
+    assert ech.reduction_table() == _scalar_table(rows)
+    residue = _scalar_residue(rows, probe)
     assert ech.reduce(row_from_scalars(probe)) == row_from_scalars(residue)
     assert ech.contains(row_from_scalars(probe)) == (not residue)
+
+
+@settings(max_examples=80)
+@given(st.lists(vectors, max_size=7), vectors, st.data())
+def test_echelon_does_not_depend_on_insertion_order(vecs, probe, data):
+    # ascending pivots take the path that stores a row without touching the
+    # others; descending ones back-substitute every new pivot
+    def pivot(v):
+        return max((k for k, x in v.items() if not x.is_zero()), default=-1)
+
+    ascending = sorted(vecs, key=pivot)
+    rows = _scalar_rref(vecs)
+    residue = row_from_scalars(_scalar_residue(rows, probe))
+    shuffled = [vecs[i] for i in data.draw(st.permutations(range(len(vecs))))]
+    for order in (ascending, ascending[::-1], shuffled):
+        ech = Echelon()
+        for v in order:
+            ech.insert(row_from_scalars(v))
+        assert ech.rank == len(rows)
+        assert ech.reduction_table() == _scalar_table(rows)
+        assert ech.reduce(row_from_scalars(probe)) == residue
+        assert ech.contains(row_from_scalars(probe)) == (residue == ZERO_ROW)
