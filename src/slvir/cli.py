@@ -17,7 +17,7 @@ import re
 import sys
 import time
 
-from .errors import SlvirError
+from .errors import SlvirError, positive_int
 from .induced import MuData
 from .lie import SL2Elt, VirElt, classify_subalgebra_1d, classify_subalgebra_2d
 from .modules import make_module, weight_decompose
@@ -211,10 +211,7 @@ def _config_depth(entry: dict) -> int:
     """An entry's depth: a JSON integer (not a bool) >= 1, else SLVIR_DEPTH."""
     if "depth" not in entry:
         return _default_depth()
-    depth = entry["depth"]
-    if type(depth) is not int or depth < 1:
-        raise ValueError(f"config depth must be an integer >= 1, got {depth!r}")
-    return depth
+    return positive_int(entry["depth"], "config depth")
 
 
 def _run_config_entry(entry: dict, depth: int):
@@ -226,7 +223,7 @@ def _run_config_entry(entry: dict, depth: int):
         return simplicity_test(Scalar.of(params["xi"]), Scalar.of(params["tau"]))
     if name == "restriction":
         mu = MuData(
-            tuple((Scalar.of(lam), int(m)) for lam, m in params["roots"]),
+            tuple((Scalar.of(lam), m) for lam, m in params["roots"]),
             tuple(tuple(Scalar.of(c) for c in p) for p in params["polys"]),
         )
         return suite_restriction(mu, depth)

@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the check of integer input."""
 
 
 class SlvirError(Exception):
@@ -35,3 +35,12 @@ class DepthExceeded(SlvirError):
 
 class InvalidParameter(SlvirError):
     """Module or suite parameters violate their preconditions."""
+
+
+def positive_int(value, name: str) -> int:
+    """``value`` if it is an int (not a bool) >= 1; else InvalidParameter
+    naming ``name``.  JSON input goes through here, so 7.5, true and "7"
+    are rejected instead of being truncated or coerced."""
+    if type(value) is not int or value < 1:
+        raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
+    return value

@@ -30,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import BadPolynomial, DepthExceeded, InvalidParameter, NotInSubalgebra
+from .errors import (BadPolynomial, DepthExceeded, InvalidParameter, NotInSubalgebra,
+                     positive_int)
 from .laurent import LaurentPoly, divmod_window, reduce_power, sl2_window
 from .lie import E, F, H, SL2Elt, VirElt, bracket_vir, embed_sl2, sl2_from_vir
 from .linalg import Echelon, degree_lex
@@ -53,15 +54,14 @@ class MuData:
     polys: tuple
 
     def __post_init__(self):
-        roots = tuple((Scalar.of(lam), int(n)) for lam, n in self.roots)
+        roots = tuple((Scalar.of(lam), positive_int(n, "root multiplicity"))
+                      for lam, n in self.roots)
         polys = tuple(tuple(Scalar.of(c) for c in p) for p in self.polys)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "polys", polys)
-        for lam, n in roots:
+        for lam, _ in roots:
             if lam.is_zero():
                 raise BadPolynomial("roots must be nonzero")
-            if n < 1:
-                raise InvalidParameter("multiplicities must be positive")
         seen = set()
         for lam, _ in roots:
             if lam in seen:
@@ -106,7 +106,7 @@ class MuData:
     @staticmethod
     def from_json(data) -> "MuData":
         return MuData(
-            tuple((Scalar.from_json(lam), int(n)) for lam, n in data["roots"]),
+            tuple((Scalar.from_json(lam), n) for lam, n in data["roots"]),
             tuple(tuple(Scalar.from_json(c) for c in p) for p in data["polys"]),
         )
 

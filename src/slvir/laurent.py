@@ -15,8 +15,11 @@ quotient and remainder are unique.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import BadPolynomial
 from .scalar import Scalar
+from .sparse import sum_terms
 
 
 class LaurentPoly:
@@ -25,13 +28,8 @@ class LaurentPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for exp, coeff in terms.items():
-                coeff = Scalar.of(coeff)
-                if not coeff.is_zero():
-                    clean[int(exp)] = coeff
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", sum_terms(
+            (int(exp), Scalar.of(coeff)) for exp, coeff in (terms or {}).items()))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -70,18 +68,8 @@ class LaurentPoly:
     def max_exp(self) -> int:
         return max(self.terms)
 
-    def width(self) -> int:
-        return self.max_exp() - self.min_exp()
-
     def __add__(self, other):
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, Scalar.zero()) + c
-            if s.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return LaurentPoly(out)
+        return LaurentPoly(sum_terms(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
         return self + (-other)
@@ -90,16 +78,8 @@ class LaurentPoly:
         return LaurentPoly({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        out: dict[int, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = out.get(e, Scalar.zero()) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPoly(out)
+        return LaurentPoly(sum_terms((e1 + e2, c1 * c2) for e1, c1 in self.terms.items()
+                                     for e2, c2 in other.terms.items()))
 
     def scale(self, c) -> "LaurentPoly":
         c = Scalar.of(c)

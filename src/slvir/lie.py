@@ -15,6 +15,7 @@ mechanical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     InvalidParameter,
@@ -22,7 +23,9 @@ from .errors import (
     WrongAlgebra,
 )
 from .laurent import LaurentPoly, check_window_poly
+from .linalg import Echelon
 from .scalar import Scalar, sqrt_exact
+from .sparse import row_from_scalars, row_to_scalars, sum_terms
 
 
 class SL2Elt:
@@ -106,13 +109,8 @@ class VirElt:
     __slots__ = ("terms", "z")
 
     def __init__(self, terms=None, z=0):
-        clean = {}
-        if terms:
-            for i, c in terms.items():
-                c = Scalar.of(c)
-                if not c.is_zero():
-                    clean[int(i)] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", sum_terms(
+            (int(i), Scalar.of(c)) for i, c in (terms or {}).items()))
         object.__setattr__(self, "z", Scalar.of(z))
 
     def __setattr__(self, name, value):
@@ -137,14 +135,8 @@ class VirElt:
         return not self.terms and self.z.is_zero()
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for i, c in other.terms.items():
-            s = out.get(i, Scalar.zero()) + c
-            if s.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = s
-        return VirElt(out, self.z + other.z)
+        return VirElt(sum_terms(chain(self.terms.items(), other.terms.items())),
+                      self.z + other.z)
 
     def __sub__(self, other):
         return self + (-other)
@@ -188,21 +180,15 @@ class VirElt:
 
 def bracket_vir(x: VirElt, y: VirElt) -> VirElt:
     """[e_i, e_j] = (j-i) e_{i+j} + delta_{j,-i} (i^3-i)/12 z; z central."""
-    terms: dict[int, Scalar] = {}
+    pairs = []
     zpart = Scalar.zero()
     for i, ci in x.terms.items():
         for j, cj in y.terms.items():
             c = ci * cj
-            coeff = c * (j - i)
-            if not coeff.is_zero():
-                s = terms.get(i + j, Scalar.zero()) + coeff
-                if s.is_zero():
-                    terms.pop(i + j, None)
-                else:
-                    terms[i + j] = s
+            pairs.append((i + j, c * (j - i)))
             if j == -i:
                 zpart = zpart + c * Scalar.of(i**3 - i) / 12
-    return VirElt(terms, zpart)
+    return VirElt(sum_terms(pairs), zpart)
 
 
 def embed_sl2(x: SL2Elt) -> VirElt:
@@ -441,26 +427,11 @@ def classify_subalgebra_1d(x: SL2Elt) -> SubalgebraClass1D:
     return SubalgebraClass1D("n_minus", aut, aut.apply(E), ())
 
 
-def _solve_in_span(w: SL2Elt, x: SL2Elt, y: SL2Elt) -> bool:
-    """Whether w lies in span{x, y} (x, y independent), checked exactly."""
-    rows = [list(x.coords()), list(y.coords()), list(w.coords())]
-    rank = 0
-    for col in range(3):
-        pivot = None
-        for r in range(rank, 3):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(3):
-            if r != rank and not rows[r][col].is_zero():
-                factor = rows[r][col] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank == 2
+_EHF_ORDER = {"f": 0, "h": 1, "e": 2}  # pivot order e > h > f
+
+
+def _ehf_row(x: SL2Elt) -> tuple:
+    return row_from_scalars(dict(zip("ehf", x.coords())))
 
 
 def classify_subalgebra_2d(x: SL2Elt, y: SL2Elt) -> SubalgebraClass2D:
@@ -471,35 +442,16 @@ def classify_subalgebra_2d(x: SL2Elt, y: SL2Elt) -> SubalgebraClass2D:
     (the conjugate gamma_{alpha/2} of span{h, e}), or contains f, which
     forces span{h, f}.
     """
-    coords = [list(x.coords()), list(y.coords())]
-    # row reduce on (e, h, f) columns
-    rank = 0
-    for col in range(3):
-        pivot = None
-        for r in range(rank, 2):
-            if not coords[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        coords[rank], coords[pivot] = coords[pivot], coords[rank]
-        pv = coords[rank][col]
-        coords[rank] = [a / pv for a in coords[rank]]
-        for r in range(2):
-            if r != rank and not coords[r][col].is_zero():
-                factor = coords[r][col]
-                coords[r] = [a - factor * b for a, b in zip(coords[r], coords[rank])]
-        rank += 1
-        if rank == 2:
-            break
-    if rank < 2:
+    ech = Echelon(_EHF_ORDER.get)
+    ech.insert(_ehf_row(x))
+    ech.insert(_ehf_row(y))
+    if ech.rank < 2:
         raise InvalidParameter("inputs are linearly dependent")
-    if not _solve_in_span(bracket_sl2(x, y), x, y):
+    if not ech.contains(_ehf_row(bracket_sl2(x, y))):
         raise NotASubalgebra(f"span of {x} and {y} is not bracket-closed")
-    r0, r1 = coords
-    if not r0[0].is_zero() and not r1[1].is_zero():
-        # basis {e + beta f, h + alpha f}; closure forces alpha^2 = 4 beta
-        beta, alpha = r0[2], r1[2]
+    if "e" in ech.rows and "h" in ech.rows:
+        # the reduced basis {e + beta f, h + alpha f}; closure forces alpha^2 = 4 beta
+        beta, alpha = (row_to_scalars(ech.rows[p]).get("f", Scalar.zero()) for p in "eh")
         if alpha * alpha != beta * 4:
             raise NotASubalgebra("closed span with inconsistent basis shape")
         if alpha.is_zero():

@@ -18,15 +18,15 @@ an action on a vector is one linear combination of those rows.
 from __future__ import annotations
 
 import json
-from functools import cache, partial
+from functools import cache, cached_property, partial
 
-from .errors import InvalidParameter, NotWeightModule, WrongAlgebra
+from .errors import InvalidParameter, NotWeightModule, WrongAlgebra, positive_int
 from .lie import E, F, H, SL2Elt, VirElt
 from .pbw import (UEnvElt, aut_extend, casimir_elt, gen_times_mono, monomial_letters,
                   nf_multiply)
 from .scalar import Scalar
 from .sparse import (ZERO_ROW, expand, gauss, lincomb, rekey, row_from_scalars,
-                     row_to_scalars, unit_row)
+                     row_to_scalars, sum_terms, unit_row)
 
 LETTERS = {"e": E, "h": H, "f": F}
 
@@ -271,7 +271,32 @@ def _pairs_up_to(depth: int):
             yield (first, total - first)
 
 
-class WModule(Module):
+class _PairModule(Module):
+    """The shared part of W and X: basis keys (a, b) with a, b >= 0, of
+    depth a + b, and the generator (0, 0)."""
+
+    def validate_key(self, key):
+        if not (isinstance(key, tuple) and len(key) == 2
+                and all(isinstance(v, int) and v >= 0 for v in key)):
+            raise InvalidParameter(f"bad {self.family} key {key!r}")
+
+    def key_depth(self, key):
+        return key[0] + key[1]
+
+    def basis_keys(self, depth):
+        return list(_pairs_up_to(depth))
+
+    def key_json(self, key):
+        return list(key)
+
+    def key_from_json(self, data):
+        return (int(data[0]), int(data[1]))
+
+    def generator(self):
+        return self.basis_vec((0, 0))
+
+
+class WModule(_PairModule):
     """Induced from Ce with e acting by eta; basis keys (a, b) for f^a h^b x.
 
     The action multiplies in U(sl2) and substitutes e -> eta on the right:
@@ -293,34 +318,11 @@ class WModule(Module):
     def _act_key(self, x, key):
         a, b = key
         u = nf_multiply(UEnvElt.from_sl2(x), UEnvElt.monomial((a, b, 0)))
-        out: dict = {}
-        for (a2, b2, c2), coeff in u.terms.items():
-            k2 = (a2, b2)
-            out[k2] = out.get(k2, Scalar.zero()) + coeff * self.eta**c2
-        return out
-
-    def validate_key(self, key):
-        if not (isinstance(key, tuple) and len(key) == 2
-                and all(isinstance(v, int) and v >= 0 for v in key)):
-            raise InvalidParameter(f"bad W key {key!r}")
-
-    def key_depth(self, key):
-        return key[0] + key[1]
-
-    def basis_keys(self, depth):
-        return list(_pairs_up_to(depth))
+        return sum_terms(((a2, b2), coeff * self.eta**c2)
+                         for (a2, b2, c2), coeff in u.terms.items())
 
     def key_str(self, key):
         return f"f^{key[0]} h^{key[1]} x"
-
-    def key_json(self, key):
-        return list(key)
-
-    def key_from_json(self, data):
-        return (int(data[0]), int(data[1]))
-
-    def generator(self):
-        return self.basis_vec((0, 0))
 
     def generator_relations(self):
         return [(UEnvElt.from_sl2(E), self.eta)]
@@ -332,7 +334,7 @@ class WModule(Module):
         return {"eta": self.eta.to_json()}
 
 
-class XModule(Module):
+class XModule(_PairModule):
     """Induced from Ch with h acting by xi; basis keys (k, l) for f^k e^l x."""
 
     family = "X"
@@ -351,37 +353,14 @@ class XModule(Module):
     def _act_key(self, x, key):
         k, l = key
         u = nf_multiply(UEnvElt.from_sl2(x), UEnvElt.monomial((k, 0, l)))
-        out: dict = {}
-        for (a2, b2, c2), coeff in u.terms.items():
-            k2 = (a2, c2)
-            out[k2] = out.get(k2, Scalar.zero()) + coeff * (self.xi + 2 * c2) ** b2
-        return out
-
-    def validate_key(self, key):
-        if not (isinstance(key, tuple) and len(key) == 2
-                and all(isinstance(v, int) and v >= 0 for v in key)):
-            raise InvalidParameter(f"bad X key {key!r}")
-
-    def key_depth(self, key):
-        return key[0] + key[1]
+        return sum_terms(((a2, c2), coeff * (self.xi + 2 * c2) ** b2)
+                         for (a2, b2, c2), coeff in u.terms.items())
 
     def key_weight(self, key):
         return self.xi + 2 * (key[1] - key[0])
 
-    def basis_keys(self, depth):
-        return list(_pairs_up_to(depth))
-
     def key_str(self, key):
         return f"f^{key[0]} e^{key[1]} x"
-
-    def key_json(self, key):
-        return list(key)
-
-    def key_from_json(self, data):
-        return (int(data[0]), int(data[1]))
-
-    def generator(self):
-        return self.basis_vec((0, 0))
 
     def generator_relations(self):
         return [(UEnvElt.from_sl2(H), self.xi)]
@@ -434,32 +413,20 @@ class XbarModule(Module):
 
     def reduce_x_terms(self, terms: dict) -> dict:
         """Project X(xi) coordinates onto the quotient basis."""
-        out: dict = {}
+        pairs = []
         for (k, l), coeff in terms.items():
             while k >= 1 and l >= 1:
                 coeff = coeff * self._fe_scalar(l)
                 k -= 1
                 l -= 1
-            key = ("e", l) if k == 0 else ("f", k)
-            s = out.get(key, Scalar.zero()) + coeff
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return out
+            pairs.append((("e", l) if k == 0 else ("f", k), coeff))
+        return sum_terms(pairs)
 
     def act_generic(self, x, vec: ModVec) -> ModVec:
         """Oracle route: act in X(xi), then reduce to the quotient basis."""
-        acc: dict = {}
-        for key, coeff in vec.terms.items():
-            inner = self._x._act_key(x, self.lift_key(key))
-            for k2, c2 in self.reduce_x_terms(inner).items():
-                s = acc.get(k2, Scalar.zero()) + coeff * c2
-                if s.is_zero():
-                    acc.pop(k2, None)
-                else:
-                    acc[k2] = s
-        return ModVec(self, acc)
+        return ModVec(self, sum_terms(
+            (k2, coeff * c2) for key, coeff in vec.terms.items()
+            for k2, c2 in self.reduce_x_terms(self._x._act_key(x, self.lift_key(key))).items()))
 
     def validate_key(self, key):
         ok = (isinstance(key, tuple) and len(key) == 2 and key[0] in ("e", "f")
@@ -595,14 +562,36 @@ class DenseModule(Module):
         return {"xi": self.xi.to_json(), "tau": self.tau.to_json()}
 
 
-class VermaModule(Module):
-    """Highest weight Verma module; keys k >= 0 for f^k m."""
+class _VermaBase(Module):
+    """The shared part of the highest and lowest weight Verma modules:
+    highest (lowest) weight delta, keys k >= 0 of depth k, generator 0."""
 
-    family = "Verma"
     is_weight_family = True
 
     def __init__(self, delta):
         self.delta = Scalar.of(delta)
+
+    def validate_key(self, key):
+        if not (isinstance(key, int) and key >= 0):
+            raise InvalidParameter(f"bad {self.family} key {key!r}")
+
+    def key_depth(self, key):
+        return key
+
+    def basis_keys(self, depth):
+        return list(range(depth + 1))
+
+    def generator(self):
+        return self.basis_vec(0)
+
+    def params_json(self):
+        return {"delta": self.delta.to_json()}
+
+
+class VermaModule(_VermaBase):
+    """Highest weight Verma module; keys k >= 0 for f^k m."""
+
+    family = "Verma"
 
     def _act_key(self, x, key):
         k = key
@@ -613,38 +602,18 @@ class VermaModule(Module):
 
     def act_generic(self, x, vec: ModVec) -> ModVec:
         """Oracle route: multiply in U(sl2), then e -> 0 and h -> delta."""
-        acc: dict = {}
+        pairs = []
         for k, coeff in vec.terms.items():
             u = nf_multiply(UEnvElt.from_sl2(x), UEnvElt.monomial((k, 0, 0)))
-            for (a2, b2, c2), c in u.terms.items():
-                if c2 > 0:
-                    continue
-                val = coeff * c * self.delta**b2
-                s = acc.get(a2, Scalar.zero()) + val
-                if s.is_zero():
-                    acc.pop(a2, None)
-                else:
-                    acc[a2] = s
-        return ModVec(self, acc)
-
-    def validate_key(self, key):
-        if not (isinstance(key, int) and key >= 0):
-            raise InvalidParameter(f"bad Verma key {key!r}")
-
-    def key_depth(self, key):
-        return key
+            pairs += [(a2, coeff * c * self.delta**b2)
+                      for (a2, b2, c2), c in u.terms.items() if c2 == 0]
+        return ModVec(self, sum_terms(pairs))
 
     def key_weight(self, key):
         return self.delta - 2 * key
 
-    def basis_keys(self, depth):
-        return list(range(depth + 1))
-
     def key_str(self, key):
         return f"f^{key} m"
-
-    def generator(self):
-        return self.basis_vec(0)
 
     def generator_relations(self):
         return [(UEnvElt.from_sl2(H), self.delta), (UEnvElt.from_sl2(E), Scalar.zero())]
@@ -652,18 +621,11 @@ class VermaModule(Module):
     def basis_words(self, depth):
         return [(k, (F,) * k) for k in range(depth + 1)]
 
-    def params_json(self):
-        return {"delta": self.delta.to_json()}
 
-
-class LowVermaModule(Module):
+class LowVermaModule(_VermaBase):
     """Lowest weight Verma module; keys k >= 0 for e^k m."""
 
     family = "LowVerma"
-    is_weight_family = True
-
-    def __init__(self, delta):
-        self.delta = Scalar.of(delta)
 
     def _act_key(self, x, key):
         k = key
@@ -672,33 +634,17 @@ class LowVermaModule(Module):
             out[k - 1] = -x.cf * k * (self.delta + (k - 1))
         return out
 
-    def validate_key(self, key):
-        if not (isinstance(key, int) and key >= 0):
-            raise InvalidParameter(f"bad LowVerma key {key!r}")
-
-    def key_depth(self, key):
-        return key
-
     def key_weight(self, key):
         return self.delta + 2 * key
 
-    def basis_keys(self, depth):
-        return list(range(depth + 1))
-
     def key_str(self, key):
         return f"e^{key} m"
-
-    def generator(self):
-        return self.basis_vec(0)
 
     def generator_relations(self):
         return [(UEnvElt.from_sl2(H), self.delta), (UEnvElt.from_sl2(F), Scalar.zero())]
 
     def basis_words(self, depth):
         return [(k, (E,) * k) for k in range(depth + 1)]
-
-    def params_json(self):
-        return {"delta": self.delta.to_json()}
 
 
 class TwistModule(Module):
@@ -711,10 +657,14 @@ class TwistModule(Module):
             raise InvalidParameter("Twist needs an inner module")
         self.inner = inner
         self.aut = aut
-        self._aut_inv = aut.inverse()
         self.is_weight_family = inner.is_weight_family
         # a letter acts as aut(letter) does on inner
         self._inner_actions = cache(lambda letter: inner._action(aut.apply(LETTERS[letter])))
+
+    @cached_property
+    def _aut_inv(self):
+        # read only when the twist is a map source
+        return self.aut.inverse()
 
     def _build_letter_row(self, letter, key):
         return lincomb(expand(unit_row(key), self._inner_actions(letter)))
@@ -913,10 +863,10 @@ def make_module(spec: dict) -> Module:
         return LowVermaModule(_scalar_param(spec["delta"]))
     if family == "VirPoly":
         mu = MuData(
-            tuple((_scalar_param(lam), int(m)) for lam, m in spec["roots"]),
+            tuple((_scalar_param(lam), m) for lam, m in spec["roots"]),
             tuple(tuple(_scalar_param(c) for c in p) for p in spec["polys"]),
         )
-        return VirPolyModule(mu, int(spec.get("depth", 6)))
+        return VirPolyModule(mu, positive_int(spec.get("depth", 6), "VirPoly depth"))
     if family == "Twist":
         return TwistModule(make_module(spec["inner"]), aut_from_json(spec["aut"]))
     if family == "Tensor":

@@ -11,9 +11,11 @@ rewriting terminates; results are memoised per word.
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
 
 from .lie import SL2Elt
 from .scalar import Scalar
+from .sparse import sum_terms
 
 _RANK = {"f": 0, "h": 1, "e": 2}
 
@@ -77,13 +79,8 @@ class UEnvElt:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = Scalar.of(coeff)
-                if not coeff.is_zero():
-                    clean[tuple(int(x) for x in mono)] = coeff
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", sum_terms(
+            (tuple(int(x) for x in mono), Scalar.of(c)) for mono, c in (terms or {}).items()))
 
     def __setattr__(self, name, value):
         raise AttributeError("UEnvElt is immutable")
@@ -120,14 +117,7 @@ class UEnvElt:
         return max(sum(m) for m in self.terms)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, Scalar.zero()) + c
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return UEnvElt._raw(out)
+        return UEnvElt._raw(sum_terms(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
         return self + (-other)
@@ -175,19 +165,13 @@ class UEnvElt:
 
 def nf_multiply(u: UEnvElt, v: UEnvElt) -> UEnvElt:
     """The normal form of the product u*v in U(sl2)."""
-    out: dict[tuple[int, int, int], Scalar] = {}
-    zero = Scalar.zero()
+    pairs = []
     for m1, c1 in u.terms.items():
         for m2, c2 in v.terms.items():
             c = c1 * c2
             word = monomial_letters(m1) + monomial_letters(m2)
-            for mono, k in _word_normal_form(word).items():
-                s = out.get(mono, zero) + c * k
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-    return UEnvElt._raw(out)
+            pairs += [(mono, c * k) for mono, k in _word_normal_form(word).items()]
+    return UEnvElt._raw(sum_terms(pairs))
 
 
 @cache

@@ -6,12 +6,9 @@ rounds.  Values that would require leaving this field (for example a
 square root of 2) raise :class:`~slvir.errors.NotRepresentable` instead
 of being approximated.
 
-Rationals are fractions.Fraction, or gmpy2.mpq when the optional gmpy2
-package is installed (the ``fast`` extra); the two are hash- and
-value-compatible.  The hot loops (module actions, elimination) run on
-the exact integer rows of :mod:`slvir.sparse` rather than on Scalars, so
-the acceptance budgets hold on the Fraction backend and gmpy2 is only a
-speed-up.
+The real and imaginary parts are fractions.Fraction.  The hot loops
+(module actions, elimination) run on the exact integer rows of
+:mod:`slvir.sparse` rather than on Scalars.
 """
 
 from __future__ import annotations
@@ -22,12 +19,7 @@ from fractions import Fraction
 
 from .errors import NotRepresentable
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _Q = Fraction
-
-_ZERO_Q = _Q(0)
+_FZERO = Fraction(0)
 
 _SCALAR_RE = _re.compile(
     r"^(?P<real>[+-]?\d+(?:/\d+)?)?(?P<imag>[+-]?(?:\d+(?:/\d+)?\*)?i)?$"
@@ -38,12 +30,12 @@ def _rational_sqrt(q):
     """Exact square root of a nonnegative rational, or None."""
     if q < 0:
         return None
-    num, den = int(q.numerator), int(q.denominator)
+    num, den = q.numerator, q.denominator
     ns = math.isqrt(num)
     ds = math.isqrt(den)
     if ns * ns != num or ds * ds != den:
         return None
-    return _Q(ns, ds)
+    return Fraction(ns, ds)
 
 
 class Scalar:
@@ -52,8 +44,8 @@ class Scalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _Q(re))
-        object.__setattr__(self, "im", _Q(im))
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -62,10 +54,8 @@ class Scalar:
     def of(x) -> "Scalar":
         if isinstance(x, Scalar):
             return x
-        if isinstance(x, int):
-            return _make(_Q(x), _ZERO_Q)
-        if isinstance(x, Fraction):
-            return _make(_Q(x), _ZERO_Q)
+        if isinstance(x, (int, Fraction)):
+            return _make(Fraction(x), _FZERO)
         if isinstance(x, str):
             return Scalar.parse(x)
         raise TypeError(f"cannot coerce {x!r} to Scalar")
@@ -91,10 +81,7 @@ class Scalar:
     def as_int(self) -> int:
         if not self.is_integer():
             raise ValueError(f"{self} is not an integer")
-        return int(self.re.numerator)
-
-    def conjugate(self) -> "Scalar":
-        return _make(self.re, -self.im)
+        return self.re.numerator
 
     def __add__(self, other):
         if isinstance(other, Scalar):
@@ -122,7 +109,7 @@ class Scalar:
         if isinstance(other, Scalar):
             a, b, c, d = self.re, self.im, other.re, other.im
             if not b and not d:
-                return _make(a * c, _ZERO_Q)
+                return _make(a * c, _FZERO)
             return _make(a * c - b * d, a * d + b * c)
         if isinstance(other, int):
             return _make(self.re * other, self.im * other)
@@ -201,14 +188,14 @@ class Scalar:
         m = _SCALAR_RE.fullmatch(s)
         if not m or (m.group("real") is None and m.group("imag") is None) or not s:
             raise ValueError(f"cannot parse scalar {text!r}")
-        re_part = _Q(m.group("real").lstrip("+")) if m.group("real") else _ZERO_Q
-        im_part = _ZERO_Q
+        re_part = Fraction(m.group("real").lstrip("+")) if m.group("real") else _FZERO
+        im_part = _FZERO
         if m.group("imag"):
             imtxt = m.group("imag")
             sign = -1 if imtxt.startswith("-") else 1
             imtxt = imtxt.lstrip("+-")
             coeff = imtxt[:-1].rstrip("*")
-            im_part = sign * (_Q(coeff) if coeff else _Q(1))
+            im_part = sign * (Fraction(coeff) if coeff else Fraction(1))
         return _make(re_part, im_part)
 
     def to_json(self):
@@ -222,7 +209,7 @@ class Scalar:
     @staticmethod
     def from_json(data) -> "Scalar":
         rn, rd, im, id_ = (int(x) for x in data)
-        return _make(_Q(rn, rd), _Q(im, id_))
+        return _make(Fraction(rn, rd), Fraction(im, id_))
 
 
 def _make(re, im) -> Scalar:
@@ -252,11 +239,11 @@ def sqrt_exact(a: Scalar) -> Scalar:
             r = _rational_sqrt(a.re)
             if r is None:
                 raise NotRepresentable(f"{a} has no square root in Q(i)")
-            return _make(r, _ZERO_Q)
+            return _make(r, _FZERO)
         r = _rational_sqrt(-a.re)
         if r is None:
             raise NotRepresentable(f"{a} has no square root in Q(i)")
-        return _make(_ZERO_Q, r)
+        return _make(_FZERO, r)
     # For re + im*i with im != 0 solve c^2 = (re + |a|)/2, d = im/(2c);
     # both |a| and c must be rational for the root to exist in Q(i).
     norm = _rational_sqrt(a.re * a.re + a.im * a.im)

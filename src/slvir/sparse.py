@@ -14,13 +14,17 @@ multiples of rows over one common denominator and removes the common
 factor once per result, instead of reducing a fraction at every
 multiply-add.  A real row keeps ``im`` empty, so real data never pays for
 the imaginary half.
+
+Sparse maps key -> Scalar (Laurent polynomials, Virasoro and U(sl2)
+elements, the per-key reference actions) are summed by :func:`sum_terms`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 
-from .scalar import Scalar, _Q, _make
+from .scalar import Scalar, _make
 
 ZERO_ROW = (1, {}, {})
 
@@ -32,22 +36,22 @@ def unit_row(key) -> tuple:
 def gauss(s: Scalar) -> tuple:
     """``(re, im, den)`` with s == (re + im*i)/den, den the least such."""
     r, i = s.re, s.im
-    rd, id_ = int(r.denominator), int(i.denominator)
+    rd, id_ = r.denominator, i.denominator
     den = lcm(rd, id_)
-    return (int(r.numerator) * (den // rd), int(i.numerator) * (den // id_), den)
+    return (r.numerator * (den // rd), i.numerator * (den // id_), den)
 
 
 def row_from_scalars(terms: dict) -> tuple:
     """The canonical row of a dict key -> Scalar."""
     den = 1
     for c in terms.values():
-        den = lcm(den, int(c.re.denominator), int(c.im.denominator))
+        den = lcm(den, c.re.denominator, c.im.denominator)
     re, im = {}, {}
     for k, c in terms.items():
         if c.re:
-            re[k] = int(c.re.numerator) * (den // int(c.re.denominator))
+            re[k] = c.re.numerator * (den // c.re.denominator)
         if c.im:
-            im[k] = int(c.im.numerator) * (den // int(c.im.denominator))
+            im[k] = c.im.numerator * (den // c.im.denominator)
     return (den, re, im)
 
 
@@ -62,10 +66,21 @@ def row_keys(row) -> list:
 def row_to_scalars(row) -> dict:
     """The row as a dict key -> nonzero Scalar (each coefficient reduced)."""
     den, re, im = row
-    zero = _Q(0)
-    return {k: _make(_Q(re[k], den) if k in re else zero,
-                     _Q(im[k], den) if k in im else zero)
+    zero = Fraction(0)
+    return {k: _make(Fraction(re[k], den) if k in re else zero,
+                     Fraction(im[k], den) if k in im else zero)
             for k in row_keys(row)}
+
+
+def sum_terms(pairs) -> dict:
+    """The dict key -> nonzero Scalar summing the Scalars of (key, Scalar)
+    pairs that share a key; keys keep the order of their first pair."""
+    out: dict = {}
+    get = out.get
+    for k, c in pairs:
+        prev = get(k)
+        out[k] = c if prev is None else prev + c
+    return {k: c for k, c in out.items() if c.re or c.im}
 
 
 def rekey(row, f) -> tuple:

@@ -40,7 +40,7 @@ from .modules import (
 )
 from .pbw import casimir_elt
 from .scalar import Scalar, sqrt_exact
-from .sparse import unit_row
+from .sparse import sum_terms, unit_row
 
 
 def _scalar_multiple(v: ModVec, w: ModVec) -> bool:
@@ -55,8 +55,6 @@ def _scalar_multiple(v: ModVec, w: ModVec) -> bool:
 
 
 class _Report:
-    suite = "abstract"
-
     @property
     def all_ok(self) -> bool:
         return all(self.flags.values())
@@ -393,16 +391,8 @@ def suite_dense(xi, tau, depth: int = 6) -> DenseReport:
             scale_for[("f", k)] = Scalar.one()
 
         def phi(vec: ModVec) -> ModVec:
-            out: dict = {}
-            for key, coeff in vec.terms.items():
-                wkey = xbar.key_weight(key)
-                c = coeff * scale_for[key]
-                s = out.get(wkey, Scalar.zero()) + c
-                if s.is_zero():
-                    out.pop(wkey, None)
-                else:
-                    out[wkey] = s
-            return ModVec(dense, out)
+            return ModVec(dense, sum_terms((xbar.key_weight(key), coeff * scale_for[key])
+                                           for key, coeff in vec.terms.items()))
 
         for key in xbar.basis_keys(depth):
             v = xbar.basis_vec(key)
@@ -483,23 +473,24 @@ def suite_dense(xi, tau, depth: int = 6) -> DenseReport:
 
 
 @dataclass
-class RestrictionReport(_Report):
+class SuiteReport(_Report):
+    """The report of a suite that identifies a module with a predicted
+    target: restriction, tensor_vermas or twist_induction."""
+
+    suite: str
     target: dict
-    map_check: MapCheckReport
     flags: dict
     witness: object
     depth: int
     params: dict
-    notes: dict
-    suite = "restriction"
+    notes: dict = field(default_factory=dict)
 
     def extras(self):
-        out = {"target": self.target, "scope": f"verified to depth {self.depth}"}
-        out.update(self.notes)
-        return out
+        return {"target": self.target, "scope": f"verified to depth {self.depth}",
+                **self.notes}
 
 
-def suite_restriction(mu: MuData, depth: int = 6) -> RestrictionReport:
+def suite_restriction(mu: MuData, depth: int = 6) -> SuiteReport:
     """Identify the polynomial-subalgebra module as a twisted sl2 module.
 
     Degree 1 gives a twisted highest weight Verma module (with the
@@ -577,28 +568,12 @@ def suite_restriction(mu: MuData, depth: int = 6) -> RestrictionReport:
         mc = MapCheckReport(True, injective, surjective, witness, depth)
         notes["independent_images"] = ech.rank
 
-    flags["relations_hold"] = mc.relations_hold
-    flags["injective_up_to_N"] = mc.injective_up_to_N
-    if mc.surjective_onto_window is not None:
-        flags["surjective_onto_window"] = mc.surjective_onto_window
+    flags.update(mc.flags)
     witness = witness or mc.witness
-    return RestrictionReport(target, mc, flags, witness, depth, params, notes)
+    return SuiteReport("restriction", target, flags, witness, depth, params, notes)
 
 
-@dataclass
-class TensorReport(_Report):
-    target: dict
-    flags: dict
-    witness: object
-    depth: int
-    params: dict
-    suite = "tensor_vermas"
-
-    def extras(self):
-        return {"target": self.target, "scope": f"verified to depth {self.depth}"}
-
-
-def suite_tensor_vermas(lam1, lam2, mu1, mu2, depth: int = 5) -> TensorReport:
+def suite_tensor_vermas(lam1, lam2, mu1, mu2, depth: int = 5) -> SuiteReport:
     """Identify a tensor of two differently-twisted Verma modules.
 
     (a) sl2 level: the tensor of generators is an eigenvector for
@@ -627,9 +602,7 @@ def suite_tensor_vermas(lam1, lam2, mu1, mu2, depth: int = 5) -> TensorReport:
         tensor.act(aut12.apply(H), gen) == gen.scale(xi))
     src = TwistModule(XModule(xi), aut12.inverse())
     mc = check_module_map(src, tensor, gen, depth)
-    flags["relations_hold"] = mc.relations_hold
-    flags["injective_up_to_N"] = mc.injective_up_to_N
-    flags["surjective_onto_window"] = bool(mc.surjective_onto_window)
+    flags.update(mc.flags)
     witness = witness or mc.witness
 
     # Virasoro level: characters mu~_i(t - lam_i) = mu_i lam_i / 2, and the
@@ -655,26 +628,10 @@ def suite_tensor_vermas(lam1, lam2, mu1, mu2, depth: int = 5) -> TensorReport:
 
     target = {"family": "Twist", "inner": {"family": "X", "xi": xi.to_json()},
               "aut": f"{aut12.tag}^-1"}
-    return TensorReport(target, flags, witness, depth, params)
+    return SuiteReport("tensor_vermas", target, flags, witness, depth, params)
 
 
-@dataclass
-class InductionReport(_Report):
-    target: dict
-    flags: dict
-    witness: object
-    depth: int
-    params: dict
-    notes: dict
-    suite = "twist_induction"
-
-    def extras(self):
-        out = {"target": self.target, "scope": f"verified to depth {self.depth}"}
-        out.update(self.notes)
-        return out
-
-
-def suite_twist_induction(sub: SubalgebraClass1D, mu0, depth: int = 6) -> InductionReport:
+def suite_twist_induction(sub: SubalgebraClass1D, mu0, depth: int = 6) -> SuiteReport:
     """Identify the module induced from a one-dimensional subalgebra.
 
     ``mu0`` is the character value on the classifier's canonical
@@ -699,13 +656,8 @@ def suite_twist_induction(sub: SubalgebraClass1D, mu0, depth: int = 6) -> Induct
                   "aut": f"{sub.aut.tag}^-1"}
     dst = TwistModule(inner, sub.aut.inverse())
     mc = check_module_map(src, dst, dst.generator(), depth)
-    flags = {
-        "relations_hold": mc.relations_hold,
-        "injective_up_to_N": mc.injective_up_to_N,
-    }
-    if mc.surjective_onto_window is not None:
-        flags["surjective_onto_window"] = mc.surjective_onto_window
-    return InductionReport(target, flags, mc.witness, depth, params, notes)
+    return SuiteReport("twist_induction", target, mc.flags, mc.witness, depth,
+                       params, notes)
 
 
 def report_to_text(report: _Report) -> str:

@@ -226,6 +226,36 @@ def test_config_depth_integer_is_used(tmp_path, capsys):
     assert json.loads(out)["reports"][0]["depth"] == 7
 
 
+VIRPOLY = {"family": "VirPoly", "roots": [["2", 1]], "polys": [["1"]], "depth": 4}
+
+
+@pytest.mark.parametrize("name, value", [("depth", v) for v in (7.5, True, "7", 0)]
+                         + [("multiplicity", v) for v in (1.5, True, "1", 0)])
+def test_invalid_module_integers_exit_two(capsys, name, value):
+    # a VirPoly spec's depth and root multiplicities are JSON integers >= 1
+    spec = dict(VIRPOLY, depth=value) if name == "depth" else dict(VIRPOLY, roots=[["2", value]])
+    code, out, err = run(capsys, "act", "--module", json.dumps(spec), "--elt", "e_3",
+                         "--vec", json.dumps([[[0, 0, 0], "1"]]))
+    assert code == 2
+    assert out == ""
+    assert name in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [1.5, True, "1", 0])
+def test_invalid_config_multiplicity_exits_two(tmp_path, capsys, value):
+    config = {"suites": [
+        {"name": "twist_induction", "params": {"x": "0,0,1", "mu0": "2"}, "depth": 4},
+        {"name": "restriction", "params": {"roots": [["2", value]], "polys": [["1"]]},
+         "depth": 4},
+    ]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "report", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "multiplicity" in err and "Traceback" not in err
+
+
 def test_depth_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SLVIR_DEPTH", "7")
     code, out, _ = run(capsys, "verify", "dense", "--xi", "0", "--tau", "2")
@@ -257,6 +287,18 @@ def test_sample_report_is_byte_identical_across_hash_seeds(hash_seed):
          "--config", str(REPO / "configs" / "sample-suites.json")],
         env=env, capture_output=True, check=True)
     assert hashlib.md5(proc.stdout).hexdigest() == SAMPLE_REPORT_MD5
+
+
+GOLDEN = json.loads((REPO / "tests" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[f"{i:02d}-{c['argv'][0]}" for i, c in
+                                              enumerate(GOLDEN)])
+def test_cli_output_matches_golden(capsys, case):
+    # classify, act and weights commands keep their recorded stdout, stderr
+    # and exit code byte for byte
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
 
 
 def test_exit_code_one_when_flags_fail(capsys, monkeypatch):

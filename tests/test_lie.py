@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, strategies as st
 
 from slvir.errors import InvalidParameter, NotASubalgebra, NotRepresentable, WrongAlgebra
 from slvir.laurent import LaurentPoly
@@ -209,6 +212,35 @@ def test_classify_2d():
         classify_subalgebra_2d(E, F)
     with pytest.raises(InvalidParameter):
         classify_subalgebra_2d(E, E.scale(2))
+
+
+fracs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+gaussians = st.builds(Scalar, fracs, fracs | st.just(0))
+# entries (a, b, c, d) of an invertible 2x2 change of basis
+basis_changes = st.tuples(gaussians, gaussians, gaussians, gaussians).filter(
+    lambda m: not (m[0] * m[3] - m[1] * m[2]).is_zero())
+
+
+def _change_basis(m, x, y):
+    a, b, c, d = m
+    return x.scale(a) + y.scale(b), x.scale(c) + y.scale(d)
+
+
+@given(gaussians, basis_changes, gaussians)
+def test_classify_2d_against_the_borel_subalgebras(lam, m, c):
+    g = Automorphism.gamma(lam)
+    res = classify_subalgebra_2d(*_change_basis(m, g.apply(H), g.apply(E)))
+    if lam.is_zero():
+        assert (res.kind, res.aut, res.params) == ("b_plus", Automorphism.identity(), ())
+    else:
+        assert (res.kind, res.aut, res.params) == ("b_lambda", g, (lam,))
+    res = classify_subalgebra_2d(*_change_basis(m, g.apply(H), g.apply(F)))
+    assert (res.kind, res.aut, res.params) == ("b_minus", Automorphism.sigma(), ())
+    x, _ = _change_basis(m, g.apply(H), g.apply(E))
+    with pytest.raises(InvalidParameter):
+        classify_subalgebra_2d(x, x.scale(c))
+    with pytest.raises(NotASubalgebra):
+        classify_subalgebra_2d(*_change_basis(m, E, F))
 
 
 def test_gamma2_borel_matches_gamma_borel():

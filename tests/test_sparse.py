@@ -13,6 +13,7 @@ from slvir.sparse import (
     lincomb,
     row_from_scalars,
     row_to_scalars,
+    sum_terms,
     unit_row,
 )
 
@@ -44,6 +45,17 @@ def test_row_round_trip_is_canonical(vec):
     assert row_to_scalars(row) == {k: x for k, x in vec.items() if not x.is_zero()}
     # 2*row - row, summed and reduced, gives the very same triple
     assert lincomb([(2, 0, 1, row), (-1, 0, 1, row)]) == row
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), scalars), max_size=10), st.data())
+def test_sum_terms_matches_scalar_fold(pairs, data):
+    # the negations of some drawn pairs cancel their keys' sums to zero
+    if pairs:
+        pairs += [(k, -c) for k, c in data.draw(st.lists(st.sampled_from(pairs), max_size=4))]
+    out = sum_terms(pairs)
+    assert out == _scalar_sum((Scalar.one(), {k: c}) for k, c in pairs)
+    assert not any(c.is_zero() for c in out.values())
+    assert list(out) == [k for k in dict.fromkeys(k for k, _ in pairs) if k in out]
 
 
 @settings(max_examples=50)
