@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and the check of integer input."""
+"""Exception types shared across the library, and the checks of integer input."""
 
 
 class SlvirError(Exception):
@@ -43,4 +43,14 @@ def positive_int(value, name: str) -> int:
     are rejected instead of being truncated or coerced."""
     if type(value) is not int or value < 1:
         raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def nonnegative_int(value, name: str) -> int:
+    """``value`` if it is an int (not a bool) >= 0; else InvalidParameter
+    "bad <name> <value>", the wording of every rejected vector key.  Vector
+    keys read from JSON go through here, so 1.5 and true are rejected
+    instead of being truncated or coerced."""
+    if type(value) is not int or value < 0:
+        raise InvalidParameter(f"bad {name} {value!r}")
     return value

@@ -2,12 +2,19 @@
 modules induced from polynomial subalgebras.
 
 An :class:`InducedModule` is U(sl2) modulo the left ideal generated by
-{s - mu(s) : s in a list of sl2 elements}, realised concretely: the ideal
-rows nf(m * (s - mu(s))) for PBW monomials m up to the working depth are
-put in reduced echelon form under degree-lex order, the non-pivot
-monomials form the basis, and every monomial of the window keeps its
-reduced row, so reduction is a lookup.  This construction never assumes any isomorphism theorem about the
-resulting module, which keeps downstream verification non-circular.
+{s - mu(s) : s in a list of sl2 elements}, realised concretely.  U(sl2) is
+an algebra of solvable type: under the degree-lex order the leading
+monomial of m * g is m times the leading monomial of g, with coefficient
+one.  So once the relations are interreduced they are a left Groebner basis
+exactly when every S-pair reduces to zero (Kandri-Rody and Weispfenning,
+J. Symb. Comp. 9, 1990), which the construction checks instead of
+assuming.  The basis is the standard monomials, those no leading monomial
+divides, and the normal form of any other monomial m is that of
+m - q * g, for a relation g whose leading monomial divides m and
+q = m / lm(g).  Normal forms are computed when first asked for and
+memoised per handle.  This construction never assumes any isomorphism
+theorem about the resulting module, which keeps downstream verification
+non-circular.
 
 A :class:`VirPolyModule` is the induced module attached to the degree-k
 subalgebra span{z, t^i f} (k in {1,2,3}, nonzero roots) and a character
@@ -18,27 +25,28 @@ Virasoro element is computed by commuting it rightward to the generator
 the window division t^m = q f + r, where q f acts through mu and the
 window remainder r acts as an sl2 element.
 
-Rows are the integer form of :mod:`slvir.sparse`.  Each ideal row is one
-:func:`~slvir.sparse.lincomb` of the cached integer normal forms of
-:mod:`slvir.pbw`, so the table build does no Scalar arithmetic.  The rows
-of e, h, f and of each e_n on a basis monomial are memoised per handle, and
-an action on a vector is one lincomb of them.
+Rows are the integer form of :mod:`slvir.sparse`.  Each division step is
+one :func:`~slvir.sparse.lincomb` of the cached integer normal forms of
+:mod:`slvir.pbw`, so reduction does no Scalar arithmetic.  The rows of e,
+h, f and of each e_n on a basis monomial are memoised per handle, and an
+action on a vector is one lincomb of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 
 from .errors import (BadPolynomial, DepthExceeded, InvalidParameter, NotInSubalgebra,
-                     positive_int)
+                     nonnegative_int, positive_int)
 from .laurent import LaurentPoly, divmod_window, reduce_power, sl2_window
 from .lie import E, F, H, SL2Elt, VirElt, bracket_vir, embed_sl2, sl2_from_vir
 from .linalg import Echelon, degree_lex
 from .modules import LETTERS, Module
 from .pbw import UEnvElt, _word_normal_form, gen_times_mono, monomial_letters
 from .scalar import Scalar
-from .sparse import expand, gauss, lincomb, unit_row
+from .sparse import ZERO_ROW, expand, gauss, lincomb, row_from_scalars, row_keys, unit_row
 
 
 @dataclass(frozen=True)
@@ -133,6 +141,15 @@ def _monomials_up_to(depth: int):
                 yield (a, b, total - a - b)
 
 
+def _times(mono, g, sign=1) -> list:
+    """lincomb items of sign * mono * g, for a row g over {1, e, h, f}."""
+    den, re, im = g
+    word = monomial_letters(mono)
+    return [(sign * re.get(k, 0), sign * im.get(k, 0), den,
+             (1, _word_normal_form(word + monomial_letters(k)), {}))
+            for k in row_keys(g)]
+
+
 class InducedModule(Module):
     """U(sl2) modulo the left ideal of {s - mu(s)}, depth-bounded."""
 
@@ -143,36 +160,79 @@ class InducedModule(Module):
             raise InvalidParameter("depth must be at least 1")
         self.relations = tuple((s, Scalar.of(v)) for s, v in relations)
         self.depth = int(depth)
-        # s - mu(s) as integer combinations of the letters and of 1
-        gens = [[gauss(c) + (letter,)
-                 for letter, c in (("e", s.ce), ("h", s.ch), ("f", s.cf))]
-                + [gauss(-v) + (None,)] for s, v in self.relations]
+        # interreduce the rows s - mu(s) over {1, e, h, f}: each pivot is
+        # the leading monomial of a relation with coefficient one
         ech = Echelon(degree_lex)
-        # the leading monomial of nf(mono * s) is mono shifted by the top
-        # letter of s, so ascending monomials give (mostly) ascending
-        # pivots, which the echelon stores without back-substitution
-        for mono in sorted(_monomials_up_to(self.depth - 1), key=degree_lex):
-            word = monomial_letters(mono)
-            for g in gens:
-                # the ideal row nf(mono * (s - mu(s)))
-                ech.insert(lincomb([(cr, ci, cd, unit_row(mono) if letter is None
-                                     else (1, _word_normal_form(word + (letter,)), {}))
-                                    for cr, ci, cd, letter in g]))
-        table = ech.reduction_table()
-        self._basis = [m for m in _monomials_up_to(self.depth) if m not in table]
-        self._basis_set = set(self._basis)
-        if (0, 0, 0) not in self._basis_set:
+        for s, v in self.relations:
+            ech.insert(row_from_scalars({(0, 0, 1): s.ce, (0, 1, 0): s.ch,
+                                         (1, 0, 0): s.cf, (0, 0, 0): -v}))
+        if (0, 0, 0) in ech.rows:
             raise InvalidParameter("degenerate relations: the generator vanishes")
-        # the reduced row of every monomial in the window
-        self._rows = {m: unit_row(m) for m in self._basis}
-        self._rows.update(table)
+        self._gens = list(ech.rows.items())
+        self._nf_rows: dict = {}
+        for (lead1, g1), (lead2, g2) in combinations(self._gens, 2):
+            # the S-pair lead2 * g1 - lead1 * g2 cancels the common leading term
+            spair = lincomb(_times(lead2, g1) + _times(lead1, g2, -1))
+            if self._reduce_poly(spair) != ZERO_ROW:
+                raise InvalidParameter(
+                    "relations are not a character of a subalgebra: an S-pair "
+                    "does not reduce to zero")
+        self._basis = [m for m in _monomials_up_to(self.depth) if self._divisor(m) is None]
+        self._basis_set = set(self._basis)
+
+    def _divisor(self, mono):
+        """(q, g) for the first relation g whose leading monomial divides
+        mono, with q = mono / lm(g); None for a standard monomial."""
+        for lead, g in self._gens:
+            q = (mono[0] - lead[0], mono[1] - lead[1], mono[2] - lead[2])
+            if min(q) >= 0:
+                return q, g
+        return None
+
+    def _nf(self, mono):
+        """The normal form of a monomial, memoised per handle, at any degree.
+
+        The reduction runs on an explicit stack, so a long chain of
+        division steps never deepens the Python stack.
+        """
+        rows = self._nf_rows
+        row = rows.get(mono)
+        if row is not None:
+            return row
+        # mono - q * g for each monomial on the stack; its keys lie below mono
+        steps: dict = {}
+        stack = [mono]
+        while stack:
+            m = stack[-1]
+            if m in rows:
+                stack.pop()
+                continue
+            step = steps.get(m)
+            if step is None:
+                div = self._divisor(m)
+                if div is None:
+                    rows[m] = unit_row(m)
+                    stack.pop()
+                    continue
+                step = steps[m] = lincomb([(1, 0, 1, unit_row(m))] + _times(*div, -1))
+            missing = [k for k in row_keys(step) if k not in rows]
+            if missing:
+                stack += missing
+                continue
+            stack.pop()
+            rows[m] = self._reduce_poly(step)
+        return rows[mono]
+
+    def _reduce_poly(self, row):
+        den, re, im = row
+        return lincomb([(re.get(k, 0), im.get(k, 0), den, self._nf(k))
+                        for k in row_keys(row)])
 
     def _reduce_row(self, mono):
-        row = self._rows.get(mono)
-        if row is None:
+        if sum(mono) > self.depth:
             raise DepthExceeded(
                 f"degree {sum(mono)} escapes the depth-{self.depth} window")
-        return row
+        return self._nf(mono)
 
     def _build_letter_row(self, letter: str, mono):
         return lincomb([(k, 0, 1, self._reduce_row(m2))
@@ -201,7 +261,7 @@ class InducedModule(Module):
         return list(key)
 
     def key_from_json(self, data):
-        return tuple(int(x) for x in data)
+        return tuple(nonnegative_int(x, f"{self.family} key entry") for x in data)
 
     def generator(self):
         return self.basis_vec((0, 0, 0))

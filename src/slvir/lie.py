@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import (
+    BadPolynomial,
     InvalidParameter,
     NotASubalgebra,
     WrongAlgebra,
@@ -31,12 +32,13 @@ from .sparse import row_from_scalars, row_to_scalars, sum_terms
 class SL2Elt:
     """Coordinates (ce, ch, cf) in the basis {e, h, f}."""
 
-    __slots__ = ("ce", "ch", "cf")
+    __slots__ = ("ce", "ch", "cf", "_hash")
 
     def __init__(self, ce=0, ch=0, cf=0):
         object.__setattr__(self, "ce", Scalar.of(ce))
         object.__setattr__(self, "ch", Scalar.of(ch))
         object.__setattr__(self, "cf", Scalar.of(cf))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SL2Elt is immutable")
@@ -66,7 +68,10 @@ class SL2Elt:
         return self.coords() == other.coords()
 
     def __hash__(self):
-        return hash(self.coords())
+        # immutable, so the hash of its six Fractions is taken once
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.coords()))
+        return self._hash
 
     def __str__(self):
         bits = []

@@ -9,8 +9,11 @@ non-pivot keys only, so membership tests, ranks and canonical reductions
 are all one substitution pass.  A row whose pivot lies above every stored
 pivot is stored as it is: a row's keys never exceed its own pivot, so no
 stored row holds the new one.  Rows inserted in ascending pivot order thus
-never back-substitute.  The elimination runs on exact integers; nothing is
-ever rounded.
+never back-substitute, as in the degree-3 restriction of
+:mod:`slvir.verify`.  Induced modules interreduce their relations here;
+their normal forms come from Groebner division, not from a table of the
+whole window.  The elimination runs on exact integers; nothing is ever
+rounded.
 """
 
 from __future__ import annotations
@@ -78,7 +81,11 @@ class Echelon:
         return not re and not im
 
     def reduction_table(self) -> dict:
-        """pivot key -> tail row, i.e. pivot = tail on the row space."""
+        """pivot key -> tail row, i.e. pivot = tail on the row space.
+
+        The tests build the whole-window reduction table of an induced
+        module with it, as the reference its normal forms are checked
+        against."""
         return {pivot: (den, {k: -v for k, v in re.items() if k != pivot},
                         {k: -v for k, v in im.items()})
                 for pivot, (den, re, im) in self.rows.items()}

@@ -20,7 +20,8 @@ from __future__ import annotations
 import json
 from functools import cache, cached_property, partial
 
-from .errors import InvalidParameter, NotWeightModule, WrongAlgebra, positive_int
+from .errors import (InvalidParameter, NotWeightModule, WrongAlgebra, nonnegative_int,
+                     positive_int)
 from .lie import E, F, H, SL2Elt, VirElt
 from .pbw import (UEnvElt, aut_extend, casimir_elt, gen_times_mono, monomial_letters,
                   nf_multiply)
@@ -290,7 +291,14 @@ class _PairModule(Module):
         return list(key)
 
     def key_from_json(self, data):
-        return (int(data[0]), int(data[1]))
+        key = tuple(data)
+        try:
+            for v in key:
+                nonnegative_int(v, "key entry")
+        except InvalidParameter:
+            # name the whole key, as validate_key does
+            raise InvalidParameter(f"bad {self.family} key {key!r}") from None
+        return key
 
     def generator(self):
         return self.basis_vec((0, 0))
@@ -454,7 +462,7 @@ class XbarModule(Module):
         return [key[0], key[1]]
 
     def key_from_json(self, data):
-        return (str(data[0]), int(data[1]))
+        return (str(data[0]), nonnegative_int(data[1], "Xbar key exponent"))
 
     def generator(self):
         return self.basis_vec(("e", 0))
@@ -572,8 +580,7 @@ class _VermaBase(Module):
         self.delta = Scalar.of(delta)
 
     def validate_key(self, key):
-        if not (isinstance(key, int) and key >= 0):
-            raise InvalidParameter(f"bad {self.family} key {key!r}")
+        nonnegative_int(key, f"{self.family} key")
 
     def key_depth(self, key):
         return key
@@ -702,8 +709,10 @@ class TwistModule(Module):
                 for u, s in self.inner.generator_relations()]
 
     def basis_words(self, depth):
-        return [(key, tuple(self._aut_inv.apply(g) for g in word))
-                for key, word in self.inner.basis_words(depth)]
+        words = self.inner.basis_words(depth)
+        # the words use a handful of distinct letters: map each one once
+        image = {g: self._aut_inv.apply(g) for g in {g for _, word in words for g in word}}
+        return [(key, tuple(image[g] for g in word)) for key, word in words]
 
     def params_json(self):
         return {"inner": {"family": self.inner.family, "params": self.inner.params_json()},

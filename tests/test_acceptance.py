@@ -336,3 +336,32 @@ def test_depth_10_restriction_and_twist_induction():
             assert report.depth == 10
 
     _criterion(11, "depth-10", 3.0, body)
+
+
+def test_c12_depth_30_restriction_and_twist_induction():
+    # "verified to depth N" at N = 30: normal forms are reduced on demand,
+    # so a deep window costs what the checks read, not the whole window
+    def body():
+        for mu, family in [
+                (MuData(((S("1*i"), 1),), ((S(2),),)), "Verma"),
+                (MuData(((S(2), 2),), ((S(1), S(-1)),)), "W"),
+                (MuData(((S(2), 1), (S(-2), 1)), ((S(1),), (S(2),))), "X")]:
+            report = suite_restriction(mu, 30)
+            assert report.all_ok, report.flags
+            assert report.target["inner"]["family"] == family
+            assert report.depth == 30
+        report = suite_restriction(
+            MuData(((S(1), 1), (S(2), 1), (S(3), 1)), ((S(1),), (S(1),), (S(1),))), 30)
+        assert report.all_ok, report.flags
+        assert report.target["family"] == "free"
+        for elt, mu0, kind, family in [
+                (SL2Elt(1, -3, -9), S(5), "n_lambda", "W"),
+                (SL2Elt(1, -3, -5), S(1), "h_pair", "X")]:
+            sub = classify_subalgebra_1d(elt)
+            assert sub.kind == kind, (elt, sub.kind)
+            report = suite_twist_induction(sub, mu0, 30)
+            assert report.all_ok, (kind, report.flags)
+            assert report.target["inner"]["family"] == family
+            assert report.depth == 30
+
+    _criterion(12, "depth-30", 15.0, body)

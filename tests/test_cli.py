@@ -335,3 +335,28 @@ def test_malformed_payloads_exit_two(capsys):
     assert main(["act", "--module", "42", "--elt", "e", "--vec", "[]"]) == 2
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("module, key", [
+    ({"family": "W", "eta": "1"}, [1.5, 0]),
+    ({"family": "W", "eta": "1"}, [True, 0]),
+    ({"family": "X", "xi": "1"}, [0, "1"]),
+    ({"family": "Verma", "delta": "2"}, True),
+    ({"family": "LowVerma", "delta": "2"}, 1.0),
+    ({"family": "Xbar", "xi": "1", "tau": "2"}, ["e", 1.5]),
+    ({"family": "VirPoly", "roots": [["2", 1]], "polys": [["1"]], "depth": 4}, [0, 0, True]),
+])
+def test_coerced_vector_keys_exit_two(capsys, module, key):
+    # a key entry must be a JSON integer >= 0: no truncation, no bool as 1
+    code, out, err = run(capsys, "act", "--module", json.dumps(module), "--elt", "f",
+                         "--vec", json.dumps([[key, "1"]]))
+    assert code == 2
+    assert out == ""
+    assert "bad" in err and "Traceback" not in err
+
+
+def test_integer_vector_keys_still_act(capsys):
+    code, out, _ = run(capsys, "act", "--module", json.dumps({"family": "W", "eta": "1"}),
+                       "--elt", "f", "--vec", json.dumps([[[1, 0], "1"]]))
+    assert code == 0
+    assert [key for key, _ in json.loads(out)["terms"]] == [[2, 0]]

@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slvir.errors import (
     BadPolynomial,
@@ -8,7 +9,7 @@ from slvir.errors import (
     InvalidParameter,
     NotInSubalgebra,
 )
-from slvir.induced import InducedModule, MuData, VirPolyModule, mu_eval
+from slvir.induced import InducedModule, MuData, VirPolyModule, _monomials_up_to, mu_eval
 from slvir.laurent import reduce_power, sl2_window
 from slvir.lie import (E, F, H, SL2Elt, VirElt, bracket_vir, classify_subalgebra_1d,
                        embed_sl2, sl2_from_vir)
@@ -16,7 +17,7 @@ from slvir.linalg import Echelon, degree_lex
 from slvir.modules import casimir_action
 from slvir.pbw import UEnvElt, gen_times_mono, nf_multiply
 from slvir.scalar import Scalar
-from slvir.sparse import row_from_scalars
+from slvir.sparse import row_from_scalars, unit_row
 
 S = Scalar.of
 
@@ -340,10 +341,96 @@ def test_virpoly_table_matches_nf_multiply_route():
         [(classify_subalgebra_1d(SL2Elt(1, -3, -9)).generator, S("1/2-2*i"))], 8),
 ], ids=["virpoly_degree_1", "n_lambda"])
 def test_tables_match_nf_multiply_route_at_depth_8(make):
-    # the reference inserts in product order, so it back-substitutes; the
-    # module inserts in ascending degree-lex order and does not
+    # the reference eliminates the whole window; the module divides by its
+    # interreduced relations, one monomial at a time
     mod = make()
     table = _nf_route_table(mod.relations, 8)
     assert set(mod.basis_keys(8)) == {m for m in product(range(9), repeat=3)
                                       if sum(m) <= 8 and m not in table}
     assert {m: mod._reduce_row(m) for m in table} == table
+
+
+# Gaussian rationals with a nonzero imaginary part, so that every
+# comparison below runs on non-real data
+_GAUSS = st.builds(lambda a, b, d: S(f"{a}/{d}+{b}*i"),
+                   st.integers(-3, 3), st.integers(1, 3), st.integers(1, 2))
+_ONE_DIM_KINDS = {
+    "n_lambda": lambda b, c: SL2Elt(1, -b, -b * b),
+    "n_minus": lambda b, c: SL2Elt(0, 0, c),
+    "h_lambda": lambda b, c: SL2Elt(0, c, b),
+    # delta = beta^2 - c^2 with c != 0: two distinct roots beta +- c
+    "h_pair": lambda b, c: SL2Elt(1, -b, c * c - b * b),
+}
+
+
+@st.composite
+def _induced_handles(draw):
+    """A 1-d subalgebra induced module or a degree-1 VirPoly, non-real data."""
+    depth = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(sorted(_ONE_DIM_KINDS) + ["virpoly_degree_1"]))
+    b, c, mu0 = draw(_GAUSS), draw(_GAUSS), draw(_GAUSS)
+    if kind == "virpoly_degree_1":
+        return kind, VirPolyModule(mud([(b, 1)], [[mu0]]), depth)
+    sub = classify_subalgebra_1d(_ONE_DIM_KINDS[kind](b, c))
+    assert sub.kind == kind
+    return kind, InducedModule([(sub.generator, mu0)], depth)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_induced_handles())
+def test_lazy_normal_forms_match_table_route(handle):
+    # every monomial of the window: the basis is the non-pivots of the
+    # reference table, and each reduced row is the table's (a unit row on
+    # the basis)
+    _, mod = handle
+    table = _nf_route_table(mod.relations, mod.depth)
+    window = list(_monomials_up_to(mod.depth))
+    assert mod.basis_keys(mod.depth) == [m for m in window if m not in table]
+    for m in window:
+        assert mod._reduce_row(m) == table.get(m, unit_row(m)), m
+    with pytest.raises(DepthExceeded):
+        mod._reduce_row((0, 0, mod.depth + 1))
+
+
+@pytest.mark.parametrize("relations", [
+    [(E, S(0)), (F, S(0))],  # the ideal holds [e, f] = h
+    [(H, S(1)), (E, S(1))],  # mu([h, e]) = 2 mu(e) != 0
+], ids=["e_f", "h_e"])
+@pytest.mark.parametrize("depth", [1, 2, 3, 6, 8])
+def test_non_character_relations_rejected_at_every_depth(relations, depth):
+    # these relations are no character of a subalgebra; a window table once
+    # gave them a basis that grew with the window
+    with pytest.raises(InvalidParameter):
+        InducedModule(relations, depth)
+
+
+def test_trivial_character_of_sl2_gives_the_trivial_module():
+    mod = InducedModule([(E, S(0)), (H, S(0)), (F, S(0))], 4)
+    assert mod.basis_keys(4) == [(0, 0, 0)]
+    for g in (E, H, F):
+        assert mod.act(g, mod.generator()).is_zero()
+
+
+def test_virpoly_degree_one_builds_at_depth_one():
+    # the S-pair of the two relations has degree 2, above the window: its
+    # reduction is not bounded by the window
+    vp = VirPolyModule(mud([(S("1+1*i"), 1)], [[S("1*i")]]), 1)
+    deeper = VirPolyModule(vp.mu, 4)
+    assert vp.basis_keys(1) == deeper.basis_keys(1) == [(0, 0, 0), (0, 0, 1)]
+    gen = vp.generator()
+    assert vp.act(VirElt.e(2), gen).terms == deeper.act(VirElt.e(2), deeper.generator()).terms
+
+
+@pytest.mark.parametrize("make", [
+    lambda: VirPolyModule(mud([(S("1+1*i"), 1)], [[S("1*i")]]), 30),
+    lambda: InducedModule([(classify_subalgebra_1d(SL2Elt(0, 0, 1)).generator, S("2-1*i"))],
+                          30),
+], ids=["virpoly_degree_1", "n_minus"])
+def test_depth_30_top_degree_reduces_without_recursion_error(make):
+    # the first reduction of (30, 0, 0) runs a chain of division steps
+    # through most of the window
+    mod = make()
+    top = [m for m in _monomials_up_to(30) if sum(m) == 30]
+    rows = [mod._reduce_row(m) for m in top]
+    basis = set(mod.basis_keys(30))
+    assert [row == unit_row(m) for m, row in zip(top, rows)] == [m in basis for m in top]
