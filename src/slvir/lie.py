@@ -327,6 +327,12 @@ class Automorphism:
         return Automorphism(_mat_mul(self.matrix, other.matrix))
 
     def inverse(self) -> "Automorphism":
+        """The inverse: gamma(lam)^-1 = gamma(-lam), and identity and sigma
+        are their own inverses; other kinds invert the matrix."""
+        if self.kind in ("identity", "sigma"):
+            return self
+        if self.kind == "gamma":
+            return Automorphism.gamma(-self.params[0])
         return Automorphism(_mat_inv(self.matrix))
 
     def preserves_brackets(self) -> bool:

@@ -192,6 +192,15 @@ class Module:
         raise NotImplementedError
 
     def key_depth(self, key) -> int:
+        """The depth of a basis key in the module's PBW filtration.
+
+        Contract: each letter e, h, f raises it by at most one, i.e. every
+        key of ``act(letter, basis_vec(key))`` has depth at most
+        ``key_depth(key) + 1``; ``basis_keys(n)`` lists every key of depth
+        at most n.  The graded certificate of
+        :func:`~slvir.verify.check_module_map` rests on it; it checks the
+        bound on every top component it computes.
+        """
         raise NotImplementedError
 
     def key_weight(self, key) -> Scalar:

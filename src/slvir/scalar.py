@@ -54,6 +54,9 @@ class Scalar:
     def of(x) -> "Scalar":
         if isinstance(x, Scalar):
             return x
+        if isinstance(x, bool):
+            # a JSON true/false is not a number, although bool is an int
+            raise TypeError(f"cannot coerce {x!r} to Scalar")
         if isinstance(x, (int, Fraction)):
             return _make(Fraction(x), _FZERO)
         if isinstance(x, str):

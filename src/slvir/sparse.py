@@ -88,6 +88,17 @@ def rekey(row, f) -> tuple:
     return (den, {f(k): v for k, v in re.items()}, {f(k): v for k, v in im.items()})
 
 
+def restrict(row, keep) -> tuple:
+    """The canonical row of the part of a row on the keys k with keep(k)."""
+    den, re, im = row
+    re = {k: v for k, v in re.items() if keep(k)}
+    im = {k: v for k, v in im.items() if keep(k)}
+    g = gcd(den, *re.values(), *im.values())
+    if g == 1:
+        return (den, re, im)
+    return (den // g, {k: v // g for k, v in re.items()}, {k: v // g for k, v in im.items()})
+
+
 def lincomb(items) -> tuple:
     """The canonical row of sum((cr + ci*i)/cd * row) over (cr, ci, cd, row).
 

@@ -360,3 +360,29 @@ def test_integer_vector_keys_still_act(capsys):
                        "--elt", "f", "--vec", json.dumps([[[1, 0], "1"]]))
     assert code == 0
     assert [key for key, _ in json.loads(out)["terms"]] == [[2, 0]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["act", "--module", json.dumps({"family": "Verma", "delta": "2"}), "--elt", "f",
+     "--vec", json.dumps([[1, True]])],
+    ["act", "--module", json.dumps({"family": "W", "eta": False}), "--elt", "f",
+     "--vec", json.dumps([[[1, 0], "1"]])],
+    ["act", "--module", json.dumps({"family": "W", "eta": "1"}),
+     "--elt", json.dumps({"e": True}), "--vec", json.dumps([[[1, 0], "1"]])],
+], ids=["vector-coefficient", "module-parameter", "sl2-coordinate"])
+def test_json_booleans_are_not_scalars(capsys, argv):
+    # bool is an int in Python, but a JSON true/false is not a number
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Scalar" in err and "Traceback" not in err
+
+
+def test_config_boolean_scalar_exits_two(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"suites": [
+        {"name": "simplicity", "params": {"xi": True, "tau": "2"}}]}))
+    code, out, err = run(capsys, "report", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "Scalar" in err and "Traceback" not in err

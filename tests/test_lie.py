@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from slvir.errors import (BadPolynomial, InvalidParameter, NotASubalgebra, NotRepresentable,
                           WrongAlgebra)
@@ -13,6 +13,7 @@ from slvir.lie import (
     H,
     SL2Elt,
     VirElt,
+    _mat_inv,
     bracket_sl2,
     bracket_vir,
     classify_subalgebra_1d,
@@ -279,3 +280,19 @@ def test_json_round_trips():
     data = aut.to_json()
     assert data["tag"] == "gamma2(1,2)"
     assert len(data["matrix"]) == 9
+
+
+non_real = st.builds(Scalar, fracs, fracs.filter(bool))
+
+
+@given(non_real, non_real)
+@example(Scalar(0, 1), Scalar(1))
+def test_inverse_matches_the_cofactor_route(lam, lam2):
+    # gamma(lam)^-1 is gamma(-lam), sigma and the identity are their own
+    # inverses; the cofactor inverse with family matching is the reference
+    for aut in (Automorphism.gamma(lam), Automorphism.sigma(), Automorphism.identity(),
+                Automorphism.gamma2(lam, lam + lam2)):
+        ref = Automorphism(_mat_inv(aut.matrix))
+        inv = aut.inverse()
+        assert (inv.matrix, inv.kind, inv.params, inv.tag) == \
+            (ref.matrix, ref.kind, ref.params, ref.tag)

@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import slvir.verify as verify_mod
 from slvir.errors import DepthExceeded, InvalidParameter
-from slvir.induced import InducedModule, MuData
-from slvir.lie import SL2Elt, classify_subalgebra_1d
-from slvir.modules import (DenseModule, TwistModule, VermaModule, XbarModule, XModule,
+from slvir.induced import InducedModule, MuData, VirPolyModule
+from slvir.lie import Automorphism, E, F, H, SL2Elt, classify_subalgebra_1d
+from slvir.modules import (DenseModule, LowVermaModule, TensorModule, TwistModule,
+                           VermaModule, WModule, XbarModule, XbarQuotientModule, XModule,
                            act_word)
 from slvir.scalar import Scalar
 from slvir.verify import (
@@ -266,8 +270,26 @@ def _negative_control(case):
     return XModule(S("1/2")), xbar, xbar.generator()
 
 
+def _full_route_only(monkeypatch):
+    """Turn the graded certificate off, so that check_module_map decides
+    every map by the full route; returns the list of full-route calls."""
+    calls = []
+    eliminate = verify_mod._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(verify_mod, "_graded_certificate", lambda *args: False)
+    monkeypatch.setattr(verify_mod, "_eliminate", counted)
+    return calls
+
+
 @pytest.mark.parametrize("case", ["relation", "dependent_image"])
 def test_shared_word_images_match_per_word_route(case, monkeypatch):
+    # the shared images of the full route (the graded certificate would
+    # settle the relation case without it)
+    calls = _full_route_only(monkeypatch)
     src, dst, gen = _negative_control(case)
     words = src.basis_words(6)
     assert list(_word_images(dst.act, words, gen)) == \
@@ -278,3 +300,131 @@ def test_shared_word_images_match_per_word_route(case, monkeypatch):
     per_word = check_module_map(src, dst, gen, 6)
     assert shared.to_json() == per_word.to_json()
     assert shared.witness == per_word.witness
+    assert len(calls) == 2
+
+
+# -- the graded certificate ------------------------------------------------------
+
+_fracs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+_non_real = st.builds(Scalar, _fracs, _fracs.filter(bool))
+
+
+def _map_case(case, a, b, c):
+    """The JSON of one suite or map check on non-real data a, b, c."""
+    depth = 5
+    if case == "deg1":
+        return suite_restriction(mud([(a, 1)], [[b]]), depth).to_json()
+    if case == "double":
+        return suite_restriction(mud([(a, 2)], [[b, c]]), depth).to_json()
+    if case == "split":
+        return suite_restriction(mud([(a, 1), (b, 1)], [[c], []]), depth).to_json()
+    if case == "n_lambda":
+        sub = classify_subalgebra_1d(SL2Elt(1, -a, -a * a))
+        return suite_twist_induction(sub, b, depth).to_json()
+    if case == "h_pair":
+        sub = classify_subalgebra_1d(SL2Elt(1, -(a + b) / 2, -a * b))
+        return suite_twist_induction(sub, c, depth).to_json()
+    if case == "tensor":
+        return suite_tensor_vermas(a, b, c, c + 1, 4).to_json()
+    if case == "dense_series":
+        # root at j0 = 1: the quotient map takes the full route
+        return suite_dense(a, (a + 3) ** 2, 6).to_json()
+    if case == "relation":
+        sub = classify_subalgebra_1d(SL2Elt(1, -(a + b) / 2, -a * b))
+        src = InducedModule([(sub.generator, c)], depth)
+        dst = TwistModule(XModule(c + 1), sub.aut.inverse())
+        return check_module_map(src, dst, dst.generator(), depth).to_json()
+    if case == "dependent_image":
+        xbar = XbarModule(a, b)
+        return check_module_map(XModule(a), xbar, xbar.generator(), depth).to_json()
+    # not_spanned: relations fail, the images are independent but do not span
+    x = XModule(a)
+    return check_module_map(VermaModule(a), x, x.generator(), depth).to_json()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["deg1", "double", "split", "n_lambda", "h_pair", "tensor",
+                        "dense_series", "relation", "dependent_image", "not_spanned"]),
+       _non_real, _non_real, _non_real)
+def test_graded_certificate_keeps_every_report(case, a, b, c):
+    assume(a != b)
+    certified = _map_case(case, a, b, c)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _full_route_only(mp)
+        full = _map_case(case, a, b, c)
+    assert certified == full
+    assert calls
+    if case in ("relation", "dependent_image"):
+        assert full["witness"]["kind"] == case
+
+
+def _contract_handles(a, b, c):
+    """One handle of every family, with non-real parameters; the induced
+    ones are built one degree deeper than the window read from them."""
+    return [
+        WModule(a), XModule(a), XbarModule(a, b), XbarQuotientModule(a, (a + 3) ** 2, 1),
+        DenseModule(a, b), VermaModule(a), LowVermaModule(a),
+        TwistModule(XModule(a), Automorphism.gamma2(b, b + 1).inverse()),
+        TwistModule(WModule(a), Automorphism.gamma(b).inverse()),
+        TensorModule(TwistModule(VermaModule(a), Automorphism.gamma(b).inverse()),
+                     LowVermaModule(c)),
+        InducedModule([(SL2Elt(1, -(a + b) / 2, -a * b), c)], 6),
+        VirPolyModule(mud([(a, 2)], [[b, c]]), 6),
+        VirPolyModule(mud([(a, 1), (b, 1), (a + b, 1)], [[c], [c], []]), 6),
+    ]
+
+
+@settings(max_examples=10, deadline=None)
+@given(_non_real, _non_real, _non_real)
+def test_letters_raise_key_depth_by_at_most_one(a, b, c):
+    # the contract of Module.key_depth that the graded certificate rests on
+    assume(a != b and a + b != 0 and a + b != a and a + b != b)
+    # and basis_keys(n) lists every key of depth <= n that the letters reach
+    for module in _contract_handles(a, b, c):
+        window = module.basis_keys(5)
+        listed = set(window)
+        for key in window:
+            bound = module.key_depth(key) + 1
+            for letter in (E, H, F):
+                img = module.act(letter, module.basis_vec(key))
+                assert all(module.key_depth(k) <= bound for k in img.terms), \
+                    (module.family, key, letter)
+                assert all(k in listed for k in img.terms if module.key_depth(k) <= 5), \
+                    (module.family, key, letter)
+
+
+def test_positive_checks_never_reach_the_full_route(monkeypatch):
+    # the predicted identifications are settled by the graded certificate;
+    # if it stopped applying they would only get slower, so fail loudly
+    def refuse(*args):
+        raise AssertionError("the full route ran")
+
+    monkeypatch.setattr(verify_mod, "_eliminate", refuse)
+    for mu in (mud([(S("1*i"), 1)], [[S(2)]]), mud([(S(2), 2)], [[S(1), S(-1)]]),
+               mud([(S(2), 1), (S(-2), 1)], [[S(1)], [S(2)]])):
+        report = suite_restriction(mu, 10)
+        assert report.all_ok, report.flags
+    for elt, kind in ((SL2Elt(1, -3, -9), "n_lambda"), (SL2Elt(1, -3, -5), "h_pair")):
+        sub = classify_subalgebra_1d(elt)
+        assert sub.kind == kind
+        report = suite_twist_induction(sub, S(5), 10)
+        assert report.all_ok, report.flags
+
+
+class _SteepVerma(VermaModule):
+    """A Verma module whose key_depth counts f twice, so that f raises it
+    by two: outside the contract of Module.key_depth."""
+
+    def key_depth(self, key):
+        return 2 * key
+
+
+def test_graded_certificate_refuses_keys_above_the_expected_depth():
+    # f sends the generator m @ m' to f m @ m' (depth 1, the expected top)
+    # and m @ f m' (depth 2): the certificate must not drop the deeper part
+    dst = TensorModule(VermaModule(S(1)), _SteepVerma(S(2)))
+    src = VermaModule(S(3))
+    gen = dst.generator()
+    assert not verify_mod._graded_certificate(dst, src.basis_words(3), gen, 3, False)
+    report = check_module_map(src, dst, gen, 3)
+    assert report.relations_hold and report.injective_up_to_N
