@@ -6,14 +6,12 @@ vector passes ``ModVec.row``, a basis key ``unit_row(key)``).  The single
 structure here is an incrementally maintained reduced echelon: every
 stored row has pivot coefficient one and its tail is supported on
 non-pivot keys only, so membership tests, ranks and canonical reductions
-are all one substitution pass.  A row whose pivot lies above every stored
-pivot is stored as it is: a row's keys never exceed its own pivot, so no
-stored row holds the new one.  Rows inserted in ascending pivot order thus
-never back-substitute, as in the degree-3 restriction of
-:mod:`slvir.verify`.  Induced modules interreduce their relations here;
-their normal forms come from Groebner division, not from a table of the
-whole window.  The elimination runs on exact integers; nothing is ever
-rounded.
+are all one substitution pass.  Each new pivot is substituted into the
+stored rows that hold it.  The module-map checks of :mod:`slvir.verify`
+insert images here, one small block per degree; induced modules
+interreduce their relations here, and their normal forms come from
+Groebner division, not from a table of the whole window.  The elimination
+runs on exact integers; nothing is ever rounded.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ class Echelon:
     def __init__(self, key_order=None):
         self.key_order = key_order if key_order is not None else _default_order
         self.rows: dict[object, tuple] = {}  # pivot key -> reduced row
-        self._top = None  # order token of the largest pivot
 
     @property
     def rank(self) -> int:
@@ -60,20 +57,17 @@ class Echelon:
         if not re and not im:
             return False
         pivot = max(row_keys(residue), key=self.key_order)
-        token = self.key_order(pivot)
         # divide by the pivot coefficient (pr + pi*i)/den
         pr, pi = re.get(pivot, 0), im.get(pivot, 0)
         row = lincomb([(den * pr, -den * pi, pr * pr + pi * pi, residue)])
-        if self._top is None or token > self._top:
-            self._top = token
-        else:
-            # keep existing rows reduced against the new pivot
-            for pk, existing in list(self.rows.items()):
-                eden, ere, eim = existing
-                er, ei = ere.get(pivot, 0), eim.get(pivot, 0)
-                if er or ei:
-                    self.rows[pk] = lincomb([(1, 0, 1, existing), (-er, -ei, eden, row)])
-        self.rows[pivot] = row
+        # keep existing rows reduced against the new pivot
+        rows = self.rows
+        for pk, existing in rows.items():
+            eden, ere, eim = existing
+            if pivot in ere or pivot in eim:
+                rows[pk] = lincomb([(1, 0, 1, existing),
+                                    (-ere.get(pivot, 0), -eim.get(pivot, 0), eden, row)])
+        rows[pivot] = row
         return True
 
     def contains(self, row) -> bool:

@@ -17,13 +17,14 @@ import math
 import re as _re
 from fractions import Fraction
 
-from .errors import NotRepresentable
+from .errors import InvalidParameter, NotRepresentable
 
 _FZERO = Fraction(0)
 
 _SCALAR_RE = _re.compile(
     r"^(?P<real>[+-]?\d+(?:/\d+)?)?(?P<imag>[+-]?(?:\d+(?:/\d+)?\*)?i)?$"
 )
+_JSON_INT = _re.compile(r"-?[0-9]+")
 
 
 def _rational_sqrt(q):
@@ -211,8 +212,25 @@ class Scalar:
 
     @staticmethod
     def from_json(data) -> "Scalar":
+        """The inverse of :meth:`to_json`: four integers or integer strings,
+        the numerator and denominator of each part.  Anything else, and a
+        zero denominator, raises InvalidParameter: 1.5 and true are
+        rejected instead of being truncated or coerced."""
+        if not isinstance(data, (list, tuple)) or len(data) != 4 \
+                or not all(_is_json_int(x) for x in data):
+            raise InvalidParameter(f"bad scalar {data!r}: four integers expected")
         rn, rd, im, id_ = (int(x) for x in data)
+        if not rd or not id_:
+            raise InvalidParameter(f"bad scalar {data!r}: zero denominator")
         return _make(Fraction(rn, rd), Fraction(im, id_))
+
+
+def _is_json_int(x) -> bool:
+    """An int that is not a bool, or a string of decimal digits with an
+    optional minus sign."""
+    if isinstance(x, str):
+        return _JSON_INT.fullmatch(x) is not None
+    return type(x) is int
 
 
 def _make(re, im) -> Scalar:

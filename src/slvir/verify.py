@@ -9,7 +9,9 @@ A module map is certified degree by degree where it can be: the maps the
 paper predicts respect the PBW filtration, so the top-degree components of
 the images, one small echelon block per degree, prove injectivity and the
 window span.  Where they do not, one echelon of the whole images decides,
-and it alone supplies dependent_image and not_spanned witnesses.
+and it alone supplies dependent_image and not_spanned witnesses.  Every
+target is checked the same way, the degree-3 restriction (a module that
+is its own target) included.
 """
 
 from __future__ import annotations
@@ -50,17 +52,6 @@ from .scalar import Scalar, sqrt_exact
 from .sparse import ZERO_ROW, expand, lincomb, restrict, row_keys, sum_terms, unit_row
 
 
-def _scalar_multiple(v: ModVec, w: ModVec) -> bool:
-    """Whether v = c*w for some nonzero scalar c."""
-    if v.is_zero() or w.is_zero():
-        return False
-    if set(v.terms) != set(w.terms):
-        return False
-    key = next(iter(w.terms))
-    ratio = v.terms[key] / w.terms[key]
-    return all(v.terms[k] == w.terms[k] * ratio for k in w.terms)
-
-
 class _Report:
     @property
     def all_ok(self) -> bool:
@@ -89,9 +80,10 @@ class _Report:
 class MapCheckReport(_Report):
     """Outcome of a generator-relation, injectivity and window-span check.
 
-    ``surjective_onto_window`` is None when the target carries no grading
-    compatible with the map; the surrounding suite then states what stands
-    in for it (cyclicity, or explicit rank bookkeeping).
+    ``surjective_onto_window`` is None when the caller asked for no span
+    check (``window_span=False``); otherwise it says whether the images
+    span every key of the target's depth-N window.  ``rank``, the number
+    of independent images, feeds the suites' notes and is not serialised.
     """
 
     relations_hold: bool
@@ -99,6 +91,7 @@ class MapCheckReport(_Report):
     surjective_onto_window: bool | None
     witness: object
     depth: int
+    rank: int
     suite = "map_check"
     params: dict = field(default_factory=dict)
 
@@ -141,8 +134,8 @@ class _Uncertified(Exception):
     """A key above its expected depth: the graded certificate does not apply."""
 
 
-def _graded_certificate(dst: Module, words, gen_image: ModVec, depth: int,
-                        weight_span: bool) -> bool:
+def _graded_certificate(dst: Module, act, words, gen_image: ModVec, depth: int,
+                        window_span: bool) -> bool:
     """Whether the top components of the images certify the map.
 
     ``words`` are sorted by length.  With s the depth of gen_image, the top
@@ -150,7 +143,7 @@ def _graded_certificate(dst: Module, words, gen_image: ModVec, depth: int,
     of g.v is the top of g acting on the top of v, so the tops are walked
     with the shared suffixes of :func:`_word_images`, never the full images.
     Each length gets its own :class:`Echelon` block.  True when every top is
-    independent within its block and, with ``weight_span``, s = 0 and each
+    independent within its block and, with ``window_span``, s = 0 and each
     block's rank is the number of dst's window keys of that depth.
     """
     key_depth = dst.key_depth
@@ -158,7 +151,7 @@ def _graded_certificate(dst: Module, words, gen_image: ModVec, depth: int,
     if not keys:
         return False
     s = max(map(key_depth, keys))
-    if weight_span and s:
+    if window_span and s:
         return False
 
     def act_top(x, vec):
@@ -166,7 +159,7 @@ def _graded_certificate(dst: Module, words, gen_image: ModVec, depth: int,
         if not keys:
             return vec
         target = key_depth(keys[0]) + 1
-        row = dst.act(x, vec).row
+        row = act(x, vec).row
         depths = {k: key_depth(k) for k in row_keys(row)}
         if depths and max(depths.values()) > target:
             raise _Uncertified
@@ -180,44 +173,45 @@ def _graded_certificate(dst: Module, words, gen_image: ModVec, depth: int,
                 return False
     except _Uncertified:
         return False
-    return not weight_span or (Counter(map(key_depth, dst.basis_keys(depth)))
+    return not window_span or (Counter(map(key_depth, dst.basis_keys(depth)))
                                == Counter({d: block.rank for d, block in blocks.items()}))
 
 
-def _eliminate(src: Module, dst: Module, words, gen_image: ModVec, depth: int,
-               weight_span: bool):
-    """The full route: (injective, spanned, witness) from one echelon of
-    the whole images; the only source of dependent_image and not_spanned
-    witnesses.  ``spanned`` is True unless ``weight_span`` asks for the
+def _eliminate(src: Module, dst: Module, act, words, gen_image: ModVec, depth: int,
+               window_span: bool):
+    """The full route: (injective, spanned, witness, rank) from one echelon
+    of the whole images; the only source of dependent_image and not_spanned
+    witnesses.  ``spanned`` is True unless ``window_span`` asks for the
     window span and it fails."""
     witness = None
     ech = Echelon(dst.key_sort_token)
     injective = True
-    for key, img in _word_images(dst.act, words, gen_image):
+    for key, img in _word_images(act, words, gen_image):
         if not ech.insert(img.row) and injective:
             injective = False
             witness = {"kind": "dependent_image", "src_key": src.key_json(key)}
     spanned = True
-    if weight_span:
+    if window_span:
         for dkey in dst.basis_keys(depth):
             if not ech.contains(unit_row(dkey)):
                 spanned = False
                 if witness is None:
                     witness = {"kind": "not_spanned", "dst_key": dst.key_json(dkey)}
                 break
-    return injective, spanned, witness
+    return injective, spanned, witness, ech.rank
 
 
 def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
-                     window_span: bool = True) -> MapCheckReport:
+                     window_span: bool = True, act=None) -> MapCheckReport:
     """Verify the module map src -> dst sending the generator to gen_image.
 
     relations_hold: gen_image satisfies the defining relations of src's
     generator.  injective_up_to_N: the images of src's basis monomials of
-    depth <= N are linearly independent in dst (exact rank).  The window
-    span check runs on graded targets whose windows the map respects; for
-    other cyclic targets, mapping the generator to the distinguished
-    generator already gives surjectivity, which is what is recorded.
+    depth <= N are linearly independent in dst (exact rank).
+    surjective_onto_window, when ``window_span`` is True: the images span
+    every basis key of dst of depth <= N.  The images are computed by
+    ``act(x, v)``, dst.act unless a caller passes another route to the
+    same action (the degree-3 restriction acts through the Virasoro path).
 
     The graded certificate is tried first.  Every letter raises
     ``key_depth`` by at most one (the contract of :meth:`Module.key_depth`),
@@ -230,8 +224,11 @@ def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
     the length-d block is square (its rank is the number of dst keys of
     depth d), the tops span the depth-d keys, and by induction on d the
     images span every key of the window.  When the certificate does not
-    hold, one echelon of the whole images decides, and gives the witness.
+    hold, one echelon of the whole images decides: rank, injectivity, and
+    the span by membership of each window key; it gives the witness.
     """
+    if act is None:
+        act = dst.act
     witness = None
     relations_hold = True
     for u, s in src.generator_relations():
@@ -245,24 +242,14 @@ def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
 
     words = sorted(src.basis_words(depth),
                    key=lambda kw: (src.key_depth(kw[0]), src.key_sort_token(kw[0])))
-    weight_span = window_span and dst.is_weight_family
-    if _graded_certificate(dst, words, gen_image, depth, weight_span):
-        injective = spanned = True
+    if _graded_certificate(dst, act, words, gen_image, depth, window_span):
+        injective, spanned, rank = True, True, len(words)
     else:
-        injective, spanned, found = _eliminate(src, dst, words, gen_image, depth,
-                                               weight_span)
+        injective, spanned, found, rank = _eliminate(src, dst, act, words, gen_image,
+                                                     depth, window_span)
         witness = witness or found
-
-    surjective: bool | None
-    if not window_span:
-        surjective = None
-    elif dst.is_weight_family:
-        surjective = spanned
-    else:
-        surjective = _scalar_multiple(gen_image, dst.generator())
-        if not surjective and witness is None:
-            witness = {"kind": "generator_mismatch"}
-    return MapCheckReport(relations_hold, injective, surjective, witness, depth)
+    return MapCheckReport(relations_hold, injective, spanned if window_span else None,
+                          witness, depth, rank)
 
 
 # -- simplicity and generation ------------------------------------------------
@@ -589,6 +576,13 @@ class SuiteReport(_Report):
                 **self.notes}
 
 
+def _twisted_target(inner: Module, aut: Automorphism) -> tuple[TwistModule, dict]:
+    """The predicted target inner twisted by aut^-1, and its report JSON."""
+    target = {"family": "Twist", "inner": {"family": inner.family, **inner.params_json()},
+              "aut": f"{aut.tag}^-1"}
+    return TwistModule(inner, aut.inverse()), target
+
+
 def suite_restriction(mu: MuData, depth: int = 6) -> SuiteReport:
     """Identify the polynomial-subalgebra module as a twisted sl2 module.
 
@@ -602,7 +596,6 @@ def suite_restriction(mu: MuData, depth: int = 6) -> SuiteReport:
     params = mu.to_json()
     notes: dict = {"mu_is_zero": mu.is_zero()}
     flags: dict = {}
-    witness = None
     f_poly = mu.poly()
 
     if k == 1:
@@ -611,10 +604,7 @@ def suite_restriction(mu: MuData, depth: int = 6) -> SuiteReport:
         delta = mu_eval(mu, embed_sl2(aut.apply(H)))
         flags["parameter_formula_consistent"] = (
             delta == mu.value_at(0) * 2 / lam)
-        target_mod = TwistModule(VermaModule(delta), aut.inverse())
-        target = {"family": "Twist", "inner": {"family": "Verma", "delta": delta.to_json()},
-                  "aut": f"{aut.tag}^-1"}
-        mc = check_module_map(vp, target_mod, target_mod.generator(), depth)
+        target_mod, target = _twisted_target(VermaModule(delta), aut)
         scalar = (delta + 1) ** 2
         gen = vp.generator()
         flags["casimir_scalar_matches"] = (
@@ -625,12 +615,9 @@ def suite_restriction(mu: MuData, depth: int = 6) -> SuiteReport:
         aut = Automorphism.gamma(lam)
         eta = mu_eval(mu, embed_sl2(aut.apply(E)))
         flags["parameter_formula_consistent"] = (eta == mu.value_at(-1))
-        target_mod = TwistModule(WModule(eta), aut.inverse())
-        target = {"family": "Twist", "inner": {"family": "W", "eta": eta.to_json()},
-                  "aut": f"{aut.tag}^-1"}
+        target_mod, target = _twisted_target(WModule(eta), aut)
         if eta.is_zero():
             notes["target_note"] = "non-Whittaker induced (eta = 0)"
-        mc = check_module_map(vp, target_mod, target_mod.generator(), depth)
     elif k == 2:
         lam1, lam2 = mu.roots[0][0], mu.roots[1][0]
         aut = Automorphism.gamma2(lam1, lam2)
@@ -638,38 +625,21 @@ def suite_restriction(mu: MuData, depth: int = 6) -> SuiteReport:
         shifted = VirElt.from_laurent(f_poly.shift(-1))
         flags["parameter_formula_consistent"] = (
             xi == mu_eval(mu, shifted) * (-2) / (lam2 - lam1))
-        target_mod = TwistModule(XModule(xi), aut.inverse())
-        target = {"family": "Twist", "inner": {"family": "X", "xi": xi.to_json()},
-                  "aut": f"{aut.tag}^-1"}
-        mc = check_module_map(vp, target_mod, target_mod.generator(), depth)
+        target_mod, target = _twisted_target(XModule(xi), aut)
     else:
-        # degree 3: the restriction is free of rank one; verify that the
-        # images of all PBW monomials of degree < depth, computed through
-        # the Virasoro action path, are independent and span the window.
+        # degree 3: the restriction is free of rank one, so vp is its own
+        # target: the images of all PBW monomials of degree < depth,
+        # computed through the Virasoro action path, are independent and
+        # span the window
         target = {"family": "free", "description": "free of rank 1 over U(sl2)"}
-        ech = Echelon(vp.key_sort_token)
-        injective = True
-        words = sorted(vp.basis_words(depth - 1),
-                       key=lambda kw: (vp.key_depth(kw[0]), vp.key_sort_token(kw[0])))
-        # the sl2 letters act through the Virasoro action path (embedded)
-        for key, img in _word_images(lambda x, v: vp.act(embed_sl2(x), v),
-                                     words, vp.generator()):
-            if not ech.insert(img.row) and injective:
-                injective = False
-                witness = witness or {"kind": "dependent_image",
-                                      "src_key": vp.key_json(key)}
-        surjective = True
-        for dkey in vp.basis_keys(depth - 1):
-            if not ech.contains(unit_row(dkey)):
-                surjective = False
-                witness = witness or {"kind": "not_spanned", "dst_key": vp.key_json(dkey)}
-                break
-        mc = MapCheckReport(True, injective, surjective, witness, depth)
-        notes["independent_images"] = ech.rank
+        mc = check_module_map(vp, vp, vp.generator(), depth - 1,
+                              act=lambda x, v: vp.act(embed_sl2(x), v))
+        notes["independent_images"] = mc.rank
+    if k < 3:
+        mc = check_module_map(vp, target_mod, target_mod.generator(), depth)
 
     flags.update(mc.flags)
-    witness = witness or mc.witness
-    return SuiteReport("restriction", target, flags, witness, depth, params, notes)
+    return SuiteReport("restriction", target, flags, mc.witness, depth, params, notes)
 
 
 def suite_tensor_vermas(lam1, lam2, mu1, mu2, depth: int = 5) -> SuiteReport:
@@ -691,15 +661,14 @@ def suite_tensor_vermas(lam1, lam2, mu1, mu2, depth: int = 5) -> SuiteReport:
     witness = None
 
     aut12 = Automorphism.gamma2(lam1, lam2)
+    src, target = _twisted_target(XModule(mu1 - mu2), aut12)
     tensor = TensorModule(
         TwistModule(VermaModule(mu1), Automorphism.gamma(lam1).inverse()),
         TwistModule(VermaModule(mu2), Automorphism.gamma(lam2).inverse()),
     )
     gen = tensor.generator()
-    xi = mu1 - mu2
     flags["generator_is_twisted_eigenvector"] = (
-        tensor.act(aut12.apply(H), gen) == gen.scale(xi))
-    src = TwistModule(XModule(xi), aut12.inverse())
+        tensor.act(aut12.apply(H), gen) == gen.scale(mu1 - mu2))
     mc = check_module_map(src, tensor, gen, depth)
     flags.update(mc.flags)
     witness = witness or mc.witness
@@ -725,8 +694,6 @@ def suite_tensor_vermas(lam1, lam2, mu1, mu2, depth: int = 5) -> SuiteReport:
             break
     flags["vir_relations_hold"] = vir_ok
 
-    target = {"family": "Twist", "inner": {"family": "X", "xi": xi.to_json()},
-              "aut": f"{aut12.tag}^-1"}
     return SuiteReport("tensor_vermas", target, flags, witness, depth, params)
 
 
@@ -745,15 +712,11 @@ def suite_twist_induction(sub: SubalgebraClass1D, mu0, depth: int = 6) -> SuiteR
     notes: dict = {}
     if sub.kind in ("n_lambda", "n_minus"):
         inner: Module = WModule(mu0)
-        target = {"family": "Twist", "inner": {"family": "W", "eta": mu0.to_json()},
-                  "aut": f"{sub.aut.tag}^-1"}
         if mu0.is_zero():
             notes["target_note"] = "non-Whittaker induced (eta = 0)"
     else:
         inner = XModule(mu0)
-        target = {"family": "Twist", "inner": {"family": "X", "xi": mu0.to_json()},
-                  "aut": f"{sub.aut.tag}^-1"}
-    dst = TwistModule(inner, sub.aut.inverse())
+    dst, target = _twisted_target(inner, sub.aut)
     mc = check_module_map(src, dst, dst.generator(), depth)
     return SuiteReport("twist_induction", target, mc.flags, mc.witness, depth,
                        params, notes)

@@ -362,6 +362,20 @@ def test_integer_vector_keys_still_act(capsys):
     assert [key for key, _ in json.loads(out)["terms"]] == [[2, 0]]
 
 
+@pytest.mark.parametrize("coeff, reason", [
+    ([1.5, 1, True, 1], "four integers expected"),
+    (["1", "0", "0", "1"], "zero denominator"),
+], ids=["coerced-entries", "zero-denominator"])
+def test_list_scalars_are_integers_over_nonzero_denominators(capsys, coeff, reason):
+    # [re_num, re_den, im_num, im_den]: no truncation of 1.5, no true as 1,
+    # and a zero denominator is invalid input, not a ZeroDivisionError
+    code, out, err = run(capsys, "act", "--module", json.dumps({"family": "W", "eta": "1"}),
+                         "--elt", "f", "--vec", json.dumps([[[1, 0], coeff]]))
+    assert code == 2
+    assert out == ""
+    assert reason in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["act", "--module", json.dumps({"family": "Verma", "delta": "2"}), "--elt", "f",
      "--vec", json.dumps([[1, True]])],

@@ -56,6 +56,20 @@ def test_identity_map_on_verma():
     assert report.all_ok
 
 
+@pytest.mark.parametrize("dst", [
+    WModule(S(0)),
+    TwistModule(WModule(S(0)), Automorphism.gamma(S(2)).inverse()),
+], ids=["W", "twisted_W"])
+def test_window_span_is_checked_on_w_targets(dst):
+    # one Verma image per degree cannot span the d + 1 keys of depth d of
+    # W: the span is checked on W targets as on every other, not read off
+    # the generator
+    report = check_module_map(VermaModule(S(0)), dst, dst.generator(), 4)
+    assert report.surjective_onto_window is False
+    assert report.injective_up_to_N
+    assert report.rank == 5
+
+
 def test_weight_preserving_candidate_fails_at_root():
     # X(0) -> Vdense(0, 9): relations hold but e^2 is sent to zero
     x = XModule(S(0))
@@ -326,6 +340,10 @@ def _map_case(case, a, b, c):
         return suite_twist_induction(sub, c, depth).to_json()
     if case == "tensor":
         return suite_tensor_vermas(a, b, c, c + 1, 4).to_json()
+    if case == "cubic":
+        # its own target, acted on through the Virasoro path
+        return suite_restriction(mud([(a, 1), (b, 1), (a + b, 1)], [[c], [c], []]),
+                                 depth).to_json()
     if case == "dense_series":
         # root at j0 = 1: the quotient map takes the full route
         return suite_dense(a, (a + 3) ** 2, 6).to_json()
@@ -343,11 +361,11 @@ def _map_case(case, a, b, c):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["deg1", "double", "split", "n_lambda", "h_pair", "tensor",
+@given(st.sampled_from(["deg1", "double", "split", "n_lambda", "h_pair", "tensor", "cubic",
                         "dense_series", "relation", "dependent_image", "not_spanned"]),
        _non_real, _non_real, _non_real)
 def test_graded_certificate_keeps_every_report(case, a, b, c):
-    assume(a != b)
+    assume(a != b and (case != "cubic" or a + b != 0))
     certified = _map_case(case, a, b, c)
     with pytest.MonkeyPatch.context() as mp:
         calls = _full_route_only(mp)
@@ -404,6 +422,10 @@ def test_positive_checks_never_reach_the_full_route(monkeypatch):
                mud([(S(2), 1), (S(-2), 1)], [[S(1)], [S(2)]])):
         report = suite_restriction(mu, 10)
         assert report.all_ok, report.flags
+    cubic = suite_restriction(mud([(S(1), 1), (S(2), 1), (S(3), 1)],
+                                  [[S(1)], [S(1)], [S(1)]]), 10)
+    assert cubic.all_ok, cubic.flags
+    assert cubic.notes["independent_images"] == 220
     for elt, kind in ((SL2Elt(1, -3, -9), "n_lambda"), (SL2Elt(1, -3, -5), "h_pair")):
         sub = classify_subalgebra_1d(elt)
         assert sub.kind == kind
@@ -425,6 +447,7 @@ def test_graded_certificate_refuses_keys_above_the_expected_depth():
     dst = TensorModule(VermaModule(S(1)), _SteepVerma(S(2)))
     src = VermaModule(S(3))
     gen = dst.generator()
-    assert not verify_mod._graded_certificate(dst, src.basis_words(3), gen, 3, False)
+    assert not verify_mod._graded_certificate(dst, dst.act, src.basis_words(3), gen, 3,
+                                              False)
     report = check_module_map(src, dst, gen, 3)
     assert report.relations_hold and report.injective_up_to_N
