@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import time
+from functools import cache
 
 from .errors import SlvirError, positive_int
 from .induced import MuData
@@ -119,20 +120,21 @@ def _mu_from_args(args) -> MuData:
 
 
 def _run_verify(args) -> int:
-    if args.depth < 1:
+    depth = _default_depth(args.fallback_depth) if args.depth is None else args.depth
+    if depth < 1:
         raise ValueError("depth must be at least 1")
     t0 = time.perf_counter()
     if args.suite == "dense":
-        report = suite_dense(Scalar.parse(args.xi), Scalar.parse(args.tau), args.depth)
+        report = suite_dense(Scalar.parse(args.xi), Scalar.parse(args.tau), depth)
     elif args.suite == "restriction":
-        report = suite_restriction(_mu_from_args(args), args.depth)
+        report = suite_restriction(_mu_from_args(args), depth)
     elif args.suite == "tensor-vermas":
         report = suite_tensor_vermas(
             Scalar.parse(args.lambda1), Scalar.parse(args.lambda2),
-            Scalar.parse(args.mu1), Scalar.parse(args.mu2), args.depth)
+            Scalar.parse(args.mu1), Scalar.parse(args.mu2), depth)
     elif args.suite == "twist-induction":
         sub = classify_subalgebra_1d(parse_sl2(args.x))
-        report = suite_twist_induction(sub, Scalar.parse(args.mu0), args.depth)
+        report = suite_twist_induction(sub, Scalar.parse(args.mu0), depth)
     else:
         raise ValueError(f"unknown suite {args.suite!r}")
     args._elapsed_ms = int((time.perf_counter() - t0) * 1000)
@@ -262,7 +264,10 @@ def _run_report(args) -> int:
     return 0 if all_ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; a missing --depth
+    is resolved from SLVIR_DEPTH when the suite runs."""
     parser = argparse.ArgumentParser(
         prog="slvir",
         description="exact sl2/Virasoro module computations and verification",
@@ -308,35 +313,35 @@ def build_parser() -> argparse.ArgumentParser:
     q = vsub.add_parser("dense")
     q.add_argument("--xi", required=True)
     q.add_argument("--tau", required=True)
-    q.add_argument("--depth", type=int, default=_default_depth())
+    q.add_argument("--depth", type=int)
     common(q)
-    q.set_defaults(func=_run_verify)
+    q.set_defaults(func=_run_verify, fallback_depth=6)
 
     q = vsub.add_parser("restriction")
     q.add_argument("--poly", required=True, help='factored, e.g. "(t-1)^2"')
     q.add_argument("--mu", help="character value on f (degree-1 shorthand)")
     q.add_argument("--p", action="append",
                    help="polynomial coefficients c0,c1,... (one per root)")
-    q.add_argument("--depth", type=int, default=_default_depth())
+    q.add_argument("--depth", type=int)
     common(q)
-    q.set_defaults(func=_run_verify)
+    q.set_defaults(func=_run_verify, fallback_depth=6)
 
     q = vsub.add_parser("tensor-vermas")
     q.add_argument("--lambda1", required=True)
     q.add_argument("--lambda2", required=True)
     q.add_argument("--mu1", required=True)
     q.add_argument("--mu2", required=True)
-    q.add_argument("--depth", type=int, default=_default_depth(5))
+    q.add_argument("--depth", type=int)
     common(q)
-    q.set_defaults(func=_run_verify)
+    q.set_defaults(func=_run_verify, fallback_depth=5)
 
     q = vsub.add_parser("twist-induction")
     q.add_argument("--x", required=True, help="e,h,f coordinates of the span")
     q.add_argument("--mu0", required=True,
                    help="character value on the canonical generator")
-    q.add_argument("--depth", type=int, default=_default_depth())
+    q.add_argument("--depth", type=int)
     common(q)
-    q.set_defaults(func=_run_verify)
+    q.set_defaults(func=_run_verify, fallback_depth=6)
 
     p = sub.add_parser("report", help="run a batch of suites from a config file")
     p.add_argument("--config", required=True)
@@ -348,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # building the parser reads SLVIR_DEPTH, which may be invalid input
+        # an invalid SLVIR_DEPTH is invalid input to every command
+        _default_depth()
         args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:

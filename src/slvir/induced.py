@@ -35,7 +35,7 @@ action on a vector is one lincomb of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 
 from .errors import (BadPolynomial, DepthExceeded, InvalidParameter, NotInSubalgebra,
@@ -280,6 +280,14 @@ class InducedModule(Module):
         }
 
 
+@cache
+def _en_bracket(n: int, letter: str) -> tuple:
+    """[e_n, letter] as (index, gauss form) pairs, computed once per process;
+    its central part acts as zero and is left out."""
+    br = bracket_vir(VirElt.e(n), VirPolyModule._EMBEDDED[letter])
+    return tuple((m, gauss(c)) for m, c in br.terms.items())
+
+
 class VirPolyModule(InducedModule):
     """The Virasoro module induced from a polynomial subalgebra character."""
 
@@ -327,10 +335,8 @@ class VirPolyModule(InducedModule):
             # e_n . (letter rest v) = letter . (e_n . rest v) + [e_n, letter] . rest v
             items = expand(self._act_en_key(n, rest),
                            [(1, 0, 1, partial(self._letter_row, letter))])
-            # the central part of the bracket acts as zero
-            br = bracket_vir(VirElt.e(n), self._EMBEDDED[letter])
-            items += [gauss(c2) + (self._act_en_key(m_idx, rest),)
-                      for m_idx, c2 in br.terms.items()]
+            items += [c2 + (self._act_en_key(m_idx, rest),)
+                      for m_idx, c2 in _en_bracket(n, letter)]
         out = lincomb(items)
         self._en_cache[(n, mono)] = out
         return out

@@ -68,7 +68,7 @@ class SL2Elt:
         return self.coords() == other.coords()
 
     def __hash__(self):
-        # immutable, so the hash of its six Fractions is taken once
+        # immutable, so the hash of its three Scalars is taken once
         if self._hash is None:
             object.__setattr__(self, "_hash", hash(self.coords()))
         return self._hash

@@ -6,25 +6,34 @@ rounds.  Values that would require leaving this field (for example a
 square root of 2) raise :class:`~slvir.errors.NotRepresentable` instead
 of being approximated.
 
-The real and imaginary parts are fractions.Fraction.  The hot loops
-(module actions, elimination) run on the exact integer rows of
-:mod:`slvir.sparse` rather than on Scalars.
+A Scalar is three ints ``(n, m, d)`` standing for ``(n + m*i)/d``, with
+``d > 0`` and ``gcd(n, m, d) == 1``: a Gaussian-integer numerator over one
+denominator, the one-key case of the rows of :mod:`slvir.sparse`.  Each
+value has exactly one such form, so equality compares the three ints, and
+every operation is a few integer multiplies and one gcd of its result.
+The real and imaginary parts are read as fractions.Fraction through
+``re`` and ``im``, for output.  The hot loops (module actions,
+elimination) run on the integer rows of :mod:`slvir.sparse` rather than
+on Scalars.
 """
 
 from __future__ import annotations
 
-import math
 import re as _re
+import sys
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from .errors import InvalidParameter, NotRepresentable
 
-_FZERO = Fraction(0)
-
+# after a real part the imaginary part needs its sign, so that "12*i" is
+# not read as 1 + 2*i, nor "2i" as 2 + i
 _SCALAR_RE = _re.compile(
-    r"^(?P<real>[+-]?\d+(?:/\d+)?)?(?P<imag>[+-]?(?:\d+(?:/\d+)?\*)?i)?$"
+    r"(?P<real>[+-]?\d+(?:/\d+)?)?(?P<imag>(?(real)[+-]|[+-]?)(?:\d+(?:/\d+)?\*)?i)?"
 )
 _JSON_INT = _re.compile(r"-?[0-9]+")
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
 
 def _rational_sqrt(q):
@@ -32,24 +41,40 @@ def _rational_sqrt(q):
     if q < 0:
         return None
     num, den = q.numerator, q.denominator
-    ns = math.isqrt(num)
-    ds = math.isqrt(den)
+    ns = isqrt(num)
+    ds = isqrt(den)
     if ns * ns != num or ds * ds != den:
         return None
     return Fraction(ns, ds)
 
 
 class Scalar:
-    """An element ``re + im*i`` of Q(i), immutable and hashable."""
+    """An element ``(n + m*i)/d`` of Q(i), immutable and hashable."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("n", "m", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        """re + im*i from two ints (not bools) or Fractions."""
+        for x in (re, im):
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                raise TypeError(f"Scalar parts must be ints or Fractions, not {x!r}")
+        re, im = Fraction(re), Fraction(im)
+        # over the least common denominator the form is already canonical
+        d = lcm(re.denominator, im.denominator)
+        _set_n(self, re.numerator * (d // re.denominator))
+        _set_m(self, im.numerator * (d // im.denominator))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.n, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.m, self.d)
 
     @staticmethod
     def of(x) -> "Scalar":
@@ -58,8 +83,10 @@ class Scalar:
         if isinstance(x, bool):
             # a JSON true/false is not a number, although bool is an int
             raise TypeError(f"cannot coerce {x!r} to Scalar")
-        if isinstance(x, (int, Fraction)):
-            return _make(Fraction(x), _FZERO)
+        if isinstance(x, int):
+            return _new(x, 0, 1)
+        if isinstance(x, Fraction):
+            return _new(x.numerator, 0, x.denominator)
         if isinstance(x, str):
             return Scalar.parse(x)
         raise TypeError(f"cannot coerce {x!r} to Scalar")
@@ -77,46 +104,54 @@ class Scalar:
         return _I
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.n and not self.m
 
     def is_integer(self) -> bool:
-        return not self.im and self.re.denominator == 1
+        return not self.m and self.d == 1
 
     def as_int(self) -> int:
         if not self.is_integer():
             raise ValueError(f"{self} is not an integer")
-        return self.re.numerator
+        return self.n
 
     def __add__(self, other):
         if isinstance(other, Scalar):
-            return _make(self.re + other.re, self.im + other.im)
+            d, e = self.d, other.d
+            if d == e:
+                return _reduced(self.n + other.n, self.m + other.m, d)
+            return _reduced(self.n * e + other.n * d, self.m * e + other.m * d, d * e)
         if isinstance(other, int):
-            return _make(self.re + other, self.im)
+            d = self.d
+            return _new(self.n + other * d, self.m, d)
         return self + Scalar.of(other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Scalar):
-            return _make(self.re - other.re, self.im - other.im)
+            d, e = self.d, other.d
+            if d == e:
+                return _reduced(self.n - other.n, self.m - other.m, d)
+            return _reduced(self.n * e - other.n * d, self.m * e - other.m * d, d * e)
         if isinstance(other, int):
-            return _make(self.re - other, self.im)
+            d = self.d
+            return _new(self.n - other * d, self.m, d)
         return self - Scalar.of(other)
 
     def __rsub__(self, other):
         return Scalar.of(other).__sub__(self)
 
     def __neg__(self):
-        return _make(-self.re, -self.im)
+        return _new(-self.n, -self.m, self.d)
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
-            a, b, c, d = self.re, self.im, other.re, other.im
-            if not b and not d:
-                return _make(a * c, _FZERO)
-            return _make(a * c - b * d, a * d + b * c)
+            a, b, c, e = self.n, self.m, other.n, other.m
+            if not b and not e:
+                return _reduced(a * c, 0, self.d * other.d)
+            return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
         if isinstance(other, int):
-            return _make(self.re * other, self.im * other)
+            return _reduced(self.n * other, self.m * other, self.d)
         return self * Scalar.of(other)
 
     __rmul__ = __mul__
@@ -125,18 +160,20 @@ class Scalar:
         if isinstance(other, int):
             if other == 0:
                 raise ZeroDivisionError("division by zero Scalar")
-            return _make(self.re / other, self.im / other)
+            if other < 0:
+                return _reduced(-self.n, -self.m, -other * self.d)
+            return _reduced(self.n, self.m, other * self.d)
         if not isinstance(other, Scalar):
             other = Scalar.of(other)
-        if not other.im:
-            if not other.re:
+        a, b, c, e, f = self.n, self.m, other.n, other.m, other.d
+        if not e:
+            if not c:
                 raise ZeroDivisionError("division by zero Scalar")
-            return _make(self.re / other.re, self.im / other.re)
-        n = other.re * other.re + other.im * other.im
-        return _make(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+            if c < 0:
+                c, f = -c, -f
+            return _reduced(a * f, b * f, self.d * c)
+        # (a + b*i)/d / ((c + e*i)/f) = f*(a + b*i)*(c - e*i) / (d*(c^2 + e^2))
+        return _reduced(f * (a * c + b * e), f * (b * c - a * e), self.d * (c * c + e * e))
 
     def __rtruediv__(self, other):
         return Scalar.of(other).__truediv__(self)
@@ -157,13 +194,26 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return not self.im and self.re == other
+            return self.n == other.n and self.m == other.m and self.d == other.d
+        if isinstance(other, int):
+            return not self.m and self.d == 1 and self.n == other
+        if isinstance(other, Fraction):
+            return not self.m and self.n == other.numerator and self.d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        n, m, d = self.n, self.m, self.d
+        if m:
+            return hash((n, m, d))
+        if d == 1:
+            return hash(n)
+        # hash(Fraction(n, d)), as the numeric hash rule defines it
+        try:
+            h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+        except ValueError:
+            h = _HASH_INF
+        h = h if n >= 0 else -h
+        return -2 if h == -1 else h
 
     def sort_key(self):
         """Total order used only for deterministic output, not algebra."""
@@ -175,10 +225,10 @@ class Scalar:
         if self.is_zero():
             return "0"
         parts = []
-        if self.re:
+        if self.n:
             parts.append(str(self.re))
-        if self.im:
-            sign = "-" if self.im < 0 else ("+" if parts else "")
+        if self.m:
+            sign = "-" if self.m < 0 else ("+" if parts else "")
             parts.append(f"{sign}{abs(self.im)}*i")
         return "".join(parts)
 
@@ -192,23 +242,20 @@ class Scalar:
         m = _SCALAR_RE.fullmatch(s)
         if not m or (m.group("real") is None and m.group("imag") is None) or not s:
             raise ValueError(f"cannot parse scalar {text!r}")
-        re_part = Fraction(m.group("real").lstrip("+")) if m.group("real") else _FZERO
-        im_part = _FZERO
+        re_part = Fraction(m.group("real").lstrip("+")) if m.group("real") else Fraction(0)
+        im_part = Fraction(0)
         if m.group("imag"):
             imtxt = m.group("imag")
             sign = -1 if imtxt.startswith("-") else 1
             imtxt = imtxt.lstrip("+-")
             coeff = imtxt[:-1].rstrip("*")
             im_part = sign * (Fraction(coeff) if coeff else Fraction(1))
-        return _make(re_part, im_part)
+        return Scalar(re_part, im_part)
 
     def to_json(self):
-        return [
-            str(self.re.numerator),
-            str(self.re.denominator),
-            str(self.im.numerator),
-            str(self.im.denominator),
-        ]
+        n, m, d = self.n, self.m, self.d
+        g, h = gcd(n, d), gcd(m, d)
+        return [str(n // g), str(d // g), str(m // h), str(d // h)]
 
     @staticmethod
     def from_json(data) -> "Scalar":
@@ -222,7 +269,7 @@ class Scalar:
         rn, rd, im, id_ = (int(x) for x in data)
         if not rd or not id_:
             raise InvalidParameter(f"bad scalar {data!r}: zero denominator")
-        return _make(Fraction(rn, rd), Fraction(im, id_))
+        return Scalar(Fraction(rn, rd), Fraction(im, id_))
 
 
 def _is_json_int(x) -> bool:
@@ -233,16 +280,36 @@ def _is_json_int(x) -> bool:
     return type(x) is int
 
 
-def _make(re, im) -> Scalar:
-    out = object.__new__(Scalar)
-    object.__setattr__(out, "re", re)
-    object.__setattr__(out, "im", im)
+# The slot setters write past Scalar.__setattr__, for construction only.
+_set_n, _set_m, _set_d = Scalar.n.__set__, Scalar.m.__set__, Scalar.d.__set__
+_object_new = object.__new__
+
+
+def _new(n, m, d) -> Scalar:
+    """The Scalar (n + m*i)/d of three ints already in canonical form."""
+    out = _object_new(Scalar)
+    _set_n(out, n)
+    _set_m(out, m)
+    _set_d(out, d)
     return out
 
 
-_ZERO = Scalar(0)
-_ONE = Scalar(1)
-_I = Scalar(0, 1)
+def _reduced(n, m, d) -> Scalar:
+    """The Scalar (n + m*i)/d of any ints with d > 0."""
+    g = gcd(n, m, d)
+    if g != 1:
+        n, m, d = n // g, m // g, d // g
+    # _new written out: every arithmetic operation ends here
+    out = _object_new(Scalar)
+    _set_n(out, n)
+    _set_m(out, m)
+    _set_d(out, d)
+    return out
+
+
+_ZERO = _new(0, 0, 1)
+_ONE = _new(1, 0, 1)
+_I = _new(0, 1, 1)
 
 
 def sqrt_exact(a: Scalar) -> Scalar:
@@ -253,24 +320,20 @@ def sqrt_exact(a: Scalar) -> Scalar:
     NotRepresentable when no square root exists in Q(i).
     """
     a = Scalar.of(a)
-    if not a.im:
-        if not a.re:
+    re, im = a.re, a.im
+    if not im:
+        if not re:
             return _ZERO
-        if a.re > 0:
-            r = _rational_sqrt(a.re)
-            if r is None:
-                raise NotRepresentable(f"{a} has no square root in Q(i)")
-            return _make(r, _FZERO)
-        r = _rational_sqrt(-a.re)
+        r = _rational_sqrt(abs(re))
         if r is None:
             raise NotRepresentable(f"{a} has no square root in Q(i)")
-        return _make(_FZERO, r)
+        return Scalar(r) if re > 0 else Scalar(0, r)
     # For re + im*i with im != 0 solve c^2 = (re + |a|)/2, d = im/(2c);
     # both |a| and c must be rational for the root to exist in Q(i).
-    norm = _rational_sqrt(a.re * a.re + a.im * a.im)
+    norm = _rational_sqrt(re * re + im * im)
     if norm is None:
         raise NotRepresentable(f"{a} has no square root in Q(i)")
-    c = _rational_sqrt((a.re + norm) / 2)
+    c = _rational_sqrt((re + norm) / 2)
     if c is None or not c:
         raise NotRepresentable(f"{a} has no square root in Q(i)")
-    return _make(c, a.im / (2 * c))
+    return Scalar(c, im / (2 * c))

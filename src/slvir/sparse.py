@@ -15,16 +15,18 @@ factor once per result, instead of reducing a fraction at every
 multiply-add.  A real row keeps ``im`` empty, so real data never pays for
 the imaginary half.
 
-Sparse maps key -> Scalar (Laurent polynomials, Virasoro and U(sl2)
-elements, the per-key reference actions) are summed by :func:`sum_terms`.
+A Scalar is the one-key case of this form: its ``(n, m, d)`` is
+``(re, im, den)`` of a single coefficient (:func:`gauss`), so rows are read
+from and written to Scalars with integer arithmetic only.  Sparse maps
+key -> Scalar (Laurent polynomials, Virasoro and U(sl2) elements, the
+per-key reference actions) are summed by :func:`sum_terms`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
-from .scalar import Scalar, _make
+from .scalar import Scalar, _reduced
 
 ZERO_ROW = (1, {}, {})
 
@@ -35,23 +37,19 @@ def unit_row(key) -> tuple:
 
 def gauss(s: Scalar) -> tuple:
     """``(re, im, den)`` with s == (re + im*i)/den, den the least such."""
-    r, i = s.re, s.im
-    rd, id_ = r.denominator, i.denominator
-    den = lcm(rd, id_)
-    return (r.numerator * (den // rd), i.numerator * (den // id_), den)
+    return (s.n, s.m, s.d)
 
 
 def row_from_scalars(terms: dict) -> tuple:
     """The canonical row of a dict key -> Scalar."""
-    den = 1
-    for c in terms.values():
-        den = lcm(den, c.re.denominator, c.im.denominator)
+    den = lcm(*[c.d for c in terms.values()])
     re, im = {}, {}
     for k, c in terms.items():
-        if c.re:
-            re[k] = c.re.numerator * (den // c.re.denominator)
-        if c.im:
-            im[k] = c.im.numerator * (den // c.im.denominator)
+        f = den // c.d
+        if c.n:
+            re[k] = c.n * f
+        if c.m:
+            im[k] = c.m * f
     return (den, re, im)
 
 
@@ -66,10 +64,7 @@ def row_keys(row) -> list:
 def row_to_scalars(row) -> dict:
     """The row as a dict key -> nonzero Scalar (each coefficient reduced)."""
     den, re, im = row
-    zero = Fraction(0)
-    return {k: _make(Fraction(re[k], den) if k in re else zero,
-                     Fraction(im[k], den) if k in im else zero)
-            for k in row_keys(row)}
+    return {k: _reduced(re.get(k, 0), im.get(k, 0), den) for k in row_keys(row)}
 
 
 def sum_terms(pairs) -> dict:
@@ -80,7 +75,7 @@ def sum_terms(pairs) -> dict:
     for k, c in pairs:
         prev = get(k)
         out[k] = c if prev is None else prev + c
-    return {k: c for k, c in out.items() if c.re or c.im}
+    return {k: c for k, c in out.items() if c.n or c.m}
 
 
 def rekey(row, f) -> tuple:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import DepthExceeded, InvalidParameter, NotRepresentable
 from .induced import InducedModule, MuData, VirPolyModule, mu_eval
@@ -387,6 +388,20 @@ def _casimir_shifter(x_mod: XModule, tau: Scalar):
     return lambda row: lincomb(expand(row, [(1, 0, 1, row_of)]))
 
 
+def _compare(flags: dict, witness, flag: str, expected, found):
+    """Set flags[flag] to whether found == expected, and return the witness:
+    the given one if an earlier check filled it, else on a mismatch one
+    naming the flag with both values in JSON (a vector by its terms)."""
+    flags[flag] = found == expected
+    if witness is not None or flags[flag]:
+        return witness
+
+    def as_json(x):
+        return x.to_json()["terms"] if isinstance(x, ModVec) else x.to_json()
+
+    return {"kind": flag, "expected": as_json(expected), "found": as_json(found)}
+
+
 def suite_dense(xi, tau, depth: int = 6) -> DenseReport:
     """Check the filtration/quotient structure of X(xi) at one (xi, tau).
 
@@ -497,7 +512,8 @@ def suite_dense(xi, tau, depth: int = 6) -> DenseReport:
             raise DepthExceeded(f"j0 = {j0} needs depth at least {j0 + 2}")
         xbar = XbarModule(xi, tau)
         top = xbar.basis_vec(("e", j0 + 1))
-        flags["f_kills_submodule_generator"] = xbar.act(F, top).is_zero()
+        witness = _compare(flags, witness, "f_kills_submodule_generator",
+                           xbar.vector({}), xbar.act(F, top))
 
         invariant = True
         for i in range(1, depth - j0 + 1):
@@ -541,11 +557,13 @@ def suite_dense(xi, tau, depth: int = 6) -> DenseReport:
             sub_weights[w] = sub_weights.get(w, 0) + 1
         for s in range(-depth, depth + 1):
             w = xi + 2 * s
-            expect_q = 1 if s <= j0 else 0
-            if quot_weights.get(w, 0) != expect_q:
+            expected = {"quotient": 1, "sub": 0} if s <= j0 else {"quotient": 0, "sub": 1}
+            found = {"quotient": quot_weights.get(w, 0), "sub": sub_weights.get(w, 0)}
+            if found != expected:
                 ranks_ok = False
-            if quot_weights.get(w, 0) + sub_weights.get(w, 0) != 1:
-                ranks_ok = False
+                witness = witness or {"kind": "window_ranks_match", "s": s,
+                                      "expected": expected, "found": found}
+                break
         flags["window_ranks_match"] = ranks_ok
         pieces = {
             "quotient": {"family": "Verma", "delta": (xi + 2 * j0).to_json()},
@@ -596,25 +614,27 @@ def suite_restriction(mu: MuData, depth: int = 6) -> SuiteReport:
     params = mu.to_json()
     notes: dict = {"mu_is_zero": mu.is_zero()}
     flags: dict = {}
+    witness = None
     f_poly = mu.poly()
 
     if k == 1:
         lam = mu.roots[0][0]
         aut = Automorphism.gamma(lam)
         delta = mu_eval(mu, embed_sl2(aut.apply(H)))
-        flags["parameter_formula_consistent"] = (
-            delta == mu.value_at(0) * 2 / lam)
+        witness = _compare(flags, witness, "parameter_formula_consistent",
+                           mu.value_at(0) * 2 / lam, delta)
         target_mod, target = _twisted_target(VermaModule(delta), aut)
         scalar = (delta + 1) ** 2
         gen = vp.generator()
-        flags["casimir_scalar_matches"] = (
-            casimir_action(vp, gen) == gen.scale(scalar))
+        witness = _compare(flags, witness, "casimir_scalar_matches",
+                           gen.scale(scalar), casimir_action(vp, gen))
         notes["casimir_scalar"] = scalar.to_json()
     elif k == 2 and len(mu.roots) == 1:
         lam = mu.roots[0][0]
         aut = Automorphism.gamma(lam)
         eta = mu_eval(mu, embed_sl2(aut.apply(E)))
-        flags["parameter_formula_consistent"] = (eta == mu.value_at(-1))
+        witness = _compare(flags, witness, "parameter_formula_consistent",
+                           mu.value_at(-1), eta)
         target_mod, target = _twisted_target(WModule(eta), aut)
         if eta.is_zero():
             notes["target_note"] = "non-Whittaker induced (eta = 0)"
@@ -623,8 +643,8 @@ def suite_restriction(mu: MuData, depth: int = 6) -> SuiteReport:
         aut = Automorphism.gamma2(lam1, lam2)
         xi = mu_eval(mu, embed_sl2(aut.apply(H)))
         shifted = VirElt.from_laurent(f_poly.shift(-1))
-        flags["parameter_formula_consistent"] = (
-            xi == mu_eval(mu, shifted) * (-2) / (lam2 - lam1))
+        witness = _compare(flags, witness, "parameter_formula_consistent",
+                           mu_eval(mu, shifted) * (-2) / (lam2 - lam1), xi)
         target_mod, target = _twisted_target(XModule(xi), aut)
     else:
         # degree 3: the restriction is free of rank one, so vp is its own
@@ -632,14 +652,16 @@ def suite_restriction(mu: MuData, depth: int = 6) -> SuiteReport:
         # computed through the Virasoro action path, are independent and
         # span the window
         target = {"family": "free", "description": "free of rank 1 over U(sl2)"}
+        embed = cache(embed_sl2)  # once per distinct letter
         mc = check_module_map(vp, vp, vp.generator(), depth - 1,
-                              act=lambda x, v: vp.act(embed_sl2(x), v))
+                              act=lambda x, v: vp.act(embed(x), v))
         notes["independent_images"] = mc.rank
     if k < 3:
         mc = check_module_map(vp, target_mod, target_mod.generator(), depth)
 
     flags.update(mc.flags)
-    return SuiteReport("restriction", target, flags, mc.witness, depth, params, notes)
+    return SuiteReport("restriction", target, flags, witness or mc.witness, depth, params,
+                       notes)
 
 
 def suite_tensor_vermas(lam1, lam2, mu1, mu2, depth: int = 5) -> SuiteReport:
@@ -667,8 +689,8 @@ def suite_tensor_vermas(lam1, lam2, mu1, mu2, depth: int = 5) -> SuiteReport:
         TwistModule(VermaModule(mu2), Automorphism.gamma(lam2).inverse()),
     )
     gen = tensor.generator()
-    flags["generator_is_twisted_eigenvector"] = (
-        tensor.act(aut12.apply(H), gen) == gen.scale(mu1 - mu2))
+    witness = _compare(flags, witness, "generator_is_twisted_eigenvector",
+                       gen.scale(mu1 - mu2), tensor.act(aut12.apply(H), gen))
     mc = check_module_map(src, tensor, gen, depth)
     flags.update(mc.flags)
     witness = witness or mc.witness

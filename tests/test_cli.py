@@ -263,6 +263,22 @@ def test_depth_env_override(capsys, monkeypatch):
     assert json.loads(out)["depth"] == 7
 
 
+def test_depth_env_is_read_on_every_call(capsys, monkeypatch):
+    # the parser is built once per process; the default depth is not
+    dense = ("verify", "dense", "--xi", "0", "--tau", "2")
+    tensor = ("verify", "tensor-vermas", "--lambda1", "1", "--lambda2", "2",
+              "--mu1", "1", "--mu2", "2")
+    for value, want in [("7", 7), ("8", 8)]:
+        monkeypatch.setenv("SLVIR_DEPTH", value)
+        assert json.loads(run(capsys, *dense)[1])["depth"] == want
+    monkeypatch.delenv("SLVIR_DEPTH")
+    assert json.loads(run(capsys, *dense)[1])["depth"] == 6
+    assert json.loads(run(capsys, *tensor)[1])["depth"] == 5
+    assert json.loads(run(capsys, *dense, "--depth", "9")[1])["depth"] == 9
+    monkeypatch.setenv("SLVIR_DEPTH", "abc")
+    assert run(capsys, "simplicity", "--xi", "0", "--tau", "2")[0] == 2
+
+
 @pytest.mark.parametrize("value", ["abc", "-3", "0", "7.5", " 7"])
 def test_invalid_depth_env_exits_two(capsys, monkeypatch, value):
     monkeypatch.setenv("SLVIR_DEPTH", value)

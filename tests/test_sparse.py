@@ -1,8 +1,11 @@
 """The integer-form sparse rows against plain Scalar (Fraction) arithmetic."""
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
+
+from test_scalar import RefScalar, assert_canonical
 
 from slvir.linalg import Echelon
 from slvir.scalar import Scalar
@@ -37,6 +40,25 @@ def test_gauss_is_exact_and_least(s):
     re, im, den = gauss(s)
     assert Scalar(re, im) / den == s
     assert den == row_from_scalars({0: s})[0]
+
+
+@given(vectors)
+def test_rows_match_the_fraction_reference(vec):
+    # each coefficient's row entries over the common denominator are its
+    # Fraction parts; gauss is the Scalar's own (n, m, d)
+    den, re, im = row_from_scalars(vec)
+    for k, x in vec.items():
+        ref = RefScalar.of(x)
+        assert (Fraction(re.get(k, 0), den), Fraction(im.get(k, 0), den)) == (ref.re, ref.im)
+        n, m, d = gauss(x)
+        assert (Fraction(n, d), Fraction(m, d)) == (ref.re, ref.im)
+        assert (n, m, d) == (x.n, x.m, x.d)
+    assert den == lcm(1, *(gauss(x)[2] for x in vec.values()))
+    back = row_to_scalars((den, re, im))
+    for k, x in back.items():
+        assert_canonical(x)
+        assert RefScalar.of(x) == RefScalar.of(vec[k])
+    assert set(back) == {k for k, x in vec.items() if not x.is_zero()}
 
 
 @given(vectors)

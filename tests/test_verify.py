@@ -451,3 +451,76 @@ def test_graded_certificate_refuses_keys_above_the_expected_depth():
                                               False)
     report = check_module_map(src, dst, gen, 3)
     assert report.relations_hold and report.injective_up_to_N
+
+
+# -- witnesses of the comparison flags -------------------------------------------
+# Each test breaks one computation with monkeypatch, so that exactly the
+# flag under test is the first check to fail and supplies the witness.
+
+@pytest.mark.parametrize("mu, expected, found", [
+    (mud([(S(2), 1)], [[S(1)]]), S(1), S(2)),
+    (mud([(S(2), 2)], [[S(1), S(-1)]]), S(1), S(2)),
+    (mud([(S(2), 1), (S(-2), 1)], [[S(1)], [S(2)]]), S("1/4"), S("3/4")),
+])
+def test_parameter_formula_witness(mu, expected, found, monkeypatch):
+    mu_eval = verify_mod.mu_eval
+    monkeypatch.setattr(verify_mod, "mu_eval", lambda m, x: mu_eval(m, x) + 1)
+    report = suite_restriction(mu, 4)
+    assert report.flags["parameter_formula_consistent"] is False
+    assert report.witness == {"kind": "parameter_formula_consistent",
+                              "expected": expected.to_json(), "found": found.to_json()}
+
+
+def test_casimir_scalar_witness(monkeypatch):
+    casimir = verify_mod.casimir_action
+    monkeypatch.setattr(verify_mod, "casimir_action", lambda m, v: casimir(m, v).scale(2))
+    report = suite_restriction(mud([(S(2), 1)], [[S(1)]]), 4)
+    # delta = 1, so the Casimir scalar is (delta + 1)^2 = 4
+    assert report.flags["parameter_formula_consistent"] is True
+    assert report.flags["casimir_scalar_matches"] is False
+    assert report.witness == {"kind": "casimir_scalar_matches",
+                              "expected": [[[0, 0, 0], S(4).to_json()]],
+                              "found": [[[0, 0, 0], S(8).to_json()]]}
+
+
+def test_twisted_eigenvector_witness(monkeypatch):
+    class Doubled(TensorModule):
+        def act(self, x, v):
+            return super().act(x, v).scale(2)
+
+    monkeypatch.setattr(verify_mod, "TensorModule", Doubled)
+    report = suite_tensor_vermas(1, 2, 1, 2, 3)
+    assert report.flags["generator_is_twisted_eigenvector"] is False
+    assert report.witness == {"kind": "generator_is_twisted_eigenvector",
+                              "expected": [[[0, 0], S(-1).to_json()]],
+                              "found": [[[0, 0], S(-2).to_json()]]}
+
+
+def test_f_kills_submodule_generator_witness(monkeypatch):
+    fe = XbarModule._fe_scalar
+    monkeypatch.setattr(XbarModule, "_fe_scalar", lambda self, l: fe(self, l) + 1)
+    report = suite_dense(0, 9, 6)
+    assert report.j0 == 1 and report.flags["f_kills_submodule_generator"] is False
+    assert report.witness == {"kind": "f_kills_submodule_generator", "expected": [],
+                              "found": [[["e", 1], S(1).to_json()]]}
+
+
+def test_window_ranks_witness(monkeypatch):
+    weight = LowVermaModule.key_weight
+    monkeypatch.setattr(LowVermaModule, "key_weight", lambda self, k: weight(self, k) + 2)
+    report = suite_dense(0, 9, 6)
+    assert [f for f, ok in report.flags.items() if not ok] == ["window_ranks_match"]
+    # the submodule's lowest weight moved from xi + 2(j0 + 1) to xi + 2(j0 + 2)
+    assert report.witness == {"kind": "window_ranks_match", "s": 2,
+                              "expected": {"quotient": 0, "sub": 1},
+                              "found": {"quotient": 0, "sub": 0}}
+
+
+def test_witness_keeps_the_first_failure(monkeypatch):
+    # a broken mu_eval fails the parameter formula before the map check,
+    # whose own witness does not replace it
+    mu_eval = verify_mod.mu_eval
+    monkeypatch.setattr(verify_mod, "mu_eval", lambda m, x: mu_eval(m, x) + 1)
+    report = suite_restriction(mud([(S(2), 1)], [[S(1)]]), 4)
+    assert report.flags["casimir_scalar_matches"] is False
+    assert report.witness["kind"] == "parameter_formula_consistent"
