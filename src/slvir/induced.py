@@ -29,7 +29,8 @@ Rows are the integer form of :mod:`slvir.sparse`.  Each division step is
 one :func:`~slvir.sparse.lincomb` of the cached integer normal forms of
 :mod:`slvir.pbw`, so reduction does no Scalar arithmetic.  The rows of e,
 h, f and of each e_n on a basis monomial are memoised per handle, and an
-action on a vector is one lincomb of them.
+action on a vector is one lincomb of them.  So is the division of each
+t^n, stepped from that of t^(n -+ 1).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from itertools import combinations
 
 from .errors import (BadPolynomial, DepthExceeded, InvalidParameter, NotInSubalgebra,
                      nonnegative_int, positive_int)
-from .laurent import LaurentPoly, divmod_window, reduce_power, sl2_window
+from .laurent import LaurentPoly, divmod_window, reduce_power, sl2_window, step_power
 from .lie import E, F, H, SL2Elt, VirElt, bracket_vir, embed_sl2, sl2_from_vir
 from .linalg import Echelon, degree_lex
 from .modules import LETTERS, Module
@@ -305,6 +306,21 @@ class VirPolyModule(InducedModule):
             relations.append((sl2_from_vir(shifted), mu.value_at(i)))
         super().__init__(relations, depth)
         self._en_cache: dict = {}
+        self._powers = {0: reduce_power(0, self._f, self._window)}
+
+    def _power(self, n: int):
+        """(q, r) with t^n = q f + r and r in the window, memoised per
+        handle: stepped from the nearest power computed towards 0, one
+        division step per exponent (:func:`~slvir.laurent.step_power`)."""
+        powers = self._powers
+        step = 1 if n > 0 else -1
+        m = n
+        while m not in powers:
+            m -= step
+        while m != n:
+            powers[m + step] = step_power(*powers[m], self._f, self._window, step)
+            m += step
+        return powers[n]
 
     def _act_en_key(self, n: int, mono) -> tuple:
         """The reduced row of e_n . (mono * v); memoised per handle.
@@ -316,7 +332,7 @@ class VirPolyModule(InducedModule):
         if cached is not None:
             return cached
         if mono == (0, 0, 0):
-            q, r = reduce_power(n, self._f, self._window)
+            q, r = self._power(n)
             val = Scalar.zero()
             for j, c in q.terms.items():
                 val = val + c * self.mu.value_at(j)
@@ -346,6 +362,11 @@ class VirPolyModule(InducedModule):
             return super()._action(x)
         # x.z acts as zero
         return [gauss(c) + (partial(self._act_en_key, n),) for n, c in x.terms.items()]
+
+    def _top_action(self, x):
+        if isinstance(x, SL2Elt):
+            return super()._top_action(x)
+        return self._whole_top_action(x)
 
     def params_json(self):
         out = self.mu.to_json()

@@ -12,7 +12,11 @@ independent generic route exists (multiply in U(sl2) and substitute, or
 act upstairs in X and reduce) it is implemented alongside and the test
 suite cross-checks the two.  Each family's action of e, h and f on a basis
 key is built once per handle as an integer row of :mod:`slvir.sparse`, and
-an action on a vector is one linear combination of those rows.
+an action on a vector is one linear combination of those rows.  The graded
+certificate of :func:`~slvir.verify.check_module_map` reads only *top
+rows*, the part of letter . key at depth ``key_depth(key) + 1``, memoised
+the same way; W and X build them from the top-degree monomials alone, and
+a twist acts through its inner module's rows.
 """
 
 from __future__ import annotations
@@ -26,10 +30,15 @@ from .lie import E, F, H, SL2Elt, VirElt
 from .pbw import (UEnvElt, aut_extend, casimir_elt, gen_times_mono, monomial_letters,
                   nf_multiply)
 from .scalar import Scalar
-from .sparse import (ZERO_ROW, expand, gauss, lincomb, rekey, row_from_scalars,
-                     row_to_scalars, sum_terms, unit_row)
+from .sparse import (ZERO_ROW, expand, gauss, lincomb, rekey, restrict, row_from_scalars,
+                     row_keys, row_to_scalars, sum_terms, unit_row)
 
 LETTERS = {"e": E, "h": H, "f": F}
+
+
+class KeyAboveTop(Exception):
+    """A row reaches a key above ``key_depth(key) + 1``: outside the
+    contract of :meth:`Module.key_depth`, so no top row exists."""
 
 
 class ModVec:
@@ -176,6 +185,46 @@ class Module:
     def _build_letter_row(self, letter: str, key) -> tuple:
         return row_from_scalars(self._act_key(LETTERS[letter], key))
 
+    def _top_action(self, x) -> list:
+        """The top part of :meth:`_action`, in the same form: row_of(k) is
+        the part of x . k at depth ``key_depth(k) + 1``.  Each row it
+        builds raises :class:`KeyAboveTop` if it reaches a deeper key."""
+        return [gauss(c) + (partial(self._top_row, letter),)
+                for letter, c in (("e", x.ce), ("h", x.ch), ("f", x.cf)) if not c.is_zero()]
+
+    def _top_row(self, letter: str, key) -> tuple:
+        """The top row of letter . key; memoised per handle."""
+        rows = self.__dict__.setdefault("_top_rows", {})
+        row = rows.get((letter, key))
+        if row is None:
+            row = rows[(letter, key)] = self._build_top_row(letter, key)
+        return row
+
+    def _build_top_row(self, letter: str, key) -> tuple:
+        return self._top_part(key, self._letter_row(letter, key))
+
+    def _top_part(self, key, row) -> tuple:
+        """The part of a row of an operator on key at depth key_depth(key) + 1."""
+        target = self.key_depth(key) + 1
+        depths = {k: self.key_depth(k) for k in row_keys(row)}
+        if depths and max(depths.values()) > target:
+            raise KeyAboveTop(f"{self.family}: a key above depth {target}")
+        return restrict(row, lambda k: depths[k] == target)
+
+    def _whole_top_action(self, x) -> list:
+        """The top action of x cut from its whole action, memoised per
+        (x, key): for actions not made of letter rows (tensor products,
+        the Virasoro action)."""
+        rows = self.__dict__.setdefault("_whole_tops", {}).setdefault(x, {})
+        action = self._action(x)
+
+        def row_of(key):
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = self._top_part(key, lincomb(expand(unit_row(key), action)))
+            return row
+        return [(1, 0, 1, row_of)]
+
     def _act_key(self, x: SL2Elt, key) -> dict:
         """x on one basis key as a dict key -> Scalar (zero values allowed).
 
@@ -198,8 +247,8 @@ class Module:
         key of ``act(letter, basis_vec(key))`` has depth at most
         ``key_depth(key) + 1``; ``basis_keys(n)`` lists every key of depth
         at most n.  The graded certificate of
-        :func:`~slvir.verify.check_module_map` rests on it; it checks the
-        bound on every top component it computes.
+        :func:`~slvir.verify.check_module_map` rests on it; every top row
+        built (:meth:`_top_action`) checks the bound.
         """
         raise NotImplementedError
 
@@ -312,6 +361,22 @@ class _PairModule(Module):
     def generator(self):
         return self.basis_vec((0, 0))
 
+    def _build_top_row(self, letter, key):
+        # Only a monomial of degree depth + 1 free of the parameter letter
+        # reaches depth + 1, with its integer coefficient: no parameter
+        # enters, and the full row is never built.
+        i, j = self._KEY_SLOTS
+        mono = [0, 0, 0]
+        mono[i], mono[j] = key
+        target = key[0] + key[1] + 1
+        re = {}
+        for m, k in gen_times_mono(letter, tuple(mono)).items():
+            if sum(m) > target:
+                raise KeyAboveTop(f"{self.family}: a monomial above degree {target}")
+            if m[i] + m[j] == target:
+                re[(m[i], m[j])] = k
+        return (1, re, {})
+
 
 class WModule(_PairModule):
     """Induced from Ce with e acting by eta; basis keys (a, b) for f^a h^b x.
@@ -321,6 +386,7 @@ class WModule(_PairModule):
     """
 
     family = "W"
+    _KEY_SLOTS = (0, 1)  # the f and h exponents of f^a h^b e^c
 
     def __init__(self, eta):
         self.eta = eta = Scalar.of(eta)
@@ -355,6 +421,7 @@ class XModule(_PairModule):
     """Induced from Ch with h acting by xi; basis keys (k, l) for f^k e^l x."""
 
     family = "X"
+    _KEY_SLOTS = (0, 2)  # the f and e exponents of f^a h^b e^c
     is_weight_family = True
 
     def __init__(self, xi):
@@ -664,7 +731,11 @@ class LowVermaModule(_VermaBase):
 
 
 class TwistModule(Module):
-    """Same underlying space as ``inner``; x acts as aut(x) does on inner."""
+    """Same underlying space as ``inner``; x acts as aut(x) does on inner.
+
+    It builds no rows of its own: x acts through inner's action, and its
+    top rows, of aut(x), computed once per x.
+    """
 
     family = "Twist"
 
@@ -674,16 +745,13 @@ class TwistModule(Module):
         self.inner = inner
         self.aut = aut
         self.is_weight_family = inner.is_weight_family
-        # a letter acts as aut(letter) does on inner
-        self._inner_actions = cache(lambda letter: inner._action(aut.apply(LETTERS[letter])))
+        self._action = cache(lambda x: inner._action(aut.apply(x)))
+        self._top_action = cache(lambda x: inner._top_action(aut.apply(x)))
 
     @cached_property
     def _aut_inv(self):
         # read only when the twist is a map source
         return self.aut.inverse()
-
-    def _build_letter_row(self, letter, key):
-        return lincomb(expand(unit_row(key), self._inner_actions(letter)))
 
     def validate_key(self, key):
         self.inner.validate_key(key)
@@ -738,6 +806,9 @@ class TensorModule(Module):
         self.right = right
         self.accepts_vir = left.accepts_vir and right.accepts_vir
         self.is_weight_family = left.is_weight_family and right.is_weight_family
+
+    def _top_action(self, x):
+        return self._whole_top_action(x)
 
     def _action(self, x):
         act_left = self.left._action(x)

@@ -27,9 +27,10 @@ from math import gcd, isqrt, lcm
 from .errors import InvalidParameter, NotRepresentable
 
 # after a real part the imaginary part needs its sign, so that "12*i" is
-# not read as 1 + 2*i, nor "2i" as 2 + i
+# not read as 1 + 2*i, nor "2i" as 2 + i; that sign is the only place
+# inside a scalar where spaces may stand, so that "1 2" is not read as 12
 _SCALAR_RE = _re.compile(
-    r"(?P<real>[+-]?\d+(?:/\d+)?)?(?P<imag>(?(real)[+-]|[+-]?)(?:\d+(?:/\d+)?\*)?i)?"
+    r"(?P<real>[+-]?\d+(?:/\d+)?)?(?P<imag>(?(real) *[+-] *|[+-]?)(?:\d+(?:/\d+)?\*)?i)?"
 )
 _JSON_INT = _re.compile(r"-?[0-9]+")
 _HASH_MODULUS = sys.hash_info.modulus
@@ -237,15 +238,17 @@ class Scalar:
 
     @staticmethod
     def parse(text: str) -> "Scalar":
-        """Parse ``a/b+c/d*i`` with either part optional (``i`` means ``1*i``)."""
-        s = text.strip().replace(" ", "")
+        """Parse ``a/b+c/d*i`` with either part optional (``i`` means ``1*i``);
+        spaces may stand at the ends and around the sign before the
+        imaginary part, nowhere else."""
+        s = text.strip()
         m = _SCALAR_RE.fullmatch(s)
         if not m or (m.group("real") is None and m.group("imag") is None) or not s:
             raise ValueError(f"cannot parse scalar {text!r}")
         re_part = Fraction(m.group("real").lstrip("+")) if m.group("real") else Fraction(0)
         im_part = Fraction(0)
         if m.group("imag"):
-            imtxt = m.group("imag")
+            imtxt = m.group("imag").replace(" ", "")
             sign = -1 if imtxt.startswith("-") else 1
             imtxt = imtxt.lstrip("+-")
             coeff = imtxt[:-1].rstrip("*")

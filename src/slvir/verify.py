@@ -35,6 +35,7 @@ from .lie import (
 from .linalg import Echelon
 from .modules import (
     DenseModule,
+    KeyAboveTop,
     LowVermaModule,
     ModVec,
     Module,
@@ -110,7 +111,7 @@ class MapCheckReport(_Report):
         return {"scope": f"verified to depth {self.depth}"}
 
 
-def _word_images(act, words, vec: ModVec):
+def _word_images(act, words, vec):
     """Yield (key, image) for each (key, word) of ``words``, in order: the
     image of vec under the word, applied right to left by ``act(x, v)``.
 
@@ -131,21 +132,20 @@ def _word_images(act, words, vec: ModVec):
         yield key, images[ids]
 
 
-class _Uncertified(Exception):
-    """A key above its expected depth: the graded certificate does not apply."""
-
-
-def _graded_certificate(dst: Module, act, words, gen_image: ModVec, depth: int,
+def _graded_certificate(dst: Module, lift, words, gen_image: ModVec, depth: int,
                         window_span: bool) -> bool:
     """Whether the top components of the images certify the map.
 
-    ``words`` are sorted by length.  With s the depth of gen_image, the top
-    component of a word's image is its part at depth s + len(word); the top
-    of g.v is the top of g acting on the top of v, so the tops are walked
-    with the shared suffixes of :func:`_word_images`, never the full images.
-    Each length gets its own :class:`Echelon` block.  True when every top is
-    independent within its block and, with ``window_span``, s = 0 and each
-    block's rank is the number of dst's window keys of that depth.
+    ``words`` are sorted by length, and a letter x acts as ``lift(x)``.
+    With s the depth of gen_image, the top component of a word's image is
+    its part at depth s + len(word); the top of g.v is the top of g acting
+    on the top of v, so the tops are walked with the shared suffixes of
+    :func:`_word_images`, each step one lincomb of dst's top rows
+    (:meth:`~slvir.modules.Module._top_action`), never the full images.
+    Each length gets its own :class:`Echelon` block.  True when every top
+    is independent within its block and, with ``window_span``, s = 0 and
+    each block's rank is the number of dst's window keys of that depth.
+    A top row that reaches a key above its expected depth refuses.
     """
     key_depth = dst.key_depth
     keys = row_keys(gen_image.row)
@@ -154,25 +154,15 @@ def _graded_certificate(dst: Module, act, words, gen_image: ModVec, depth: int,
     s = max(map(key_depth, keys))
     if window_span and s:
         return False
-
-    def act_top(x, vec):
-        keys = row_keys(vec.row)
-        if not keys:
-            return vec
-        target = key_depth(keys[0]) + 1
-        row = act(x, vec).row
-        depths = {k: key_depth(k) for k in row_keys(row)}
-        if depths and max(depths.values()) > target:
-            raise _Uncertified
-        return ModVec._of_row(dst, restrict(row, lambda k: depths[k] == target))
-
-    top = ModVec._of_row(dst, restrict(gen_image.row, lambda k: key_depth(k) == s))
+    top_action = cache(lambda x: dst._top_action(lift(x)))
+    top = restrict(gen_image.row, lambda k: key_depth(k) == s)
     blocks = defaultdict(lambda: Echelon(dst.key_sort_token))
     try:
-        for (_, word), (_, img) in zip(words, _word_images(act_top, words, top)):
-            if not blocks[len(word)].insert(img.row):
+        tops = _word_images(lambda x, row: lincomb(expand(row, top_action(x))), words, top)
+        for (_, word), (_, row) in zip(words, tops):
+            if not blocks[len(word)].insert(row):
                 return False
-    except _Uncertified:
+    except KeyAboveTop:
         return False
     return not window_span or (Counter(map(key_depth, dst.basis_keys(depth)))
                                == Counter({d: block.rank for d, block in blocks.items()}))
@@ -203,16 +193,18 @@ def _eliminate(src: Module, dst: Module, act, words, gen_image: ModVec, depth: i
 
 
 def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
-                     window_span: bool = True, act=None) -> MapCheckReport:
+                     window_span: bool = True, lift=None) -> MapCheckReport:
     """Verify the module map src -> dst sending the generator to gen_image.
 
     relations_hold: gen_image satisfies the defining relations of src's
     generator.  injective_up_to_N: the images of src's basis monomials of
     depth <= N are linearly independent in dst (exact rank).
     surjective_onto_window, when ``window_span`` is True: the images span
-    every basis key of dst of depth <= N.  The images are computed by
-    ``act(x, v)``, dst.act unless a caller passes another route to the
-    same action (the degree-3 restriction acts through the Virasoro path).
+    every basis key of dst of depth <= N.  A letter x of src's words acts
+    on dst as ``lift(x)`` (x itself by default; the degree-3 restriction
+    passes the embedding into the Virasoro algebra): the images are
+    ``dst.act(lift(x), v)`` and the certificate's tops are read from
+    ``dst._top_action(lift(x))``, so both come from one route.
 
     The graded certificate is tried first.  Every letter raises
     ``key_depth`` by at most one (the contract of :meth:`Module.key_depth`),
@@ -228,8 +220,7 @@ def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
     hold, one echelon of the whole images decides: rank, injectivity, and
     the span by membership of each window key; it gives the witness.
     """
-    if act is None:
-        act = dst.act
+    lift = lift or (lambda x: x)
     witness = None
     relations_hold = True
     for u, s in src.generator_relations():
@@ -243,11 +234,11 @@ def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
 
     words = sorted(src.basis_words(depth),
                    key=lambda kw: (src.key_depth(kw[0]), src.key_sort_token(kw[0])))
-    if _graded_certificate(dst, act, words, gen_image, depth, window_span):
+    if _graded_certificate(dst, lift, words, gen_image, depth, window_span):
         injective, spanned, rank = True, True, len(words)
     else:
-        injective, spanned, found, rank = _eliminate(src, dst, act, words, gen_image,
-                                                     depth, window_span)
+        injective, spanned, found, rank = _eliminate(
+            src, dst, lambda x, v: dst.act(lift(x), v), words, gen_image, depth, window_span)
         witness = witness or found
     return MapCheckReport(relations_hold, injective, spanned if window_span else None,
                           witness, depth, rank)
@@ -652,9 +643,8 @@ def suite_restriction(mu: MuData, depth: int = 6) -> SuiteReport:
         # computed through the Virasoro action path, are independent and
         # span the window
         target = {"family": "free", "description": "free of rank 1 over U(sl2)"}
-        embed = cache(embed_sl2)  # once per distinct letter
         mc = check_module_map(vp, vp, vp.generator(), depth - 1,
-                              act=lambda x, v: vp.act(embed(x), v))
+                              lift=cache(embed_sl2))  # once per distinct letter
         notes["independent_images"] = mc.rank
     if k < 3:
         mc = check_module_map(vp, target_mod, target_mod.generator(), depth)

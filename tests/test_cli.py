@@ -45,6 +45,16 @@ def test_simplicity_verb(capsys):
     assert data["witness_i"] == 0
 
 
+def test_scalar_with_inner_space_exits_two(capsys):
+    # "1 2" used to be read as 12
+    code, out, err = run(capsys, "simplicity", "--xi", "1 2", "--tau", "9")
+    assert code == 2 and out == "" and "1 2" in err
+    code, out, _ = run(capsys, "simplicity", "--xi", "1 + 2*i", "--tau", "3 - i")
+    assert code == 0
+    assert json.loads(out)["params"] == {"xi": S("1+2*i").to_json(),
+                                         "tau": S("3-i").to_json()}
+
+
 def test_verify_dense_composition(capsys):
     code, out, _ = run(capsys, "verify", "dense", "--xi", "0", "--tau", "9",
                        "--depth", "6")

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from slvir.errors import (
     BadPolynomial,
@@ -434,3 +434,21 @@ def test_depth_30_top_degree_reduces_without_recursion_error(make):
     rows = [mod._reduce_row(m) for m in top]
     basis = set(mod.basis_keys(30))
     assert [row == unit_row(m) for m, row in zip(top, rows)] == [m in basis for m in top]
+
+
+_gauss_ints = st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3).filter(bool))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 3), _gauss_ints, _gauss_ints, _gauss_ints, st.randoms())
+def test_stepped_powers_match_reduce_power(degree, a, b, c, rnd):
+    # t^n mod f, stepped per handle, against a fresh division per n; the
+    # exponents come in a random order, so steps start from every side
+    roots = {1: [(a, 1)], 2: [(a, 2)], 3: [(a, 1), (b, 1), (a + b + c, 1)]}[degree]
+    assume(len({lam for lam, _ in roots}) == len(roots) and not (a + b + c).is_zero())
+    vp = VirPolyModule(mud(roots, [[S(1)]] + [[]] * (len(roots) - 1)), 1)
+    f, window = vp.mu.poly(), sl2_window(degree)
+    exponents = list(range(-12, 13))
+    rnd.shuffle(exponents)
+    for n in exponents:
+        assert vp._power(n) == reduce_power(n, f, window), n

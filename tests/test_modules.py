@@ -325,3 +325,15 @@ def test_act_matches_per_key_scalar_route(module, ce, ch, cf, data):
     coeffs = data.draw(st.dictionaries(st.sampled_from(keys), _gaussian, max_size=4))
     vec = ModVec(module, coeffs)
     assert module.act(x, vec) == _reference_act(module, x, vec), module.family
+
+
+@settings(max_examples=30, deadline=None)
+@given(_non_real, _non_real, _non_real, _non_real, st.integers(0, 6))
+def test_lowverma_matches_generic_route_through_sigma(delta, ce, ch, cf, k):
+    # independent oracle: multiply in U(sl2) and substitute in the highest
+    # weight module of weight -delta, acted on by sigma(x); e^k m <-> f^k m
+    x = SL2Elt(ce, ch, cf)
+    low, verma = LowVermaModule(delta), VermaModule(-delta)
+    got = low.act(x, low.basis_vec(k))
+    want = verma.act_generic(Automorphism.sigma().apply(x), verma.basis_vec(k))
+    assert got.terms == want.terms

@@ -163,6 +163,15 @@ def test_parse_and_str_round_trip():
         Scalar.parse("")
 
 
+def test_parse_allows_spaces_only_around_the_joining_sign():
+    assert Scalar.parse("1 + 2*i") == Scalar(1, 2)
+    assert Scalar.parse("3 - i") == Scalar(3, -1)
+    assert Scalar.parse("  -1/2 +1/3*i ") == Scalar(Fraction(-1, 2), Fraction(1, 3))
+    for text in ["1 2", "1 /2", "- i", "1 + 2 * i", "12 *i", "1 2*i"]:
+        with pytest.raises(ValueError):
+            Scalar.parse(text)
+
+
 def test_json_round_trip():
     v = Scalar(Fraction(-3, 7), Fraction(5, 2))
     assert Scalar.from_json(v.to_json()) == v

@@ -6,11 +6,12 @@ from hypothesis import assume, given, settings, strategies as st
 import slvir.verify as verify_mod
 from slvir.errors import DepthExceeded, InvalidParameter
 from slvir.induced import InducedModule, MuData, VirPolyModule
-from slvir.lie import Automorphism, E, F, H, SL2Elt, classify_subalgebra_1d
-from slvir.modules import (DenseModule, LowVermaModule, TensorModule, TwistModule,
-                           VermaModule, WModule, XbarModule, XbarQuotientModule, XModule,
-                           act_word)
+from slvir.lie import Automorphism, E, F, H, SL2Elt, VirElt, classify_subalgebra_1d
+from slvir.modules import (LETTERS, DenseModule, LowVermaModule, ModVec, TensorModule,
+                           TwistModule, VermaModule, WModule, XbarModule, XbarQuotientModule,
+                           XModule, act_word)
 from slvir.scalar import Scalar
+from slvir.sparse import expand, gauss, lincomb, restrict, unit_row
 from slvir.verify import (
     _word_images,
     check_module_map,
@@ -411,6 +412,87 @@ def test_letters_raise_key_depth_by_at_most_one(a, b, c):
                     (module.family, key, letter)
 
 
+@settings(max_examples=10, deadline=None)
+@given(_non_real, _non_real, _non_real, st.integers(-3, 3))
+def test_top_rows_are_the_top_of_the_full_rows(a, b, c, n):
+    # each letter's top row (and e_n's on the Virasoro modules) is the part
+    # of the full row at depth key_depth + 1, on every family
+    assume(a != b and a + b != 0 and a + b != a and a + b != b)
+    for module in _contract_handles(a, b, c):
+        elts = [E, H, F] + ([VirElt.e(n)] if module.accepts_vir else [])
+        for key in module.basis_keys(5):
+            target = module.key_depth(key) + 1
+            for x in elts:
+                full = module.act(x, module.basis_vec(key)).row
+                top = lincomb(expand(unit_row(key), module._top_action(x)))
+                assert top == restrict(full, lambda k: module.key_depth(k) == target), \
+                    (module.family, key, x)
+
+
+def _letter_row_twist_act(twist, x, vec):
+    """Reference route of a twist's action: the row of each letter on a key
+    is the inner action of the twisted letter, and x acts through the rows
+    of its e, h and f parts."""
+    def letter_rows(letter):
+        action = twist.inner._action(twist.aut.apply(LETTERS[letter]))
+        return lambda key: lincomb(expand(unit_row(key), action))
+
+    action = [gauss(c) + (letter_rows(letter),)
+              for letter, c in (("e", x.ce), ("h", x.ch), ("f", x.cf)) if not c.is_zero()]
+    return ModVec._of_row(twist, lincomb(expand(vec.row, action)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_non_real, _non_real, _non_real, _non_real, _non_real,
+       st.lists(_non_real, min_size=1, max_size=6))
+def test_twist_acts_through_its_inner_module(a, b, ce, ch, cf, coeffs):
+    assume(a != b)
+    x = SL2Elt(ce, ch, cf)
+    for twist in (TwistModule(XModule(a), Automorphism.gamma2(b, b + 1).inverse()),
+                  TwistModule(WModule(a), Automorphism.gamma(b).inverse()),
+                  TwistModule(VermaModule(a), Automorphism.sigma()),
+                  TwistModule(XbarModule(a, b), Automorphism.gamma(a))):
+        keys = twist.basis_keys(4)
+        vec = twist.vector({keys[(7 * i) % len(keys)]: c for i, c in enumerate(coeffs)})
+        for y in (x, E, H, F):
+            assert twist.act(y, vec) == _letter_row_twist_act(twist, y, vec)
+
+
+def test_certified_twisted_targets_build_no_deep_full_rows(monkeypatch):
+    # the certificate reads W's and X's top rows, which never build a full
+    # row: full rows are built only for the relations on the generator
+    depths = []
+    for cls in (WModule, XModule, VermaModule):
+        build = cls._build_letter_row
+
+        def counted(self, letter, key, build=build):
+            depths.append(self.key_depth(key))
+            return build(self, letter, key)
+        monkeypatch.setattr(cls, "_build_letter_row", counted)
+    monkeypatch.setattr(verify_mod, "_eliminate", None)  # the full route must not run
+    for mu in (mud([(S(2), 2)], [[S(1), S(-1)]]),
+               mud([(S(2), 1), (S(-2), 1)], [[S(1)], [S(2)]])):
+        assert suite_restriction(mu, 10).all_ok
+    for elt in (SL2Elt(1, -3, -9), SL2Elt(1, -3, -5)):
+        assert suite_twist_induction(classify_subalgebra_1d(elt), S(5), 10).all_ok
+    assert depths and max(depths) <= 1
+
+
+def test_top_rows_check_the_filtered_normal_forms(monkeypatch):
+    # a normal form with a monomial above degree a + b + 1 breaks the
+    # contract: the top row refuses it and the full route decides
+    import slvir.modules as modules_mod
+
+    gen_times_mono = modules_mod.gen_times_mono
+
+    def raised(letter, mono):
+        return {**gen_times_mono(letter, mono), (sum(mono) + 2, 0, 0): 1}
+    monkeypatch.setattr(modules_mod, "gen_times_mono", raised)
+    dst = WModule(S(1))
+    assert not verify_mod._graded_certificate(dst, lambda x: x, dst.basis_words(2),
+                                              dst.generator(), 2, False)
+
+
 def test_positive_checks_never_reach_the_full_route(monkeypatch):
     # the predicted identifications are settled by the graded certificate;
     # if it stopped applying they would only get slower, so fail loudly
@@ -447,7 +529,7 @@ def test_graded_certificate_refuses_keys_above_the_expected_depth():
     dst = TensorModule(VermaModule(S(1)), _SteepVerma(S(2)))
     src = VermaModule(S(3))
     gen = dst.generator()
-    assert not verify_mod._graded_certificate(dst, dst.act, src.basis_words(3), gen, 3,
+    assert not verify_mod._graded_certificate(dst, lambda x: x, src.basis_words(3), gen, 3,
                                               False)
     report = check_module_map(src, dst, gen, 3)
     assert report.relations_hold and report.injective_up_to_N
