@@ -45,10 +45,14 @@ def _default_depth(fallback: int = 6) -> int:
 
 
 def parse_factored_poly(text: str) -> list:
-    """Parse a factored polynomial like ``(t-1)^2(t-2)`` into root data."""
-    s = text.strip().replace(" ", "")
+    """Parse a factored polynomial like ``(t-1)^2(t-2)`` into root data; a
+    space may stand only at the ends or next to a bracket, ^, + or -."""
+    s = text.strip()
     if not s:
         raise ValueError("empty polynomial")
+    if re.search(r"[^ ()^+-] +[^ ()^+-]", s):
+        raise ValueError(f"cannot parse polynomial {text!r}")
+    s = s.replace(" ", "")
     if not s.startswith("("):
         s = f"({s})"
     roots = []

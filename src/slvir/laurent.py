@@ -86,7 +86,10 @@ class LaurentPoly:
         return LaurentPoly({e: v * c for e, v in self.terms.items()})
 
     def shift(self, k: int) -> "LaurentPoly":
-        return LaurentPoly({e + k: v for e, v in self.terms.items()})
+        # the terms are already int exponents with canonical nonzero values
+        out = object.__new__(LaurentPoly)
+        object.__setattr__(out, "terms", {e + k: v for e, v in self.terms.items()})
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):

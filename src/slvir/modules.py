@@ -136,9 +136,6 @@ class Module:
 
     # -- vectors -------------------------------------------------------------
 
-    def zero(self) -> ModVec:
-        return ModVec(self, {})
-
     def basis_vec(self, key, coeff=1) -> ModVec:
         self.validate_key(key)
         return ModVec(self, {key: coeff})
@@ -491,10 +488,6 @@ class XbarModule(Module):
         return {("f", n - 1) if n > 1 else ("e", 0): x.ce * coeff,
                 key: x.ch * (self.xi - 2 * n), ("f", n + 1): x.cf}
 
-    def lift_key(self, key):
-        side, n = key
-        return (0, n) if side == "e" else (n, 0)
-
     def reduce_x_terms(self, terms: dict) -> dict:
         """Project X(xi) coordinates onto the quotient basis."""
         pairs = []
@@ -507,10 +500,12 @@ class XbarModule(Module):
         return sum_terms(pairs)
 
     def act_generic(self, x, vec: ModVec) -> ModVec:
-        """Oracle route: act in X(xi), then reduce to the quotient basis."""
+        """Oracle route: act in X(xi) on the lift f^n x or e^n x of each key,
+        then reduce to the quotient basis."""
         return ModVec(self, sum_terms(
-            (k2, coeff * c2) for key, coeff in vec.terms.items()
-            for k2, c2 in self.reduce_x_terms(self._x._act_key(x, self.lift_key(key))).items()))
+            (k2, coeff * c2) for (side, n), coeff in vec.terms.items()
+            for k2, c2 in self.reduce_x_terms(
+                self._x._act_key(x, (0, n) if side == "e" else (n, 0))).items()))
 
     def validate_key(self, key):
         ok = (isinstance(key, tuple) and len(key) == 2 and key[0] in ("e", "f")
@@ -871,15 +866,37 @@ class TensorModule(Module):
 # -- operations on top of the zoo ---------------------------------------------
 
 
+def _word_images(act, words, vec):
+    """Yield (key, image) for each (key, word) of ``words``, in order: the
+    image of vec under the word, applied right to left by ``act(x, v)``.
+
+    The image of a word is word[0] acting on the image of word[1:], so
+    every distinct suffix is acted on once.  Suffixes are keyed by the
+    indices of their letters in a table of the distinct letters, so that
+    each letter is hashed once per word.
+    """
+    letter_ids: dict = {}
+    images = {(): vec}
+    for key, word in words:
+        ids = tuple(letter_ids.setdefault(x, len(letter_ids)) for x in word)
+        start = 0
+        while ids[start:] not in images:
+            start += 1
+        for j in range(start - 1, -1, -1):
+            images[ids[j:]] = act(word[j], images[ids[j + 1:]])
+        yield key, images[ids]
+
+
 def act_uenv(module: Module, u: UEnvElt, vec: ModVec) -> ModVec:
-    """Extend the action to U(sl2) by applying each PBW monomial."""
-    out = module.zero()
-    for mono, coeff in u.terms.items():
-        cur = vec
-        for letter in reversed(monomial_letters(mono)):
-            cur = module.act(LETTERS[letter], cur)
-        out = out + cur.scale(coeff)
-    return out
+    """Extend the action to U(sl2): each PBW monomial is a chain of letter
+    rows applied to vec's row, monomials that share a suffix share its
+    image, and the monomials are summed in one lincomb."""
+    if vec.module is not module and vec.module != module:
+        raise InvalidParameter("vector does not belong to this module")
+    words = [(gauss(c), monomial_letters(mono)) for mono, c in u.terms.items()]
+    images = _word_images(lambda x, row: lincomb(expand(row, module._action(LETTERS[x]))),
+                          words, vec.row)
+    return ModVec._of_row(module, lincomb([coeff + (row,) for coeff, row in images]))
 
 
 def act_word(module: Module, word, vec: ModVec) -> ModVec:
@@ -891,7 +908,7 @@ def act_word(module: Module, word, vec: ModVec) -> ModVec:
 
 
 def casimir_action(module: Module, vec: ModVec) -> ModVec:
-    """Action of the Casimir element 4fe + (h+1)^2 through act."""
+    """Action of the Casimir element 4fe + (h+1)^2 through act_uenv."""
     return act_uenv(module, casimir_elt(), vec)
 
 

@@ -46,12 +46,12 @@ from .modules import (
     XbarModule,
     XbarQuotientModule,
     XModule,
+    _word_images,
     act_uenv,
     casimir_action,
 )
-from .pbw import casimir_elt
 from .scalar import Scalar, sqrt_exact
-from .sparse import ZERO_ROW, expand, lincomb, restrict, row_keys, sum_terms, unit_row
+from .sparse import ZERO_ROW, expand, gauss, lincomb, restrict, row_keys, sum_terms, unit_row
 
 
 class _Report:
@@ -109,27 +109,6 @@ class MapCheckReport(_Report):
 
     def extras(self):
         return {"scope": f"verified to depth {self.depth}"}
-
-
-def _word_images(act, words, vec):
-    """Yield (key, image) for each (key, word) of ``words``, in order: the
-    image of vec under the word, applied right to left by ``act(x, v)``.
-
-    The image of a word is word[0] acting on the image of word[1:], so
-    every distinct suffix is acted on once.  Suffixes are keyed by the
-    indices of their letters in a table of the distinct letters, so that
-    each letter is hashed once per word.
-    """
-    letter_ids: dict = {}
-    images = {(): vec}
-    for key, word in words:
-        ids = tuple(letter_ids.setdefault(x, len(letter_ids)) for x in word)
-        start = 0
-        while ids[start:] not in images:
-            start += 1
-        for j in range(start - 1, -1, -1):
-            images[ids[j:]] = act(word[j], images[ids[j + 1:]])
-        yield key, images[ids]
 
 
 def _graded_certificate(dst: Module, lift, words, gen_image: ModVec, depth: int,
@@ -363,18 +342,17 @@ class DenseReport(_Report):
 
 
 def _casimir_shifter(x_mod: XModule, tau: Scalar):
-    """The row map of v -> (c - tau) v on X(xi).  The shift is linear, so it
-    is computed once per basis key, through act_uenv, and a vector's shift
-    is one lincomb of those rows."""
-    rows: dict = {}
-    casimir = casimir_elt()
+    """The row map of v -> (c - tau) v on X(xi).  c is central and acts on
+    e^l x as 4fe + (h + 1)^2, so
+    (c - tau) f^k e^l x = 4 f^(k+1) e^(l+1) x + ((xi + 2l + 1)^2 - tau) f^k e^l x:
+    each key's row is that lincomb of two unit rows, memoised, and a
+    vector's shift is one lincomb of those rows."""
+    diagonal = cache(lambda l: gauss((x_mod.xi + 2 * l + 1) ** 2 - tau))
 
+    @cache
     def row_of(key):
-        row = rows.get(key)
-        if row is None:
-            v = x_mod.basis_vec(key)
-            row = rows[key] = (act_uenv(x_mod, casimir, v) - v.scale(tau)).row
-        return row
+        k, l = key
+        return lincomb([(4, 0, 1, unit_row((k + 1, l + 1))), diagonal(l) + (unit_row(key),)])
 
     return lambda row: lincomb(expand(row, [(1, 0, 1, row_of)]))
 
@@ -391,6 +369,23 @@ def _compare(flags: dict, witness, flag: str, expected, found):
         return x.to_json()["terms"] if isinstance(x, ModVec) else x.to_json()
 
     return {"kind": flag, "expected": as_json(expected), "found": as_json(found)}
+
+
+def _dense_intertwiner(xbar: XbarModule, dense: DenseModule, depth: int):
+    """The unique intertwiner Xbar(xi, tau) -> Vdense(xi, tau) normalised by
+    xbar -> v_xi, on vectors of keys of depth <= depth + 1:
+    e^l -> (prod_{j<l} (tau - (xi+2j+1)^2)/4) v_{xi+2l},  f^k -> v_{xi-2k}."""
+    xi, tau = xbar.xi, xbar.tau
+    scale_for = {("f", k): Scalar.one() for k in range(1, depth + 2)}
+    acc = Scalar.one()
+    for l in range(depth + 2):
+        scale_for[("e", l)] = acc
+        acc = acc * (tau - (xi + 2 * l + 1) ** 2) / 4
+
+    def phi(vec: ModVec) -> ModVec:
+        return ModVec(dense, sum_terms((xbar.key_weight(key), coeff * scale_for[key])
+                                       for key, coeff in vec.terms.items()))
+    return phi
 
 
 def suite_dense(xi, tau, depth: int = 6) -> DenseReport:
@@ -438,22 +433,16 @@ def suite_dense(xi, tau, depth: int = 6) -> DenseReport:
     prev_rank = None
     prev_ech = None
     filtration_ok = True
+    rows: dict = {}
     for n in range(4):
-        window = depth - 2 * n
-        if window < 0:
-            filtration_ok = False
-            break
-        rows = []
-        for key in x_mod.basis_keys(window):
-            row = unit_row(key)
-            for _ in range(n):
-                row = shift(row)
-            rows.append(row)
+        # (c - tau)^n on the window of depth - 2n (>= 0), one shift of level n - 1
+        rows = {key: shift(rows[key]) if n else unit_row(key)
+                for key in x_mod.basis_keys(depth - 2 * n)}
         ech_n = Echelon(x_mod.key_sort_token)
-        for r in rows:
+        for r in rows.values():
             ech_n.insert(r)
         if prev_ech is not None:
-            contained = all(prev_ech.contains(r) for r in rows)
+            contained = all(prev_ech.contains(r) for r in rows.values())
             strictly_smaller = ech_n.rank < prev_rank
             if contained and strictly_smaller:
                 strict_to = n
@@ -471,21 +460,7 @@ def suite_dense(xi, tau, depth: int = 6) -> DenseReport:
         flags["dense_map_intertwines"] = True
         xbar = XbarModule(xi, tau)
         dense = DenseModule(xi, tau)
-        # the unique intertwiner normalised by xbar -> v_xi:
-        #   e^l -> (prod_{j<l} (tau - (xi+2j+1)^2)/4) v_{xi+2l},  f^k -> v_{xi-2k}
-        scale_for: dict = {}
-        acc = Scalar.one()
-        for l in range(depth + 2):
-            scale_for[("e", l)] = acc
-            step = (tau - (xi + 2 * l + 1) ** 2) / 4
-            acc = acc * step
-        for k in range(1, depth + 2):
-            scale_for[("f", k)] = Scalar.one()
-
-        def phi(vec: ModVec) -> ModVec:
-            return ModVec(dense, sum_terms((xbar.key_weight(key), coeff * scale_for[key])
-                                           for key, coeff in vec.terms.items()))
-
+        phi = _dense_intertwiner(xbar, dense, depth)
         for key in xbar.basis_keys(depth):
             v = xbar.basis_vec(key)
             for g in (E, H, F):

@@ -24,10 +24,21 @@ def test_parse_factored_poly():
     assert parse_factored_poly("(t-1)^2") == [(S(1), 2)]
     assert parse_factored_poly("(t-1)(t+2)^2") == [(S(1), 1), (S(-2), 2)]
     assert parse_factored_poly("t-1/2+1*i") == [(S("1/2-1*i"), 1)]
+    assert parse_factored_poly("(t - 1)(t - 2)") == [(S(1), 1), (S(2), 1)]
     with pytest.raises(ValueError):
         parse_factored_poly("t^2-1")
     with pytest.raises(ValueError):
         parse_factored_poly("")
+
+
+def test_poly_with_inner_space_exits_two(capsys):
+    # "t - 1 2" used to be read as t - 12
+    code, out, err = run(capsys, "verify", "restriction", "--poly", "t - 1 2", "--mu", "1")
+    assert code == 2 and out == "" and "t - 1 2" in err
+    for text in ("t - 2 i", "t - 1 / 2", "(t-1) (t - 2)^2 2"):
+        with pytest.raises(ValueError):
+            parse_factored_poly(text)
+    assert parse_factored_poly(" (t - 1) ^ 2 (t + 1/2 - 2*i) ") == [(S(1), 2), (S("-1/2+2*i"), 1)]
 
 
 def test_parse_sl2():

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slvir.errors import BadPolynomial
 from slvir.laurent import LaurentPoly, divmod_window, reduce_power, sl2_window
@@ -115,3 +118,20 @@ def test_from_roots():
 def test_json_round_trip():
     p = LaurentPoly({-2: S("1/2"), 5: S("3-1*i")})
     assert LaurentPoly.from_json(p.to_json()) == p
+
+
+_fracs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+_non_real = st.builds(Scalar, _fracs, _fracs.filter(bool))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_non_real, min_size=2, max_size=4), st.integers(-12, 12))
+def test_shift_matches_the_constructor_route(coeffs, k):
+    # shift reuses the canonical terms; the constructor re-canonicalises them
+    p = LaurentPoly(dict(enumerate(coeffs)))
+    shifted = p.shift(k)
+    want = LaurentPoly({e + k: v for e, v in p.terms.items()})
+    assert shifted == want
+    assert list(shifted.terms.items()) == list(want.terms.items())
+    assert all(type(e) is int for e in shifted.terms)
+    assert p == LaurentPoly(dict(enumerate(coeffs)))

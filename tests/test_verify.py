@@ -3,16 +3,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import slvir.modules as modules_mod
 import slvir.verify as verify_mod
 from slvir.errors import DepthExceeded, InvalidParameter
 from slvir.induced import InducedModule, MuData, VirPolyModule
 from slvir.lie import Automorphism, E, F, H, SL2Elt, VirElt, classify_subalgebra_1d
 from slvir.modules import (LETTERS, DenseModule, LowVermaModule, ModVec, TensorModule,
                            TwistModule, VermaModule, WModule, XbarModule, XbarQuotientModule,
-                           XModule, act_word)
+                           XModule, act_uenv, act_word)
+from slvir.pbw import UEnvElt, casimir_elt, monomial_letters
 from slvir.scalar import Scalar
 from slvir.sparse import expand, gauss, lincomb, restrict, unit_row
 from slvir.verify import (
+    _casimir_shifter,
+    _dense_intertwiner,
     _word_images,
     check_module_map,
     generator_test,
@@ -606,3 +610,104 @@ def test_witness_keeps_the_first_failure(monkeypatch):
     report = suite_restriction(mud([(S(2), 1)], [[S(1)]]), 4)
     assert report.flags["casimir_scalar_matches"] is False
     assert report.witness["kind"] == "parameter_formula_consistent"
+
+
+# -- the U(sl2) action and the Casimir shift ------------------------------------
+
+
+def _letterwise_act_uenv(module, u, vec):
+    """The reference route of act_uenv: each PBW monomial applied letter by
+    letter through Module.act, summed with ModVec sums and scales."""
+    out = module.vector({})
+    for mono, coeff in u.terms.items():
+        cur = vec
+        for letter in reversed(monomial_letters(mono)):
+            cur = module.act(LETTERS[letter], cur)
+        out = out + cur.scale(coeff)
+    return out
+
+
+# degree <= 3 on vectors of depth <= 2 stays inside the induced handles' window
+_monos = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)).filter(
+    lambda m: sum(m) <= 3)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_non_real, _non_real, _non_real, st.dictionaries(_monos, _non_real, min_size=1, max_size=6))
+def test_row_level_act_uenv_matches_the_letterwise_route(a, b, c, terms):
+    assume(a != b and a + b != 0 and a + b != a and a + b != b)
+    # monomials that share the suffixes e and h e, next to random ones
+    shared = UEnvElt({(1, 0, 1): a, (0, 0, 1): b, (2, 1, 1): c, (0, 1, 1): 1})
+    elements = [casimir_elt(), shared, UEnvElt(terms)]
+    for module in _contract_handles(a, b, c):
+        try:
+            relations = [u for u, _ in module.generator_relations()]
+        except NotImplementedError:
+            relations = []
+        keys = module.basis_keys(2)
+        vecs = [module.vector({k: c * (i + 1) + a for i, k in enumerate(keys)}),
+                module.basis_vec(keys[-1])]
+        for u in elements + relations:
+            for vec in vecs:
+                assert act_uenv(module, u, vec) == _letterwise_act_uenv(module, u, vec), \
+                    (module.family, u)
+    other = XModule(a + 1)
+    with pytest.raises(InvalidParameter):
+        act_uenv(XModule(a), casimir_elt(), other.generator())
+
+
+def _check_shifter(xi, tau):
+    # every key of the depth-9 window, and one vector over all of them
+    x = XModule(xi)
+    shift = _casimir_shifter(x, tau)
+    keys = x.basis_keys(9)
+    for key in keys:
+        v = x.basis_vec(key)
+        assert shift(unit_row(key)) == (act_uenv(x, casimir_elt(), v) - v.scale(tau)).row, key
+    v = x.vector({k: xi + i for i, k in enumerate(keys)})
+    assert shift(v.row) == (act_uenv(x, casimir_elt(), v) - v.scale(tau)).row
+
+
+@settings(max_examples=15, deadline=None)
+@given(_non_real, _non_real)
+def test_casimir_shifter_matches_act_uenv(xi, tau):
+    _check_shifter(xi, tau)
+
+
+@pytest.mark.parametrize("xi", [S(0), S(1), S(-1), S(2), S("1/2")])
+def test_casimir_shifter_matches_act_uenv_on_real_pools(xi):
+    # the dense suite's real pools: tau a square (xi + 2j + 1)^2, or generic
+    for tau in [(xi + 2 * j + 1) ** 2 for j in range(5)] + \
+            [S(2), S(3), S(5), S(7), S("1/3"), S(-2)]:
+        _check_shifter(xi, tau)
+
+
+def test_casimir_shifter_makes_no_act_uenv_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("act_uenv called")
+
+    monkeypatch.setattr(verify_mod, "act_uenv", refuse)
+    monkeypatch.setattr(modules_mod, "act_uenv", refuse)
+    x = XModule(S("1/2+1*i"))
+    shift = _casimir_shifter(x, S(9))
+    assert all(shift(unit_row(key)) for key in x.basis_keys(9))
+    # the irreducible branch checks no module map, so it makes no act_uenv call
+    report = suite_dense(S("1/2+1*i"), S(9), 6)
+    assert report.branch == "iso_to_Vdense" and report.all_ok
+
+
+@settings(max_examples=15, deadline=None)
+@given(_non_real, _non_real)
+def test_dense_action_matches_xbar_act_generic_through_the_intertwiner(xi, tau):
+    # an independent route to DenseModule: where v generates, the suite's
+    # normalised intertwiner maps Xbar's action through X(xi) and nf_multiply
+    # onto Vdense's closed form
+    assume(generator_test(xi, tau).generates)
+    depth = 6
+    xbar, dense = XbarModule(xi, tau), DenseModule(xi, tau)
+    phi = _dense_intertwiner(xbar, dense, depth)
+    for key in xbar.basis_keys(depth):
+        v = xbar.basis_vec(key)
+        assert not phi(v).is_zero(), key
+        for g in (E, H, F):
+            assert phi(xbar.act_generic(g, v)) == dense.act(g, phi(v)), (key, g)
