@@ -17,8 +17,9 @@ import re
 import sys
 import time
 from functools import cache
+from typing import Callable, NamedTuple
 
-from .errors import SlvirError, positive_int
+from .errors import SlvirError, bounded_depth
 from .induced import MuData
 from .lie import SL2Elt, VirElt, classify_subalgebra_1d, classify_subalgebra_2d
 from .modules import make_module, weight_decompose
@@ -32,16 +33,6 @@ from .verify import (
 )
 
 _FACTOR_RE = re.compile(r"\(t(?P<shift>[+-][^)]+)\)(?:\^(?P<power>\d+))?")
-
-
-def _default_depth(fallback: int = 6) -> int:
-    """The depth from SLVIR_DEPTH (a positive integer), else ``fallback``."""
-    value = os.environ.get("SLVIR_DEPTH", "")
-    if not value:
-        return fallback
-    if not re.fullmatch(r"[0-9]+", value) or int(value) < 1:
-        raise ValueError(f"SLVIR_DEPTH must be a positive integer, got {value!r}")
-    return int(value)
 
 
 def parse_factored_poly(text: str) -> list:
@@ -87,11 +78,12 @@ def parse_algebra_elt(text: str):
     if m:
         return VirElt.e(int(m.group(1)))
     data = json.loads(s)
+    if not isinstance(data, dict):
+        raise ValueError(f"an element must be e|h|f|z|e_<n> or a JSON object, got {text!r}")
     if "terms" in data:
         return VirElt({int(i): Scalar.of(c) for i, c in data["terms"]},
                       Scalar.of(data.get("z", 0)))
-    return SL2Elt(Scalar.of(data.get("e", 0)), Scalar.of(data.get("h", 0)),
-                  Scalar.of(data.get("f", 0)))
+    return SL2Elt(data.get("e", 0), data.get("h", 0), data.get("f", 0))
 
 
 def _emit(obj, args) -> None:
@@ -99,59 +91,6 @@ def _emit(obj, args) -> None:
         sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
     else:
         sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
-def _finish_report(report, args) -> int:
-    elapsed = getattr(args, "_elapsed_ms", None) if args.timing else None
-    _emit(report.to_json(elapsed_ms=elapsed), args)
-    return 0 if report.all_ok else 1
-
-
-def _mu_from_args(args) -> MuData:
-    roots = parse_factored_poly(args.poly)
-    if args.p:
-        if len(args.p) != len(roots):
-            raise ValueError("need one --p coefficient list per distinct root")
-        polys = tuple(tuple(Scalar.parse(c) for c in spec.split(",") if c != "")
-                      for spec in args.p)
-    elif args.mu is not None:
-        if len(roots) != 1 or roots[0][1] != 1:
-            raise ValueError("--mu shorthand only applies to a single simple root")
-        polys = ((Scalar.parse(args.mu),),)
-    else:
-        raise ValueError("give --mu (degree 1) or --p per root")
-    return MuData(tuple(roots), polys)
-
-
-def _run_verify(args) -> int:
-    depth = _default_depth(args.fallback_depth) if args.depth is None else args.depth
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    t0 = time.perf_counter()
-    if args.suite == "dense":
-        report = suite_dense(Scalar.parse(args.xi), Scalar.parse(args.tau), depth)
-    elif args.suite == "restriction":
-        report = suite_restriction(_mu_from_args(args), depth)
-    elif args.suite == "tensor-vermas":
-        report = suite_tensor_vermas(
-            Scalar.parse(args.lambda1), Scalar.parse(args.lambda2),
-            Scalar.parse(args.mu1), Scalar.parse(args.mu2), depth)
-    elif args.suite == "twist-induction":
-        sub = classify_subalgebra_1d(parse_sl2(args.x))
-        report = suite_twist_induction(sub, Scalar.parse(args.mu0), depth)
-    else:
-        raise ValueError(f"unknown suite {args.suite!r}")
-    args._elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return _finish_report(report, args)
-
-
-def _run_simplicity(args) -> int:
-    t0 = time.perf_counter()
-    report = simplicity_test(Scalar.parse(args.xi), Scalar.parse(args.tau))
-    args._elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    elapsed = args._elapsed_ms if args.timing else None
-    _emit(report.to_json(elapsed_ms=elapsed), args)
-    return 0
 
 
 def _run_classify(args) -> int:
@@ -172,12 +111,7 @@ def _run_classify(args) -> int:
 def _vec_from_json(module, text: str):
     data = json.loads(text)
     terms = data["terms"] if isinstance(data, dict) else data
-    mapping = {}
-    for key_json, coeff in terms:
-        key = module.key_from_json(key_json)
-        mapping[key] = Scalar.of(coeff) if not isinstance(coeff, list) \
-            else Scalar.from_json(coeff)
-    return module.vector(mapping)
+    return module.vector({module.key_from_json(k): Scalar.of(c) for k, c in terms})
 
 
 def _run_act(args) -> int:
@@ -209,41 +143,95 @@ def _run_weights(args) -> int:
     return 0
 
 
-_CONFIG_SUITES = {"dense", "restriction", "tensor_vermas", "twist_induction",
-                  "simplicity"}
+def _restriction_params(args) -> dict:
+    """--poly with --p per root or --mu, as a restriction entry's params."""
+    roots = parse_factored_poly(args.poly)
+    if args.p:
+        if len(args.p) != len(roots):
+            raise ValueError("need one --p coefficient list per distinct root")
+        polys = [[c for c in spec.split(",") if c != ""] for spec in args.p]
+    elif args.mu is not None:
+        if len(roots) != 1 or roots[0][1] != 1:
+            raise ValueError("--mu shorthand only applies to a single simple root")
+        polys = [[args.mu]]
+    else:
+        raise ValueError("give --mu (degree 1) or --p per root")
+    return {"roots": roots, "polys": polys}
 
 
-def _config_depth(entry: dict) -> int:
-    """An entry's depth: a JSON integer (not a bool) >= 1, else SLVIR_DEPTH."""
-    if "depth" not in entry:
-        return _default_depth()
-    return positive_int(entry["depth"], "config depth")
+def _twist_induction(params: dict, depth: int):
+    coords = params["x"]
+    x = parse_sl2(coords) if isinstance(coords, str) else SL2Elt(*coords)
+    return suite_twist_induction(classify_subalgebra_1d(x), params["mu0"], depth)
 
 
-def _run_config_entry(entry: dict, depth: int):
-    name = entry["name"]
-    params = entry.get("params", {})
-    if name == "dense":
-        return suite_dense(Scalar.of(params["xi"]), Scalar.of(params["tau"]), depth)
-    if name == "simplicity":
-        return simplicity_test(Scalar.of(params["xi"]), Scalar.of(params["tau"]))
-    if name == "restriction":
-        mu = MuData(
-            tuple((Scalar.of(lam), m) for lam, m in params["roots"]),
-            tuple(tuple(Scalar.of(c) for c in p) for p in params["polys"]),
-        )
-        return suite_restriction(mu, depth)
-    if name == "tensor_vermas":
-        return suite_tensor_vermas(
-            Scalar.of(params["lambda1"]), Scalar.of(params["lambda2"]),
-            Scalar.of(params["mu1"]), Scalar.of(params["mu2"]), depth)
-    if name == "twist_induction":
-        coords = params["x"]
-        x = parse_sl2(coords) if isinstance(coords, str) \
-            else SL2Elt(*(Scalar.of(c) for c in coords))
-        return suite_twist_induction(classify_subalgebra_1d(x),
-                                     Scalar.of(params["mu0"]), depth)
-    raise ValueError(f"unknown suite {name!r}")
+class _Suite(NamedTuple):
+    """``run(params, depth)`` takes config-entry params and calls the suite
+    function by its name here, looked up when it runs.  Each of ``flags``
+    (argparse keywords by name) is the param of its name, unless
+    ``from_flags`` maps them; ``fallback`` is verify's default depth."""
+
+    run: Callable
+    flags: dict
+    fallback: int = 6
+    from_flags: Callable | None = None
+
+
+_REQUIRED = {"required": True}
+
+# config-entry name -> suite; `slvir verify` spells the names with "-"
+_SUITES = {
+    "dense": _Suite(lambda p, d: suite_dense(p["xi"], p["tau"], d),
+                    {"xi": _REQUIRED, "tau": _REQUIRED}),
+    "restriction": _Suite(
+        lambda p, d: suite_restriction(MuData.from_json(p), d),
+        {"poly": {"required": True, "help": 'factored, e.g. "(t-1)^2"'},
+         "mu": {"help": "character value on f (degree-1 shorthand)"},
+         "p": {"action": "append", "help": "polynomial coefficients c0,c1,... (one per root)"}},
+        from_flags=_restriction_params),
+    "tensor_vermas": _Suite(
+        lambda p, d: suite_tensor_vermas(p["lambda1"], p["lambda2"], p["mu1"], p["mu2"], d),
+        dict.fromkeys(("lambda1", "lambda2", "mu1", "mu2"), _REQUIRED), fallback=5),
+    "twist_induction": _Suite(
+        _twist_induction,
+        {"x": {"required": True, "help": "e,h,f coordinates of the span"},
+         "mu0": {"required": True, "help": "character value on the canonical generator"}}),
+    # a verdict that takes no depth, run by `slvir simplicity`
+    "simplicity": _Suite(lambda p, d: simplicity_test(p["xi"], p["tau"]),
+                         {"xi": _REQUIRED, "tau": _REQUIRED}),
+}
+
+
+def _suite_depth(source: dict, fallback: int = 6) -> int:
+    """The one depth rule: source["depth"] (--depth, or a config entry's
+    key), else SLVIR_DEPTH, else ``fallback``; an integer in 1..MAX_DEPTH,
+    else invalid input naming where it came from."""
+    if "depth" in source:
+        return bounded_depth(source["depth"], "depth")
+    value = os.environ.get("SLVIR_DEPTH", "")
+    if not value:
+        return fallback
+    if not re.fullmatch(r"[0-9]+", value):
+        raise ValueError(f"SLVIR_DEPTH must be a positive integer, got {value!r}")
+    return bounded_depth(int(value), "SLVIR_DEPTH")
+
+
+def _run_suite(name: str, params, depth: int):
+    """The one place where a suite runs, for every verb."""
+    return _SUITES[name].run(params, depth)
+
+
+def _run_suite_verb(args) -> int:
+    """`slvir verify <suite>` and `slvir simplicity`: exit 1 if a flag fails."""
+    suite = _SUITES[args.suite_name]
+    depth = _suite_depth(vars(args), suite.fallback)
+    params = suite.from_flags(args) if suite.from_flags \
+        else {flag: getattr(args, flag) for flag in suite.flags}
+    t0 = time.perf_counter()
+    report = _run_suite(args.suite_name, params, depth)
+    elapsed = int((time.perf_counter() - t0) * 1000) if args.timing else None
+    _emit(report.to_json(elapsed_ms=elapsed), args)
+    return 0 if report.all_ok else 1
 
 
 def _run_report(args) -> int:
@@ -253,12 +241,14 @@ def _run_report(args) -> int:
         raise ValueError("config must be an object with a 'suites' list")
     entries = config["suites"]
     for entry in entries:
-        if not isinstance(entry, dict) or entry.get("name") not in _CONFIG_SUITES:
+        if not isinstance(entry, dict):
+            raise ValueError(f"config suite entry {entry!r} is not an object")
+        if entry.get("name") not in _SUITES:
             raise ValueError(f"unknown suite name in config: {entry.get('name')!r}")
-    depths = [_config_depth(e) for e in entries]
+    depths = [_suite_depth(e) for e in entries]
     # the suites are bound by the interpreter lock, so a "parallel" key is
     # accepted but ignored: they run one after another
-    reports = [_run_config_entry(e, d) for e, d in zip(entries, depths)]
+    reports = [_run_suite(e["name"], e.get("params", {}), d) for e, d in zip(entries, depths)]
     payload = sorted(
         (r.to_json() for r in reports),
         key=lambda rep: (rep["suite"], json.dumps(rep["params"], sort_keys=True)),
@@ -285,11 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timing", action="store_true",
                        help="include elapsed_ms in reports")
 
-    p = sub.add_parser("simplicity", help="irreducibility of a dense module")
-    p.add_argument("--xi", required=True)
-    p.add_argument("--tau", required=True)
-    common(p)
-    p.set_defaults(func=_run_simplicity)
+    def suite_flags(p, name):
+        for flag, keywords in _SUITES[name].flags.items():
+            p.add_argument(f"--{flag}", **keywords)
+        common(p)
+        p.set_defaults(func=_run_suite_verb, suite_name=name)
+
+    suite_flags(sub.add_parser("simplicity", help="irreducibility of a dense module"),
+                "simplicity")
 
     p = sub.add_parser("classify", help="classify a subalgebra span")
     p.add_argument("--x", required=True, help="e,h,f coordinates")
@@ -314,38 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one verification suite")
     vsub = p.add_subparsers(dest="suite", required=True)
 
-    q = vsub.add_parser("dense")
-    q.add_argument("--xi", required=True)
-    q.add_argument("--tau", required=True)
-    q.add_argument("--depth", type=int)
-    common(q)
-    q.set_defaults(func=_run_verify, fallback_depth=6)
-
-    q = vsub.add_parser("restriction")
-    q.add_argument("--poly", required=True, help='factored, e.g. "(t-1)^2"')
-    q.add_argument("--mu", help="character value on f (degree-1 shorthand)")
-    q.add_argument("--p", action="append",
-                   help="polynomial coefficients c0,c1,... (one per root)")
-    q.add_argument("--depth", type=int)
-    common(q)
-    q.set_defaults(func=_run_verify, fallback_depth=6)
-
-    q = vsub.add_parser("tensor-vermas")
-    q.add_argument("--lambda1", required=True)
-    q.add_argument("--lambda2", required=True)
-    q.add_argument("--mu1", required=True)
-    q.add_argument("--mu2", required=True)
-    q.add_argument("--depth", type=int)
-    common(q)
-    q.set_defaults(func=_run_verify, fallback_depth=5)
-
-    q = vsub.add_parser("twist-induction")
-    q.add_argument("--x", required=True, help="e,h,f coordinates of the span")
-    q.add_argument("--mu0", required=True,
-                   help="character value on the canonical generator")
-    q.add_argument("--depth", type=int)
-    common(q)
-    q.set_defaults(func=_run_verify, fallback_depth=6)
+    for name in _SUITES:
+        if name != "simplicity":
+            q = vsub.add_parser(name.replace("_", "-"))
+            # absent unless given, so that the depth rule falls back
+            q.add_argument("--depth", type=int, default=argparse.SUPPRESS)
+            suite_flags(q, name)
 
     p = sub.add_parser("report", help="run a batch of suites from a config file")
     p.add_argument("--config", required=True)
@@ -358,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         # an invalid SLVIR_DEPTH is invalid input to every command
-        _default_depth()
+        _suite_depth({})
         args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:

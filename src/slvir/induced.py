@@ -114,10 +114,9 @@ class MuData:
 
     @staticmethod
     def from_json(data) -> "MuData":
-        return MuData(
-            tuple((Scalar.from_json(lam), n) for lam, n in data["roots"]),
-            tuple(tuple(Scalar.from_json(c) for c in p) for p in data["polys"]),
-        )
+        """From ``{"roots": [[lambda, n], ...], "polys": [[c, ...], ...]}``,
+        each scalar in any form :meth:`Scalar.of` reads."""
+        return MuData(data["roots"], data["polys"])
 
 
 def mu_eval(mu: MuData, w: VirElt) -> Scalar:

@@ -24,8 +24,8 @@ from __future__ import annotations
 import json
 from functools import cache, cached_property, partial
 
-from .errors import (InvalidParameter, NotWeightModule, WrongAlgebra, nonnegative_int,
-                     positive_int)
+from .errors import (InvalidParameter, NotWeightModule, WrongAlgebra, bounded_depth,
+                     nonnegative_int)
 from .lie import E, F, H, SL2Elt, VirElt
 from .pbw import (UEnvElt, aut_extend, casimir_elt, gen_times_mono, monomial_letters,
                   nf_multiply)
@@ -924,28 +924,23 @@ def weight_decompose(module: Module, vec: ModVec) -> list:
             for w in sorted(groups, key=lambda s: s.sort_key())]
 
 
-def _scalar_param(value) -> Scalar:
-    if isinstance(value, list):
-        return Scalar.from_json(value)
-    return Scalar.of(value)
+# how many scalars an automorphism spec's "params" list holds, per kind
+_AUT_ARITY = {"identity": 0, "sigma": 0, "inverse": 0, "gamma": 1, "gamma2": 2}
 
 
 def aut_from_json(data):
     from .lie import Automorphism
 
     kind = data["kind"]
-    params = [_scalar_param(p) for p in data.get("params", [])]
-    if kind == "identity":
-        return Automorphism.identity()
-    if kind == "gamma":
-        return Automorphism.gamma(params[0])
-    if kind == "gamma2":
-        return Automorphism.gamma2(params[0], params[1])
-    if kind == "sigma":
-        return Automorphism.sigma()
+    if kind not in _AUT_ARITY:
+        raise InvalidParameter(f"unknown automorphism kind {kind!r}")
+    params = data.get("params", [])
+    if not isinstance(params, list) or len(params) != _AUT_ARITY[kind]:
+        raise InvalidParameter(f"automorphism {kind!r} takes a list of "
+                               f"{_AUT_ARITY[kind]} params, got {params!r}")
     if kind == "inverse":
         return aut_from_json(data["of"]).inverse()
-    raise InvalidParameter(f"unknown automorphism kind {kind!r}")
+    return getattr(Automorphism, kind)(*map(Scalar.of, params))
 
 
 def make_module(spec: dict) -> Module:
@@ -956,23 +951,20 @@ def make_module(spec: dict) -> Module:
         raise InvalidParameter("module spec must carry a family tag")
     family = spec["family"]
     if family == "W":
-        return WModule(_scalar_param(spec["eta"]))
+        return WModule(Scalar.of(spec["eta"]))
     if family == "X":
-        return XModule(_scalar_param(spec["xi"]))
+        return XModule(Scalar.of(spec["xi"]))
     if family == "Xbar":
-        return XbarModule(_scalar_param(spec["xi"]), _scalar_param(spec["tau"]))
+        return XbarModule(Scalar.of(spec["xi"]), Scalar.of(spec["tau"]))
     if family == "Vdense":
-        return DenseModule(_scalar_param(spec["xi"]), _scalar_param(spec["tau"]))
+        return DenseModule(Scalar.of(spec["xi"]), Scalar.of(spec["tau"]))
     if family == "Verma":
-        return VermaModule(_scalar_param(spec["delta"]))
+        return VermaModule(Scalar.of(spec["delta"]))
     if family == "LowVerma":
-        return LowVermaModule(_scalar_param(spec["delta"]))
+        return LowVermaModule(Scalar.of(spec["delta"]))
     if family == "VirPoly":
-        mu = MuData(
-            tuple((_scalar_param(lam), m) for lam, m in spec["roots"]),
-            tuple(tuple(_scalar_param(c) for c in p) for p in spec["polys"]),
-        )
-        return VirPolyModule(mu, positive_int(spec.get("depth", 6), "VirPoly depth"))
+        depth = bounded_depth(spec.get("depth", 6), "VirPoly depth")
+        return VirPolyModule(MuData.from_json(spec), depth)
     if family == "Twist":
         return TwistModule(make_module(spec["inner"]), aut_from_json(spec["aut"]))
     if family == "Tensor":

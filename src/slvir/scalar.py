@@ -79,6 +79,9 @@ class Scalar:
 
     @staticmethod
     def of(x) -> "Scalar":
+        """The one reader of a scalar: a Scalar, an int (not a bool), a
+        Fraction, a string for :meth:`parse`, or the list form of
+        :meth:`from_json`."""
         if isinstance(x, Scalar):
             return x
         if isinstance(x, bool):
@@ -90,6 +93,8 @@ class Scalar:
             return _new(x.numerator, 0, x.denominator)
         if isinstance(x, str):
             return Scalar.parse(x)
+        if isinstance(x, list):
+            return Scalar.from_json(x)
         raise TypeError(f"cannot coerce {x!r} to Scalar")
 
     @staticmethod

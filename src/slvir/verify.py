@@ -418,17 +418,8 @@ def suite_dense(xi, tau, depth: int = 6) -> DenseReport:
             break
     flags["shift_nonvanishing"] = nonzero
 
-    # (b) v -> (c - tau) v injective on the window
-    ech = Echelon(x_mod.key_sort_token)
-    injective = True
-    for key in x_mod.basis_keys(max(depth - 2, 0)):
-        if not ech.insert(shift(unit_row(key))):
-            injective = False
-            witness = witness or {"kind": "shift_dependent", "key": x_mod.key_json(key)}
-            break
-    flags["shift_injective_on_window"] = injective
-
-    # (c) strictness of the shift-power filtration for n <= 3
+    # (c) strictness of the shift-power filtration for n <= 3; its level n = 1
+    # gives (b), v -> (c - tau) v injective on the window of depth - 2
     strict_to = 0
     prev_rank = None
     prev_ech = None
@@ -439,8 +430,12 @@ def suite_dense(xi, tau, depth: int = 6) -> DenseReport:
         rows = {key: shift(rows[key]) if n else unit_row(key)
                 for key in x_mod.basis_keys(depth - 2 * n)}
         ech_n = Echelon(x_mod.key_sort_token)
-        for r in rows.values():
-            ech_n.insert(r)
+        dependent = [key for key, r in rows.items() if not ech_n.insert(r)]
+        if n == 1:
+            flags["shift_injective_on_window"] = not dependent
+            if dependent:
+                witness = witness or {"kind": "shift_dependent",
+                                      "key": x_mod.key_json(dependent[0])}
         if prev_ech is not None:
             contained = all(prev_ech.contains(r) for r in rows.values())
             strictly_smaller = ech_n.rank < prev_rank

@@ -127,6 +127,11 @@ def test_act_verb(capsys):
     data = json.loads(out)
     assert data["schema"] == "modvec/1"
     assert data["terms"] == [[0, ["2", "1", "0", "1"]]]
+    # an element's coordinates take the list form of a scalar too
+    code, out, _ = run(capsys, "act", "--module", module,
+                       "--elt", json.dumps({"e": ["1", "2", "0", "1"]}), "--vec", vec)
+    assert code == 0
+    assert json.loads(out)["terms"] == [[0, ["1", "1", "0", "1"]]]
 
 
 def test_act_with_vir_element(capsys):
@@ -217,6 +222,12 @@ def test_report_config_empty_and_invalid(tmp_path, capsys):
     bad.write_text(json.dumps({"suites": [{"name": "mystery"}]}))
     code, _, err = run(capsys, "report", "--config", str(bad))
     assert code == 2
+
+    # an entry that is not an object names itself, with no traceback
+    bad.write_text(json.dumps({"suites": ["dense"]}))
+    code, out, err = run(capsys, "report", "--config", str(bad))
+    assert code == 2 and out == ""
+    assert "'dense'" in err and "Traceback" not in err
 
     missing = tmp_path / "missing.json"
     code, _, err = run(capsys, "report", "--config", str(missing))
@@ -309,6 +320,59 @@ def test_invalid_depth_env_exits_two(capsys, monkeypatch, value):
     assert "SLVIR_DEPTH" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", [101, 1000])
+@pytest.mark.parametrize("where", ["--depth", "SLVIR_DEPTH", "config", "VirPoly"])
+def test_depth_above_the_cap_exits_two(tmp_path, capsys, monkeypatch, where, value):
+    # refused before anything is built: no deep case runs here
+    if where == "--depth":
+        argv = ["verify", "dense", "--xi", "0", "--tau", "9", "--depth", str(value)]
+    elif where == "SLVIR_DEPTH":
+        monkeypatch.setenv("SLVIR_DEPTH", str(value))
+        argv = ["verify", "restriction", "--poly", "(t-1)(t-2)", "--p", "1", "--p", "0"]
+    elif where == "config":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"suites": [
+            {"name": "dense", "params": {"xi": "0", "tau": "9"}, "depth": 6},
+            {"name": "dense", "params": {"xi": "0", "tau": "9"}, "depth": value}]}))
+        argv = ["report", "--config", str(path)]
+    else:
+        argv = ["act", "--module", json.dumps(dict(VIRPOLY, depth=value)), "--elt", "e_3",
+                "--vec", json.dumps([[[0, 0, 0], "1"]])]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{value} exceeds the limit of 100" in err and "Traceback" not in err
+
+
+# one command per suite, and the one-entry report config with the same params
+SUITE_CASES = {
+    "dense": (["verify", "dense", "--xi", "0", "--tau", "9", "--depth", "6"],
+              {"params": {"xi": "0", "tau": ["9", "1", "0", "1"]}, "depth": 6}),
+    "restriction": (["verify", "restriction", "--poly", "(t-1)^2", "--p", "0,1", "--depth", "5"],
+                    {"params": {"roots": [["1", 2]], "polys": [["0", "1"]]}, "depth": 5}),
+    "tensor_vermas": (["verify", "tensor-vermas", "--lambda1", "1", "--lambda2", "2",
+                       "--mu1", "3", "--mu2", "1", "--depth", "4"],
+                      {"params": {"lambda1": "1", "lambda2": "2", "mu1": "3", "mu2": "1"},
+                       "depth": 4}),
+    "twist_induction": (["verify", "twist-induction", "--x", "1,-3,-9", "--mu0", "5",
+                         "--depth", "5"],
+                        {"params": {"x": [1, -3, -9], "mu0": "5"}, "depth": 5}),
+    "simplicity": (["simplicity", "--xi", "0", "--tau", "1"],
+                   {"params": {"xi": "0", "tau": "1"}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_CASES))
+def test_verb_and_report_entry_give_the_same_report(tmp_path, capsys, name):
+    argv, entry = SUITE_CASES[name]
+    code, out, _ = run(capsys, *argv)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"suites": [dict(entry, name=name)]}))
+    report_code, report_out, _ = run(capsys, "report", "--config", str(path))
+    assert code == report_code == 0
+    assert json.loads(report_out)["reports"] == [json.loads(out)]
+
+
 REPO = Path(__file__).resolve().parent.parent
 SAMPLE_REPORT_MD5 = "5fde47567633fcc89a9abb37ecc91689"
 
@@ -370,6 +434,9 @@ def test_malformed_payloads_exit_two(capsys):
     assert main(["act", "--module", module, "--elt", "e",
                  "--vec", json.dumps([[{"bad": 1}, "1"]])]) == 2
     assert main(["act", "--module", "42", "--elt", "e", "--vec", "[]"]) == 2
+    # an element in JSON must be an object
+    for elt in ("[1,2]", '"q"'):
+        assert main(["act", "--module", module, "--elt", elt, "--vec", "[[1, \"1\"]]"]) == 2
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
 
@@ -392,6 +459,22 @@ def test_coerced_vector_keys_exit_two(capsys, module, key):
     assert "bad" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("aut", [
+    {"kind": "gamma", "params": "12"},
+    {"kind": "gamma", "params": ["1", "5", "7"]},
+    {"kind": "gamma2", "params": ["1"]},
+    {"kind": "sigma", "params": ["1"]},
+], ids=["string", "too-many", "too-few", "sigma-with-param"])
+def test_automorphism_params_have_the_kinds_arity(capsys, aut):
+    # "12" used to be read as gamma(1), and surplus params were dropped
+    spec = {"family": "Twist", "inner": {"family": "W", "eta": "1"}, "aut": aut}
+    code, out, err = run(capsys, "act", "--module", json.dumps(spec), "--elt", "e",
+                         "--vec", json.dumps([[[0, 0], "1"]]))
+    assert code == 2
+    assert out == ""
+    assert "params" in err and "Traceback" not in err
+
+
 def test_integer_vector_keys_still_act(capsys):
     code, out, _ = run(capsys, "act", "--module", json.dumps({"family": "W", "eta": "1"}),
                        "--elt", "f", "--vec", json.dumps([[[1, 0], "1"]]))
@@ -399,41 +482,48 @@ def test_integer_vector_keys_still_act(capsys):
     assert [key for key, _ in json.loads(out)["terms"]] == [[2, 0]]
 
 
-@pytest.mark.parametrize("coeff, reason", [
-    ([1.5, 1, True, 1], "four integers expected"),
-    (["1", "0", "0", "1"], "zero denominator"),
-], ids=["coerced-entries", "zero-denominator"])
-def test_list_scalars_are_integers_over_nonzero_denominators(capsys, coeff, reason):
+W_SPEC = json.dumps({"family": "W", "eta": "1"})
+W_VEC = json.dumps([[[1, 0], "1"]])
+
+
+def scalar_argv(tmp_path, where, value):
+    """A command that reads ``value`` as one JSON scalar at ``where``."""
+    if where == "vector-coefficient":
+        return ["act", "--module", W_SPEC, "--elt", "f", "--vec", json.dumps([[[1, 0], value]])]
+    if where == "module-parameter":
+        return ["act", "--module", json.dumps({"family": "W", "eta": value}), "--elt", "f",
+                "--vec", W_VEC]
+    if where == "sl2-coordinate":
+        return ["act", "--module", W_SPEC, "--elt", json.dumps({"e": value}), "--vec", W_VEC]
+    assert where == "config-param"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"suites": [
+        {"name": "simplicity", "params": {"xi": value, "tau": "2"}}]}))
+    return ["report", "--config", str(path)]
+
+
+@pytest.mark.parametrize("where, coeff, reason", [
+    pytest.param(where, coeff, reason, id=f"{where}-{name}".removeprefix("vector-coefficient-"))
+    for where in ("vector-coefficient", "sl2-coordinate", "config-param")
+    for name, coeff, reason in [
+        ("coerced-entries", [1.5, 1, True, 1], "four integers expected"),
+        ("zero-denominator", ["1", "0", "0", "1"], "zero denominator")]
+])
+def test_list_scalars_are_integers_over_nonzero_denominators(tmp_path, capsys, where, coeff,
+                                                             reason):
     # [re_num, re_den, im_num, im_den]: no truncation of 1.5, no true as 1,
     # and a zero denominator is invalid input, not a ZeroDivisionError
-    code, out, err = run(capsys, "act", "--module", json.dumps({"family": "W", "eta": "1"}),
-                         "--elt", "f", "--vec", json.dumps([[[1, 0], coeff]]))
+    code, out, err = run(capsys, *scalar_argv(tmp_path, where, coeff))
     assert code == 2
     assert out == ""
     assert reason in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["act", "--module", json.dumps({"family": "Verma", "delta": "2"}), "--elt", "f",
-     "--vec", json.dumps([[1, True]])],
-    ["act", "--module", json.dumps({"family": "W", "eta": False}), "--elt", "f",
-     "--vec", json.dumps([[[1, 0], "1"]])],
-    ["act", "--module", json.dumps({"family": "W", "eta": "1"}),
-     "--elt", json.dumps({"e": True}), "--vec", json.dumps([[[1, 0], "1"]])],
-], ids=["vector-coefficient", "module-parameter", "sl2-coordinate"])
-def test_json_booleans_are_not_scalars(capsys, argv):
+@pytest.mark.parametrize("where", ["vector-coefficient", "module-parameter", "sl2-coordinate",
+                                   "config-param"])
+def test_json_booleans_are_not_scalars(tmp_path, capsys, where):
     # bool is an int in Python, but a JSON true/false is not a number
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert "Scalar" in err and "Traceback" not in err
-
-
-def test_config_boolean_scalar_exits_two(tmp_path, capsys):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"suites": [
-        {"name": "simplicity", "params": {"xi": True, "tau": "2"}}]}))
-    code, out, err = run(capsys, "report", "--config", str(path))
+    code, out, err = run(capsys, *scalar_argv(tmp_path, where, True))
     assert code == 2
     assert out == ""
     assert "Scalar" in err and "Traceback" not in err

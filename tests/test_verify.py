@@ -602,6 +602,26 @@ def test_window_ranks_witness(monkeypatch):
                               "found": {"quotient": 0, "sub": 0}}
 
 
+def test_shift_dependent_witness_comes_before_the_filtration(monkeypatch):
+    # the shift sends the window's last two keys where it sends the first:
+    # no basis vector is killed, the first dependent key is the witness,
+    # and the filtration, which then fails too, does not replace it
+    shifter = verify_mod._casimir_shifter
+    x_mod = XModule(S(0))
+    keys = x_mod.basis_keys(4)
+    moved = [unit_row(keys[-2]), unit_row(keys[-1])]
+
+    def broken(x, tau):
+        shift = shifter(x, tau)
+        return lambda row: shift(unit_row(keys[0]) if row in moved else row)
+
+    monkeypatch.setattr(verify_mod, "_casimir_shifter", broken)
+    report = suite_dense(0, 9, 6)
+    assert [f for f in ("shift_nonvanishing", "shift_injective_on_window", "filtration_strict")
+            if not report.flags[f]] == ["shift_injective_on_window", "filtration_strict"]
+    assert report.witness == {"kind": "shift_dependent", "key": x_mod.key_json(keys[-2])}
+
+
 def test_witness_keeps_the_first_failure(monkeypatch):
     # a broken mu_eval fails the parameter formula before the map check,
     # whose own witness does not replace it
