@@ -81,8 +81,15 @@ def parse_algebra_elt(text: str):
     if not isinstance(data, dict):
         raise ValueError(f"an element must be e|h|f|z|e_<n> or a JSON object, got {text!r}")
     if "terms" in data:
-        return VirElt({int(i): Scalar.of(c) for i, c in data["terms"]},
-                      Scalar.of(data.get("z", 0)))
+        terms = {}
+        for i, c in data["terms"]:
+            # a JSON integer: 1.5 is not truncated, true is not read as 1
+            if type(i) is not int:
+                raise ValueError(f"a Virasoro index must be an integer, got {i!r}")
+            if i in terms:
+                raise ValueError(f"repeated Virasoro index {i}")
+            terms[i] = Scalar.of(c)
+        return VirElt(terms, Scalar.of(data.get("z", 0)))
     return SL2Elt(data.get("e", 0), data.get("h", 0), data.get("f", 0))
 
 

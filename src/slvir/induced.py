@@ -22,15 +22,17 @@ mu with mu(z) = 0.  Its underlying space is the InducedModule on the
 relations from the intersection with the embedded sl2; the action of a
 Virasoro element is computed by commuting it rightward to the generator
 (e_n . (x w) v = x (e_n w) v + [e_n, x] w v) and reducing e_m . v through
-the window division t^m = q f + r, where q f acts through mu and the
-window remainder r acts as an sl2 element.
+the projection of t^m = q f + r: q f acts through mu and the window
+remainder r acts as an sl2 element.  The projection is linear and sends
+t^j f to its character value, so each exponent follows from the k next
+to it; no quotient q is built.
 
 Rows are the integer form of :mod:`slvir.sparse`.  Each division step is
 one :func:`~slvir.sparse.lincomb` of the cached integer normal forms of
 :mod:`slvir.pbw`, so reduction does no Scalar arithmetic.  The rows of e,
 h, f and of each e_n on a basis monomial are memoised per handle, and an
-action on a vector is one lincomb of them.  So is the division of each
-t^n, stepped from that of t^(n -+ 1).
+action on a vector is one lincomb of them.  The projection of each t^n is
+memoised the same way.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from itertools import combinations
 
 from .errors import (BadPolynomial, DepthExceeded, InvalidParameter, NotInSubalgebra,
                      nonnegative_int, positive_int)
-from .laurent import LaurentPoly, divmod_window, reduce_power, sl2_window, step_power
+from .laurent import LaurentPoly, divmod_window, sl2_window
 from .lie import E, F, H, SL2Elt, VirElt, bracket_vir, embed_sl2, sl2_from_vir
 from .linalg import Echelon, degree_lex
 from .modules import LETTERS, Module
@@ -63,6 +65,9 @@ class MuData:
     polys: tuple
 
     def __post_init__(self):
+        # a string would be read character by character as a coefficient list
+        if any(not isinstance(p, (list, tuple)) for p in self.polys):
+            raise InvalidParameter(f"polys must be coefficient lists, got {self.polys!r}")
         roots = tuple((Scalar.of(lam), positive_int(n, "root multiplicity"))
                       for lam, n in self.roots)
         polys = tuple(tuple(Scalar.of(c) for c in p) for p in self.polys)
@@ -298,47 +303,57 @@ class VirPolyModule(InducedModule):
     def __init__(self, mu: MuData, depth: int = 6):
         self.mu = mu
         self._f = mu.poly()
-        self._window = sl2_window(mu.degree)
+        window = self._window = sl2_window(mu.degree)
         relations = []
         for i in range(1 - mu.degree, -2, -1):
             shifted = VirElt.from_laurent(self._f.shift(i))
             relations.append((sl2_from_vir(shifted), mu.value_at(i)))
         super().__init__(relations, depth)
         self._en_cache: dict = {}
-        self._powers = {0: reduce_power(0, self._f, self._window)}
+        self._projections = {w: (Scalar.zero(), tuple(Scalar.of(int(u == w)) for u in window))
+                             for w in window}
 
-    def _power(self, n: int):
-        """(q, r) with t^n = q f + r and r in the window, memoised per
-        handle: stepped from the nearest power computed towards 0, one
-        division step per exponent (:func:`~slvir.laurent.step_power`)."""
-        powers = self._powers
+    def _project(self, n: int) -> tuple:
+        """P(n) = (a_n, r_n), memoised per handle: t^n = q f + r_n with r_n
+        on the window (the tuple of its coefficients there) and
+        a_n = mu(q f).
+
+        P is linear in t^n, is (0, t^n) on the window and sends t^j f to
+        (mu(t^j f), 0), so sum_i f_i P(j + i) = (value_at(j), 0).  Each
+        exponent outside the window follows from the k next to it on the
+        window's side: one ``value_at`` and O(k) Scalar operations.
+        """
+        proj = self._projections
+        coeffs, k = self._f.terms, self.mu.degree
         step = 1 if n > 0 else -1
         m = n
-        while m not in powers:
+        while m not in proj:
             m -= step
         while m != n:
-            powers[m + step] = step_power(*powers[m], self._f, self._window, step)
             m += step
-        return powers[n]
+            # t^j f reaches t^m at its top (above the window) or bottom (below)
+            j = m - k if step > 0 else m
+            a, r = self.mu.value_at(j), (Scalar.zero(),) * k
+            for i, c in coeffs.items():
+                if j + i != m:
+                    a_i, r_i = proj[j + i]
+                    a = a - c * a_i
+                    r = tuple(x - c * y for x, y in zip(r, r_i))
+            lead = coeffs[m - j]
+            proj[m] = (a / lead, tuple(x / lead for x in r))
+        return proj[n]
 
     def _act_en_key(self, n: int, mono) -> tuple:
-        """The reduced row of e_n . (mono * v); memoised per handle.
-
-        The cache only ever stores recomputable values, so concurrent use
-        stays safe.
-        """
+        """The reduced row of e_n . (mono * v); memoised per handle."""
         cached = self._en_cache.get((n, mono))
         if cached is not None:
             return cached
         if mono == (0, 0, 0):
-            q, r = self._power(n)
-            val = Scalar.zero()
-            for j, c in q.terms.items():
-                val = val + c * self.mu.value_at(j)
-            r_sl2 = sl2_from_vir(VirElt.from_laurent(r))
-            raw = (((0, 0, 0), val), ((0, 0, 1), r_sl2.ce),
-                   ((0, 1, 0), r_sl2.ch), ((1, 0, 0), r_sl2.cf))
-            items = [gauss(c) + (self._reduce_row(m),) for m, c in raw]
+            # e_n v = a_n v + r_n v, r_n read as the sl2 element it embeds
+            a, r = self._project(n)
+            x = sl2_from_vir(VirElt(dict(zip(self._window, r))))
+            v = unit_row(mono)
+            items = [gauss(a) + (v,)] + expand(v, self._action(x))
         else:
             a, b, c = mono
             if a > 0:

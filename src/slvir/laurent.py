@@ -173,24 +173,3 @@ def reduce_power(n: int, f: LaurentPoly, window=None):
     """divmod_window specialised to p = t^n."""
     return divmod_window(LaurentPoly.t(int(n)), f, window)
 
-
-def step_power(q: LaurentPoly, r: LaurentPoly, f: LaurentPoly, window, step: int):
-    """From t^n = q*f + r with r in the window, the same for t^(n + step).
-
-    ``step`` is 1 or -1, and the window one of :func:`sl2_window`, whose
-    width is the degree k of f.  Multiplying by t^step moves r one place
-    out of the window, and one division step by a shift of f (its leading
-    coefficient above, its constant one below) brings it back; by
-    uniqueness the result is ``reduce_power(n + step, f, window)``.
-    """
-    k = f.max_exp()
-    q, r = q.shift(step), r.shift(step)
-    if step > 0:
-        edge = max(window) + 1
-        base, c = edge - k, r.coeff(edge) / f.coeff(k)
-    else:
-        edge = base = min(window) - 1
-        c = r.coeff(edge) / f.coeff(0)
-    if c.is_zero():
-        return q, r
-    return q + LaurentPoly.t(base, c), r - f.shift(base).scale(c)

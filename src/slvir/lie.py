@@ -254,10 +254,12 @@ class Automorphism:
 
     ``kind`` is one of identity / gamma / gamma2 / sigma / composite and is
     recomputed after composition or inversion by matching the matrix
-    against the named families.
+    against the named families.  An inverse remembers its origin
+    (``_inverse``, set on the result only, so no reference cycle forms), so
+    inverting it again is free.
     """
 
-    __slots__ = ("matrix", "kind", "params")
+    __slots__ = ("matrix", "kind", "params", "_inverse")
 
     def __init__(self, matrix, kind=None, params=()):
         matrix = tuple(tuple(Scalar.of(c) for c in row) for row in matrix)
@@ -268,6 +270,7 @@ class Automorphism:
             kind, params = _recognize(matrix)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", tuple(params))
+        object.__setattr__(self, "_inverse", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")
@@ -328,12 +331,18 @@ class Automorphism:
 
     def inverse(self) -> "Automorphism":
         """The inverse: gamma(lam)^-1 = gamma(-lam), and identity and sigma
-        are their own inverses; other kinds invert the matrix."""
+        are their own inverses; other kinds invert the matrix.  The inverse
+        of an inverse is its origin."""
         if self.kind in ("identity", "sigma"):
             return self
+        if self._inverse is not None:
+            return self._inverse
         if self.kind == "gamma":
-            return Automorphism.gamma(-self.params[0])
-        return Automorphism(_mat_inv(self.matrix))
+            inv = Automorphism.gamma(-self.params[0])
+        else:
+            inv = Automorphism(_mat_inv(self.matrix))
+        object.__setattr__(inv, "_inverse", self)
+        return inv
 
     def preserves_brackets(self) -> bool:
         basis = (E, H, F)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 
 from .errors import DepthExceeded, InvalidParameter, NotRepresentable
 from .induced import InducedModule, MuData, VirPolyModule, mu_eval
@@ -51,7 +51,8 @@ from .modules import (
     casimir_action,
 )
 from .scalar import Scalar, sqrt_exact
-from .sparse import ZERO_ROW, expand, gauss, lincomb, restrict, row_keys, sum_terms, unit_row
+from .sparse import (ZERO_ROW, expand, gauss, lincomb, restrict, row_from_scalars, row_keys,
+                     unit_row)
 
 
 class _Report:
@@ -371,9 +372,10 @@ def _compare(flags: dict, witness, flag: str, expected, found):
     return {"kind": flag, "expected": as_json(expected), "found": as_json(found)}
 
 
-def _dense_intertwiner(xbar: XbarModule, dense: DenseModule, depth: int):
+def _dense_intertwiner(xbar: XbarModule, depth: int):
     """The unique intertwiner Xbar(xi, tau) -> Vdense(xi, tau) normalised by
-    xbar -> v_xi, on vectors of keys of depth <= depth + 1:
+    xbar -> v_xi, as a row map on the keys of depth <= depth + 1: each key
+    goes to one scaled unit row,
     e^l -> (prod_{j<l} (tau - (xi+2j+1)^2)/4) v_{xi+2l},  f^k -> v_{xi-2k}."""
     xi, tau = xbar.xi, xbar.tau
     scale_for = {("f", k): Scalar.one() for k in range(1, depth + 2)}
@@ -381,11 +383,8 @@ def _dense_intertwiner(xbar: XbarModule, dense: DenseModule, depth: int):
     for l in range(depth + 2):
         scale_for[("e", l)] = acc
         acc = acc * (tau - (xi + 2 * l + 1) ** 2) / 4
-
-    def phi(vec: ModVec) -> ModVec:
-        return ModVec(dense, sum_terms((xbar.key_weight(key), coeff * scale_for[key])
-                                       for key, coeff in vec.terms.items()))
-    return phi
+    rows = {key: row_from_scalars({xbar.key_weight(key): c}) for key, c in scale_for.items()}
+    return rows.__getitem__
 
 
 def suite_dense(xi, tau, depth: int = 6) -> DenseReport:
@@ -455,11 +454,11 @@ def suite_dense(xi, tau, depth: int = 6) -> DenseReport:
         flags["dense_map_intertwines"] = True
         xbar = XbarModule(xi, tau)
         dense = DenseModule(xi, tau)
-        phi = _dense_intertwiner(xbar, dense, depth)
+        phi = _dense_intertwiner(xbar, depth)
         for key in xbar.basis_keys(depth):
-            v = xbar.basis_vec(key)
-            for g in (E, H, F):
-                if phi(xbar.act(g, v)) != dense.act(g, phi(v)):
+            for g in ("e", "h", "f"):
+                if (lincomb(expand(xbar._letter_row(g, key), [(1, 0, 1, phi)]))
+                        != lincomb(expand(phi(key), [(1, 0, 1, partial(dense._letter_row, g))]))):
                     flags["dense_map_intertwines"] = False
                     witness = witness or {"kind": "intertwine_failure",
                                           "key": xbar.key_json(key)}

@@ -288,6 +288,36 @@ def test_invalid_config_multiplicity_exits_two(tmp_path, capsys, value):
     assert "multiplicity" in err and "Traceback" not in err
 
 
+def test_string_poly_exits_two(tmp_path, capsys):
+    # a poly given as a string is not a coefficient list: "12" was read as (1, 2)
+    spec = dict(VIRPOLY, roots=[["1", 2]], polys=["12"])
+    code, out, err = run(capsys, "act", "--module", json.dumps(spec), "--elt", "e_3",
+                         "--vec", json.dumps([[[0, 0, 0], "1"]]))
+    assert (code, out) == (2, "")
+    assert "polys" in err and "Traceback" not in err
+    config = {"suites": [{"name": "restriction",
+                          "params": {"roots": [["1", 2]], "polys": ["12"]}, "depth": 4}]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "report", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert "polys" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([[1.5, "1"]], "index"),
+    ([[True, "1"]], "index"),
+    ([[1, "1"], [1, "2"]], "repeated"),
+], ids=["fraction", "bool", "repeated"])
+def test_bad_virasoro_indices_exit_two(capsys, terms, message):
+    # 1.5 was truncated to 1, true read as 1, and a repeated index
+    # overwrote the earlier one, so [[1.5, "1"], [true, "2"]] acted as 2*e_1
+    code, out, err = run(capsys, "act", "--module", json.dumps(VIRPOLY), "--elt",
+                         json.dumps({"terms": terms}), "--vec", json.dumps([[[0, 0, 0], "1"]]))
+    assert (code, out) == (2, "")
+    assert message in err and "Traceback" not in err
+
+
 def test_depth_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SLVIR_DEPTH", "7")
     code, out, _ = run(capsys, "verify", "dense", "--xi", "0", "--tau", "2")

@@ -36,6 +36,8 @@ def test_mudata_validation():
     with pytest.raises(InvalidParameter):
         mud([(S(1), 1), (S(1), 1)], [[S(1)], [S(1)]])  # repeated root
     assert mud([(S(1), 2)], [[]]).is_zero()
+    with pytest.raises(InvalidParameter, match="polys"):
+        MuData.from_json({"roots": [["1", 2]], "polys": ["12"]})
 
 
 def test_mu_eval_examples():
@@ -439,16 +441,28 @@ def test_depth_30_top_degree_reduces_without_recursion_error(make):
 _gauss_ints = st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3).filter(bool))
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.integers(1, 3), _gauss_ints, _gauss_ints, _gauss_ints, st.randoms())
-def test_stepped_powers_match_reduce_power(degree, a, b, c, rnd):
-    # t^n mod f, stepped per handle, against a fresh division per n; the
-    # exponents come in a random order, so steps start from every side
-    roots = {1: [(a, 1)], 2: [(a, 2)], 3: [(a, 1), (b, 1), (a + b + c, 1)]}[degree]
-    assume(len({lam for lam, _ in roots}) == len(roots) and not (a + b + c).is_zero())
-    vp = VirPolyModule(mud(roots, [[S(1)]] + [[]] * (len(roots) - 1)), 1)
-    f, window = vp.mu.poly(), sl2_window(degree)
+_root_shapes = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_root_shapes), st.lists(_gauss_ints, min_size=3, max_size=3),
+       st.lists(_gauss_ints, min_size=6, max_size=6), st.randoms())
+def test_projection_matches_reduce_power(shape, lams, coeffs, rnd):
+    # P(n) = (a_n, r_n) by the character recurrence, per handle, against a
+    # fresh division t^n = q f + r: a_n = sum_j q_j mu(t^j f), r_n the window
+    # coefficients of r.  Roots are non-real, and the polys at double and
+    # triple roots are not constant, since a_n reads every p_i(j); the
+    # exponents come in a random order, so the recurrence starts from every side
+    assume(len(set(lams[:len(shape)])) == len(shape))
+    coeffs = iter(coeffs)
+    mu = mud(zip(lams, shape), [[next(coeffs) for _ in range(n)] for n in shape])
+    vp = VirPolyModule(mu, 1)
+    f, window = mu.poly(), sl2_window(mu.degree)
     exponents = list(range(-12, 13))
     rnd.shuffle(exponents)
     for n in exponents:
-        assert vp._power(n) == reduce_power(n, f, window), n
+        q, r = reduce_power(n, f, window)
+        a = Scalar.zero()
+        for j, c in q.terms.items():
+            a = a + c * mu.value_at(j)
+        assert vp._project(n) == (a, tuple(r.coeff(w) for w in window)), n

@@ -289,10 +289,14 @@ non_real = st.builds(Scalar, fracs, fracs.filter(bool))
 @example(Scalar(0, 1), Scalar(1))
 def test_inverse_matches_the_cofactor_route(lam, lam2):
     # gamma(lam)^-1 is gamma(-lam), sigma and the identity are their own
-    # inverses; the cofactor inverse with family matching is the reference
+    # inverses; the cofactor inverse with family matching is the reference,
+    # and inverting the inverse gives the automorphism back
     for aut in (Automorphism.gamma(lam), Automorphism.sigma(), Automorphism.identity(),
                 Automorphism.gamma2(lam, lam + lam2)):
         ref = Automorphism(_mat_inv(aut.matrix))
         inv = aut.inverse()
         assert (inv.matrix, inv.kind, inv.params, inv.tag) == \
             (ref.matrix, ref.kind, ref.params, ref.tag)
+        back = inv.inverse()
+        assert (back.matrix, back.kind, back.params, back.tag) == \
+            (aut.matrix, aut.kind, aut.params, aut.tag)

@@ -725,9 +725,30 @@ def test_dense_action_matches_xbar_act_generic_through_the_intertwiner(xi, tau):
     assume(generator_test(xi, tau).generates)
     depth = 6
     xbar, dense = XbarModule(xi, tau), DenseModule(xi, tau)
-    phi = _dense_intertwiner(xbar, dense, depth)
+    rows = _dense_intertwiner(xbar, depth)
+
+    def phi(vec):
+        return ModVec._of_row(dense, lincomb(expand(vec.row, [(1, 0, 1, rows)])))
     for key in xbar.basis_keys(depth):
         v = xbar.basis_vec(key)
         assert not phi(v).is_zero(), key
         for g in (E, H, F):
             assert phi(xbar.act_generic(g, v)) == dense.act(g, phi(v)), (key, g)
+
+
+def test_dense_intertwiner_failure_names_the_first_bad_key(monkeypatch):
+    # doubling the image of e^2 xbar breaks the square at e^1 xbar (e sends
+    # it to e^2), the first key in basis order that reaches e^2
+    intertwiner = verify_mod._dense_intertwiner
+
+    def broken(xbar, depth):
+        rows = intertwiner(xbar, depth)
+        return lambda key: lincomb([(2, 0, 1, rows(key))]) if key == ("e", 2) else rows(key)
+
+    xi, tau = S("1/2+1*i"), S(9)
+    assert suite_dense(xi, tau, 6).flags["dense_map_intertwines"]
+    monkeypatch.setattr(verify_mod, "_dense_intertwiner", broken)
+    report = suite_dense(xi, tau, 6)
+    assert report.branch == "iso_to_Vdense"
+    assert not report.flags["dense_map_intertwines"]
+    assert report.witness == {"kind": "intertwine_failure", "key": ["e", 1]}
