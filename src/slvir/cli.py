@@ -19,7 +19,7 @@ import time
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .errors import SlvirError, bounded_depth
+from .errors import SlvirError, bounded_depth, only_keys
 from .induced import MuData
 from .lie import SL2Elt, VirElt, classify_subalgebra_1d, classify_subalgebra_2d
 from .modules import make_module, weight_decompose
@@ -80,17 +80,19 @@ def parse_algebra_elt(text: str):
     data = json.loads(s)
     if not isinstance(data, dict):
         raise ValueError(f"an element must be e|h|f|z|e_<n> or a JSON object, got {text!r}")
-    if "terms" in data:
-        terms = {}
-        for i, c in data["terms"]:
-            # a JSON integer: 1.5 is not truncated, true is not read as 1
-            if type(i) is not int:
-                raise ValueError(f"a Virasoro index must be an integer, got {i!r}")
-            if i in terms:
-                raise ValueError(f"repeated Virasoro index {i}")
-            terms[i] = Scalar.of(c)
-        return VirElt(terms, Scalar.of(data.get("z", 0)))
-    return SL2Elt(data.get("e", 0), data.get("h", 0), data.get("f", 0))
+    if not data.keys() & {"terms", "z"}:
+        only_keys(data, ("e", "h", "f"), "an sl2 element")
+        return SL2Elt(data.get("e", 0), data.get("h", 0), data.get("f", 0))
+    only_keys(data, ("terms", "z"), "a Virasoro element")
+    terms = {}
+    for i, c in data.get("terms", []):
+        # a JSON integer: 1.5 is not truncated, true is not read as 1
+        if type(i) is not int:
+            raise ValueError(f"a Virasoro index must be an integer, got {i!r}")
+        if i in terms:
+            raise ValueError(f"repeated Virasoro index {i}")
+        terms[i] = Scalar.of(c)
+    return VirElt(terms, Scalar.of(data.get("z", 0)))
 
 
 def _emit(obj, args) -> None:
@@ -250,6 +252,7 @@ def _run_report(args) -> int:
     for entry in entries:
         if not isinstance(entry, dict):
             raise ValueError(f"config suite entry {entry!r} is not an object")
+        only_keys(entry, ("name", "params", "depth"), "a config suite entry")
         if entry.get("name") not in _SUITES:
             raise ValueError(f"unknown suite name in config: {entry.get('name')!r}")
     depths = [_suite_depth(e) for e in entries]

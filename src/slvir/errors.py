@@ -30,11 +30,20 @@ class WrongAlgebra(SlvirError):
 
 
 class DepthExceeded(SlvirError):
-    """A computation escaped the precomputed depth window; rebuild with a larger depth."""
+    """A computation reached past a handle's depth; rebuild with a larger depth."""
 
 
 class InvalidParameter(SlvirError):
     """Module or suite parameters violate their preconditions."""
+
+
+def only_keys(obj: dict, allowed, what: str) -> None:
+    """InvalidParameter naming each key of ``obj`` not in ``allowed``, so
+    that a misspelt key is never silently dropped."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise InvalidParameter(f"unknown key {', '.join(map(repr, unknown))} in {what} "
+                               f"(allowed: {', '.join(sorted(allowed))})")
 
 
 def positive_int(value, name: str) -> int:

@@ -29,10 +29,12 @@ to it; no quotient q is built.
 
 Rows are the integer form of :mod:`slvir.sparse`.  Each division step is
 one :func:`~slvir.sparse.lincomb` of the cached integer normal forms of
-:mod:`slvir.pbw`, so reduction does no Scalar arithmetic.  The rows of e,
-h, f and of each e_n on a basis monomial are memoised per handle, and an
-action on a vector is one lincomb of them.  The projection of each t^n is
-memoised the same way.
+:mod:`slvir.pbw`, so reduction does no Scalar arithmetic.  A VirPoly
+handle's ops are the letters e, h, f and the indices n of e_n; it builds
+their rows on basis monomials (:meth:`VirPolyModule._build_row`) under
+the one memo of :class:`~slvir.modules.Module`, and an action on a vector
+is one lincomb of them.  The projection of each t^n is memoised per handle
+too.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from itertools import combinations
 from .errors import (BadPolynomial, DepthExceeded, InvalidParameter, NotInSubalgebra,
                      nonnegative_int, positive_int)
 from .laurent import LaurentPoly, divmod_window, sl2_window
-from .lie import E, F, H, SL2Elt, VirElt, bracket_vir, embed_sl2, sl2_from_vir
+from .lie import VirElt, bracket_vir, embed_sl2, sl2_from_vir
 from .linalg import Echelon, degree_lex
 from .modules import LETTERS, Module
 from .pbw import UEnvElt, _word_normal_form, gen_times_mono, monomial_letters
@@ -239,7 +241,7 @@ class InducedModule(Module):
                 f"degree {sum(mono)} escapes the depth-{self.depth} window")
         return self._nf(mono)
 
-    def _build_letter_row(self, letter: str, mono):
+    def _build_row(self, letter: str, mono):
         return lincomb([(k, 0, 1, self._reduce_row(m2))
                         for m2, k in gen_times_mono(letter, mono).items()])
 
@@ -289,7 +291,7 @@ class InducedModule(Module):
 def _en_bracket(n: int, letter: str) -> tuple:
     """[e_n, letter] as (index, gauss form) pairs, computed once per process;
     its central part acts as zero and is left out."""
-    br = bracket_vir(VirElt.e(n), VirPolyModule._EMBEDDED[letter])
+    br = bracket_vir(VirElt.e(n), embed_sl2(LETTERS[letter]))
     return tuple((m, gauss(c)) for m, c in br.terms.items())
 
 
@@ -298,7 +300,6 @@ class VirPolyModule(InducedModule):
 
     family = "VirPoly"
     accepts_vir = True
-    _EMBEDDED = {"e": embed_sl2(E), "h": embed_sl2(H), "f": embed_sl2(F)}
 
     def __init__(self, mu: MuData, depth: int = 6):
         self.mu = mu
@@ -309,7 +310,6 @@ class VirPolyModule(InducedModule):
             shifted = VirElt.from_laurent(self._f.shift(i))
             relations.append((sl2_from_vir(shifted), mu.value_at(i)))
         super().__init__(relations, depth)
-        self._en_cache: dict = {}
         self._projections = {w: (Scalar.zero(), tuple(Scalar.of(int(u == w)) for u in window))
                              for w in window}
 
@@ -343,44 +343,28 @@ class VirPolyModule(InducedModule):
             proj[m] = (a / lead, tuple(x / lead for x in r))
         return proj[n]
 
-    def _act_en_key(self, n: int, mono) -> tuple:
-        """The reduced row of e_n . (mono * v); memoised per handle."""
-        cached = self._en_cache.get((n, mono))
-        if cached is not None:
-            return cached
+    def _build_row(self, op, mono) -> tuple:
+        """The reduced row of op . (mono * v): a letter's as on any induced
+        module, and e_n's by commuting it rightward to the generator."""
+        if isinstance(op, str):
+            return super()._build_row(op, mono)
         if mono == (0, 0, 0):
             # e_n v = a_n v + r_n v, r_n read as the sl2 element it embeds
-            a, r = self._project(n)
+            a, r = self._project(op)
             x = sl2_from_vir(VirElt(dict(zip(self._window, r))))
             v = unit_row(mono)
-            items = [gauss(a) + (v,)] + expand(v, self._action(x))
+            return lincomb([gauss(a) + (v,)] + expand(v, self._action(x)))
+        a, b, c = mono
+        if a > 0:
+            letter, rest = "f", (a - 1, b, c)
+        elif b > 0:
+            letter, rest = "h", (a, b - 1, c)
         else:
-            a, b, c = mono
-            if a > 0:
-                letter, rest = "f", (a - 1, b, c)
-            elif b > 0:
-                letter, rest = "h", (a, b - 1, c)
-            else:
-                letter, rest = "e", (a, b, c - 1)
-            # e_n . (letter rest v) = letter . (e_n . rest v) + [e_n, letter] . rest v
-            items = expand(self._act_en_key(n, rest),
-                           [(1, 0, 1, partial(self._letter_row, letter))])
-            items += [c2 + (self._act_en_key(m_idx, rest),)
-                      for m_idx, c2 in _en_bracket(n, letter)]
-        out = lincomb(items)
-        self._en_cache[(n, mono)] = out
-        return out
-
-    def _action(self, x):
-        if isinstance(x, SL2Elt):
-            return super()._action(x)
-        # x.z acts as zero
-        return [gauss(c) + (partial(self._act_en_key, n),) for n, c in x.terms.items()]
-
-    def _top_action(self, x):
-        if isinstance(x, SL2Elt):
-            return super()._top_action(x)
-        return self._whole_top_action(x)
+            letter, rest = "e", (a, b, c - 1)
+        # e_n . (letter rest v) = letter . (e_n . rest v) + [e_n, letter] . rest v
+        items = expand(self._row(op, rest), [(1, 0, 1, partial(self._row, letter))])
+        items += [c2 + (self._row(m, rest),) for m, c2 in _en_bracket(op, letter)]
+        return lincomb(items)
 
     def params_json(self):
         out = self.mu.to_json()

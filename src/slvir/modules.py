@@ -10,13 +10,14 @@ live in :mod:`slvir.induced` and share this interface.
 Closed-form actions (Vdense, Verma, Xbar) are the default path; where an
 independent generic route exists (multiply in U(sl2) and substitute, or
 act upstairs in X and reduce) it is implemented alongside and the test
-suite cross-checks the two.  Each family's action of e, h and f on a basis
-key is built once per handle as an integer row of :mod:`slvir.sparse`, and
-an action on a vector is one linear combination of those rows.  The graded
-certificate of :func:`~slvir.verify.check_module_map` reads only *top
-rows*, the part of letter . key at depth ``key_depth(key) + 1``, memoised
-the same way; W and X build them from the top-degree monomials alone, and
-a twist acts through its inner module's rows.
+suite cross-checks the two.  One rule sits behind every action:
+:meth:`Module._ops` splits an element into ops (its letters e, h, f, or
+the indices n of its e_n), and a handle memoises per op and basis key the
+integer row of op . key (:mod:`slvir.sparse`) and its *top row*, the part
+at depth ``key_depth(key) + 1`` that :func:`~slvir.verify.check_module_map`
+reads.  A family supplies only how rows are built: W and X build top rows
+from the top-degree monomials alone, a tensor product keeps each whole
+element as one op, and a twist acts through its inner module's rows.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import json
 from functools import cache, cached_property, partial
 
 from .errors import (InvalidParameter, NotWeightModule, WrongAlgebra, bounded_depth,
-                     nonnegative_int)
+                     nonnegative_int, only_keys)
 from .lie import E, F, H, SL2Elt, VirElt
 from .pbw import (UEnvElt, aut_extend, casimir_elt, gen_times_mono, monomial_letters,
                   nf_multiply)
@@ -158,47 +159,51 @@ class Module:
             raise TypeError(f"cannot act by {x!r}")
         return ModVec._of_row(self, lincomb(expand(vec.row, self._action(x))))
 
+    def _ops(self, x) -> list:
+        """x as a list of ``(gauss coefficient, op)``: an op is a letter e,
+        h or f of an sl2 element, or the index n of a Virasoro e_n (z acts
+        as zero).  Tensor products and twists override this."""
+        if isinstance(x, SL2Elt):
+            return [(gauss(c), letter) for letter, c in (("e", x.ce), ("h", x.ch), ("f", x.cf))
+                    if not c.is_zero()]
+        return [(gauss(c), n) for n, c in x.terms.items()]
+
     def _action(self, x) -> list:
         """The action of x as a list of ``(cr, ci, cd, row_of)``: x acts as
         the sum of (cr + ci*i)/cd times the operator whose row on a basis
-        key k is ``row_of(k)`` (see :func:`~slvir.sparse.expand`).
-
-        An sl2 element splits into its e, h and f parts, each acting
-        through the memoised :meth:`_letter_row`; tensor products and the
-        Virasoro action override this.
-        """
-        return [gauss(c) + (partial(self._letter_row, letter),)
-                for letter, c in (("e", x.ce), ("h", x.ch), ("f", x.cf)) if not c.is_zero()]
-
-    def _letter_row(self, letter: str, key) -> tuple:
-        """The row of letter . key for a letter e, h or f; memoised per
-        handle (the cache only holds recomputable values)."""
-        rows = self.__dict__.setdefault("_letter_rows", {})
-        row = rows.get((letter, key))
-        if row is None:
-            row = rows[(letter, key)] = self._build_letter_row(letter, key)
-        return row
-
-    def _build_letter_row(self, letter: str, key) -> tuple:
-        return row_from_scalars(self._act_key(LETTERS[letter], key))
+        key k is ``row_of(k)`` (see :func:`~slvir.sparse.expand`), one
+        memoised :meth:`_row` per op of :meth:`_ops`."""
+        return [c + (partial(self._row, op),) for c, op in self._ops(x)]
 
     def _top_action(self, x) -> list:
         """The top part of :meth:`_action`, in the same form: row_of(k) is
-        the part of x . k at depth ``key_depth(k) + 1``.  Each row it
-        builds raises :class:`KeyAboveTop` if it reaches a deeper key."""
-        return [gauss(c) + (partial(self._top_row, letter),)
-                for letter, c in (("e", x.ce), ("h", x.ch), ("f", x.cf)) if not c.is_zero()]
+        the part of x . k at depth ``key_depth(k) + 1``, one memoised
+        :meth:`_top` per op.  Each top it builds raises
+        :class:`KeyAboveTop` if its row reaches a deeper key."""
+        return [c + (partial(self._top, op),) for c, op in self._ops(x)]
 
-    def _top_row(self, letter: str, key) -> tuple:
-        """The top row of letter . key; memoised per handle."""
-        rows = self.__dict__.setdefault("_top_rows", {})
-        row = rows.get((letter, key))
+    def _row(self, op, key) -> tuple:
+        """The row of op . key; memoised per handle (the cache only holds
+        recomputable values)."""
+        rows = self.__dict__.setdefault("_rows", {})
+        row = rows.get((op, key))
         if row is None:
-            row = rows[(letter, key)] = self._build_top_row(letter, key)
+            row = rows[(op, key)] = self._build_row(op, key)
         return row
 
-    def _build_top_row(self, letter: str, key) -> tuple:
-        return self._top_part(key, self._letter_row(letter, key))
+    def _top(self, op, key) -> tuple:
+        """The top row of op . key; memoised per handle."""
+        tops = self.__dict__.setdefault("_tops", {})
+        row = tops.get((op, key))
+        if row is None:
+            row = tops[(op, key)] = self._build_top(op, key)
+        return row
+
+    def _build_row(self, op, key) -> tuple:
+        return row_from_scalars(self._act_key(LETTERS[op], key))
+
+    def _build_top(self, op, key) -> tuple:
+        return self._top_part(key, self._row(op, key))
 
     def _top_part(self, key, row) -> tuple:
         """The part of a row of an operator on key at depth key_depth(key) + 1."""
@@ -208,27 +213,13 @@ class Module:
             raise KeyAboveTop(f"{self.family}: a key above depth {target}")
         return restrict(row, lambda k: depths[k] == target)
 
-    def _whole_top_action(self, x) -> list:
-        """The top action of x cut from its whole action, memoised per
-        (x, key): for actions not made of letter rows (tensor products,
-        the Virasoro action)."""
-        rows = self.__dict__.setdefault("_whole_tops", {}).setdefault(x, {})
-        action = self._action(x)
-
-        def row_of(key):
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = self._top_part(key, lincomb(expand(unit_row(key), action)))
-            return row
-        return [(1, 0, 1, row_of)]
-
     def _act_key(self, x: SL2Elt, key) -> dict:
         """x on one basis key as a dict key -> Scalar (zero values allowed).
 
-        Closed-form families define their action here; it is evaluated once
-        per letter and key, and stays the per-key reference route.  W and X
-        build their letter rows from integer normal forms instead and keep
-        this as their Scalar reference.
+        Closed-form families define their action here; the default
+        :meth:`_build_row` evaluates it once per letter and key, and it stays
+        the per-key reference route.  W and X build their rows from integer
+        normal forms instead and keep this as their Scalar reference.
         """
         raise NotImplementedError
 
@@ -358,7 +349,7 @@ class _PairModule(Module):
     def generator(self):
         return self.basis_vec((0, 0))
 
-    def _build_top_row(self, letter, key):
+    def _build_top(self, letter, key):
         # Only a monomial of degree depth + 1 free of the parameter letter
         # reaches depth + 1, with its integer coefficient: no parameter
         # enters, and the full row is never built.
@@ -389,7 +380,7 @@ class WModule(_PairModule):
         self.eta = eta = Scalar.of(eta)
         self._eta_power = cache(lambda c: gauss(eta**c))
 
-    def _build_letter_row(self, letter, key):
+    def _build_row(self, letter, key):
         # e -> eta on the right: f^a h^b e^c x = eta^c f^a h^b x
         a, b = key
         return _substituted_row(gen_times_mono(letter, (a, b, 0)),
@@ -425,7 +416,7 @@ class XModule(_PairModule):
         self.xi = xi = Scalar.of(xi)
         self._h_power = cache(lambda c, b: gauss((xi + 2 * c) ** b))
 
-    def _build_letter_row(self, letter, key):
+    def _build_row(self, letter, key):
         # h acts by xi + 2l on e^l x: f^k h^b e^l x = (xi + 2l)^b f^k e^l x
         k, l = key
         return _substituted_row(gen_times_mono(letter, (k, 0, l)),
@@ -728,8 +719,8 @@ class LowVermaModule(_VermaBase):
 class TwistModule(Module):
     """Same underlying space as ``inner``; x acts as aut(x) does on inner.
 
-    It builds no rows of its own: x acts through inner's action, and its
-    top rows, of aut(x), computed once per x.
+    It builds no rows of its own: x splits into the ops of aut(x) on
+    inner, computed once per x, and acts through inner's rows and tops.
     """
 
     family = "Twist"
@@ -740,8 +731,8 @@ class TwistModule(Module):
         self.inner = inner
         self.aut = aut
         self.is_weight_family = inner.is_weight_family
-        self._action = cache(lambda x: inner._action(aut.apply(x)))
-        self._top_action = cache(lambda x: inner._top_action(aut.apply(x)))
+        self._ops = cache(lambda x: inner._ops(aut.apply(x)))
+        self._row, self._top = inner._row, inner._top
 
     @cached_property
     def _aut_inv(self):
@@ -802,20 +793,16 @@ class TensorModule(Module):
         self.accepts_vir = left.accepts_vir and right.accepts_vir
         self.is_weight_family = left.is_weight_family and right.is_weight_family
 
-    def _top_action(self, x):
-        return self._whole_top_action(x)
+    def _ops(self, x):
+        # whole elements: splitting them into letters made the tensor suite slower
+        return [((1, 0, 1), x)]
 
-    def _action(self, x):
-        act_left = self.left._action(x)
-        act_right = self.right._action(x)
-
-        def row_of(key):
-            kl, kr = key
-            left = lincomb(expand(unit_row(kl), act_left))
-            right = lincomb(expand(unit_row(kr), act_right))
-            return lincomb([(1, 0, 1, rekey(left, lambda k: (k, kr))),
-                            (1, 0, 1, rekey(right, lambda k: (kl, k)))])
-        return [(1, 0, 1, row_of)]
+    def _build_row(self, x, key):
+        kl, kr = key
+        left = lincomb([c + (self.left._row(op, kl),) for c, op in self.left._ops(x)])
+        right = lincomb([c + (self.right._row(op, kr),) for c, op in self.right._ops(x)])
+        return lincomb([(1, 0, 1, rekey(left, lambda k: (k, kr))),
+                        (1, 0, 1, rekey(right, lambda k: (kl, k)))])
 
     def validate_key(self, key):
         if not (isinstance(key, tuple) and len(key) == 2):
@@ -943,30 +930,33 @@ def aut_from_json(data):
     return getattr(Automorphism, kind)(*map(Scalar.of, params))
 
 
+# family -> (class, parameter keys) of the module specs read as Scalars
+_SCALAR_SPECS = {"W": (WModule, ("eta",)), "X": (XModule, ("xi",)),
+                 "Xbar": (XbarModule, ("xi", "tau")), "Vdense": (DenseModule, ("xi", "tau")),
+                 "Verma": (VermaModule, ("delta",)), "LowVerma": (LowVermaModule, ("delta",))}
+# the parameter keys of every module spec, per family
+_SPEC_KEYS = {**{family: keys for family, (_, keys) in _SCALAR_SPECS.items()},
+              "VirPoly": ("roots", "polys", "depth"), "Twist": ("inner", "aut"),
+              "Tensor": ("left", "right")}
+
+
 def make_module(spec: dict) -> Module:
-    """Build a module handle from its JSON description."""
+    """Build a module handle from its JSON description: ``family`` and that
+    family's parameter keys, no others."""
     from .induced import MuData, VirPolyModule
 
     if not isinstance(spec, dict) or "family" not in spec:
         raise InvalidParameter("module spec must carry a family tag")
     family = spec["family"]
-    if family == "W":
-        return WModule(Scalar.of(spec["eta"]))
-    if family == "X":
-        return XModule(Scalar.of(spec["xi"]))
-    if family == "Xbar":
-        return XbarModule(Scalar.of(spec["xi"]), Scalar.of(spec["tau"]))
-    if family == "Vdense":
-        return DenseModule(Scalar.of(spec["xi"]), Scalar.of(spec["tau"]))
-    if family == "Verma":
-        return VermaModule(Scalar.of(spec["delta"]))
-    if family == "LowVerma":
-        return LowVermaModule(Scalar.of(spec["delta"]))
+    if not isinstance(family, str) or family not in _SPEC_KEYS:
+        raise InvalidParameter(f"unknown module family {family!r}")
+    only_keys(spec, ("family",) + _SPEC_KEYS[family], f"a {family} module spec")
+    if family in _SCALAR_SPECS:
+        cls, keys = _SCALAR_SPECS[family]
+        return cls(*(Scalar.of(spec[k]) for k in keys))
     if family == "VirPoly":
         depth = bounded_depth(spec.get("depth", 6), "VirPoly depth")
         return VirPolyModule(MuData.from_json(spec), depth)
     if family == "Twist":
         return TwistModule(make_module(spec["inner"]), aut_from_json(spec["aut"]))
-    if family == "Tensor":
-        return TensorModule(make_module(spec["left"]), make_module(spec["right"]))
-    raise InvalidParameter(f"unknown module family {family!r}")
+    return TensorModule(make_module(spec["left"]), make_module(spec["right"]))

@@ -120,8 +120,9 @@ def _graded_certificate(dst: Module, lift, words, gen_image: ModVec, depth: int,
     With s the depth of gen_image, the top component of a word's image is
     its part at depth s + len(word); the top of g.v is the top of g acting
     on the top of v, so the tops are walked with the shared suffixes of
-    :func:`_word_images`, each step one lincomb of dst's top rows
-    (:meth:`~slvir.modules.Module._top_action`), never the full images.
+    :func:`_word_images`, each step one lincomb of dst's memoised top rows
+    of the ops of lift(x) (:meth:`~slvir.modules.Module._top_action`),
+    never the full images.
     Each length gets its own :class:`Echelon` block.  True when every top
     is independent within its block and, with ``window_span``, s = 0 and
     each block's rank is the number of dst's window keys of that depth.
@@ -457,8 +458,8 @@ def suite_dense(xi, tau, depth: int = 6) -> DenseReport:
         phi = _dense_intertwiner(xbar, depth)
         for key in xbar.basis_keys(depth):
             for g in ("e", "h", "f"):
-                if (lincomb(expand(xbar._letter_row(g, key), [(1, 0, 1, phi)]))
-                        != lincomb(expand(phi(key), [(1, 0, 1, partial(dense._letter_row, g))]))):
+                if (lincomb(expand(xbar._row(g, key), [(1, 0, 1, phi)]))
+                        != lincomb(expand(phi(key), [(1, 0, 1, partial(dense._row, g))]))):
                     flags["dense_map_intertwines"] = False
                     witness = witness or {"kind": "intertwine_failure",
                                           "key": xbar.key_json(key)}

@@ -229,6 +229,13 @@ def test_report_config_empty_and_invalid(tmp_path, capsys):
     assert code == 2 and out == ""
     assert "'dense'" in err and "Traceback" not in err
 
+    # an unknown entry key names itself: "dpeth" ran at the default depth
+    bad.write_text(json.dumps({"suites": [
+        {"name": "twist_induction", "params": {"x": "1,-3,-9", "mu0": "5"}, "dpeth": 500}]}))
+    code, out, err = run(capsys, "report", "--config", str(bad))
+    assert (code, out) == (2, "")
+    assert "'dpeth'" in err and "Traceback" not in err
+
     missing = tmp_path / "missing.json"
     code, _, err = run(capsys, "report", "--config", str(missing))
     assert code == 2
@@ -469,6 +476,17 @@ def test_malformed_payloads_exit_two(capsys):
         assert main(["act", "--module", module, "--elt", elt, "--vec", "[[1, \"1\"]]"]) == 2
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
+    # an unknown key is an error naming it, never dropped: each of these
+    # acted by e alone, dropped the e, or built depth 6
+    for spec, elt, vec, key in [
+        ({"family": "W", "eta": "1"}, '{"e": 1, "ff": 2}', [[[1, 0], "1"]], "ff"),
+        (VIRPOLY, '{"terms": [[1, "1"]], "e": 5}', [[[0, 0, 0], "1"]], "e"),
+        (dict(VIRPOLY, dpeth=200), "e_1", [[[0, 0, 0], "1"]], "dpeth"),
+    ]:
+        code, out, err = run(capsys, "act", "--module", json.dumps(spec), "--elt", elt,
+                             "--vec", json.dumps(vec))
+        assert (code, out) == (2, "")
+        assert repr(key) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("module, key", [

@@ -394,6 +394,8 @@ def _contract_handles(a, b, c):
         InducedModule([(SL2Elt(1, -(a + b) / 2, -a * b), c)], 6),
         VirPolyModule(mud([(a, 2)], [[b, c]]), 6),
         VirPolyModule(mud([(a, 1), (b, 1), (a + b, 1)], [[c], [c], []]), 6),
+        TensorModule(VirPolyModule(mud([(a, 1)], [[c]]), 6),
+                     VirPolyModule(mud([(b, 1)], [[a]]), 6)),
     ]
 
 
@@ -460,6 +462,8 @@ def test_twist_acts_through_its_inner_module(a, b, ce, ch, cf, coeffs):
         vec = twist.vector({keys[(7 * i) % len(keys)]: c for i, c in enumerate(coeffs)})
         for y in (x, E, H, F):
             assert twist.act(y, vec) == _letter_row_twist_act(twist, y, vec)
+        # the rows and tops it read are its inner module's
+        assert "_rows" not in twist.__dict__ and "_tops" not in twist.__dict__
 
 
 def test_certified_twisted_targets_build_no_deep_full_rows(monkeypatch):
@@ -467,12 +471,12 @@ def test_certified_twisted_targets_build_no_deep_full_rows(monkeypatch):
     # row: full rows are built only for the relations on the generator
     depths = []
     for cls in (WModule, XModule, VermaModule):
-        build = cls._build_letter_row
+        build = cls._build_row
 
         def counted(self, letter, key, build=build):
             depths.append(self.key_depth(key))
             return build(self, letter, key)
-        monkeypatch.setattr(cls, "_build_letter_row", counted)
+        monkeypatch.setattr(cls, "_build_row", counted)
     monkeypatch.setattr(verify_mod, "_eliminate", None)  # the full route must not run
     for mu in (mud([(S(2), 2)], [[S(1), S(-1)]]),
                mud([(S(2), 1), (S(-2), 1)], [[S(1)], [S(2)]])):
