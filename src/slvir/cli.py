@@ -19,7 +19,7 @@ import time
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .errors import SlvirError, bounded_depth, only_keys
+from .errors import InvalidParameter, SlvirError, bounded_depth, only_keys
 from .induced import MuData
 from .lie import SL2Elt, VirElt, classify_subalgebra_1d, classify_subalgebra_2d
 from .modules import make_module, weight_decompose
@@ -118,8 +118,17 @@ def _run_classify(args) -> int:
 
 
 def _vec_from_json(module, text: str):
+    """A list of [key, Scalar] pairs, or a ``modvec/1`` object of this module."""
     data = json.loads(text)
-    terms = data["terms"] if isinstance(data, dict) else data
+    terms = data
+    if isinstance(data, dict):
+        only_keys(data, ("schema", "family", "params", "terms"), "a vector")
+        theirs = json.dumps({"family": data.get("family", module.family),
+                             "params": data.get("params", module.params_json())},
+                            sort_keys=True)
+        if theirs != module.signature():
+            raise InvalidParameter(f"a vector of {theirs} given to the module {module}")
+        terms = data["terms"]
     return module.vector({module.key_from_json(k): Scalar.of(c) for k, c in terms})
 
 
@@ -178,12 +187,14 @@ class _Suite(NamedTuple):
     """``run(params, depth)`` takes config-entry params and calls the suite
     function by its name here, looked up when it runs.  Each of ``flags``
     (argparse keywords by name) is the param of its name, unless
-    ``from_flags`` maps them; ``fallback`` is verify's default depth."""
+    ``from_flags`` maps them to ``config_keys``, the params a config entry
+    takes; ``fallback`` is verify's default depth."""
 
     run: Callable
     flags: dict
     fallback: int = 6
     from_flags: Callable | None = None
+    config_keys: tuple = ()
 
 
 _REQUIRED = {"required": True}
@@ -197,7 +208,7 @@ _SUITES = {
         {"poly": {"required": True, "help": 'factored, e.g. "(t-1)^2"'},
          "mu": {"help": "character value on f (degree-1 shorthand)"},
          "p": {"action": "append", "help": "polynomial coefficients c0,c1,... (one per root)"}},
-        from_flags=_restriction_params),
+        from_flags=_restriction_params, config_keys=("roots", "polys")),
     "tensor_vermas": _Suite(
         lambda p, d: suite_tensor_vermas(p["lambda1"], p["lambda2"], p["mu1"], p["mu2"], d),
         dict.fromkeys(("lambda1", "lambda2", "mu1", "mu2"), _REQUIRED), fallback=5),
@@ -253,8 +264,13 @@ def _run_report(args) -> int:
         if not isinstance(entry, dict):
             raise ValueError(f"config suite entry {entry!r} is not an object")
         only_keys(entry, ("name", "params", "depth"), "a config suite entry")
-        if entry.get("name") not in _SUITES:
+        suite = _SUITES.get(entry.get("name"))
+        if suite is None:
             raise ValueError(f"unknown suite name in config: {entry.get('name')!r}")
+        params = entry.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"config suite params must be a JSON object, got {params!r}")
+        only_keys(params, suite.config_keys or suite.flags, f"{entry['name']} params")
     depths = [_suite_depth(e) for e in entries]
     # the suites are bound by the interpreter lock, so a "parallel" key is
     # accepted but ignored: they run one after another

@@ -46,7 +46,7 @@ from itertools import combinations
 from .errors import (BadPolynomial, DepthExceeded, InvalidParameter, NotInSubalgebra,
                      nonnegative_int, positive_int)
 from .laurent import LaurentPoly, divmod_window, sl2_window
-from .lie import VirElt, bracket_vir, embed_sl2, sl2_from_vir
+from .lie import VirElt, bracket_vir, embed_sl2, intersect_virf_sl2, sl2_from_vir
 from .linalg import Echelon, degree_lex
 from .modules import LETTERS, Module
 from .pbw import UEnvElt, _word_normal_form, gen_times_mono, monomial_letters
@@ -270,9 +270,6 @@ class InducedModule(Module):
     def key_from_json(self, data):
         return tuple(nonnegative_int(x, f"{self.family} key entry") for x in data)
 
-    def generator(self):
-        return self.basis_vec((0, 0, 0))
-
     def generator_relations(self):
         return [(UEnvElt.from_sl2(s), v) for s, v in self.relations]
 
@@ -305,11 +302,9 @@ class VirPolyModule(InducedModule):
         self.mu = mu
         self._f = mu.poly()
         window = self._window = sl2_window(mu.degree)
-        relations = []
-        for i in range(1 - mu.degree, -2, -1):
-            shifted = VirElt.from_laurent(self._f.shift(i))
-            relations.append((sl2_from_vir(shifted), mu.value_at(i)))
-        super().__init__(relations, depth)
+        # each w = t^i f in the embedded sl2 is a relation w - mu(t^i f)
+        super().__init__([(sl2_from_vir(w), mu.value_at(min(w.terms)))
+                          for w in intersect_virf_sl2(self._f)], depth)
         self._projections = {w: (Scalar.zero(), tuple(Scalar.of(int(u == w)) for u in window))
                              for w in window}
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import (
-    BadPolynomial,
     InvalidParameter,
     NotASubalgebra,
     WrongAlgebra,
@@ -481,16 +480,11 @@ def classify_subalgebra_2d(x: SL2Elt, y: SL2Elt) -> SubalgebraClass2D:
     return SubalgebraClass2D("b_minus", Automorphism.sigma(), ())
 
 
-def intersect_virf_sl2(f: LaurentPoly, k: int | None = None) -> list[VirElt]:
+def intersect_virf_sl2(f: LaurentPoly) -> list[VirElt]:
     """Basis of the intersection of the embedded sl2 with span{z, t^i f}.
 
     These are the shifts t^i f whose support fits inside {-1, 0, 1}; there
     are exactly 3 - deg(f) of them, listed with i descending.
     """
     deg = check_window_poly(f)
-    if k is not None and k != deg:
-        raise BadPolynomial(f"stated degree {k} does not match {deg}")
-    out = []
-    for i in range(1 - deg, -2, -1):
-        out.append(VirElt.from_laurent(f.shift(i)))
-    return out
+    return [VirElt.from_laurent(f.shift(i)) for i in range(1 - deg, -2, -1)]

@@ -133,7 +133,9 @@ class Module:
 
     family = "abstract"
     accepts_vir = False
-    is_weight_family = False
+    # the attributes, all Scalars, that name a handle of the family: read by
+    # params_json and by make_module
+    PARAMS: tuple = ()
 
     # -- vectors -------------------------------------------------------------
 
@@ -241,6 +243,8 @@ class Module:
         raise NotImplementedError
 
     def key_weight(self, key) -> Scalar:
+        """The weight of a basis key; a weight family is one whose keys
+        have weights."""
         raise NotWeightModule(f"{self.family} is not a weight-module family")
 
     def basis_keys(self, depth: int) -> list:
@@ -261,7 +265,10 @@ class Module:
     # -- cyclic-module data (families used as map sources) --------------------
 
     def generator(self) -> ModVec:
-        raise NotImplementedError(f"{self.family} has no distinguished generator")
+        """The basis vector of the one key of depth 0 (the contract of
+        :meth:`key_depth` makes it unique): every module here is cyclic on it."""
+        (key,) = self.basis_keys(0)
+        return self.basis_vec(key)
 
     def generator_relations(self) -> list:
         """Pairs (u, s) with u in U(sl2) and u . generator == s * generator."""
@@ -275,7 +282,7 @@ class Module:
     # -- identity --------------------------------------------------------------
 
     def params_json(self):
-        return {}
+        return {name: getattr(self, name).to_json() for name in self.PARAMS}
 
     def signature(self) -> str:
         cached = getattr(self, "_signature", None)
@@ -312,6 +319,13 @@ def _substituted_row(nf: dict, subst) -> tuple:
     return lincomb(items)
 
 
+def _two_entries(module, data) -> list:
+    """A JSON key that must be a list of two entries, read whole."""
+    if not (isinstance(data, list) and len(data) == 2):
+        raise InvalidParameter(f"bad {module.family} key {data!r}")
+    return data
+
+
 def _pairs_up_to(depth: int):
     for total in range(depth + 1):
         for first in range(total, -1, -1):
@@ -323,8 +337,9 @@ class _PairModule(Module):
     depth a + b, and the generator (0, 0)."""
 
     def validate_key(self, key):
+        # type(), not isinstance(): a bool is not a key entry
         if not (isinstance(key, tuple) and len(key) == 2
-                and all(isinstance(v, int) and v >= 0 for v in key)):
+                and all(type(v) is int and v >= 0 for v in key)):
             raise InvalidParameter(f"bad {self.family} key {key!r}")
 
     def key_depth(self, key):
@@ -337,17 +352,7 @@ class _PairModule(Module):
         return list(key)
 
     def key_from_json(self, data):
-        key = tuple(data)
-        try:
-            for v in key:
-                nonnegative_int(v, "key entry")
-        except InvalidParameter:
-            # name the whole key, as validate_key does
-            raise InvalidParameter(f"bad {self.family} key {key!r}") from None
-        return key
-
-    def generator(self):
-        return self.basis_vec((0, 0))
+        return tuple(_two_entries(self, data))
 
     def _build_top(self, letter, key):
         # Only a monomial of degree depth + 1 free of the parameter letter
@@ -374,6 +379,7 @@ class WModule(_PairModule):
     """
 
     family = "W"
+    PARAMS = ("eta",)
     _KEY_SLOTS = (0, 1)  # the f and h exponents of f^a h^b e^c
 
     def __init__(self, eta):
@@ -401,16 +407,13 @@ class WModule(_PairModule):
     def basis_words(self, depth):
         return [((a, b), (F,) * a + (H,) * b) for a, b in _pairs_up_to(depth)]
 
-    def params_json(self):
-        return {"eta": self.eta.to_json()}
-
 
 class XModule(_PairModule):
     """Induced from Ch with h acting by xi; basis keys (k, l) for f^k e^l x."""
 
     family = "X"
+    PARAMS = ("xi",)
     _KEY_SLOTS = (0, 2)  # the f and e exponents of f^a h^b e^c
-    is_weight_family = True
 
     def __init__(self, xi):
         self.xi = xi = Scalar.of(xi)
@@ -440,9 +443,6 @@ class XModule(_PairModule):
     def basis_words(self, depth):
         return [((k, l), (F,) * k + (E,) * l) for k, l in _pairs_up_to(depth)]
 
-    def params_json(self):
-        return {"xi": self.xi.to_json()}
-
 
 class XbarModule(Module):
     """The quotient of X(xi) on which the Casimir acts by tau.
@@ -454,7 +454,7 @@ class XbarModule(Module):
     """
 
     family = "Xbar"
-    is_weight_family = True
+    PARAMS = ("xi", "tau")
 
     def __init__(self, xi, tau):
         self.xi = Scalar.of(xi)
@@ -500,7 +500,7 @@ class XbarModule(Module):
 
     def validate_key(self, key):
         ok = (isinstance(key, tuple) and len(key) == 2 and key[0] in ("e", "f")
-              and isinstance(key[1], int)
+              and type(key[1]) is int
               and (key[1] >= 0 if key[0] == "e" else key[1] >= 1))
         if not ok:
             raise InvalidParameter(f"bad Xbar key {key!r}")
@@ -524,10 +524,7 @@ class XbarModule(Module):
         return [key[0], key[1]]
 
     def key_from_json(self, data):
-        return (str(data[0]), nonnegative_int(data[1], "Xbar key exponent"))
-
-    def generator(self):
-        return self.basis_vec(("e", 0))
+        return tuple(_two_entries(self, data))
 
     def generator_relations(self):
         return [(UEnvElt.from_sl2(H), self.xi), (casimir_elt(), self.tau)]
@@ -536,9 +533,6 @@ class XbarModule(Module):
         out = [(("e", l), (E,) * l) for l in range(depth + 1)]
         out += [(("f", k), (F,) * k) for k in range(1, depth + 1)]
         return out
-
-    def params_json(self):
-        return {"xi": self.xi.to_json(), "tau": self.tau.to_json()}
 
 
 class XbarQuotientModule(XbarModule):
@@ -584,7 +578,7 @@ class DenseModule(Module):
     """
 
     family = "Vdense"
-    is_weight_family = True
+    PARAMS = ("xi", "tau")
 
     def __init__(self, xi, tau):
         self.xi = Scalar.of(xi)
@@ -622,21 +616,15 @@ class DenseModule(Module):
     def key_from_json(self, data):
         return Scalar.from_json(data)
 
-    def generator(self):
-        return self.basis_vec(self.xi)
-
     def generator_relations(self):
         return [(UEnvElt.from_sl2(H), self.xi), (casimir_elt(), self.tau)]
-
-    def params_json(self):
-        return {"xi": self.xi.to_json(), "tau": self.tau.to_json()}
 
 
 class _VermaBase(Module):
     """The shared part of the highest and lowest weight Verma modules:
     highest (lowest) weight delta, keys k >= 0 of depth k, generator 0."""
 
-    is_weight_family = True
+    PARAMS = ("delta",)
 
     def __init__(self, delta):
         self.delta = Scalar.of(delta)
@@ -649,12 +637,6 @@ class _VermaBase(Module):
 
     def basis_keys(self, depth):
         return list(range(depth + 1))
-
-    def generator(self):
-        return self.basis_vec(0)
-
-    def params_json(self):
-        return {"delta": self.delta.to_json()}
 
 
 class VermaModule(_VermaBase):
@@ -716,11 +698,18 @@ class LowVermaModule(_VermaBase):
         return [(k, (E,) * k) for k in range(depth + 1)]
 
 
+# the methods on basis keys that a twist takes from its inner module
+_KEY_METHODS = ("validate_key", "key_depth", "key_weight", "basis_keys", "key_sort_token",
+                "key_str", "key_json", "key_from_json")
+
+
 class TwistModule(Module):
     """Same underlying space as ``inner``; x acts as aut(x) does on inner.
 
     It builds no rows of its own: x splits into the ops of aut(x) on
     inner, computed once per x, and acts through inner's rows and tops.
+    Its keys are inner's, with inner's key methods; a key's weight is
+    taken with respect to the twisted Cartan generator aut^{-1}(h).
     """
 
     family = "Twist"
@@ -730,42 +719,15 @@ class TwistModule(Module):
             raise InvalidParameter("Twist needs an inner module")
         self.inner = inner
         self.aut = aut
-        self.is_weight_family = inner.is_weight_family
         self._ops = cache(lambda x: inner._ops(aut.apply(x)))
         self._row, self._top = inner._row, inner._top
+        for name in _KEY_METHODS:
+            setattr(self, name, getattr(inner, name))
 
     @cached_property
     def _aut_inv(self):
         # read only when the twist is a map source
         return self.aut.inverse()
-
-    def validate_key(self, key):
-        self.inner.validate_key(key)
-
-    def key_depth(self, key):
-        return self.inner.key_depth(key)
-
-    def key_weight(self, key):
-        # weights with respect to the twisted Cartan generator aut^{-1}(h)
-        return self.inner.key_weight(key)
-
-    def basis_keys(self, depth):
-        return self.inner.basis_keys(depth)
-
-    def key_sort_token(self, key):
-        return self.inner.key_sort_token(key)
-
-    def key_str(self, key):
-        return self.inner.key_str(key)
-
-    def key_json(self, key):
-        return self.inner.key_json(key)
-
-    def key_from_json(self, data):
-        return self.inner.key_from_json(data)
-
-    def generator(self):
-        return ModVec(self, dict(self.inner.generator().terms))
 
     def generator_relations(self):
         return [(aut_extend(self._aut_inv, u), s)
@@ -791,7 +753,6 @@ class TensorModule(Module):
         self.left = left
         self.right = right
         self.accepts_vir = left.accepts_vir and right.accepts_vir
-        self.is_weight_family = left.is_weight_family and right.is_weight_family
 
     def _ops(self, x):
         # whole elements: splitting them into letters made the tensor suite slower
@@ -834,14 +795,8 @@ class TensorModule(Module):
         return [self.left.key_json(key[0]), self.right.key_json(key[1])]
 
     def key_from_json(self, data):
-        return (self.left.key_from_json(data[0]), self.right.key_from_json(data[1]))
-
-    def generator(self):
-        gl = self.left.generator()
-        gr = self.right.generator()
-        (kl, cl), = gl.terms.items()
-        (kr, cr), = gr.terms.items()
-        return ModVec(self, {(kl, kr): cl * cr})
+        kl, kr = _two_entries(self, data)
+        return (self.left.key_from_json(kl), self.right.key_from_json(kr))
 
     def params_json(self):
         return {
@@ -900,13 +855,17 @@ def casimir_action(module: Module, vec: ModVec) -> ModVec:
 
 
 def weight_decompose(module: Module, vec: ModVec) -> list:
-    """Group a vector by exact weight; raises for non-weight families."""
-    if not module.is_weight_family:
-        raise NotWeightModule(f"{module.family} is not a weight-module family")
+    """Group a vector by exact weight; raises for non-weight families, the
+    ones whose depth-0 key has no weight."""
     groups: dict = {}
-    for key, coeff in vec.terms.items():
-        w = module.key_weight(key)
-        groups.setdefault(w, {})[key] = coeff
+    try:
+        (gen_key,) = module.basis_keys(0)
+        module.key_weight(gen_key)
+        for key, coeff in vec.terms.items():
+            groups.setdefault(module.key_weight(key), {})[key] = coeff
+    except NotWeightModule:
+        # name this module, not the factor or inner module that raised
+        raise NotWeightModule(f"{module.family} is not a weight-module family") from None
     return [(w, ModVec(module, groups[w]))
             for w in sorted(groups, key=lambda s: s.sort_key())]
 
@@ -921,6 +880,8 @@ def aut_from_json(data):
     kind = data["kind"]
     if kind not in _AUT_ARITY:
         raise InvalidParameter(f"unknown automorphism kind {kind!r}")
+    only_keys(data, ("kind", "params") + (("of",) if kind == "inverse" else ()),
+              f"a {kind!r} automorphism spec")
     params = data.get("params", [])
     if not isinstance(params, list) or len(params) != _AUT_ARITY[kind]:
         raise InvalidParameter(f"automorphism {kind!r} takes a list of "
@@ -930,12 +891,11 @@ def aut_from_json(data):
     return getattr(Automorphism, kind)(*map(Scalar.of, params))
 
 
-# family -> (class, parameter keys) of the module specs read as Scalars
-_SCALAR_SPECS = {"W": (WModule, ("eta",)), "X": (XModule, ("xi",)),
-                 "Xbar": (XbarModule, ("xi", "tau")), "Vdense": (DenseModule, ("xi", "tau")),
-                 "Verma": (VermaModule, ("delta",)), "LowVerma": (LowVermaModule, ("delta",))}
+# family -> class of the module specs read as Scalars, one per PARAMS name
+_SCALAR_SPECS = {cls.family: cls for cls in (WModule, XModule, XbarModule, DenseModule,
+                                             VermaModule, LowVermaModule)}
 # the parameter keys of every module spec, per family
-_SPEC_KEYS = {**{family: keys for family, (_, keys) in _SCALAR_SPECS.items()},
+_SPEC_KEYS = {**{family: cls.PARAMS for family, cls in _SCALAR_SPECS.items()},
               "VirPoly": ("roots", "polys", "depth"), "Twist": ("inner", "aut"),
               "Tensor": ("left", "right")}
 
@@ -952,8 +912,8 @@ def make_module(spec: dict) -> Module:
         raise InvalidParameter(f"unknown module family {family!r}")
     only_keys(spec, ("family",) + _SPEC_KEYS[family], f"a {family} module spec")
     if family in _SCALAR_SPECS:
-        cls, keys = _SCALAR_SPECS[family]
-        return cls(*(Scalar.of(spec[k]) for k in keys))
+        cls = _SCALAR_SPECS[family]
+        return cls(*(Scalar.of(spec[k]) for k in cls.PARAMS))
     if family == "VirPoly":
         depth = bounded_depth(spec.get("depth", 6), "VirPoly depth")
         return VirPolyModule(MuData.from_json(spec), depth)

@@ -16,7 +16,6 @@ is its own target) included.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -703,15 +702,3 @@ def suite_twist_induction(sub: SubalgebraClass1D, mu0, depth: int = 6) -> SuiteR
     return SuiteReport("twist_induction", target, mc.flags, mc.witness, depth,
                        params, notes)
 
-
-def report_to_text(report: _Report) -> str:
-    lines = [f"suite: {report.suite}"]
-    lines.append(f"params: {json.dumps(report.params, sort_keys=True)}")
-    for name, value in sorted(report.flags.items()):
-        lines.append(f"  {name}: {'ok' if value else 'FAIL'}")
-    ex = report.extras()
-    for name in sorted(ex):
-        lines.append(f"  {name}: {json.dumps(ex[name], sort_keys=True)}")
-    if report.witness is not None:
-        lines.append(f"  witness: {json.dumps(report.witness, sort_keys=True)}")
-    return "\n".join(lines)

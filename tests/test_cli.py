@@ -575,3 +575,68 @@ def test_json_booleans_are_not_scalars(tmp_path, capsys, where):
     assert code == 2
     assert out == ""
     assert "Scalar" in err and "Traceback" not in err
+
+
+def test_misspelt_automorphism_key_exits_two(capsys):
+    # "parms" was dropped and the twist acted by sigma
+    spec = {"family": "Twist", "inner": {"family": "W", "eta": "1"},
+            "aut": {"kind": "sigma", "parms": ["3"]}}
+    code, out, err = run(capsys, "act", "--module", json.dumps(spec), "--elt", "e",
+                         "--vec", json.dumps([[[0, 0], "1"]]))
+    assert (code, out) == (2, "")
+    assert "'parms'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry, named", [
+    ({"name": "simplicity", "params": {"xi": "0", "tau": "2", "taux": "5"}}, "'taux'"),
+    ({"name": "restriction", "params": {"roots": [["1", 1]], "polys": [["1"]], "mu": "1"},
+      "depth": 4}, "'mu'"),
+    ({"name": "simplicity", "params": ["0", "2"]}, "JSON object"),
+], ids=["extra-flag", "restriction-extra", "list"])
+def test_config_params_take_only_the_suites_keys(tmp_path, capsys, entry, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"suites": [entry]}))
+    code, out, err = run(capsys, "report", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert named in err and "Traceback" not in err
+
+
+TENSOR_VERMAS = {"family": "Tensor", "left": {"family": "Verma", "delta": "1"},
+                 "right": {"family": "Verma", "delta": "2"}}
+
+
+@pytest.mark.parametrize("module, vec, named", [
+    ({"family": "Xbar", "xi": "1", "tau": "2"}, [[["e", 1, 7], "1"]], "['e', 1, 7]"),
+    (TENSOR_VERMAS, [[[1, 1, 1], "1"]], "[1, 1, 1]"),
+    ({"family": "W", "eta": "1"}, {"terms": [[[0, 1], "1"]], "famliy": "W"}, "'famliy'"),
+    ({"family": "W", "eta": "1"},
+     {"schema": "modvec/1", "family": "X", "params": {"xi": ["5", "1", "0", "1"]},
+      "terms": [[[0, 1], ["1", "1", "0", "1"]]]}, '"family": "X"'),
+    ({"family": "W", "eta": "1"},
+     {"family": "W", "params": {"eta": ["2", "1", "0", "1"]}, "terms": [[[0, 1], "1"]]},
+     '"eta": ["2"'),
+], ids=["xbar-key", "tensor-key", "unknown-vec-key", "other-family", "other-params"])
+def test_vector_input_is_read_whole(capsys, module, vec, named):
+    # each of these used to act on a truncated key or in another module
+    code, out, err = run(capsys, "act", "--module", json.dumps(module), "--elt", "e",
+                         "--vec", json.dumps(vec))
+    assert (code, out) == (2, "")
+    assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("module, vec", [
+    ({"family": "X", "xi": "5"}, [[[0, 1], "1"]]),
+    (TENSOR_VERMAS, [[[1, 1], "1"]]),
+    ({"family": "Twist", "inner": {"family": "Xbar", "xi": "1", "tau": "2+i"},
+      "aut": {"kind": "gamma", "params": ["3"]}}, [[["f", 2], "1"]]),
+])
+def test_act_output_reads_back(capsys, module, vec):
+    code, out, _ = run(capsys, "act", "--module", json.dumps(module), "--elt", "f",
+                       "--vec", json.dumps(vec))
+    assert code == 0
+    code, again, _ = run(capsys, "act", "--module", json.dumps(module), "--elt", "f",
+                         "--vec", out)
+    assert code == 0
+    code, twice, _ = run(capsys, "act", "--module", json.dumps(module), "--elt", "f",
+                         "--vec", json.dumps([[key, c] for key, c in json.loads(out)["terms"]]))
+    assert (code, twice) == (0, again)

@@ -5,7 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from slvir.errors import InvalidParameter, NotWeightModule, WrongAlgebra
 from slvir.lie import Automorphism, E, F, H, SL2Elt, VirElt, bracket_sl2
+from slvir.induced import InducedModule, MuData, VirPolyModule
 from slvir.modules import (
+    _SCALAR_SPECS,
+    _SPEC_KEYS,
     DenseModule,
     LowVermaModule,
     ModVec,
@@ -337,3 +340,57 @@ def test_lowverma_matches_generic_route_through_sigma(delta, ce, ch, cf, k):
     got = low.act(x, low.basis_vec(k))
     want = verma.act_generic(Automorphism.sigma().apply(x), verma.basis_vec(k))
     assert got.terms == want.terms
+
+
+# the derived rules: one generator, one weight test, one parameter table
+
+INDUCED = InducedModule([(H, S(2)), (E, S(0))], 3)
+VIRPOLY = VirPolyModule(MuData([(S(2), 2)], [[S(1), S(3)]]), 3)
+
+
+def _depth_zero_key(module):
+    if isinstance(module, TwistModule):
+        return _depth_zero_key(module.inner)
+    if isinstance(module, TensorModule):
+        return (_depth_zero_key(module.left), _depth_zero_key(module.right))
+    if isinstance(module, DenseModule):
+        return module.xi
+    return {"W": (0, 0), "X": (0, 0), "Xbar": ("e", 0), "XbarModY": ("e", 0), "Verma": 0,
+            "LowVerma": 0, "Induced": (0, 0, 0), "VirPoly": (0, 0, 0)}[module.family]
+
+
+@pytest.mark.parametrize("module", FAMILY_HANDLES + [INDUCED, VIRPOLY],
+                         ids=lambda m: m.family)
+def test_generator_is_the_one_depth_zero_key(module):
+    key = _depth_zero_key(module)
+    assert module.basis_keys(0) == [key]
+    gen = module.generator()
+    assert gen == module.basis_vec(key) and gen.module is module
+
+
+@pytest.mark.parametrize("module", [
+    WModule(S(1)),
+    TwistModule(WModule(S(2)), Automorphism.sigma()),
+    TensorModule(VermaModule(S(1)), WModule(S(1))),
+    VIRPOLY,
+], ids=lambda m: m.family)
+def test_weight_decompose_names_the_module_itself(module):
+    for vec in (module.generator(), ModVec(module)):
+        with pytest.raises(NotWeightModule,
+                           match=f"^{module.family} is not a weight-module family$"):
+            weight_decompose(module, vec)
+
+
+@pytest.mark.parametrize("module", [m for m in FAMILY_HANDLES if m.family in _SCALAR_SPECS],
+                         ids=lambda m: m.family)
+def test_scalar_families_declare_their_params_once(module):
+    assert _SPEC_KEYS[module.family] == tuple(module.params_json())
+    rebuilt = make_module({"family": module.family, **module.params_json()})
+    assert rebuilt.signature() == module.signature()
+
+
+def test_pair_keys_reject_bools():
+    with pytest.raises(InvalidParameter):
+        WModule(S(1)).basis_vec((True, 0))
+    with pytest.raises(InvalidParameter):
+        XbarModule(S(1), S(2)).basis_vec(("e", True))
