@@ -19,7 +19,7 @@ import time
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .errors import InvalidParameter, SlvirError, bounded_depth, only_keys
+from .errors import InvalidParameter, SlvirError, bounded_depth, only_keys, required_keys
 from .induced import MuData
 from .lie import SL2Elt, VirElt, classify_subalgebra_1d, classify_subalgebra_2d
 from .modules import make_module, weight_decompose
@@ -123,13 +123,20 @@ def _vec_from_json(module, text: str):
     terms = data
     if isinstance(data, dict):
         only_keys(data, ("schema", "family", "params", "terms"), "a vector")
+        required_keys(data, ("terms",), "a vector")
+        if data.get("schema", "modvec/1") != "modvec/1":
+            raise InvalidParameter(f"a vector of schema {data['schema']!r}, not 'modvec/1'")
         theirs = json.dumps({"family": data.get("family", module.family),
                              "params": data.get("params", module.params_json())},
                             sort_keys=True)
         if theirs != module.signature():
             raise InvalidParameter(f"a vector of {theirs} given to the module {module}")
         terms = data["terms"]
-    return module.vector({module.key_from_json(k): Scalar.of(c) for k, c in terms})
+    pairs = [(module.key_from_json(k), Scalar.of(c)) for k, c in terms]
+    for key, _ in pairs:
+        # before the key is hashed: one with a list inside is named, not unhashable
+        module.validate_key(key)
+    return module.vector(dict(pairs))
 
 
 def _run_act(args) -> int:

@@ -46,6 +46,13 @@ def only_keys(obj: dict, allowed, what: str) -> None:
                                f"(allowed: {', '.join(sorted(allowed))})")
 
 
+def required_keys(obj: dict, required, what: str) -> None:
+    """InvalidParameter naming each key of ``required`` missing from ``obj``."""
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise InvalidParameter(f"missing key {', '.join(map(repr, missing))} in {what}")
+
+
 def positive_int(value, name: str) -> int:
     """``value`` if it is an int (not a bool) >= 1; else InvalidParameter
     naming ``name``.  JSON input goes through here, so 7.5, true and "7"

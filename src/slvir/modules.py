@@ -26,7 +26,7 @@ import json
 from functools import cache, cached_property, partial
 
 from .errors import (InvalidParameter, NotWeightModule, WrongAlgebra, bounded_depth,
-                     nonnegative_int, only_keys)
+                     nonnegative_int, only_keys, required_keys)
 from .lie import E, F, H, SL2Elt, VirElt
 from .pbw import (UEnvElt, aut_extend, casimir_elt, gen_times_mono, monomial_letters,
                   nf_multiply)
@@ -877,11 +877,14 @@ _AUT_ARITY = {"identity": 0, "sigma": 0, "inverse": 0, "gamma": 1, "gamma2": 2}
 def aut_from_json(data):
     from .lie import Automorphism
 
+    required_keys(data, ("kind",), "an automorphism spec")
     kind = data["kind"]
     if kind not in _AUT_ARITY:
         raise InvalidParameter(f"unknown automorphism kind {kind!r}")
-    only_keys(data, ("kind", "params") + (("of",) if kind == "inverse" else ()),
-              f"a {kind!r} automorphism spec")
+    what = f"a {kind!r} automorphism spec"
+    only_keys(data, ("kind", "params") + (("of",) if kind == "inverse" else ()), what)
+    if kind == "inverse" or _AUT_ARITY[kind]:
+        required_keys(data, ("of",) if kind == "inverse" else ("params",), what)
     params = data.get("params", [])
     if not isinstance(params, list) or len(params) != _AUT_ARITY[kind]:
         raise InvalidParameter(f"automorphism {kind!r} takes a list of "
@@ -910,7 +913,9 @@ def make_module(spec: dict) -> Module:
     family = spec["family"]
     if not isinstance(family, str) or family not in _SPEC_KEYS:
         raise InvalidParameter(f"unknown module family {family!r}")
-    only_keys(spec, ("family",) + _SPEC_KEYS[family], f"a {family} module spec")
+    what = f"a {family} module spec"
+    only_keys(spec, ("family",) + _SPEC_KEYS[family], what)
+    required_keys(spec, [key for key in _SPEC_KEYS[family] if key != "depth"], what)
     if family in _SCALAR_SPECS:
         cls = _SCALAR_SPECS[family]
         return cls(*(Scalar.of(spec[k]) for k in cls.PARAMS))

@@ -20,6 +20,9 @@ A Scalar is the one-key case of this form: its ``(n, m, d)`` is
 from and written to Scalars with integer arithmetic only.  Sparse maps
 key -> Scalar (Laurent polynomials, Virasoro and U(sl2) elements, the
 per-key reference actions) are summed by :func:`sum_terms`.
+
+:func:`residues` sends a row to the finite field F_P of :data:`MODULUS`,
+where the module-map certificate of :mod:`slvir.verify` tests ranks.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ from math import gcd, lcm
 from .scalar import Scalar, _reduced
 
 ZERO_ROW = (1, {}, {})
+
+# (P, I): a prime P = 1 (mod 4) and I with I*I = -1 (mod P).  Sending i to I
+# is a ring map from Z[i][1/den] to F_P for every den that P does not divide.
+MODULUS = (2147483629, 1518275076)
 
 
 def unit_row(key) -> tuple:
@@ -59,6 +66,16 @@ def row_keys(row) -> list:
     if not im:
         return list(re)
     return list(re) + [k for k in im if k not in re]
+
+
+def residues(row, p: int, i: int) -> dict | None:
+    """The image of a row in F_p with i sent to ``i``: a dict key ->
+    (re + im*i) * den^-1 mod p with no zero values; None when p divides den."""
+    den, re, im = row
+    if not den % p:
+        return None
+    inv = pow(den, -1, p)
+    return {k: r for k in row_keys(row) if (r := (re.get(k, 0) + im.get(k, 0) * i) * inv % p)}
 
 
 def row_to_scalars(row) -> dict:

@@ -7,11 +7,11 @@ comparison fails a suite.  Witnesses are minimal in degree-lex order.
 
 A module map is certified degree by degree where it can be: the maps the
 paper predicts respect the PBW filtration, so the top-degree components of
-the images, one small echelon block per degree, prove injectivity and the
-window span.  Where they do not, one echelon of the whole images decides,
-and it alone supplies dependent_image and not_spanned witnesses.  Every
-target is checked the same way, the degree-3 restriction (a module that
-is its own target) included.
+the images, one small block per degree of full rank mod a fixed prime,
+prove injectivity and the window span.  Where they do not, one exact
+echelon of the whole images decides, and it alone supplies dependent_image
+and not_spanned witnesses.  Every target is checked the same way, the
+degree-3 restriction (a module that is its own target) included.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .lie import (
     VirElt,
     embed_sl2,
 )
-from .linalg import Echelon
+from .linalg import BlockModP, Echelon
 from .modules import (
     DenseModule,
     KeyAboveTop,
@@ -50,8 +50,8 @@ from .modules import (
     casimir_action,
 )
 from .scalar import Scalar, sqrt_exact
-from .sparse import (ZERO_ROW, expand, gauss, lincomb, restrict, row_from_scalars, row_keys,
-                     unit_row)
+from .sparse import (MODULUS, ZERO_ROW, expand, gauss, lincomb, residues, restrict,
+                     row_from_scalars, row_keys, unit_row)
 
 
 class _Report:
@@ -111,6 +111,10 @@ class MapCheckReport(_Report):
         return {"scope": f"verified to depth {self.depth}"}
 
 
+class _Unreduced(ArithmeticError):
+    """P divides a denominator on the walk of the graded certificate."""
+
+
 def _graded_certificate(dst: Module, lift, words, gen_image: ModVec, depth: int,
                         window_span: bool) -> bool:
     """Whether the top components of the images certify the map.
@@ -119,13 +123,19 @@ def _graded_certificate(dst: Module, lift, words, gen_image: ModVec, depth: int,
     With s the depth of gen_image, the top component of a word's image is
     its part at depth s + len(word); the top of g.v is the top of g acting
     on the top of v, so the tops are walked with the shared suffixes of
-    :func:`_word_images`, each step one lincomb of dst's memoised top rows
-    of the ops of lift(x) (:meth:`~slvir.modules.Module._top_action`),
-    never the full images.
-    Each length gets its own :class:`Echelon` block.  True when every top
-    is independent within its block and, with ``window_span``, s = 0 and
-    each block's rank is the number of dst's window keys of that depth.
-    A top row that reaches a key above its expected depth refuses.
+    :func:`_word_images` from dst's memoised top rows of the ops of lift(x)
+    (:meth:`~slvir.modules.Module._top_action`), never the full images.
+    The walk runs in F_P (:data:`~slvir.sparse.MODULUS`): top rows and
+    coefficients are read through :func:`~slvir.sparse.residues`, each
+    letter's top on each key once per call, and each length's block goes
+    into a :class:`~slvir.linalg.BlockModP`.  Sending i to I is a ring map
+    where P divides no denominator, and rank can only drop under it, so a
+    block of full rank mod P is independent over Q(i).  True when every
+    block has full rank mod P and, with ``window_span``, s = 0 and each
+    block's rank is the number of dst's window keys of that depth.  False,
+    leaving the map to :func:`_eliminate`, when P divides a denominator, a
+    block is singular mod P, or a top row reaches a key above its
+    expected depth.
     """
     key_depth = dst.key_depth
     keys = row_keys(gen_image.row)
@@ -134,15 +144,36 @@ def _graded_certificate(dst: Module, lift, words, gen_image: ModVec, depth: int,
     s = max(map(key_depth, keys))
     if window_span and s:
         return False
-    top_action = cache(lambda x: dst._top_action(lift(x)))
-    top = restrict(gen_image.row, lambda k: key_depth(k) == s)
-    blocks = defaultdict(lambda: Echelon(dst.key_sort_token))
+    p, i = MODULUS
+
+    def reduced(row):
+        out = residues(row, p, i)
+        if out is None:
+            raise _Unreduced
+        return out
+
+    def combine(pairs):
+        # the sum of c * row over the (c, row) pairs, mod p
+        acc: dict = {}
+        for c, row in pairs:
+            for k, v in row.items():
+                acc[k] = acc.get(k, 0) + c * v
+        return {k: r for k, v in acc.items() if (r := v % p)}
+
+    # a coefficient (cr + ci*i)/cd of lift(x) is reduced as a one-key row
+    top_action = cache(lambda x: [(reduced((cd, {0: cr}, {0: ci})).get(0, 0), row_of)
+                                  for cr, ci, cd, row_of in dst._top_action(lift(x))])
+    image = cache(lambda x, key: combine((c, reduced(row_of(key)))
+                                         for c, row_of in top_action(x)))
+    blocks = defaultdict(partial(BlockModP, p))
     try:
-        tops = _word_images(lambda x, row: lincomb(expand(row, top_action(x))), words, top)
+        top = reduced(restrict(gen_image.row, lambda k: key_depth(k) == s))
+        tops = _word_images(lambda x, vec: combine((v, image(x, k)) for k, v in vec.items()),
+                            words, top)
         for (_, word), (_, row) in zip(words, tops):
             if not blocks[len(word)].insert(row):
                 return False
-    except KeyAboveTop:
+    except (KeyAboveTop, _Unreduced):
         return False
     return not window_span or (Counter(map(key_depth, dst.basis_keys(depth)))
                                == Counter({d: block.rank for d, block in blocks.items()}))
@@ -199,6 +230,13 @@ def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
     images span every key of the window.  When the certificate does not
     hold, one echelon of the whole images decides: rank, injectivity, and
     the span by membership of each window key; it gives the witness.
+
+    The certificate takes each block's rank mod the prime P of
+    :data:`~slvir.sparse.MODULUS`, with i sent to a root of -1 mod P: a
+    ring map wherever P divides no denominator, under which rank can only
+    drop, so full rank mod P is full rank over Q(i).  A block singular mod
+    P, or a denominator P divides, proves nothing; the full route decides,
+    with the report a certificate would give, so P never shows.
     """
     lift = lift or (lambda x: x)
     witness = None

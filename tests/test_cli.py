@@ -624,6 +624,54 @@ def test_vector_input_is_read_whole(capsys, module, vec, named):
     assert named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("module, vec, named", [
+    ({"family": "W", "eta": "1"}, {"schema": "bogus/9", "terms": [[[0, 0], "1"]]}, "bogus/9"),
+    ({"family": "W", "eta": "1"}, {"schema": "modvec/1"}, "missing key 'terms'"),
+    ({"family": "Xbar", "xi": "1", "tau": "2"}, [[["e", [1]], "1"]], "bad Xbar key"),
+    (TENSOR_VERMAS, [[[1, [1]], "1"]], "bad Verma key"),
+], ids=["other-schema", "no-terms", "xbar-list-inside", "tensor-list-inside"])
+def test_vector_input_is_validated_before_use(capsys, module, vec, named):
+    # a foreign schema used to be ignored, and a key with a list inside
+    # failed as an unhashable dict key
+    code, out, err = run(capsys, "act", "--module", json.dumps(module), "--elt", "e",
+                         "--vec", json.dumps(vec))
+    assert (code, out) == (2, "")
+    assert named in err and "unhashable" not in err and "Traceback" not in err
+
+
+W_INNER = {"family": "W", "eta": "1"}
+
+
+@pytest.mark.parametrize("module, named", [
+    ({"family": "Xbar", "xi": "1"}, "missing key 'tau' in a Xbar module spec"),
+    ({"family": "Verma"}, "missing key 'delta' in a Verma module spec"),
+    ({"family": "Twist", "inner": W_INNER}, "missing key 'aut' in a Twist module spec"),
+    ({"family": "Tensor", "left": W_INNER}, "missing key 'right' in a Tensor module spec"),
+    ({"family": "VirPoly", "roots": [["2", 1]]}, "missing key 'polys' in a VirPoly module spec"),
+    ({"family": "Twist", "inner": W_INNER, "aut": {"params": []}},
+     "missing key 'kind' in an automorphism spec"),
+    ({"family": "Twist", "inner": W_INNER, "aut": {"kind": "inverse"}},
+     "missing key 'of' in a 'inverse' automorphism spec"),
+    ({"family": "Twist", "inner": W_INNER, "aut": {"kind": "gamma2"}},
+     "missing key 'params' in a 'gamma2' automorphism spec"),
+], ids=["scalar-family", "verma", "twist", "tensor", "virpoly", "aut-kind", "aut-inverse",
+        "aut-params"])
+def test_missing_spec_keys_are_named(capsys, module, named):
+    code, out, err = run(capsys, "act", "--module", json.dumps(module), "--elt", "e",
+                         "--vec", "[]")
+    assert (code, out) == (2, "")
+    assert named in err and "Traceback" not in err
+
+
+def test_optional_spec_keys_may_be_left_out(capsys):
+    # a VirPoly depth defaults to 6; sigma and identity take no params
+    for module in ({"family": "VirPoly", "roots": [["2", 1]], "polys": [["1"]]},
+                   {"family": "Twist", "inner": W_INNER, "aut": {"kind": "sigma"}}):
+        code, _, err = run(capsys, "act", "--module", json.dumps(module), "--elt", "e",
+                           "--vec", "[]")
+        assert code == 0, err
+
+
 @pytest.mark.parametrize("module, vec", [
     ({"family": "X", "xi": "5"}, [[[0, 1], "1"]]),
     (TENSOR_VERMAS, [[[1, 1], "1"]]),

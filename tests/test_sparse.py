@@ -7,13 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from test_scalar import RefScalar, assert_canonical
 
-from slvir.linalg import Echelon
+from slvir.linalg import BlockModP, Echelon
 from slvir.scalar import Scalar
 from slvir.sparse import (
+    MODULUS,
     ZERO_ROW,
     expand,
     gauss,
     lincomb,
+    residues,
     row_from_scalars,
     row_to_scalars,
     sum_terms,
@@ -187,3 +189,66 @@ def test_echelon_does_not_depend_on_insertion_order(vecs, probe, data):
         assert ech.reduction_table() == _scalar_table(rows)
         assert ech.reduce(row_from_scalars(probe)) == residue
         assert ech.contains(row_from_scalars(probe)) == (residue == ZERO_ROW)
+
+
+# -- rank mod a prime ------------------------------------------------------------
+
+P, I = MODULUS
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases 2, 3, 5, 7, which decide every n < 3.2e9."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_modulus_is_a_prime_with_a_root_of_minus_one():
+    assert _is_prime(P) and P % 4 == 1
+    assert I * I % P == P - 1
+
+
+@settings(max_examples=60)
+@given(vectors, st.sampled_from([MODULUS, (5, 2), (13, 5)]))
+def test_residues_are_the_ring_map(vec, modulus):
+    # each coefficient (n + m*i)/d goes to (n + m*I)/d mod p
+    p, i = modulus
+    row = row_from_scalars(vec)
+    got = residues(row, p, i)
+    if row[0] % p == 0:
+        assert got is None
+        return
+    expected = {k: r for k, x in vec.items() if (r := (x.n + x.m * i) * pow(x.d, -1, p) % p)}
+    assert got == expected
+
+
+# Gaussian integers a + b*i with |a|, |b| <= 2: a minor of at most five such
+# rows has norm below (5 * 8)^5 < P, so it vanishes mod P only if it is zero
+_gauss_ints = st.builds(Scalar, st.integers(-2, 2), st.integers(-2, 2) | st.just(0))
+_int_rows = st.dictionaries(st.integers(0, 4), _gauss_ints, max_size=5)
+
+
+@settings(max_examples=150)
+@given(st.lists(_int_rows, min_size=1, max_size=6), st.sampled_from([MODULUS, (5, 2)]))
+def test_full_rank_mod_p_implies_full_rank(vecs, modulus):
+    p, i = modulus
+    rows = [row_from_scalars(v) for v in vecs]
+    block, ech = BlockModP(p), Echelon()
+    mod_p = [block.insert(residues(row, p, i)) for row in rows]
+    exact = [ech.insert(row) for row in rows]
+    if all(mod_p):
+        assert all(exact)
+    assert block.rank == sum(mod_p) <= ech.rank == sum(exact)
+    if p == P:
+        assert mod_p == exact

@@ -1,4 +1,6 @@
+from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,12 +10,14 @@ import slvir.verify as verify_mod
 from slvir.errors import DepthExceeded, InvalidParameter
 from slvir.induced import InducedModule, MuData, VirPolyModule
 from slvir.lie import Automorphism, E, F, H, SL2Elt, VirElt, classify_subalgebra_1d
-from slvir.modules import (LETTERS, DenseModule, LowVermaModule, ModVec, TensorModule,
+from slvir.linalg import Echelon
+from slvir.modules import (LETTERS, DenseModule, KeyAboveTop, LowVermaModule, ModVec,
+                           TensorModule,
                            TwistModule, VermaModule, WModule, XbarModule, XbarQuotientModule,
                            XModule, act_uenv, act_word)
 from slvir.pbw import UEnvElt, casimir_elt, monomial_letters
 from slvir.scalar import Scalar
-from slvir.sparse import expand, gauss, lincomb, restrict, unit_row
+from slvir.sparse import MODULUS, expand, gauss, lincomb, restrict, row_keys, unit_row
 from slvir.verify import (
     _casimir_shifter,
     _dense_intertwiner,
@@ -362,13 +366,55 @@ def _map_case(case, a, b, c):
     return check_module_map(VermaModule(a), x, x.generator(), depth).to_json()
 
 
+def _exact_certificate(dst, lift, words, gen_image, depth, window_span):
+    """Reference for the graded certificate: the same walk of the tops,
+    exact over Q(i), each length's block in an :class:`Echelon`."""
+    key_depth = dst.key_depth
+    keys = row_keys(gen_image.row)
+    if not keys:
+        return False
+    s = max(map(key_depth, keys))
+    if window_span and s:
+        return False
+    top_action = cache(lambda x: dst._top_action(lift(x)))
+    top = restrict(gen_image.row, lambda k: key_depth(k) == s)
+    blocks = defaultdict(lambda: Echelon(dst.key_sort_token))
+    try:
+        tops = _word_images(lambda x, row: lincomb(expand(row, top_action(x))), words, top)
+        for (_, word), (_, row) in zip(words, tops):
+            if not blocks[len(word)].insert(row):
+                return False
+    except KeyAboveTop:
+        return False
+    return not window_span or (Counter(map(key_depth, dst.basis_keys(depth)))
+                               == Counter({d: block.rank for d, block in blocks.items()}))
+
+
+def _checked_certificate(monkeypatch):
+    """Run the exact reference beside every graded certificate; returns the
+    (mod P, exact) verdict pairs."""
+    verdicts = []
+    certificate = verify_mod._graded_certificate
+
+    def both(*args):
+        verdicts.append((certificate(*args), _exact_certificate(*args)))
+        return verdicts[-1][0]
+
+    monkeypatch.setattr(verify_mod, "_graded_certificate", both)
+    return verdicts
+
+
+_CASES = ["deg1", "double", "split", "n_lambda", "h_pair", "tensor", "cubic", "dense_series",
+          "relation", "dependent_image", "not_spanned"]
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["deg1", "double", "split", "n_lambda", "h_pair", "tensor", "cubic",
-                        "dense_series", "relation", "dependent_image", "not_spanned"]),
-       _non_real, _non_real, _non_real)
+@given(st.sampled_from(_CASES), _non_real, _non_real, _non_real)
 def test_graded_certificate_keeps_every_report(case, a, b, c):
     assume(a != b and (case != "cubic" or a + b != 0))
-    certified = _map_case(case, a, b, c)
+    with pytest.MonkeyPatch.context() as mp:
+        verdicts = _checked_certificate(mp)
+        certified = _map_case(case, a, b, c)
     with pytest.MonkeyPatch.context() as mp:
         calls = _full_route_only(mp)
         full = _map_case(case, a, b, c)
@@ -376,6 +422,43 @@ def test_graded_certificate_keeps_every_report(case, a, b, c):
     assert calls
     if case in ("relation", "dependent_image"):
         assert full["witness"]["kind"] == case
+    # the certificate mod P holds only where the exact reference does
+    assert verdicts and all(exact or not mod_p for mod_p, exact in verdicts)
+
+
+_fracs5 = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 5]))
+_non_real5 = st.builds(Scalar, _fracs5, _fracs5.filter(bool))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_CASES), _non_real5, _non_real5, _non_real5)
+def test_small_modulus_keeps_every_report(case, a, b, c):
+    # mod 5, with parameters over 5, blocks are often singular and
+    # denominators often vanish: the map falls back to the full route, and
+    # the report stays that of the full route
+    assume(a != b and (case != "cubic" or a + b != 0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify_mod, "MODULUS", (5, 2))
+        verdicts = _checked_certificate(mp)
+        small = _map_case(case, a, b, c)
+    with pytest.MonkeyPatch.context() as mp:
+        _full_route_only(mp)
+        full = _map_case(case, a, b, c)
+    assert small == full
+    assert all(exact or not mod_p for mod_p, exact in verdicts)
+
+
+def test_small_modulus_falls_back_on_certified_maps(monkeypatch):
+    # maps the exact certificate settles but the one mod 5 refuses: with
+    # lambda = 5 a block is singular mod 5, and the roots 1 and 6 put 5 in a
+    # denominator; the full route settles them alike
+    mus = [mud([(S(5), 1)], [[S(2)]]), mud([(S(1), 1), (S(6), 1)], [[S(1)], [S(2)]])]
+    expected = [suite_restriction(mu, 6).to_json() for mu in mus]
+    monkeypatch.setattr(verify_mod, "MODULUS", (5, 2))
+    verdicts = _checked_certificate(monkeypatch)
+    assert [suite_restriction(mu, 6).to_json() for mu in mus] == expected
+    assert verdicts == [(False, True), (False, True)]
+    assert all(report["flags"] and all(report["flags"].values()) for report in expected)
 
 
 def _contract_handles(a, b, c):
