@@ -68,6 +68,16 @@ def parse_sl2(text: str) -> SL2Elt:
     return SL2Elt(*(Scalar.parse(p) for p in parts))
 
 
+def _pairs(terms, what: str) -> list:
+    """``terms`` if it is a list of two-entry lists; else InvalidParameter
+    naming the field, before any entry is unpacked."""
+    if not (isinstance(terms, list)
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in terms)):
+        raise InvalidParameter(f"'terms' of {what} must be a list of [key, scalar] pairs, "
+                               f"got {terms!r}")
+    return terms
+
+
 def parse_algebra_elt(text: str):
     s = text.strip()
     if s in ("e", "h", "f"):
@@ -85,7 +95,7 @@ def parse_algebra_elt(text: str):
         return SL2Elt(data.get("e", 0), data.get("h", 0), data.get("f", 0))
     only_keys(data, ("terms", "z"), "a Virasoro element")
     terms = {}
-    for i, c in data.get("terms", []):
+    for i, c in _pairs(data.get("terms", []), "a Virasoro element"):
         # a JSON integer: 1.5 is not truncated, true is not read as 1
         if type(i) is not int:
             raise ValueError(f"a Virasoro index must be an integer, got {i!r}")
@@ -132,7 +142,7 @@ def _vec_from_json(module, text: str):
         if theirs != module.signature():
             raise InvalidParameter(f"a vector of {theirs} given to the module {module}")
         terms = data["terms"]
-    pairs = [(module.key_from_json(k), Scalar.of(c)) for k, c in terms]
+    pairs = [(module.key_from_json(k), Scalar.of(c)) for k, c in _pairs(terms, "a vector")]
     for key, _ in pairs:
         # before the key is hashed: one with a list inside is named, not unhashable
         module.validate_key(key)

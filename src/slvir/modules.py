@@ -7,29 +7,29 @@ lowest weight Verma modules, automorphism twists and tensor products.
 Modules over the Virasoro algebra induced from polynomial subalgebras
 live in :mod:`slvir.induced` and share this interface.
 
-Closed-form actions (Vdense, Verma, Xbar) are the default path; where an
-independent generic route exists (multiply in U(sl2) and substitute, or
-act upstairs in X and reduce) it is implemented alongside and the test
-suite cross-checks the two.  One rule sits behind every action:
+Every sl2 family acts by closed forms, one basis key at a time
+(:meth:`Module._act_key`); the test suite keeps independent routes
+(multiply in U(sl2) and substitute, or act upstairs in X and reduce) and
+cross-checks the two.  One rule sits behind every action:
 :meth:`Module._ops` splits an element into ops (its letters e, h, f, or
 the indices n of its e_n), and a handle memoises per op and basis key the
 integer row of op . key (:mod:`slvir.sparse`) and its *top row*, the part
 at depth ``key_depth(key) + 1`` that :func:`~slvir.verify.check_module_map`
-reads.  A family supplies only how rows are built: W and X build top rows
-from the top-degree monomials alone, a tensor product keeps each whole
-element as one op, and a twist acts through its inner module's rows.
+reads.  A family supplies only how rows are built: W and X read their top
+rows off gr U(sl2), a tensor product keeps each whole element as one op,
+and a twist acts through its inner module's rows.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cache, cached_property, partial
+from math import comb
 
 from .errors import (InvalidParameter, NotWeightModule, WrongAlgebra, bounded_depth,
                      nonnegative_int, only_keys, required_keys)
 from .lie import E, F, H, SL2Elt, VirElt
-from .pbw import (UEnvElt, aut_extend, casimir_elt, gen_times_mono, monomial_letters,
-                  nf_multiply)
+from .pbw import UEnvElt, aut_extend, casimir_elt, monomial_letters
 from .scalar import Scalar
 from .sparse import (ZERO_ROW, expand, gauss, lincomb, rekey, restrict, row_from_scalars,
                      row_keys, row_to_scalars, sum_terms, unit_row)
@@ -180,8 +180,8 @@ class Module:
     def _top_action(self, x) -> list:
         """The top part of :meth:`_action`, in the same form: row_of(k) is
         the part of x . k at depth ``key_depth(k) + 1``, one memoised
-        :meth:`_top` per op.  Each top it builds raises
-        :class:`KeyAboveTop` if its row reaches a deeper key."""
+        :meth:`_top` per op.  Each top cut from a full row raises
+        :class:`KeyAboveTop` if that row reaches a deeper key."""
         return [c + (partial(self._top, op),) for c, op in self._ops(x)]
 
     def _row(self, op, key) -> tuple:
@@ -218,10 +218,8 @@ class Module:
     def _act_key(self, x: SL2Elt, key) -> dict:
         """x on one basis key as a dict key -> Scalar (zero values allowed).
 
-        Closed-form families define their action here; the default
-        :meth:`_build_row` evaluates it once per letter and key, and it stays
-        the per-key reference route.  W and X build their rows from integer
-        normal forms instead and keep this as their Scalar reference.
+        Every sl2 family defines its action here; the default
+        :meth:`_build_row` evaluates it once per letter and key.
         """
         raise NotImplementedError
 
@@ -238,7 +236,7 @@ class Module:
         ``key_depth(key) + 1``; ``basis_keys(n)`` lists every key of depth
         at most n.  The graded certificate of
         :func:`~slvir.verify.check_module_map` rests on it; every top row
-        built (:meth:`_top_action`) checks the bound.
+        cut from a full row (:meth:`_top_part`) checks the bound.
         """
         raise NotImplementedError
 
@@ -306,19 +304,6 @@ class Module:
         return self.signature()
 
 
-def _substituted_row(nf: dict, subst) -> tuple:
-    """The row of an integer PBW normal form after substituting a parameter.
-
-    ``subst(a, b, c)`` returns the basis key that f^a h^b e^c lands on and
-    the :func:`~slvir.sparse.gauss` form of the scalar it is multiplied by.
-    """
-    items = []
-    for (a, b, c), k in nf.items():
-        key, (pr, pi, pd) = subst(a, b, c)
-        items.append((k * pr, k * pi, pd, unit_row(key)))
-    return lincomb(items)
-
-
 def _two_entries(module, data) -> list:
     """A JSON key that must be a list of two entries, read whole."""
     if not (isinstance(data, list) and len(data) == 2):
@@ -334,7 +319,8 @@ def _pairs_up_to(depth: int):
 
 class _PairModule(Module):
     """The shared part of W and X: basis keys (a, b) with a, b >= 0, of
-    depth a + b, and the generator (0, 0)."""
+    depth a + b, and the generator (0, 0).  ``_TOP_SLOTS`` maps each letter
+    but the parameter letter to the slot of the key it raises."""
 
     def validate_key(self, key):
         # type(), not isinstance(): a bool is not a key entry
@@ -355,48 +341,35 @@ class _PairModule(Module):
         return tuple(_two_entries(self, data))
 
     def _build_top(self, letter, key):
-        # Only a monomial of degree depth + 1 free of the parameter letter
-        # reaches depth + 1, with its integer coefficient: no parameter
-        # enters, and the full row is never built.
-        i, j = self._KEY_SLOTS
-        mono = [0, 0, 0]
-        mono[i], mono[j] = key
-        target = key[0] + key[1] + 1
-        re = {}
-        for m, k in gen_times_mono(letter, tuple(mono)).items():
-            if sum(m) > target:
-                raise KeyAboveTop(f"{self.family}: a monomial above degree {target}")
-            if m[i] + m[j] == target:
-                re[(m[i], m[j])] = k
-        return (1, re, {})
+        # gr U(sl2) = S(sl2) commutes: a letter raises its key slot; the parameter letter has top 0
+        slot = self._TOP_SLOTS.get(letter)
+        if slot is None:
+            return ZERO_ROW
+        top = list(key)
+        top[slot] += 1
+        return unit_row(tuple(top))
 
 
 class WModule(_PairModule):
-    """Induced from Ce with e acting by eta; basis keys (a, b) for f^a h^b x.
-
-    The action multiplies in U(sl2) and substitutes e -> eta on the right:
-    letter rows on the integer normal forms, ``_act_key`` in Scalars.
-    """
+    """Induced from Ce with e acting by eta; basis keys (a, b) for f^a h^b x."""
 
     family = "W"
     PARAMS = ("eta",)
-    _KEY_SLOTS = (0, 1)  # the f and h exponents of f^a h^b e^c
+    _TOP_SLOTS = {"f": 0, "h": 1}
 
     def __init__(self, eta):
-        self.eta = eta = Scalar.of(eta)
-        self._eta_power = cache(lambda c: gauss(eta**c))
-
-    def _build_row(self, letter, key):
-        # e -> eta on the right: f^a h^b e^c x = eta^c f^a h^b x
-        a, b = key
-        return _substituted_row(gen_times_mono(letter, (a, b, 0)),
-                                lambda a2, b2, c2: ((a2, b2), self._eta_power(c2)))
+        self.eta = Scalar.of(eta)
 
     def _act_key(self, x, key):
+        # h f^a = f^a (h - 2a), e f^a = f^a e + a f^(a-1) (h - a + 1) and
+        # e h^b = (h - 2)^b e, with e x = eta x
         a, b = key
-        u = nf_multiply(UEnvElt.from_sl2(x), UEnvElt.monomial((a, b, 0)))
-        return sum_terms(((a2, b2), coeff * self.eta**c2)
-                         for (a2, b2, c2), coeff in u.terms.items())
+        pairs = [((a + 1, b), x.cf), ((a, b + 1), x.ch), (key, x.ch * (-2 * a))]
+        ce_eta = x.ce * self.eta
+        pairs += [((a, j), ce_eta * (comb(b, j) * (-2) ** (b - j))) for j in range(b + 1)]
+        if a:
+            pairs += [((a - 1, b + 1), x.ce * a), ((a - 1, b), x.ce * (-a * (a - 1)))]
+        return sum_terms(pairs)
 
     def key_str(self, key):
         return f"f^{key[0]} h^{key[1]} x"
@@ -413,23 +386,19 @@ class XModule(_PairModule):
 
     family = "X"
     PARAMS = ("xi",)
-    _KEY_SLOTS = (0, 2)  # the f and e exponents of f^a h^b e^c
+    _TOP_SLOTS = {"f": 0, "e": 1}
 
     def __init__(self, xi):
-        self.xi = xi = Scalar.of(xi)
-        self._h_power = cache(lambda c, b: gauss((xi + 2 * c) ** b))
-
-    def _build_row(self, letter, key):
-        # h acts by xi + 2l on e^l x: f^k h^b e^l x = (xi + 2l)^b f^k e^l x
-        k, l = key
-        return _substituted_row(gen_times_mono(letter, (k, 0, l)),
-                                lambda a2, b2, c2: ((a2, c2), self._h_power(c2, b2)))
+        self.xi = Scalar.of(xi)
 
     def _act_key(self, x, key):
+        # h f^k = f^k (h - 2k), e f^k = f^k e + k f^(k-1) (h - k + 1), and h
+        # acts by xi + 2l on e^l x
         k, l = key
-        u = nf_multiply(UEnvElt.from_sl2(x), UEnvElt.monomial((k, 0, l)))
-        return sum_terms(((a2, c2), coeff * (self.xi + 2 * c2) ** b2)
-                         for (a2, b2, c2), coeff in u.terms.items())
+        out = {(k + 1, l): x.cf, key: x.ch * (self.xi + 2 * (l - k)), (k, l + 1): x.ce}
+        if k:
+            out[(k - 1, l)] = x.ce * k * (self.xi + 2 * l - k + 1)
+        return out
 
     def key_weight(self, key):
         return self.xi + 2 * (key[1] - key[0])
@@ -449,8 +418,7 @@ class XbarModule(Module):
 
     Basis keys ("e", l) for l >= 0 and ("f", k) for k >= 1; the key
     ("e", 0) is the generator.  The closed forms below come from rewriting
-    fe = (c - (h+1)^2)/4 with c -> tau and h -> the weight; act_generic
-    recomputes them by acting upstairs in X(xi) and reducing.
+    fe = (c - (h+1)^2)/4 with c -> tau and h -> the weight.
     """
 
     family = "Xbar"
@@ -459,7 +427,6 @@ class XbarModule(Module):
     def __init__(self, xi, tau):
         self.xi = Scalar.of(xi)
         self.tau = Scalar.of(tau)
-        self._x = XModule(self.xi)
 
     def _fe_scalar(self, l: int) -> Scalar:
         # action of fe on the weight-(xi + 2(l-1)) vector e^{l-1} x
@@ -478,25 +445,6 @@ class XbarModule(Module):
         coeff = self._fe_scalar(1) + n * self.xi - Scalar.of(n * (n - 1))
         return {("f", n - 1) if n > 1 else ("e", 0): x.ce * coeff,
                 key: x.ch * (self.xi - 2 * n), ("f", n + 1): x.cf}
-
-    def reduce_x_terms(self, terms: dict) -> dict:
-        """Project X(xi) coordinates onto the quotient basis."""
-        pairs = []
-        for (k, l), coeff in terms.items():
-            while k >= 1 and l >= 1:
-                coeff = coeff * self._fe_scalar(l)
-                k -= 1
-                l -= 1
-            pairs.append((("e", l) if k == 0 else ("f", k), coeff))
-        return sum_terms(pairs)
-
-    def act_generic(self, x, vec: ModVec) -> ModVec:
-        """Oracle route: act in X(xi) on the lift f^n x or e^n x of each key,
-        then reduce to the quotient basis."""
-        return ModVec(self, sum_terms(
-            (k2, coeff * c2) for (side, n), coeff in vec.terms.items()
-            for k2, c2 in self.reduce_x_terms(
-                self._x._act_key(x, (0, n) if side == "e" else (n, 0))).items()))
 
     def validate_key(self, key):
         ok = (isinstance(key, tuple) and len(key) == 2 and key[0] in ("e", "f")
@@ -650,15 +598,6 @@ class VermaModule(_VermaBase):
         if k >= 1:
             out[k - 1] = x.ce * k * (self.delta - (k - 1))
         return out
-
-    def act_generic(self, x, vec: ModVec) -> ModVec:
-        """Oracle route: multiply in U(sl2), then e -> 0 and h -> delta."""
-        pairs = []
-        for k, coeff in vec.terms.items():
-            u = nf_multiply(UEnvElt.from_sl2(x), UEnvElt.monomial((k, 0, 0)))
-            pairs += [(a2, coeff * c * self.delta**b2)
-                      for (a2, b2, c2), c in u.terms.items() if c2 == 0]
-        return ModVec(self, sum_terms(pairs))
 
     def key_weight(self, key):
         return self.delta - 2 * key

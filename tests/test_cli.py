@@ -639,6 +639,24 @@ def test_vector_input_is_validated_before_use(capsys, module, vec, named):
     assert named in err and "unhashable" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb, elt, vec, got", [
+    ("act", "e", "[5]", "got [5]"),
+    ("act", '{"terms": [5]}', "[]", "got [5]"),
+    ("act", "e", '{"terms": 5}', "got 5"),
+    ("act", "e", "[[[0,0]]]", "got [[[0, 0]]]"),
+    ("weights", None, "[[[0,0]]]", "got [[[0, 0]]]"),
+], ids=["vec-int-pair", "elt-int-pair", "vec-int-terms", "vec-one-entry", "weights"])
+def test_malformed_terms_are_named(capsys, verb, elt, vec, got):
+    # each used to exit 2 with a raw unpacking message that named no field
+    argv = [verb, "--module", json.dumps({"family": "X", "xi": "1"}), "--vec", vec]
+    argv += ["--elt", elt] if elt else []
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    what = "a Virasoro element" if elt and "terms" in elt else "a vector"
+    assert err == (f"error: 'terms' of {what} must be a list of [key, scalar] pairs, "
+                   f"{got}\n")
+
+
 W_INNER = {"family": "W", "eta": "1"}
 
 

@@ -26,6 +26,9 @@ from slvir.modules import (
 )
 from slvir.pbw import UEnvElt, aut_extend
 from slvir.scalar import Scalar
+from slvir.sparse import expand, lincomb, row_from_scalars, unit_row
+
+from pbw_oracles import pair_act_key, reduce_x_terms, verma_act_generic, xbar_act_generic
 
 S = Scalar.of
 GENS = (E, H, F)
@@ -70,7 +73,7 @@ def test_xbar_closed_form_matches_quotient_oracle():
         for key in xb.basis_keys(6):
             v = xb.basis_vec(key)
             for g in GENS:
-                assert xb.act(g, v) == xb.act_generic(g, v), (tau, key, g)
+                assert xb.act(g, v) == xbar_act_generic(xb, g, v), (tau, key, g)
 
 
 def test_xbar_weights():
@@ -91,7 +94,7 @@ def test_xbar_projection_kills_casimir_shift():
         for key in x.basis_keys(4):
             v = x.basis_vec(key)
             shifted = act_uenv(x, casimir_elt(), v) - v.scale(tau)
-            assert xb.reduce_x_terms(dict(shifted.terms)) == {}, (xi, tau, key)
+            assert reduce_x_terms(xb, dict(shifted.terms)) == {}, (xi, tau, key)
 
 
 def test_dense_action():
@@ -118,7 +121,7 @@ def test_verma_closed_form_matches_generic():
         for key in v.basis_keys(6):
             vec = v.basis_vec(key)
             for g in GENS:
-                assert v.act(g, vec) == v.act_generic(g, vec)
+                assert v.act(g, vec) == verma_act_generic(v, g, vec)
 
 
 def test_lowverma_matches_sigma_twisted_verma():
@@ -278,7 +281,8 @@ def test_modvec_serialization():
 
 def _reference_key(module, x, key) -> dict:
     """x on one basis key, summed from the families' per-key Scalar
-    ``_act_key``: twists act by aut(x), tensors by the Leibniz rule."""
+    ``_act_key``, or the PBW route for W and X: twists act by aut(x),
+    tensors by the Leibniz rule."""
     if isinstance(module, TwistModule):
         return _reference_key(module.inner, module.aut.apply(x), key)
     if isinstance(module, TensorModule):
@@ -287,6 +291,8 @@ def _reference_key(module, x, key) -> dict:
         for k, c in _reference_key(module.right, x, kr).items():
             out[(kl, k)] = out.get((kl, k), Scalar.zero()) + c
         return out
+    if isinstance(module, (WModule, XModule)):
+        return pair_act_key(module, x, key)
     return module._act_key(x, key)
 
 
@@ -338,8 +344,41 @@ def test_lowverma_matches_generic_route_through_sigma(delta, ce, ch, cf, k):
     x = SL2Elt(ce, ch, cf)
     low, verma = LowVermaModule(delta), VermaModule(-delta)
     got = low.act(x, low.basis_vec(k))
-    want = verma.act_generic(Automorphism.sigma().apply(x), verma.basis_vec(k))
+    want = verma_act_generic(verma, Automorphism.sigma().apply(x), verma.basis_vec(k))
     assert got.terms == want.terms
+
+
+# W and X: the closed forms against the PBW route, and the tops from gr U(sl2)
+
+PAIR_HANDLES = [cls(S(p)) for cls in (WModule, XModule)
+                for p in ("0", "1", "-2", "1/3", "1+1*i", "-1/2*i")]
+
+
+def _pair_id(module):
+    return f"{module.family}({getattr(module, module.PARAMS[0])})"
+
+
+@pytest.mark.parametrize("module", PAIR_HANDLES, ids=_pair_id)
+def test_pair_rows_match_the_pbw_route(module):
+    for key in module.basis_keys(7):
+        for letter, x in (("e", E), ("h", H), ("f", F)):
+            want = row_from_scalars(pair_act_key(module, x, key))
+            assert module._row(letter, key) == want, (letter, key)
+            assert module._top(letter, key) == module._top_part(key, want), (letter, key)
+
+
+@pytest.mark.parametrize("module", [
+    TwistModule(WModule(S(-2)), Automorphism.gamma2(S(2), S("1*i"))),
+    TwistModule(XModule(S("-1/2*i")), Automorphism.gamma2(S("1/3"), S(-1)).inverse()),
+], ids=lambda m: m.inner.family)
+def test_twisted_pair_tops_are_the_top_parts_of_the_rows(module):
+    # the tops of x . key, summed over the letters of aut(x), against the
+    # top part of the whole row
+    for key in module.basis_keys(6):
+        for x in (E, H, F, SL2Elt(S("1*i"), S(2), S("-1/3"))):
+            top = lincomb(expand(unit_row(key), module._top_action(x)))
+            full = lincomb(expand(unit_row(key), module._action(x)))
+            assert top == module._top_part(key, full), (x, key)
 
 
 # the derived rules: one generator, one weight test, one parameter table

@@ -31,6 +31,8 @@ from slvir.verify import (
     suite_twist_induction,
 )
 
+from pbw_oracles import xbar_act_generic
+
 S = Scalar.of
 
 
@@ -567,18 +569,20 @@ def test_certified_twisted_targets_build_no_deep_full_rows(monkeypatch):
 
 
 def test_top_rows_check_the_filtered_normal_forms(monkeypatch):
-    # a normal form with a monomial above degree a + b + 1 breaks the
-    # contract: the top row refuses it and the full route decides
-    import slvir.modules as modules_mod
+    # a row with a key above depth k + 1 breaks the contract: the top row
+    # cut from it refuses it, and the full route decides
+    act_key = VermaModule._act_key
 
-    gen_times_mono = modules_mod.gen_times_mono
-
-    def raised(letter, mono):
-        return {**gen_times_mono(letter, mono), (sum(mono) + 2, 0, 0): 1}
-    monkeypatch.setattr(modules_mod, "gen_times_mono", raised)
-    dst = WModule(S(1))
-    assert not verify_mod._graded_certificate(dst, lambda x: x, dst.basis_words(2),
-                                              dst.generator(), 2, False)
+    def raised(self, x, key):
+        return {**act_key(self, x, key), key + 2: x.cf}
+    monkeypatch.setattr(VermaModule, "_act_key", raised)
+    src, dst = VermaModule(S(1)), VermaModule(S(1))
+    gen = dst.generator()
+    assert not verify_mod._graded_certificate(dst, lambda x: x, src.basis_words(2), gen, 2,
+                                              False)
+    got = check_module_map(src, dst, gen, 2).to_json()
+    monkeypatch.setattr(verify_mod, "_graded_certificate", lambda *args: False)
+    assert got == check_module_map(src, dst, gen, 2).to_json()
 
 
 def test_positive_checks_never_reach_the_full_route(monkeypatch):
@@ -817,7 +821,7 @@ def test_dense_action_matches_xbar_act_generic_through_the_intertwiner(xi, tau):
         v = xbar.basis_vec(key)
         assert not phi(v).is_zero(), key
         for g in (E, H, F):
-            assert phi(xbar.act_generic(g, v)) == dense.act(g, phi(v)), (key, g)
+            assert phi(xbar_act_generic(xbar, g, v)) == dense.act(g, phi(v)), (key, g)
 
 
 def test_dense_intertwiner_failure_names_the_first_bad_key(monkeypatch):
