@@ -141,11 +141,15 @@ def mu_eval(mu: MuData, w: VirElt) -> Scalar:
     return total
 
 
-def _monomials_up_to(depth: int):
+def _monomials_up_to(depth: int, free=(True, True, True)):
+    """The monomials (a, b, c) of degree <= depth in degree-lex order, with
+    a zero exponent wherever ``free`` is False."""
+    fa, fb, fc = free
     for total in range(depth + 1):
-        for a in range(total, -1, -1):
-            for b in range(total - a, -1, -1):
-                yield (a, b, total - a - b)
+        for a in range(total if fa else 0, -1, -1):
+            rest = total - a
+            for b in range(rest if fb else 0, -1 if fc else rest - 1, -1):
+                yield (a, b, rest - b)
 
 
 def _times(mono, g, sign=1) -> list:
@@ -184,7 +188,9 @@ class InducedModule(Module):
                 raise InvalidParameter(
                     "relations are not a character of a subalgebra: an S-pair "
                     "does not reduce to zero")
-        self._basis = [m for m in _monomials_up_to(self.depth) if self._divisor(m) is None]
+        # every lead is one letter: a standard monomial has no lead letter
+        free = [all(not lead[j] for lead, _ in self._gens) for j in range(3)]
+        self._basis = list(_monomials_up_to(self.depth, free))
         self._basis_set = set(self._basis)
 
     def _divisor(self, mono):

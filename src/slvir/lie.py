@@ -7,7 +7,7 @@ embedding h -> 2 e_0, e -> e_1, f -> -e_{-1} identifies sl2 with
 span{e_-1, e_0, e_1}.
 
 Automorphisms of sl2 are stored as explicit 3x3 matrices over Q(i) in
-(e, h, f) coordinates so that composition, inversion, exact equality and
+(e, h, f) coordinates so that inversion, exact equality and
 recognition of the three named families (gamma, gamma2, sigma) are all
 mechanical.
 """
@@ -215,13 +215,6 @@ def _mat_vec(m, v):
     return tuple(sum((m[i][j] * v[j] for j in range(3)), Scalar.zero()) for i in range(3))
 
 
-def _mat_mul(a, b):
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(3)), Scalar.zero()) for j in range(3))
-        for i in range(3)
-    )
-
-
 def _mat_det(m):
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -252,7 +245,7 @@ class Automorphism:
     """An sl2 automorphism as a 3x3 matrix on (e, h, f) coordinates.
 
     ``kind`` is one of identity / gamma / gamma2 / sigma / composite and is
-    recomputed after composition or inversion by matching the matrix
+    recomputed from any other matrix (an inverse, say) by matching it
     against the named families.  An inverse remembers its origin
     (``_inverse``, set on the result only, so no reference cycle forms), so
     inverting it again is free.
@@ -324,10 +317,6 @@ class Automorphism:
     def apply(self, x: SL2Elt) -> SL2Elt:
         return SL2Elt(*_mat_vec(self.matrix, x.coords()))
 
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self after other."""
-        return Automorphism(_mat_mul(self.matrix, other.matrix))
-
     def inverse(self) -> "Automorphism":
         """The inverse: gamma(lam)^-1 = gamma(-lam), and identity and sigma
         are their own inverses; other kinds invert the matrix.  The inverse
@@ -342,14 +331,6 @@ class Automorphism:
             inv = Automorphism(_mat_inv(self.matrix))
         object.__setattr__(inv, "_inverse", self)
         return inv
-
-    def preserves_brackets(self) -> bool:
-        basis = (E, H, F)
-        for x in basis:
-            for y in basis:
-                if self.apply(bracket_sl2(x, y)) != bracket_sl2(self.apply(x), self.apply(y)):
-                    return False
-        return True
 
     def __eq__(self, other):
         if not isinstance(other, Automorphism):

@@ -15,14 +15,16 @@ runs on exact integers; nothing is ever rounded.
 
 The graded certificate of those checks eliminates its per-degree blocks
 of top rows in :class:`BlockModP` instead, mod the prime P of
-:data:`~slvir.sparse.MODULUS`.  Rank can only drop under a ring map, so a
-block of full rank mod P has full rank over Q(i); a block singular mod P
-proves nothing, and the exact full route then decides.
+:data:`~slvir.sparse.MODULUS`, on packed rows: each row is one int with
+one slot of bits per column (:func:`~slvir.sparse.pack`), so a step of
+the elimination is one big-int multiply-add.  Rank can only drop under a
+ring map, so a block of full rank mod P has full rank over Q(i); a block
+singular mod P proves nothing, and the exact full route then decides.
 """
 
 from __future__ import annotations
 
-from .sparse import lincomb, row_keys
+from .sparse import lincomb, row_keys, slot_width
 
 
 class Echelon:
@@ -92,46 +94,50 @@ class Echelon:
 
 
 class BlockModP:
-    """Row echelon form mod a prime p of a growing set of rows, with no
-    back-substitution.
+    """Row echelon form mod a prime p of a growing set of packed rows, with
+    no back-substitution.
 
-    A row is a dict key -> nonzero residue.  Keys get columns in the order
-    they first appear, and rows are stored as lists (the certificate's
-    blocks are dense).  Each stored row is reduced against the rows before
-    it and scaled to one at its pivot, its first nonzero column, so one
-    pass in order reduces a new row.
+    A row is one non-negative int whose slot j (w = slot_width(p) bits)
+    holds column j, reduced mod p only where read.  Each stored row has
+    every slot in [0, p), is reduced against the rows before it and is
+    scaled to one at its pivot, its first nonzero slot, so one pass in
+    order reduces a new row by ``row += (p - c) * prow`` per stored row:
+    no slot goes negative, and a row of slots below n * p*p stays below
+    (n + rank) * p*p < 2**w while n + rank < 2**32, so no slot carries.
+    The depth cap of 100 keeps a certificate block to 5,151 columns.
     """
 
     def __init__(self, p: int):
         self.p = p
-        self.cols: dict = {}  # key -> column
-        self.rows: list = []  # (pivot column, row), in insertion order
+        self.w = slot_width(p)
+        self.rows: list = []  # (bit offset of the pivot slot, row), in insertion order
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def insert(self, row: dict) -> bool:
-        """Add a row; True if it is independent of the stored rows mod p."""
-        p, cols = self.p, self.cols
-        dense = [0] * len(cols)
-        for k, v in row.items():
-            j = cols.setdefault(k, len(cols))
-            if j < len(dense):
-                dense[j] = v
-            else:
-                dense.append(v)
-        # entries are reduced mod p only where read: a step adds less than p*p
-        for pivot, prow in self.rows:
-            c = dense[pivot] % p
+    def insert(self, row: int) -> bool:
+        """Add a packed row; True if it is independent of the stored rows mod p."""
+        p, w = self.p, self.w
+        mask = (1 << w) - 1
+        for shift, prow in self.rows:
+            c = (row >> shift & mask) % p
             if c:
-                dense[:len(prow)] = [a - c * b for a, b in zip(dense, prow)]
-        for j, c in enumerate(dense):
-            if c % p:
-                inv = pow(c, -1, p)
-                self.rows.append((j, [a * inv % p for a in dense]))
-                return True
-        return False
+                row += (p - c) * prow
+        shift = 0
+        while row and not (row & mask) % p:
+            row >>= w
+            shift += w
+        if not row:
+            return False
+        inv = pow(row & mask, -1, p)
+        out, j = 0, shift
+        while row:
+            out |= (row & mask) * inv % p << j
+            row >>= w
+            j += w
+        self.rows.append((shift, out))
+        return True
 
 
 def _default_order(key):

@@ -177,13 +177,6 @@ class Module:
         memoised :meth:`_row` per op of :meth:`_ops`."""
         return [c + (partial(self._row, op),) for c, op in self._ops(x)]
 
-    def _top_action(self, x) -> list:
-        """The top part of :meth:`_action`, in the same form: row_of(k) is
-        the part of x . k at depth ``key_depth(k) + 1``, one memoised
-        :meth:`_top` per op.  Each top cut from a full row raises
-        :class:`KeyAboveTop` if that row reaches a deeper key."""
-        return [c + (partial(self._top, op),) for c, op in self._ops(x)]
-
     def _row(self, op, key) -> tuple:
         """The row of op . key; memoised per handle (the cache only holds
         recomputable values)."""

@@ -22,7 +22,8 @@ key -> Scalar (Laurent polynomials, Virasoro and U(sl2) elements, the
 per-key reference actions) are summed by :func:`sum_terms`.
 
 :func:`residues` sends a row to the finite field F_P of :data:`MODULUS`,
-where the module-map certificate of :mod:`slvir.verify` tests ranks.
+where the module-map certificate of :mod:`slvir.verify` tests ranks, and
+:func:`pack` packs residues into one int of :func:`slot_width` bits a key.
 """
 
 from __future__ import annotations
@@ -76,6 +77,24 @@ def residues(row, p: int, i: int) -> dict | None:
         return None
     inv = pow(den, -1, p)
     return {k: r for k in row_keys(row) if (r := (re.get(k, 0) + im.get(k, 0) * i) * inv % p)}
+
+
+def slot_width(p: int) -> int:
+    """Bits per slot of a packed row mod p: slot j is the bits
+    [w*j, w*(j+1)) of one non-negative int.  A slot that sums fewer than
+    2**32 products of two residues in [0, p) stays below 2**w, so it never
+    carries into the next slot."""
+    return 2 * p.bit_length() + 32
+
+
+def pack(items, cols: dict, w: int) -> int:
+    """The packed row of (key, value) pairs with values in [0, 2**w): key k
+    goes to slot cols[k], and a new key takes the next free slot."""
+    row = 0
+    for k, v in items:
+        if v:
+            row |= v << w * cols.setdefault(k, len(cols))
+    return row
 
 
 def row_to_scalars(row) -> dict:

@@ -7,10 +7,10 @@ comparison fails a suite.  Witnesses are minimal in degree-lex order.
 
 A module map is certified degree by degree where it can be: the maps the
 paper predicts respect the PBW filtration, so the top-degree components of
-the images, one small block per degree of full rank mod a fixed prime,
-prove injectivity and the window span.  Where they do not, one exact
-echelon of the whole images decides, and it alone supplies dependent_image
-and not_spanned witnesses.  Every target is checked the same way, the
+the images, one small block per degree of packed rows (one int each) of
+full rank mod a fixed prime, prove injectivity and the window span.
+Where they do not, one exact echelon of the whole images decides, and it
+alone supplies dependent_image and not_spanned witnesses.  Every target is checked the same way, the
 degree-3 restriction (a module that is its own target) included.
 """
 
@@ -50,8 +50,8 @@ from .modules import (
     casimir_action,
 )
 from .scalar import Scalar, sqrt_exact
-from .sparse import (MODULUS, ZERO_ROW, expand, gauss, lincomb, residues, restrict,
-                     row_from_scalars, row_keys, unit_row)
+from .sparse import (MODULUS, ZERO_ROW, expand, gauss, lincomb, pack, residues, restrict,
+                     row_from_scalars, row_keys, slot_width, unit_row)
 
 
 class _Report:
@@ -124,18 +124,22 @@ def _graded_certificate(dst: Module, lift, words, gen_image: ModVec, depth: int,
     its part at depth s + len(word); the top of g.v is the top of g acting
     on the top of v, so the tops are walked with the shared suffixes of
     :func:`_word_images` from dst's memoised top rows of the ops of lift(x)
-    (:meth:`~slvir.modules.Module._top_action`), never the full images.
-    The walk runs in F_P (:data:`~slvir.sparse.MODULUS`): top rows and
-    coefficients are read through :func:`~slvir.sparse.residues`, each
-    letter's top on each key once per call, and each length's block goes
-    into a :class:`~slvir.linalg.BlockModP`.  Sending i to I is a ring map
-    where P divides no denominator, and rank can only drop under it, so a
-    block of full rank mod P is independent over Q(i).  True when every
-    block has full rank mod P and, with ``window_span``, s = 0 and each
-    block's rank is the number of dst's window keys of that depth.  False,
-    leaving the map to :func:`_eliminate`, when P divides a denominator, a
-    block is singular mod P, or a top row reaches a key above its
-    expected depth.
+    (:meth:`~slvir.modules.Module._top`), never the full images.
+    The walk runs in F_P (:data:`~slvir.sparse.MODULUS`) on packed rows
+    (:func:`~slvir.sparse.pack`), the keys of each depth in slots in the
+    order they first appear.  Each op's top on a key is read through
+    :func:`~slvir.sparse.residues` once per call, and each letter's top on
+    a key is packed once, every slot reduced to [0, P).  A word's top is
+    the sum of v * (letter's top on key) over the slots v, reduced where
+    read, of the top it acts on, so every multiplicand has its slots in
+    [0, P) and no slot carries; each length's block goes into a
+    :class:`~slvir.linalg.BlockModP`.  Sending i to I is a ring map where
+    P divides no denominator, and rank can only drop under it, so a block
+    of full rank mod P is independent over Q(i).  True when every block
+    has full rank mod P and, with ``window_span``, s = 0 and each block's
+    rank is the number of dst's window keys of that depth.  False, leaving
+    the map to :func:`_eliminate`, when P divides a denominator, a block
+    is singular mod P, or a top row reaches a key above its expected depth.
     """
     key_depth = dst.key_depth
     keys = row_keys(gen_image.row)
@@ -145,6 +149,9 @@ def _graded_certificate(dst: Module, lift, words, gen_image: ModVec, depth: int,
     if window_span and s:
         return False
     p, i = MODULUS
+    w = slot_width(p)
+    mask = (1 << w) - 1
+    cols = defaultdict(dict)  # depth -> {key: slot}
 
     def reduced(row):
         out = residues(row, p, i)
@@ -152,25 +159,39 @@ def _graded_certificate(dst: Module, lift, words, gen_image: ModVec, depth: int,
             raise _Unreduced
         return out
 
-    def combine(pairs):
-        # the sum of c * row over the (c, row) pairs, mod p
-        acc: dict = {}
-        for c, row in pairs:
-            for k, v in row.items():
-                acc[k] = acc.get(k, 0) + c * v
-        return {k: r for k, v in acc.items() if (r := v % p)}
-
     # a coefficient (cr + ci*i)/cd of lift(x) is reduced as a one-key row
-    top_action = cache(lambda x: [(reduced((cd, {0: cr}, {0: ci})).get(0, 0), row_of)
-                                  for cr, ci, cd, row_of in dst._top_action(lift(x))])
-    image = cache(lambda x, key: combine((c, reduced(row_of(key)))
-                                         for c, row_of in top_action(x)))
+    ops = cache(lambda x: [(reduced((cd, {0: cr}, {0: ci})).get(0, 0), op)
+                           for (cr, ci, cd), op in dst._ops(lift(x))])
+    op_top = cache(lambda op, key: reduced(dst._top(op, key)))
+    letter_tops = defaultdict(dict)  # letter -> {key: its packed top on key}
+
+    def letter_top(x, key, slots):
+        acc: dict = {}
+        for c, op in ops(x):
+            for k, v in op_top(op, key).items():
+                acc[k] = acc.get(k, 0) + c * v
+        return pack(((k, v % p) for k, v in acc.items()), slots, w)
+
+    def act(x, top):
+        d, row = top
+        tops = letter_tops[x]
+        out = 0
+        for key in cols[d]:
+            if not row:
+                break
+            if v := (row & mask) % p:
+                t = tops.get(key)
+                if t is None:
+                    t = tops[key] = letter_top(x, key, cols[d + 1])
+                out += v * t
+            row >>= w
+        return d + 1, out
+
     blocks = defaultdict(partial(BlockModP, p))
     try:
         top = reduced(restrict(gen_image.row, lambda k: key_depth(k) == s))
-        tops = _word_images(lambda x, vec: combine((v, image(x, k)) for k, v in vec.items()),
-                            words, top)
-        for (_, word), (_, row) in zip(words, tops):
+        tops = _word_images(act, words, (s, pack(top.items(), cols[s], w)))
+        for (_, word), (_, (_, row)) in zip(words, tops):
             if not blocks[len(word)].insert(row):
                 return False
     except (KeyAboveTop, _Unreduced):
@@ -214,8 +235,8 @@ def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
     every basis key of dst of depth <= N.  A letter x of src's words acts
     on dst as ``lift(x)`` (x itself by default; the degree-3 restriction
     passes the embedding into the Virasoro algebra): the images are
-    ``dst.act(lift(x), v)`` and the certificate's tops are read from
-    ``dst._top_action(lift(x))``, so both come from one route.
+    ``dst.act(lift(x), v)`` and the certificate's tops are read from the
+    same ops ``dst._ops(lift(x))``, so both come from one route.
 
     The graded certificate is tried first.  Every letter raises
     ``key_depth`` by at most one (the contract of :meth:`Module.key_depth`),

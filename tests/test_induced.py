@@ -11,8 +11,8 @@ from slvir.errors import (
 )
 from slvir.induced import InducedModule, MuData, VirPolyModule, _monomials_up_to, mu_eval
 from slvir.laurent import reduce_power, sl2_window
-from slvir.lie import (E, F, H, SL2Elt, VirElt, bracket_vir, classify_subalgebra_1d,
-                       embed_sl2, sl2_from_vir)
+from slvir.lie import (Automorphism, E, F, H, SL2Elt, VirElt, bracket_vir,
+                       classify_subalgebra_1d, embed_sl2, sl2_from_vir)
 from slvir.linalg import Echelon, degree_lex
 from slvir.modules import casimir_action
 from slvir.pbw import UEnvElt, gen_times_mono, nf_multiply
@@ -392,6 +392,30 @@ def test_lazy_normal_forms_match_table_route(handle):
         assert mod._reduce_row(m) == table.get(m, unit_row(m)), m
     with pytest.raises(DepthExceeded):
         mod._reduce_row((0, 0, mod.depth + 1))
+
+
+def _basis_handles(depth):
+    """Twist inductions of every subalgebra kind and VirPoly of degrees 1-3."""
+    b, c, mu0 = S("1+1*i"), S("2-1*i"), S("1/2+1*i")
+    gamma = Automorphism.gamma(b)
+    relations = [[(classify_subalgebra_1d(make(b, c)).generator, mu0)]
+                 for make in _ONE_DIM_KINDS.values()]
+    relations += [[(H, mu0)], [(E, mu0)],  # a lead h or e alone
+                  [(H, mu0), (E, S(0))], [(H, mu0), (F, S(0))],  # b_plus, b_minus
+                  [(gamma.apply(H), mu0), (gamma.apply(E), S(0))],  # b_lambda
+                  [(E, S(0)), (H, S(0)), (F, S(0))]]
+    mus = [mud([(b, 1)], [[mu0]]), mud([(b, 2)], [[c, mu0]]),
+           mud([(b, 1), (c, 1), (b + c, 1)], [[mu0], [mu0], []])]
+    return ([InducedModule(rels, depth) for rels in relations]
+            + [VirPolyModule(mu, depth) for mu in mus])
+
+
+@pytest.mark.parametrize("depth", [8, 11])
+def test_standard_monomials_are_listed_directly(depth):
+    # every lead is one letter, so the basis is read off the free letters;
+    # it must be the old filter of the whole window, in the same order
+    for mod in _basis_handles(depth):
+        assert mod._basis == [m for m in _monomials_up_to(depth) if mod._divisor(m) is None]
 
 
 @pytest.mark.parametrize("relations", [

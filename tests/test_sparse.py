@@ -1,12 +1,13 @@
 """The integer-form sparse rows against plain Scalar (Fraction) arithmetic."""
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from hypothesis import given, settings, strategies as st
 
 from test_scalar import RefScalar, assert_canonical
 
+from slvir.errors import MAX_DEPTH
 from slvir.linalg import BlockModP, Echelon
 from slvir.scalar import Scalar
 from slvir.sparse import (
@@ -15,9 +16,11 @@ from slvir.sparse import (
     expand,
     gauss,
     lincomb,
+    pack,
     residues,
     row_from_scalars,
     row_to_scalars,
+    slot_width,
     sum_terms,
     unit_row,
 )
@@ -244,11 +247,58 @@ _int_rows = st.dictionaries(st.integers(0, 4), _gauss_ints, max_size=5)
 def test_full_rank_mod_p_implies_full_rank(vecs, modulus):
     p, i = modulus
     rows = [row_from_scalars(v) for v in vecs]
-    block, ech = BlockModP(p), Echelon()
-    mod_p = [block.insert(residues(row, p, i)) for row in rows]
+    block, ech, cols = BlockModP(p), Echelon(), {}
+    mod_p = [block.insert(pack(residues(row, p, i).items(), cols, slot_width(p)))
+             for row in rows]
     exact = [ech.insert(row) for row in rows]
     if all(mod_p):
         assert all(exact)
     assert block.rank == sum(mod_p) <= ech.rank == sum(exact)
     if p == P:
         assert mod_p == exact
+
+
+def _independent_mod_p(rows, p):
+    """Reference for BlockModP: whether each row is independent of the rows
+    before it mod p, by elimination on lists of reduced entries."""
+    basis, out = [], []
+    for row in rows:
+        row = [v % p for v in row]
+        for pivot, b in basis:
+            if c := row[pivot]:
+                row = [(x - c * y) % p for x, y in zip(row, b)]
+        j = next((j for j, v in enumerate(row) if v), None)
+        out.append(j is not None)
+        if j is not None:
+            inv = pow(row[j], -1, p)
+            basis.append((j, [v * inv % p for v in row]))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([MODULUS, (5, 2)]))
+def test_packed_block_matches_unpacked_elimination(data, modulus):
+    # rows are sums of products of residues near p - 1 over r base rows, as
+    # the certificate builds them: unreduced slots up to r * (p - 1)**2, and
+    # with r below the columns, many rows that must reduce to zero
+    p = modulus[0]
+    ncols = data.draw(st.integers(12, 16))
+    r = data.draw(st.integers(1, ncols))
+    near = st.integers(max(p - 3, 0), p - 1) | st.integers(0, p - 1)
+    bases = data.draw(st.lists(st.lists(near, min_size=ncols, max_size=ncols),
+                               min_size=r, max_size=r))
+    coeffs = data.draw(st.lists(st.lists(near, min_size=r, max_size=r),
+                                min_size=ncols + 1, max_size=ncols + 4))
+    rows = [[sum(c * b[j] for c, b in zip(cs, bases)) for j in range(ncols)] for cs in coeffs]
+    block, cols = BlockModP(p), {j: j for j in range(ncols)}
+    got = [block.insert(pack(enumerate(row), cols, slot_width(p))) for row in rows]
+    assert got == _independent_mod_p(rows, p)
+    assert block.rank == sum(got) <= r
+
+
+def test_slot_width_has_room_for_the_largest_block():
+    # a block has at most as many columns as the free degree-3 module has
+    # keys of depth MAX_DEPTH; a slot sums fewer than twice that many
+    # products of two residues
+    assert comb(MAX_DEPTH + 2, 2) == 5151
+    assert 2 * 5151 * P ** 2 < 2 ** slot_width(P)

@@ -1,6 +1,6 @@
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,14 +10,15 @@ import slvir.verify as verify_mod
 from slvir.errors import DepthExceeded, InvalidParameter
 from slvir.induced import InducedModule, MuData, VirPolyModule
 from slvir.lie import Automorphism, E, F, H, SL2Elt, VirElt, classify_subalgebra_1d
-from slvir.linalg import Echelon
+from slvir.linalg import BlockModP, Echelon
 from slvir.modules import (LETTERS, DenseModule, KeyAboveTop, LowVermaModule, ModVec,
                            TensorModule,
                            TwistModule, VermaModule, WModule, XbarModule, XbarQuotientModule,
                            XModule, act_uenv, act_word)
 from slvir.pbw import UEnvElt, casimir_elt, monomial_letters
 from slvir.scalar import Scalar
-from slvir.sparse import MODULUS, expand, gauss, lincomb, restrict, row_keys, unit_row
+from slvir.sparse import (MODULUS, expand, gauss, lincomb, residues, restrict, row_keys,
+                          slot_width, unit_row)
 from slvir.verify import (
     _casimir_shifter,
     _dense_intertwiner,
@@ -32,6 +33,7 @@ from slvir.verify import (
 )
 
 from pbw_oracles import xbar_act_generic
+from test_modules import top_action
 
 S = Scalar.of
 
@@ -368,6 +370,16 @@ def _map_case(case, a, b, c):
     return check_module_map(VermaModule(a), x, x.generator(), depth).to_json()
 
 
+def _exact_tops(dst, lift, words, gen_image):
+    """(key, top row) of each word's image, in order, walked exactly over
+    Q(i) from the top of gen_image."""
+    key_depth = dst.key_depth
+    s = max(map(key_depth, row_keys(gen_image.row)))
+    tops = cache(lambda x: top_action(dst, lift(x)))
+    top = restrict(gen_image.row, lambda k: key_depth(k) == s)
+    return _word_images(lambda x, row: lincomb(expand(row, tops(x))), words, top)
+
+
 def _exact_certificate(dst, lift, words, gen_image, depth, window_span):
     """Reference for the graded certificate: the same walk of the tops,
     exact over Q(i), each length's block in an :class:`Echelon`."""
@@ -375,15 +387,11 @@ def _exact_certificate(dst, lift, words, gen_image, depth, window_span):
     keys = row_keys(gen_image.row)
     if not keys:
         return False
-    s = max(map(key_depth, keys))
-    if window_span and s:
+    if window_span and max(map(key_depth, keys)):
         return False
-    top_action = cache(lambda x: dst._top_action(lift(x)))
-    top = restrict(gen_image.row, lambda k: key_depth(k) == s)
     blocks = defaultdict(lambda: Echelon(dst.key_sort_token))
     try:
-        tops = _word_images(lambda x, row: lincomb(expand(row, top_action(x))), words, top)
-        for (_, word), (_, row) in zip(words, tops):
+        for (_, word), (_, row) in zip(words, _exact_tops(dst, lift, words, gen_image)):
             if not blocks[len(word)].insert(row):
                 return False
     except KeyAboveTop:
@@ -426,6 +434,65 @@ def test_graded_certificate_keeps_every_report(case, a, b, c):
         assert full["witness"]["kind"] == case
     # the certificate mod P holds only where the exact reference does
     assert verdicts and all(exact or not mod_p for mod_p, exact in verdicts)
+
+
+def _slots(row, w):
+    """The slots of a packed row, lowest first."""
+    out = []
+    while row:
+        out.append(row & (1 << w) - 1)
+        row >>= w
+    return out
+
+
+def _twisted_induced_map(src_family, a, b, c):
+    # a twist of an induced module: its tops have large residues, and so
+    # have the coefficients of its letters, so their products fill the slots
+    sub = classify_subalgebra_1d(SL2Elt(1, -a, -a * a))
+    dst = TwistModule(InducedModule([(sub.generator, c)], 7), Automorphism.gamma2(b, c))
+    return check_module_map(src_family(c), dst, dst.generator(), 6, window_span=False)
+
+
+# a prime p = 1 mod 4 of 64 bits and a root of -1 mod p: a product of three
+# residues has 3 * 64 bits, more than the 2 * 64 + 32 of a slot
+_P64 = (2 ** 64 - 59, 2296021864060584341)
+
+
+@pytest.mark.parametrize("modulus", [MODULUS, _P64])
+@pytest.mark.parametrize("case", _CASES + [WModule, XModule])
+def test_certificate_rows_are_the_residues_of_the_exact_tops(case, modulus, monkeypatch):
+    # each packed row the certificate inserts holds, slot by slot mod p,
+    # the residues of the exact top row of its word; a multiplicand not
+    # reduced to [0, p) would make slots carry into their neighbours
+    p, i = modulus
+    assert i * i % p == p - 1
+    monkeypatch.setattr(verify_mod, "MODULUS", modulus)
+    w = slot_width(p)
+    certificate = verify_mod._graded_certificate
+    runs = []
+
+    def recorded(*args):
+        rows = []
+
+        class Recording(BlockModP):
+            def insert(self, row):
+                rows.append(row)
+                return super().insert(row)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify_mod, "BlockModP", Recording)
+            verdict = certificate(*args)
+        runs.append((args, rows))
+        return verdict
+
+    monkeypatch.setattr(verify_mod, "_graded_certificate", recorded)
+    run = partial(_map_case if isinstance(case, str) else _twisted_induced_map, case)
+    run(S("1/2+1*i"), S("-2+1/3*i"), S("3-1*i"))
+    assert any(rows for _, rows in runs)
+    for (dst, lift, words, gen_image, _, _), rows in runs:
+        for row, (_, exact) in zip(rows, _exact_tops(dst, lift, words, gen_image)):
+            assert (sorted(v % p for v in _slots(row, w) if v % p)
+                    == sorted(residues(exact, p, i).values()))
 
 
 _fracs5 = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 5]))
@@ -512,7 +579,7 @@ def test_top_rows_are_the_top_of_the_full_rows(a, b, c, n):
             target = module.key_depth(key) + 1
             for x in elts:
                 full = module.act(x, module.basis_vec(key)).row
-                top = lincomb(expand(unit_row(key), module._top_action(x)))
+                top = lincomb(expand(unit_row(key), top_action(module, x)))
                 assert top == restrict(full, lambda k: module.key_depth(k) == target), \
                     (module.family, key, x)
 
