@@ -67,9 +67,15 @@ class MuData:
     polys: tuple
 
     def __post_init__(self):
-        # a string would be read character by character as a coefficient list
-        if any(not isinstance(p, (list, tuple)) for p in self.polys):
-            raise InvalidParameter(f"polys must be coefficient lists, got {self.polys!r}")
+        # shapes are read whole before unpacking; a string is no coefficient list
+        seq = (list, tuple)
+        if not (isinstance(self.roots, seq)
+                and all(isinstance(r, seq) and len(r) == 2 for r in self.roots)):
+            raise InvalidParameter("roots must be a list of [lambda, multiplicity] pairs, "
+                                   f"got {self.roots!r}")
+        if not (isinstance(self.polys, seq) and all(isinstance(p, seq) for p in self.polys)):
+            raise InvalidParameter("polys must be a list of coefficient lists, "
+                                   f"got {self.polys!r}")
         roots = tuple((Scalar.of(lam), positive_int(n, "root multiplicity"))
                       for lam, n in self.roots)
         polys = tuple(tuple(Scalar.of(c) for c in p) for p in self.polys)

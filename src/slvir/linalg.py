@@ -118,6 +118,8 @@ class BlockModP:
 
     def insert(self, row: int) -> bool:
         """Add a packed row; True if it is independent of the stored rows mod p."""
+        if row < 0:  # it has no slots: its shifts tend to -1, never 0
+            raise ValueError("a packed row must be non-negative")
         p, w = self.p, self.w
         mask = (1 << w) - 1
         for shift, prow in self.rows:

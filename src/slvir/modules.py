@@ -13,11 +13,11 @@ Every sl2 family acts by closed forms, one basis key at a time
 cross-checks the two.  One rule sits behind every action:
 :meth:`Module._ops` splits an element into ops (its letters e, h, f, or
 the indices n of its e_n), and a handle memoises per op and basis key the
-integer row of op . key (:mod:`slvir.sparse`) and its *top row*, the part
-at depth ``key_depth(key) + 1`` that :func:`~slvir.verify.check_module_map`
-reads.  A family supplies only how rows are built: W and X read their top
-rows off gr U(sl2), a tensor product keeps each whole element as one op,
-and a twist acts through its inner module's rows.
+integer row of op . key (:mod:`slvir.sparse`).  A family supplies how rows
+and *top rows* (the part at depth ``key_depth(key) + 1`` that
+:func:`~slvir.verify.check_module_map` reads) are built: each sl2 family
+reads its tops off gr U(sl2), a tensor product sums its factors' rows and
+tops, a twist acts through its inner module's, and the others cut tops from rows.
 """
 
 from __future__ import annotations
@@ -186,18 +186,11 @@ class Module:
             row = rows[(op, key)] = self._build_row(op, key)
         return row
 
-    def _top(self, op, key) -> tuple:
-        """The top row of op . key; memoised per handle."""
-        tops = self.__dict__.setdefault("_tops", {})
-        row = tops.get((op, key))
-        if row is None:
-            row = tops[(op, key)] = self._build_top(op, key)
-        return row
-
     def _build_row(self, op, key) -> tuple:
         return row_from_scalars(self._act_key(LETTERS[op], key))
 
-    def _build_top(self, op, key) -> tuple:
+    def _top(self, op, key) -> tuple:
+        """The part of op . key at depth key_depth(key) + 1, cut from its row."""
         return self._top_part(key, self._row(op, key))
 
     def _top_part(self, key, row) -> tuple:
@@ -229,7 +222,7 @@ class Module:
         ``key_depth(key) + 1``; ``basis_keys(n)`` lists every key of depth
         at most n.  The graded certificate of
         :func:`~slvir.verify.check_module_map` rests on it; every top row
-        cut from a full row (:meth:`_top_part`) checks the bound.
+        cut from a full row or summed over tensor factors checks the bound.
         """
         raise NotImplementedError
 
@@ -333,14 +326,10 @@ class _PairModule(Module):
     def key_from_json(self, data):
         return tuple(_two_entries(self, data))
 
-    def _build_top(self, letter, key):
+    def _top(self, letter, key):
         # gr U(sl2) = S(sl2) commutes: a letter raises its key slot; the parameter letter has top 0
-        slot = self._TOP_SLOTS.get(letter)
-        if slot is None:
-            return ZERO_ROW
-        top = list(key)
-        top[slot] += 1
-        return unit_row(tuple(top))
+        slot, (a, b) = self._TOP_SLOTS.get(letter), key
+        return ZERO_ROW if slot is None else unit_row((a + 1, b) if slot == 0 else (a, b + 1))
 
 
 class WModule(_PairModule):
@@ -439,6 +428,12 @@ class XbarModule(Module):
         return {("f", n - 1) if n > 1 else ("e", 0): x.ce * coeff,
                 key: x.ch * (self.xi - 2 * n), ("f", n + 1): x.cf}
 
+    def _top(self, letter, key):
+        # gr U(sl2) commutes: e raises ("e", n), f raises ("f", n) and ("e", 0); h has top 0
+        side, n = key
+        raises = letter == side or (letter == "f" and not n)
+        return unit_row((letter, n + 1)) if raises else ZERO_ROW
+
     def validate_key(self, key):
         ok = (isinstance(key, tuple) and len(key) == 2 and key[0] in ("e", "f")
               and type(key[1]) is int
@@ -496,6 +491,9 @@ class XbarQuotientModule(XbarModule):
     def _act_key(self, x, key):
         inner = super()._act_key(x, key)
         return {k: c for k, c in inner.items() if self._keep(k)}
+
+    def _top(self, letter, key):
+        return restrict(super()._top(letter, key), self._keep)
 
     def validate_key(self, key):
         super().validate_key(key)
@@ -579,11 +577,16 @@ class _VermaBase(Module):
     def basis_keys(self, depth):
         return list(range(depth + 1))
 
+    def _top(self, letter, key):
+        # gr U(sl2) commutes: only the letter _RAISE reaches depth k + 1, by coefficient 1
+        return unit_row(key + 1) if letter == self._RAISE else ZERO_ROW
+
 
 class VermaModule(_VermaBase):
     """Highest weight Verma module; keys k >= 0 for f^k m."""
 
     family = "Verma"
+    _RAISE = "f"
 
     def _act_key(self, x, key):
         k = key
@@ -609,6 +612,7 @@ class LowVermaModule(_VermaBase):
     """Lowest weight Verma module; keys k >= 0 for e^k m."""
 
     family = "LowVerma"
+    _RAISE = "e"
 
     def _act_key(self, x, key):
         k = key
@@ -691,9 +695,16 @@ class TensorModule(Module):
         return [((1, 0, 1), x)]
 
     def _build_row(self, x, key):
+        return self._leibniz(x, key, "_row")
+
+    def _top(self, x, key):  # the factors' tops, checked against the sum of their depths
+        return self._top_part(key, self._leibniz(x, key, "_top"))
+
+    def _leibniz(self, x, key, part):
+        # x(kl @ kr) = x kl @ kr + kl @ x kr, through each factor's _row or _top
         kl, kr = key
-        left = lincomb([c + (self.left._row(op, kl),) for c, op in self.left._ops(x)])
-        right = lincomb([c + (self.right._row(op, kr),) for c, op in self.right._ops(x)])
+        left, right = (lincomb([c + (getattr(m, part)(op, k),) for c, op in m._ops(x)])
+                       for m, k in ((self.left, kl), (self.right, kr)))
         return lincomb([(1, 0, 1, rekey(left, lambda k: (k, kr))),
                         (1, 0, 1, rekey(right, lambda k: (kl, k)))])
 
@@ -745,14 +756,13 @@ def _word_images(act, words, vec):
     image of vec under the word, applied right to left by ``act(x, v)``.
 
     The image of a word is word[0] acting on the image of word[1:], so
-    every distinct suffix is acted on once.  Suffixes are keyed by the
-    indices of their letters in a table of the distinct letters, so that
-    each letter is hashed once per word.
+    every distinct suffix is acted on once.  Suffixes are keyed by the ids
+    of their letters: ``words`` keeps them alive, and the families' words
+    share one object per distinct letter.
     """
-    letter_ids: dict = {}
     images = {(): vec}
     for key, word in words:
-        ids = tuple(letter_ids.setdefault(x, len(letter_ids)) for x in word)
+        ids = tuple(map(id, word))
         start = 0
         while ids[start:] not in images:
             start += 1

@@ -75,7 +75,9 @@ def residues(row, p: int, i: int) -> dict | None:
     den, re, im = row
     if not den % p:
         return None
-    inv = pow(den, -1, p)
+    inv = 1 if den == 1 else pow(den, -1, p)
+    if not im:
+        return {k: r for k, v in re.items() if (r := v * inv % p)}
     return {k: r for k in row_keys(row) if (r := (re.get(k, 0) + im.get(k, 0) * i) * inv % p)}
 
 

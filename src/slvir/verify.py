@@ -123,7 +123,7 @@ def _graded_certificate(dst: Module, lift, words, gen_image: ModVec, depth: int,
     With s the depth of gen_image, the top component of a word's image is
     its part at depth s + len(word); the top of g.v is the top of g acting
     on the top of v, so the tops are walked with the shared suffixes of
-    :func:`_word_images` from dst's memoised top rows of the ops of lift(x)
+    :func:`_word_images` from dst's top rows of the ops of lift(x)
     (:meth:`~slvir.modules.Module._top`), never the full images.
     The walk runs in F_P (:data:`~slvir.sparse.MODULUS`) on packed rows
     (:func:`~slvir.sparse.pack`), the keys of each depth in slots in the
@@ -159,22 +159,26 @@ def _graded_certificate(dst: Module, lift, words, gen_image: ModVec, depth: int,
             raise _Unreduced
         return out
 
-    # a coefficient (cr + ci*i)/cd of lift(x) is reduced as a one-key row
-    ops = cache(lambda x: [(reduced((cd, {0: cr}, {0: ci})).get(0, 0), op)
-                           for (cr, ci, cd), op in dst._ops(lift(x))])
-    op_top = cache(lambda op, key: reduced(dst._top(op, key)))
-    letter_tops = defaultdict(dict)  # letter -> {key: its packed top on key}
+    op_tops: dict = {}  # (op, key) -> the residues of dst's top row of op on key
+    letters: dict = {}  # id(x) -> (the reduced ops of lift(x), {key: packed top of x on key})
 
-    def letter_top(x, key, slots):
+    def letter_top(ops, key, slots):
         acc: dict = {}
-        for c, op in ops(x):
-            for k, v in op_top(op, key).items():
+        for c, op in ops:
+            top = op_tops.get((op, key))
+            if top is None:
+                top = op_tops[op, key] = reduced(dst._top(op, key))
+            for k, v in top.items():
                 acc[k] = acc.get(k, 0) + c * v
         return pack(((k, v % p) for k, v in acc.items()), slots, w)
 
     def act(x, top):
         d, row = top
-        tops = letter_tops[x]
+        letter = letters.get(id(x))
+        if letter is None:  # words keep x alive; a coefficient is reduced as a one-key row
+            letter = letters[id(x)] = ([(reduced((cd, {0: cr}, {0: ci})).get(0, 0), op)
+                                         for (cr, ci, cd), op in dst._ops(lift(x))], {})
+        ops, tops = letter
         out = 0
         for key in cols[d]:
             if not row:
@@ -182,7 +186,7 @@ def _graded_certificate(dst: Module, lift, words, gen_image: ModVec, depth: int,
             if v := (row & mask) % p:
                 t = tops.get(key)
                 if t is None:
-                    t = tops[key] = letter_top(x, key, cols[d + 1])
+                    t = tops[key] = letter_top(ops, key, cols[d + 1])
                 out += v * t
             row >>= w
         return d + 1, out

@@ -657,6 +657,27 @@ def test_malformed_terms_are_named(capsys, verb, elt, vec, got):
                    f"{got}\n")
 
 
+_ROOTS_SHAPE = "roots must be a list of [lambda, multiplicity] pairs, got "
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"roots": 5, "polys": []}, _ROOTS_SHAPE + "5"),
+    ({"roots": [[1]], "polys": [["1"]]}, _ROOTS_SHAPE + "[[1]]"),
+    ({"roots": [["2", 1]], "polys": 5}, "polys must be a list of coefficient lists, got 5"),
+], ids=["roots-int", "roots-one-entry", "polys-int"])
+def test_malformed_character_data_is_named(tmp_path, capsys, params, message):
+    # a bare int or a one-entry root used to exit 2 with a raw iteration or
+    # unpacking message that named no field
+    module = {"family": "VirPoly", **params}
+    code, out, err = run(capsys, "act", "--module", json.dumps(module), "--elt", "e",
+                         "--vec", '[[[0,0,0],"1"]]')
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"suites": [{"name": "restriction", "params": params}]}))
+    code, out, err = run(capsys, "report", "--config", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 W_INNER = {"family": "W", "eta": "1"}
 
 

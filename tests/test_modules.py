@@ -10,9 +10,11 @@ from slvir.induced import InducedModule, MuData, VirPolyModule
 from slvir.modules import (
     _SCALAR_SPECS,
     _SPEC_KEYS,
+    LETTERS,
     DenseModule,
     LowVermaModule,
     ModVec,
+    Module,
     TensorModule,
     TwistModule,
     VermaModule,
@@ -366,6 +368,35 @@ def test_pair_rows_match_the_pbw_route(module):
             want = row_from_scalars(pair_act_key(module, x, key))
             assert module._row(letter, key) == want, (letter, key)
             assert module._top(letter, key) == module._top_part(key, want), (letter, key)
+
+
+# Verma, LowVerma, Xbar and its quotient read their tops off gr U(sl2) too,
+# and a tensor product sums its factors' tops
+
+GR_TOP_HANDLES = [
+    VermaModule(S("1/3")), LowVermaModule(S("-2+1*i")), XbarModule(S("1/2"), S("3+1*i")),
+    XbarQuotientModule(S(1), S(36), 2),  # tau = (xi + 2*j0 + 1)^2
+    TensorModule(TwistModule(VermaModule(S(1)), Automorphism.gamma(S("2+1*i"))),
+                 TwistModule(VermaModule(S(-1)), Automorphism.gamma2(S("1/3"), S(2)))),
+]
+
+
+@pytest.mark.parametrize("module", GR_TOP_HANDLES, ids=lambda m: m.family)
+def test_gr_tops_match_the_row_route(module, monkeypatch):
+    if isinstance(module, TensorModule):
+        ops = [E, H, F, SL2Elt(S("1*i"), S(2), S("-1/3"))]
+    else:
+        ops = list(LETTERS)
+    pairs = [(op, key) for key in module.basis_keys(7) for op in ops]
+
+    def no_rows(*args):
+        raise AssertionError("a top built a full row")
+    with monkeypatch.context() as mp:
+        for cls in (Module, TensorModule):
+            mp.setattr(cls, "_build_row", no_rows)
+        tops = [module._top(op, key) for op, key in pairs]
+    for (op, key), top in zip(pairs, tops):
+        assert top == module._top_part(key, module._row(op, key)), (op, key)
 
 
 def top_action(module, x) -> list:

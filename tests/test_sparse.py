@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import comb, lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_scalar import RefScalar, assert_canonical
@@ -242,6 +243,19 @@ _gauss_ints = st.builds(Scalar, st.integers(-2, 2), st.integers(-2, 2) | st.just
 _int_rows = st.dictionaries(st.integers(0, 4), _gauss_ints, max_size=5)
 
 
+@settings(max_examples=60)
+@given(_int_rows, st.sampled_from([MODULUS, (5, 2), (13, 5)]), st.sampled_from([2, 3, 7]))
+def test_residues_of_integer_rows_match_the_generic_path(vec, modulus, d):
+    # den == 1 skips the inverse, and a real row its imaginary half: each
+    # agrees with the same vector written over den d, which takes neither
+    p, i = modulus
+    den, re, im = row_from_scalars(vec)
+    assert den == 1
+    for row in ((1, re, im), (1, re, {})):
+        over_d = (d, {k: d * v for k, v in row[1].items()}, {k: d * v for k, v in row[2].items()})
+        assert residues(row, p, i) == residues(over_d, p, i)
+
+
 @settings(max_examples=150)
 @given(st.lists(_int_rows, min_size=1, max_size=6), st.sampled_from([MODULUS, (5, 2)]))
 def test_full_rank_mod_p_implies_full_rank(vecs, modulus):
@@ -294,6 +308,17 @@ def test_packed_block_matches_unpacked_elimination(data, modulus):
     got = [block.insert(pack(enumerate(row), cols, slot_width(p))) for row in rows]
     assert got == _independent_mod_p(rows, p)
     assert block.rank == sum(got) <= r
+
+
+def test_packed_block_refuses_a_negative_row():
+    # a negative int has no slots: its shifts tend to -1 and never reach 0,
+    # so the pivot search would not end
+    block = BlockModP(P)
+    assert block.insert(1)
+    for row in (-1, -(1 << slot_width(P))):
+        with pytest.raises(ValueError):
+            block.insert(row)
+    assert block.rank == 1
 
 
 def test_slot_width_has_room_for_the_largest_block():

@@ -612,7 +612,7 @@ def test_twist_acts_through_its_inner_module(a, b, ce, ch, cf, coeffs):
         for y in (x, E, H, F):
             assert twist.act(y, vec) == _letter_row_twist_act(twist, y, vec)
         # the rows and tops it read are its inner module's
-        assert "_rows" not in twist.__dict__ and "_tops" not in twist.__dict__
+        assert "_rows" not in twist.__dict__
 
 
 def test_certified_twisted_targets_build_no_deep_full_rows(monkeypatch):
@@ -637,13 +637,15 @@ def test_certified_twisted_targets_build_no_deep_full_rows(monkeypatch):
 
 def test_top_rows_check_the_filtered_normal_forms(monkeypatch):
     # a row with a key above depth k + 1 breaks the contract: the top row
-    # cut from it refuses it, and the full route decides
-    act_key = VermaModule._act_key
+    # cut from it refuses it, and the full route decides.  A dense module
+    # cuts its tops from its rows; on the walk down from the generator by f,
+    # the added key w - 4 is two depths past w
+    act_key = DenseModule._act_key
 
     def raised(self, x, key):
-        return {**act_key(self, x, key), key + 2: x.cf}
-    monkeypatch.setattr(VermaModule, "_act_key", raised)
-    src, dst = VermaModule(S(1)), VermaModule(S(1))
+        return {**act_key(self, x, key), key - 4: x.cf}
+    monkeypatch.setattr(DenseModule, "_act_key", raised)
+    src, dst = VermaModule(S(1)), DenseModule(S(1), S(3))
     gen = dst.generator()
     assert not verify_mod._graded_certificate(dst, lambda x: x, src.basis_words(2), gen, 2,
                                               False)
