@@ -247,12 +247,14 @@ _int_rows = st.dictionaries(st.integers(0, 4), _gauss_ints, max_size=5)
 @given(_int_rows, st.sampled_from([MODULUS, (5, 2), (13, 5)]), st.sampled_from([2, 3, 7]))
 def test_residues_of_integer_rows_match_the_generic_path(vec, modulus, d):
     # den == 1 skips the inverse, and a real row its imaginary half: each
-    # agrees with the same vector written over den d, which takes neither
+    # agrees with the same vector written over den d with an explicit
+    # imaginary part on every key, which takes neither shortcut
     p, i = modulus
     den, re, im = row_from_scalars(vec)
     assert den == 1
     for row in ((1, re, im), (1, re, {})):
-        over_d = (d, {k: d * v for k, v in row[1].items()}, {k: d * v for k, v in row[2].items()})
+        over_d = (d, {k: d * v for k, v in row[1].items()},
+                  {k: d * row[2].get(k, 0) for k in {**row[1], **row[2]}})
         assert residues(row, p, i) == residues(over_d, p, i)
 
 
