@@ -196,7 +196,13 @@ def _restriction_params(args) -> dict:
 
 def _twist_induction(params: dict, depth: int):
     coords = params["x"]
-    x = parse_sl2(coords) if isinstance(coords, str) else SL2Elt(*coords)
+    if isinstance(coords, str):
+        x = parse_sl2(coords)
+    elif isinstance(coords, list) and len(coords) == 3:
+        x = SL2Elt(*coords)
+    else:
+        raise InvalidParameter(f"'x' of twist_induction params must be a string or a list "
+                               f"of three scalars, got {coords!r}")
     return suite_twist_induction(classify_subalgebra_1d(x), params["mu0"], depth)
 
 
@@ -276,6 +282,7 @@ def _run_report(args) -> int:
         config = json.load(handle)
     if not isinstance(config, dict) or not isinstance(config.get("suites", None), list):
         raise ValueError("config must be an object with a 'suites' list")
+    only_keys(config, ("suites", "parallel"), "a config")
     entries = config["suites"]
     for entry in entries:
         if not isinstance(entry, dict):
@@ -287,7 +294,10 @@ def _run_report(args) -> int:
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ValueError(f"config suite params must be a JSON object, got {params!r}")
-        only_keys(params, suite.config_keys or suite.flags, f"{entry['name']} params")
+        what = f"{entry['name']} params"
+        only_keys(params, suite.config_keys or suite.flags, what)
+        required_keys(params, suite.config_keys
+                      or [flag for flag, kw in suite.flags.items() if kw.get("required")], what)
     depths = [_suite_depth(e) for e in entries]
     # the suites are bound by the interpreter lock, so a "parallel" key is
     # accepted but ignored: they run one after another

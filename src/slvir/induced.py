@@ -280,6 +280,8 @@ class InducedModule(Module):
         return list(key)
 
     def key_from_json(self, data):
+        if not isinstance(data, list):
+            raise InvalidParameter(f"bad {self.family} key {data!r}")
         return tuple(nonnegative_int(x, f"{self.family} key entry") for x in data)
 
     def generator_relations(self):

@@ -6,10 +6,11 @@ central and [e_i, e_j] = (j-i) e_{i+j} + delta_{j,-i} (i^3-i)/12 z.  The
 embedding h -> 2 e_0, e -> e_1, f -> -e_{-1} identifies sl2 with
 span{e_-1, e_0, e_1}.
 
-Automorphisms of sl2 are stored as explicit 3x3 matrices over Q(i) in
-(e, h, f) coordinates so that inversion, exact equality and
-recognition of the three named families (gamma, gamma2, sigma) are all
-mechanical.
+Every automorphism of sl2 is inner, x -> g x g^-1 for a g in PGL2(Q(i)),
+so an automorphism is stored as the 2x2 matrix g up to scale.  Its 3x3
+matrix on (e, h, f) coordinates follows in closed form, its inverse is Ad
+of the adjugate of g, and the three named families (gamma, gamma2,
+sigma) are recognised by the shape of g.
 """
 
 from __future__ import annotations
@@ -215,53 +216,37 @@ def _mat_vec(m, v):
     return tuple(sum((m[i][j] * v[j] for j in range(3)), Scalar.zero()) for i in range(3))
 
 
-def _mat_det(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def _mat_inv(m):
-    det = _mat_det(m)
-    if det.is_zero():
-        raise InvalidParameter("matrix is singular")
-    cof = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            rows = [r for r in range(3) if r != i]
-            cols = [c for c in range(3) if c != j]
-            minor = (
-                m[rows[0]][cols[0]] * m[rows[1]][cols[1]]
-                - m[rows[0]][cols[1]] * m[rows[1]][cols[0]]
-            )
-            sign = Scalar.of(1 if (i + j) % 2 == 0 else -1)
-            cof[i][j] = minor * sign
-    return tuple(tuple(cof[j][i] / det for j in range(3)) for i in range(3))
-
-
 class Automorphism:
-    """An sl2 automorphism as a 3x3 matrix on (e, h, f) coordinates.
+    """The sl2 automorphism Ad(g): x -> g x g^-1, for an invertible
+    g = [[p, q], [r, s]] over Q(i) taken up to scale; every automorphism of
+    sl2 is one.
 
-    ``kind`` is one of identity / gamma / gamma2 / sigma / composite and is
-    recomputed from any other matrix (an inverse, say) by matching it
-    against the named families.  An inverse remembers its origin
-    (``_inverse``, set on the result only, so no reference cycle forms), so
-    inverting it again is free.
+    ``matrix`` is its 3x3 matrix on (e, h, f) coordinates.  ``kind`` is one
+    of identity / gamma / gamma2 / sigma / composite, read off g by
+    :func:`_recognize`.  The inverse is Ad of the adjugate; it remembers its
+    origin (``_inverse``, set on the result only, so no reference cycle
+    forms), so inverting it again is free.
     """
 
-    __slots__ = ("matrix", "kind", "params", "_inverse")
+    __slots__ = ("g", "matrix", "kind", "params", "_inverse")
 
-    def __init__(self, matrix, kind=None, params=()):
-        matrix = tuple(tuple(Scalar.of(c) for c in row) for row in matrix)
-        if _mat_det(matrix).is_zero():
-            raise InvalidParameter("automorphism matrix must be invertible")
+    def __init__(self, g):
+        p, q, r, s = g = tuple(map(Scalar.of, g))
+        det = p * s - q * r
+        if det.is_zero():
+            raise InvalidParameter("an automorphism needs an invertible g")
+        # the columns are the images of e, h and f
+        inv_det = Scalar.one() / det
+        matrix = tuple(tuple(c * inv_det for c in row) for row in (
+            (p * p, p * q * -2, -(q * q)),
+            (-(p * r), p * s + q * r, q * s),
+            (-(r * r), r * s * 2, s * s),
+        ))
+        kind, params = _recognize(g)
+        object.__setattr__(self, "g", g)
         object.__setattr__(self, "matrix", matrix)
-        if kind is None:
-            kind, params = _recognize(matrix)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", tuple(params))
+        object.__setattr__(self, "params", params)
         object.__setattr__(self, "_inverse", None)
 
     def __setattr__(self, name, value):
@@ -269,66 +254,41 @@ class Automorphism:
 
     @staticmethod
     def identity() -> "Automorphism":
-        one, zero = Scalar.one(), Scalar.zero()
-        return Automorphism(
-            ((one, zero, zero), (zero, one, zero), (zero, zero, one)),
-            "identity", ())
+        return Automorphism((1, 0, 0, 1))
 
     @staticmethod
     def gamma(lam) -> "Automorphism":
-        """e -> e - lam h - lam^2 f,  h -> h + 2 lam f,  f -> f."""
-        lam = Scalar.of(lam)
-        one, zero = Scalar.one(), Scalar.zero()
-        m = (
-            (one, zero, zero),
-            (-lam, one, zero),
-            (-(lam * lam), lam * 2, one),
-        )
-        if lam.is_zero():
-            return Automorphism(m, "identity", ())
-        return Automorphism(m, "gamma", (lam,))
+        """g = [[1, 0], [lam, 1]]: e -> e - lam h - lam^2 f,  h -> h + 2 lam f,
+        f -> f."""
+        return Automorphism((1, 0, lam, 1))
 
     @staticmethod
     def gamma2(lam1, lam2) -> "Automorphism":
-        """The two-parameter family; requires lam1 != lam2.
+        """g = [[1, 1], [lam1, lam2]]; requires lam1 != lam2.
 
         e -> (e - lam1 h - lam1^2 f) / (lam2 - lam1)
         h -> (-2e + (lam1+lam2) h + 2 lam1 lam2 f) / (lam2 - lam1)
         f -> (-e + lam2 h + lam2^2 f) / (lam2 - lam1)
         """
-        lam1, lam2 = Scalar.of(lam1), Scalar.of(lam2)
-        if lam1 == lam2:
+        if Scalar.of(lam1) == Scalar.of(lam2):
             raise InvalidParameter("gamma2 needs distinct parameters")
-        d = lam2 - lam1
-        m = (
-            (Scalar.one() / d, Scalar.of(-2) / d, Scalar.of(-1) / d),
-            (-lam1 / d, (lam1 + lam2) / d, lam2 / d),
-            (-(lam1 * lam1) / d, lam1 * lam2 * 2 / d, lam2 * lam2 / d),
-        )
-        return Automorphism(m, "gamma2", (lam1, lam2))
+        return Automorphism((1, 1, lam1, lam2))
 
     @staticmethod
     def sigma() -> "Automorphism":
-        """The flip e <-> f, h -> -h."""
-        one, zero = Scalar.one(), Scalar.zero()
-        m = ((zero, zero, one), (zero, -one, zero), (one, zero, zero))
-        return Automorphism(m, "sigma", ())
+        """g = [[0, 1], [1, 0]]: the flip e <-> f, h -> -h."""
+        return Automorphism((0, 1, 1, 0))
 
     def apply(self, x: SL2Elt) -> SL2Elt:
         return SL2Elt(*_mat_vec(self.matrix, x.coords()))
 
     def inverse(self) -> "Automorphism":
-        """The inverse: gamma(lam)^-1 = gamma(-lam), and identity and sigma
-        are their own inverses; other kinds invert the matrix.  The inverse
-        of an inverse is its origin."""
-        if self.kind in ("identity", "sigma"):
-            return self
+        """Ad of the adjugate (s, -q, -r, p); the inverse of an inverse is
+        its origin."""
         if self._inverse is not None:
             return self._inverse
-        if self.kind == "gamma":
-            inv = Automorphism.gamma(-self.params[0])
-        else:
-            inv = Automorphism(_mat_inv(self.matrix))
+        p, q, r, s = self.g
+        inv = Automorphism((s, -q, -r, p))
         object.__setattr__(inv, "_inverse", self)
         return inv
 
@@ -357,24 +317,17 @@ class Automorphism:
         }
 
 
-def _recognize(matrix):
-    if matrix == Automorphism.identity().matrix:
-        return "identity", ()
-    lam = -matrix[1][0]
-    if not lam.is_zero() and matrix == Automorphism.gamma(lam).matrix:
-        return "gamma", (lam,)
-    if matrix == Automorphism.sigma().matrix:
+def _recognize(g):
+    """The family of Ad(g) and its parameters, matched on g up to scale;
+    exact, as Ad is injective on PGL2."""
+    p, q, r, s = g
+    if q.is_zero() and s == p:
+        lam = r / p
+        return ("identity", ()) if lam.is_zero() else ("gamma", (lam,))
+    if p.is_zero() and s.is_zero() and q == r:
         return "sigma", ()
-    a, b = matrix[0][0], matrix[1][0]
-    if not a.is_zero():
-        d = Scalar.one() / a
-        lam1 = -b / a
-        lam2 = lam1 + d
-        try:
-            if matrix == Automorphism.gamma2(lam1, lam2).matrix:
-                return "gamma2", (lam1, lam2)
-        except InvalidParameter:
-            pass
+    if not p.is_zero() and q == p:
+        return "gamma2", (r / p, s / p)
     return "composite", ()
 
 

@@ -816,10 +816,12 @@ def weight_decompose(module: Module, vec: ModVec) -> list:
 _AUT_ARITY = {"identity": 0, "sigma": 0, "inverse": 0, "gamma": 1, "gamma2": 2}
 
 
-def aut_from_json(data):
+def aut_from_json(data, what="an automorphism spec"):
     from .lie import Automorphism
 
-    required_keys(data, ("kind",), "an automorphism spec")
+    if not isinstance(data, dict):
+        raise InvalidParameter(f"{what} must be a JSON object, got {data!r}")
+    required_keys(data, ("kind",), what)
     kind = data["kind"]
     if kind not in _AUT_ARITY:
         raise InvalidParameter(f"unknown automorphism kind {kind!r}")
@@ -832,7 +834,7 @@ def aut_from_json(data):
         raise InvalidParameter(f"automorphism {kind!r} takes a list of "
                                f"{_AUT_ARITY[kind]} params, got {params!r}")
     if kind == "inverse":
-        return aut_from_json(data["of"]).inverse()
+        return aut_from_json(data["of"], "the 'of' of an 'inverse' automorphism spec").inverse()
     return getattr(Automorphism, kind)(*map(Scalar.of, params))
 
 

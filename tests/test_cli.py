@@ -236,6 +236,12 @@ def test_report_config_empty_and_invalid(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert "'dpeth'" in err and "Traceback" not in err
 
+    # an unknown top-level key names itself: "paralel" was ignored
+    bad.write_text(json.dumps({"suites": [], "paralel": True}))
+    code, out, err = run(capsys, "report", "--config", str(bad))
+    assert (code, out) == (2, "")
+    assert "unknown key 'paralel' in a config" in err
+
     missing = tmp_path / "missing.json"
     code, _, err = run(capsys, "report", "--config", str(missing))
     assert code == 2
@@ -592,13 +598,34 @@ def test_misspelt_automorphism_key_exits_two(capsys):
     ({"name": "restriction", "params": {"roots": [["1", 1]], "polys": [["1"]], "mu": "1"},
       "depth": 4}, "'mu'"),
     ({"name": "simplicity", "params": ["0", "2"]}, "JSON object"),
-], ids=["extra-flag", "restriction-extra", "list"])
+    # a missing param used to print only the bare key, as a KeyError
+    ({"name": "dense", "params": {"xi": "0"}}, "missing key 'tau' in dense params"),
+    ({"name": "simplicity", "params": {}}, "missing key 'xi', 'tau' in simplicity params"),
+    ({"name": "twist_induction", "params": {"x": "1,-3,-9"}},
+     "missing key 'mu0' in twist_induction params"),
+    ({"name": "tensor_vermas", "params": {"lambda1": "1", "lambda2": "2", "mu1": "3"}},
+     "missing key 'mu2' in tensor_vermas params"),
+    ({"name": "restriction", "params": {"roots": [["1", 1]]}},
+     "missing key 'polys' in restriction params"),
+], ids=["extra-flag", "restriction-extra", "list", "missing-dense", "missing-simplicity",
+        "missing-twist-induction", "missing-tensor-vermas", "missing-restriction"])
 def test_config_params_take_only_the_suites_keys(tmp_path, capsys, entry, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"suites": [entry]}))
     code, out, err = run(capsys, "report", "--config", str(path))
     assert (code, out) == (2, "")
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("x", [[1, 2], [1, 2, 3, 4], 5], ids=["two", "four", "int"])
+def test_twist_induction_x_is_three_coordinates(tmp_path, capsys, x):
+    # [1, 2] was read as (1, 2, 0) and ran; the others printed a raw TypeError
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"suites": [
+        {"name": "twist_induction", "params": {"x": x, "mu0": "5"}, "depth": 3}]}))
+    code, out, err = run(capsys, "report", "--config", str(path))
+    assert (code, out, err) == (2, "", "error: 'x' of twist_induction params must be a string "
+                                       f"or a list of three scalars, got {x!r}\n")
 
 
 TENSOR_VERMAS = {"family": "Tensor", "left": {"family": "Verma", "delta": "1"},
@@ -629,10 +656,11 @@ def test_vector_input_is_read_whole(capsys, module, vec, named):
     ({"family": "W", "eta": "1"}, {"schema": "modvec/1"}, "missing key 'terms'"),
     ({"family": "Xbar", "xi": "1", "tau": "2"}, [[["e", [1]], "1"]], "bad Xbar key"),
     (TENSOR_VERMAS, [[[1, [1]], "1"]], "bad Verma key"),
-], ids=["other-schema", "no-terms", "xbar-list-inside", "tensor-list-inside"])
+    (VIRPOLY, [[5, "1"]], "bad VirPoly key 5"),
+], ids=["other-schema", "no-terms", "xbar-list-inside", "tensor-list-inside", "virpoly-int"])
 def test_vector_input_is_validated_before_use(capsys, module, vec, named):
-    # a foreign schema used to be ignored, and a key with a list inside
-    # failed as an unhashable dict key
+    # a foreign schema used to be ignored, a key with a list inside failed as
+    # an unhashable dict key, and a VirPoly key that is no list as a raw TypeError
     code, out, err = run(capsys, "act", "--module", json.dumps(module), "--elt", "e",
                          "--vec", json.dumps(vec))
     assert (code, out) == (2, "")
@@ -693,8 +721,13 @@ W_INNER = {"family": "W", "eta": "1"}
      "missing key 'of' in a 'inverse' automorphism spec"),
     ({"family": "Twist", "inner": W_INNER, "aut": {"kind": "gamma2"}},
      "missing key 'params' in a 'gamma2' automorphism spec"),
+    # a spec that is no object used to print "argument of type 'int' is not iterable"
+    ({"family": "Twist", "inner": W_INNER, "aut": 5},
+     "an automorphism spec must be a JSON object, got 5"),
+    ({"family": "Twist", "inner": W_INNER, "aut": {"kind": "inverse", "of": 5}},
+     "the 'of' of an 'inverse' automorphism spec must be a JSON object, got 5"),
 ], ids=["scalar-family", "verma", "twist", "tensor", "virpoly", "aut-kind", "aut-inverse",
-        "aut-params"])
+        "aut-params", "aut-int", "aut-of-int"])
 def test_missing_spec_keys_are_named(capsys, module, named):
     code, out, err = run(capsys, "act", "--module", json.dumps(module), "--elt", "e",
                          "--vec", "[]")

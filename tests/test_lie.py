@@ -13,7 +13,7 @@ from slvir.lie import (
     H,
     SL2Elt,
     VirElt,
-    _mat_inv,
+    _recognize,
     bracket_sl2,
     bracket_vir,
     classify_subalgebra_1d,
@@ -113,11 +113,10 @@ def test_sigma_and_gamma2_examples():
 
 
 def _compose(a: Automorphism, b: Automorphism) -> Automorphism:
-    """a after b, from the product of their matrices."""
-    return Automorphism(tuple(
-        tuple(sum((a.matrix[i][k] * b.matrix[k][j] for k in range(3)), Scalar.zero())
-              for j in range(3))
-        for i in range(3)))
+    """a after b: Ad(g_a) Ad(g_b) = Ad(g_a g_b)."""
+    (p1, q1, r1, s1), (p2, q2, r2, s2) = a.g, b.g
+    return Automorphism((p1 * p2 + q1 * r2, p1 * q2 + q1 * s2,
+                         r1 * p2 + s1 * r2, r1 * q2 + s1 * s2))
 
 
 def _preserves_brackets(aut: Automorphism) -> bool:
@@ -144,6 +143,9 @@ def test_compose_invert_and_recognition():
         assert inv.kind == "gamma" and inv.params == (-lam,)
     g2 = Automorphism.gamma2(S(5), S(1))
     assert _compose(g2.inverse(), g2).kind == "identity"
+    # recognised up to scale: the adjugate of g = [[1, 1], [1, -1]] is -g
+    assert Automorphism.gamma2(1, -1).inverse().tag == "gamma2(1,-1)"
+    assert Automorphism.gamma2(1, 2).inverse().tag == "composite"
     comp = _compose(Automorphism.gamma(1), Automorphism.sigma())
     assert comp.kind == "composite"
     # gammas compose additively, and recognition sees it
@@ -296,18 +298,93 @@ def test_json_round_trips():
 non_real = st.builds(Scalar, fracs, fracs.filter(bool))
 
 
+# -- the 3x3 reference routes: cofactor inverse and family matching ------------
+
+def _mat_det(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def _mat_inv(m):
+    det = _mat_det(m)
+    cof = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            rows = [r for r in range(3) if r != i]
+            cols = [c for c in range(3) if c != j]
+            minor = (
+                m[rows[0]][cols[0]] * m[rows[1]][cols[1]]
+                - m[rows[0]][cols[1]] * m[rows[1]][cols[0]]
+            )
+            cof[i][j] = minor if (i + j) % 2 == 0 else -minor
+    return tuple(tuple(cof[j][i] / det for j in range(3)) for i in range(3))
+
+
+def _match_3x3(matrix):
+    """(kind, params) by comparing a 3x3 matrix with trial family matrices."""
+    if matrix == Automorphism.identity().matrix:
+        return "identity", ()
+    lam = -matrix[1][0]
+    if not lam.is_zero() and matrix == Automorphism.gamma(lam).matrix:
+        return "gamma", (lam,)
+    if matrix == Automorphism.sigma().matrix:
+        return "sigma", ()
+    a, b = matrix[0][0], matrix[1][0]
+    if not a.is_zero():
+        lam1 = -b / a
+        lam2 = lam1 + Scalar.one() / a
+        if matrix == Automorphism.gamma2(lam1, lam2).matrix:
+            return "gamma2", (lam1, lam2)
+    return "composite", ()
+
+
+def _tag(kind, params):
+    return kind if not params else f"{kind}({','.join(map(str, params))})"
+
+
+def _assert_inverse_matches_the_cofactor_route(aut):
+    ref = _mat_inv(aut.matrix)
+    kind, params = _match_3x3(ref)
+    inv = aut.inverse()
+    assert (inv.matrix, inv.kind, inv.params, inv.tag) == (ref, kind, params, _tag(kind, params))
+    # inverting the inverse gives the automorphism back
+    back = inv.inverse()
+    assert (back.matrix, back.kind, back.params, back.tag) == \
+        (aut.matrix, aut.kind, aut.params, aut.tag)
+
+
 @given(non_real, non_real)
 @example(Scalar(0, 1), Scalar(1))
 def test_inverse_matches_the_cofactor_route(lam, lam2):
-    # gamma(lam)^-1 is gamma(-lam), sigma and the identity are their own
-    # inverses; the cofactor inverse with family matching is the reference,
-    # and inverting the inverse gives the automorphism back
+    # gamma(lam)^-1 is gamma(-lam), sigma and the identity are their own inverses
     for aut in (Automorphism.gamma(lam), Automorphism.sigma(), Automorphism.identity(),
                 Automorphism.gamma2(lam, lam + lam2)):
-        ref = Automorphism(_mat_inv(aut.matrix))
-        inv = aut.inverse()
-        assert (inv.matrix, inv.kind, inv.params, inv.tag) == \
-            (ref.matrix, ref.kind, ref.params, ref.tag)
-        back = inv.inverse()
-        assert (back.matrix, back.kind, back.params, back.tag) == \
-            (aut.matrix, aut.kind, aut.params, aut.tag)
+        _assert_inverse_matches_the_cofactor_route(aut)
+    assert Automorphism.gamma(lam).inverse() == Automorphism.gamma(-lam)
+    assert Automorphism.sigma().inverse().kind == "sigma"
+
+
+# each g up to a nonzero scale: a named family, or any invertible g with non-real entries
+families = st.one_of(
+    st.just((1, 0, 0, 1)), st.just((0, 1, 1, 0)),
+    st.builds(lambda lam: (1, 0, lam, 1), non_real),
+    st.builds(lambda l1, l2: (1, 1, l1, l2), non_real, non_real).filter(lambda g: g[2] != g[3]),
+)
+random_g = st.tuples(non_real, non_real, non_real, non_real).filter(
+    lambda g: not (g[0] * g[3] - g[1] * g[2]).is_zero())
+scaled_g = st.builds(lambda g, c: tuple(Scalar.of(x) * c for x in g),
+                     families | random_g, non_real)
+automorphisms = st.recursive(
+    st.builds(Automorphism, scaled_g),
+    lambda inner: st.builds(_compose, inner, inner), max_leaves=3)
+
+
+@given(automorphisms)
+def test_ad_matches_the_3x3_routes(aut):
+    assert _preserves_brackets(aut)
+    assert _mat_det(aut.matrix) == Scalar.one()
+    assert _recognize(aut.g) == _match_3x3(aut.matrix) == (aut.kind, aut.params)
+    _assert_inverse_matches_the_cofactor_route(aut)
