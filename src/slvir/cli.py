@@ -143,10 +143,14 @@ def _vec_from_json(module, text: str):
             raise InvalidParameter(f"a vector of {theirs} given to the module {module}")
         terms = data["terms"]
     pairs = [(module.key_from_json(k), Scalar.of(c)) for k, c in _pairs(terms, "a vector")]
-    for key, _ in pairs:
+    coeffs: dict = {}
+    for key, c in pairs:
         # before the key is hashed: one with a list inside is named, not unhashable
         module.validate_key(key)
-    return module.vector(dict(pairs))
+        if key in coeffs:
+            raise InvalidParameter(f"repeated key {module.key_json(key)!r} in a vector")
+        coeffs[key] = c
+    return module.vector(coeffs)
 
 
 def _run_act(args) -> int:
@@ -283,6 +287,9 @@ def _run_report(args) -> int:
     if not isinstance(config, dict) or not isinstance(config.get("suites", None), list):
         raise ValueError("config must be an object with a 'suites' list")
     only_keys(config, ("suites", "parallel"), "a config")
+    if not isinstance(config.get("parallel", False), bool):
+        raise InvalidParameter(f"'parallel' of a config must be a JSON bool, "
+                               f"got {config['parallel']!r}")
     entries = config["suites"]
     for entry in entries:
         if not isinstance(entry, dict):

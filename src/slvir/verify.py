@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cache, partial
+from itertools import product
 
 from .errors import DepthExceeded, InvalidParameter, NotRepresentable
 from .induced import InducedModule, MuData, VirPolyModule, mu_eval
@@ -54,61 +55,61 @@ from .sparse import (MODULUS, ZERO_ROW, expand, gauss, lincomb, pack, residues, 
                      row_from_scalars, row_keys, slot_width, unit_row)
 
 
-class _Report:
+@dataclass
+class Report:
+    """A report of schema ``report/1``: one type for every suite, map check
+    and verdict.
+
+    ``flags`` are the pass/fail checks, set through :meth:`record`, which
+    keeps the witness of the first failure.  ``extra`` holds every other
+    top-level key: a target, a scope, a suite's notes or branch, or a
+    verdict's answer and ``witness_i``.  A verdict has no flags, so its
+    JSON has no ``flags`` key and ``all_ok`` is True.  ``rank``, a map
+    check's number of independent images, is not serialised.
+    """
+
+    suite: str
+    params: dict
+    depth: int = 0
+    flags: dict = field(default_factory=dict)
+    witness: object = None
+    extra: dict = field(default_factory=dict)
+    rank: int | None = None
+
     @property
     def all_ok(self) -> bool:
         return all(self.flags.values())
 
-    def extras(self) -> dict:
-        return {}
+    def record(self, flag: str, ok: bool, witness=None) -> None:
+        """Set ``flags[flag]`` to ok; a failure keeps ``witness`` unless an
+        earlier one filled the report's."""
+        self.flags[flag] = ok
+        if not ok and self.witness is None:
+            self.witness = witness
+
+    def compare(self, flag: str, expected, found) -> None:
+        """Record whether found == expected; a mismatch is witnessed by both
+        values in JSON (a vector by its terms)."""
+        def as_json(x):
+            return x.to_json()["terms"] if isinstance(x, ModVec) else x.to_json()
+
+        ok = found == expected
+        self.record(flag, ok, None if ok else
+                    {"kind": flag, "expected": as_json(expected), "found": as_json(found)})
 
     def to_json(self, elapsed_ms=None) -> dict:
-        out = {
-            "schema": "report/1",
-            "suite": self.suite,
-            "params": self.params,
-            "flags": self.flags,
-            "depth": self.depth,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if elapsed_ms is not None:
-            out["elapsed_ms"] = elapsed_ms
-        out.update(self.extras())
-        return out
+        """The report's JSON; a key whose value is None is left out, and so
+        are the flags of a verdict."""
+        out = {"schema": "report/1", "suite": self.suite, "params": self.params,
+               "flags": self.flags or None, "depth": self.depth, "witness": self.witness,
+               "elapsed_ms": elapsed_ms, **self.extra}
+        return {key: value for key, value in out.items() if value is not None}
 
 
-@dataclass
-class MapCheckReport(_Report):
-    """Outcome of a generator-relation, injectivity and window-span check.
-
-    ``surjective_onto_window`` is None when the caller asked for no span
-    check (``window_span=False``); otherwise it says whether the images
-    span every key of the target's depth-N window.  ``rank``, the number
-    of independent images, feeds the suites' notes and is not serialised.
-    """
-
-    relations_hold: bool
-    injective_up_to_N: bool
-    surjective_onto_window: bool | None
-    witness: object
-    depth: int
-    rank: int
-    suite = "map_check"
-    params: dict = field(default_factory=dict)
-
-    @property
-    def flags(self) -> dict:
-        out = {
-            "relations_hold": self.relations_hold,
-            "injective_up_to_N": self.injective_up_to_N,
-        }
-        if self.surjective_onto_window is not None:
-            out["surjective_onto_window"] = self.surjective_onto_window
-        return out
-
-    def extras(self):
-        return {"scope": f"verified to depth {self.depth}"}
+def _scoped_report(suite: str, params: dict, depth: int) -> Report:
+    """The report of a map check, or of a suite that identifies a module
+    with a predicted target, which says that it is verified to depth N."""
+    return Report(suite, params, depth, extra={"scope": f"verified to depth {depth}"})
 
 
 class _Unreduced(ArithmeticError):
@@ -204,32 +205,31 @@ def _graded_certificate(dst: Module, lift, words, gen_image: ModVec, depth: int,
                                == Counter({d: block.rank for d, block in blocks.items()}))
 
 
-def _eliminate(src: Module, dst: Module, act, words, gen_image: ModVec, depth: int,
-               window_span: bool):
-    """The full route: (injective, spanned, witness, rank) from one echelon
-    of the whole images; the only source of dependent_image and not_spanned
-    witnesses.  ``spanned`` is True unless ``window_span`` asks for the
-    window span and it fails."""
-    witness = None
+def _eliminate(report: Report, src: Module, dst: Module, act, words, gen_image: ModVec,
+               depth: int, window_span: bool) -> None:
+    """The full route: record injectivity, the window span if
+    ``window_span`` asks for it, and the rank, from one echelon of the
+    whole images; the only source of dependent_image and not_spanned
+    witnesses."""
     ech = Echelon(dst.key_sort_token)
-    injective = True
-    for key, img in _word_images(act, words, gen_image):
-        if not ech.insert(img.row) and injective:
-            injective = False
-            witness = {"kind": "dependent_image", "src_key": src.key_json(key)}
-    spanned = True
+    dependent = [key for key, img in _word_images(act, words, gen_image)
+                 if not ech.insert(img.row)]
+    report.record("injective_up_to_N", not dependent,
+                  {"kind": "dependent_image", "src_key": src.key_json(dependent[0])}
+                  if dependent else None)
     if window_span:
         for dkey in dst.basis_keys(depth):
             if not ech.contains(unit_row(dkey)):
-                spanned = False
-                if witness is None:
-                    witness = {"kind": "not_spanned", "dst_key": dst.key_json(dkey)}
+                report.record("surjective_onto_window", False,
+                              {"kind": "not_spanned", "dst_key": dst.key_json(dkey)})
                 break
-    return injective, spanned, witness, ech.rank
+        else:
+            report.record("surjective_onto_window", True)
+    report.rank = ech.rank
 
 
 def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
-                     window_span: bool = True, lift=None) -> MapCheckReport:
+                     window_span: bool = True, lift=None) -> Report:
     """Verify the module map src -> dst sending the generator to gen_image.
 
     relations_hold: gen_image satisfies the defining relations of src's
@@ -254,7 +254,8 @@ def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
     depth d), the tops span the depth-d keys, and by induction on d the
     images span every key of the window.  When the certificate does not
     hold, one echelon of the whole images decides: rank, injectivity, and
-    the span by membership of each window key; it gives the witness.
+    the span by membership of each window key; it gives the witness.  The
+    report has no span flag when ``window_span`` is False.
 
     The certificate takes each block's rank mod the prime P of
     :data:`~slvir.sparse.MODULUS`, with i sent to a root of -1 mod P: a
@@ -264,65 +265,38 @@ def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
     with the report a certificate would give, so P never shows.
     """
     lift = lift or (lambda x: x)
-    witness = None
-    relations_hold = True
+    report = _scoped_report("map_check", {}, depth)
     for u, s in src.generator_relations():
-        lhs = act_uenv(dst, u, gen_image)
-        if lhs != gen_image.scale(s):
-            relations_hold = False
-            if witness is None:
-                witness = {"kind": "relation", "element": u.to_json(),
-                           "expected_scalar": Scalar.of(s).to_json()}
+        if act_uenv(dst, u, gen_image) != gen_image.scale(s):
+            report.record("relations_hold", False,
+                          {"kind": "relation", "element": u.to_json(),
+                           "expected_scalar": Scalar.of(s).to_json()})
             break
+    else:
+        report.record("relations_hold", True)
 
     words = sorted(src.basis_words(depth),
                    key=lambda kw: (src.key_depth(kw[0]), src.key_sort_token(kw[0])))
     if _graded_certificate(dst, lift, words, gen_image, depth, window_span):
-        injective, spanned, rank = True, True, len(words)
+        report.record("injective_up_to_N", True)
+        if window_span:
+            report.record("surjective_onto_window", True)
+        report.rank = len(words)
     else:
-        injective, spanned, found, rank = _eliminate(
-            src, dst, lambda x, v: dst.act(lift(x), v), words, gen_image, depth, window_span)
-        witness = witness or found
-    return MapCheckReport(relations_hold, injective, spanned if window_span else None,
-                          witness, depth, rank)
+        _eliminate(report, src, dst, lambda x, v: dst.act(lift(x), v), words, gen_image,
+                   depth, window_span)
+    return report
 
 
 # -- simplicity and generation ------------------------------------------------
 
 
-class _VerdictReport(_Report):
-    """A verdict, not a pass/fail check: its one flag is reported at the
-    top level, with the witnessing integer if there is one."""
-
-    depth = 0
-    witness = None
-
-    @property
-    def all_ok(self):
-        return True
-
-    def extras(self):
-        out = dict(self.flags)
-        if self.witness_i is not None:
-            out["witness_i"] = self.witness_i
-        return out
-
-    def to_json(self, elapsed_ms=None):
-        out = super().to_json(elapsed_ms)
-        del out["flags"]
-        return out
-
-
-@dataclass
-class SimplicityReport(_VerdictReport):
-    irreducible: bool
-    witness_i: int | None
-    params: dict = field(default_factory=dict)
-    suite = "simplicity"
-
-    @property
-    def flags(self):
-        return {"irreducible": self.irreducible}
+def _verdict(suite: str, answer: str, xi: Scalar, tau: Scalar, witness_i) -> Report:
+    """A verdict, not a pass/fail check: no flags, and ``answer`` (True
+    when no integer witnesses against it) at the top level with
+    ``witness_i``."""
+    return Report(suite, {"xi": xi.to_json(), "tau": tau.to_json()},
+                  extra={answer: witness_i is None, "witness_i": witness_i})
 
 
 def _integer_roots(xi: Scalar, tau: Scalar, minimum: int | None) -> list[int]:
@@ -341,7 +315,7 @@ def _integer_roots(xi: Scalar, tau: Scalar, minimum: int | None) -> list[int]:
     return sorted(found)
 
 
-def simplicity_test(xi, tau) -> SimplicityReport:
+def simplicity_test(xi, tau) -> Report:
     """Whether the dense module with these parameters is irreducible.
 
     Solves (xi + 2i + 1)^2 = tau exactly over the integers; the reported
@@ -349,60 +323,18 @@ def simplicity_test(xi, tau) -> SimplicityReport:
     """
     xi, tau = Scalar.of(xi), Scalar.of(tau)
     roots = _integer_roots(xi, tau, None)
-    if not roots:
-        return SimplicityReport(True, None,
-                                {"xi": xi.to_json(), "tau": tau.to_json()})
-    witness = min(roots, key=lambda i: (abs(i), i))
-    return SimplicityReport(False, witness,
-                            {"xi": xi.to_json(), "tau": tau.to_json()})
+    witness = min(roots, key=lambda i: (abs(i), i)) if roots else None
+    return _verdict("simplicity", "irreducible", xi, tau, witness)
 
 
-@dataclass
-class GeneratorReport(_VerdictReport):
-    generates: bool
-    witness_i: int | None
-    params: dict = field(default_factory=dict)
-    suite = "generator"
-
-    @property
-    def flags(self):
-        return {"generates": self.generates}
-
-
-def generator_test(xi_prime, tau) -> GeneratorReport:
+def generator_test(xi_prime, tau) -> Report:
     """Whether v at weight xi' generates the dense module: no root i >= 0."""
     xi_prime, tau = Scalar.of(xi_prime), Scalar.of(tau)
     roots = _integer_roots(xi_prime, tau, 0)
-    if not roots:
-        return GeneratorReport(True, None,
-                               {"xi": xi_prime.to_json(), "tau": tau.to_json()})
-    return GeneratorReport(False, roots[0],
-                           {"xi": xi_prime.to_json(), "tau": tau.to_json()})
+    return _verdict("generator", "generates", xi_prime, tau, roots[0] if roots else None)
 
 
 # -- the dense-structure suite -------------------------------------------------
-
-
-@dataclass
-class DenseReport(_Report):
-    branch: str  # iso_to_Vdense | composition_series
-    j0: int | None
-    filtration_strict_to: int
-    pieces: dict | None
-    flags: dict
-    witness: object
-    depth: int
-    params: dict
-    suite = "dense"
-
-    def extras(self):
-        out = {"branch": self.branch,
-               "filtration_strict_to": self.filtration_strict_to}
-        if self.j0 is not None:
-            out["j0"] = self.j0
-        if self.pieces is not None:
-            out["pieces"] = self.pieces
-        return out
 
 
 def _casimir_shifter(x_mod: XModule, tau: Scalar):
@@ -421,20 +353,6 @@ def _casimir_shifter(x_mod: XModule, tau: Scalar):
     return lambda row: lincomb(expand(row, [(1, 0, 1, row_of)]))
 
 
-def _compare(flags: dict, witness, flag: str, expected, found):
-    """Set flags[flag] to whether found == expected, and return the witness:
-    the given one if an earlier check filled it, else on a mismatch one
-    naming the flag with both values in JSON (a vector by its terms)."""
-    flags[flag] = found == expected
-    if witness is not None or flags[flag]:
-        return witness
-
-    def as_json(x):
-        return x.to_json()["terms"] if isinstance(x, ModVec) else x.to_json()
-
-    return {"kind": flag, "expected": as_json(expected), "found": as_json(found)}
-
-
 def _dense_intertwiner(xbar: XbarModule, depth: int):
     """The unique intertwiner Xbar(xi, tau) -> Vdense(xi, tau) normalised by
     xbar -> v_xi, as a row map on the keys of depth <= depth + 1: each key
@@ -450,7 +368,7 @@ def _dense_intertwiner(xbar: XbarModule, depth: int):
     return rows.__getitem__
 
 
-def suite_dense(xi, tau, depth: int = 6) -> DenseReport:
+def suite_dense(xi, tau, depth: int = 6) -> Report:
     """Check the filtration/quotient structure of X(xi) at one (xi, tau).
 
     Verifies, exactly on the depth window: the Casimir shift kills no
@@ -463,29 +381,24 @@ def suite_dense(xi, tau, depth: int = 6) -> DenseReport:
     xi, tau = Scalar.of(xi), Scalar.of(tau)
     if depth < 6:
         raise InvalidParameter("the dense suite needs depth at least 6")
-    params = {"xi": xi.to_json(), "tau": tau.to_json()}
+    report = Report("dense", {"xi": xi.to_json(), "tau": tau.to_json()}, depth)
     x_mod = XModule(xi)
-    flags: dict = {}
-    witness = None
 
     shift = _casimir_shifter(x_mod, tau)
 
     # (a) (c - tau) v != 0 for every basis vector of the window
-    nonzero = True
     for key in x_mod.basis_keys(depth):
         if shift(unit_row(key)) == ZERO_ROW:
-            nonzero = False
-            witness = witness or {"kind": "casimir_shift_vanishes",
-                                  "key": x_mod.key_json(key)}
+            report.record("shift_nonvanishing", False,
+                          {"kind": "casimir_shift_vanishes", "key": x_mod.key_json(key)})
             break
-    flags["shift_nonvanishing"] = nonzero
+    else:
+        report.record("shift_nonvanishing", True)
 
     # (c) strictness of the shift-power filtration for n <= 3; its level n = 1
     # gives (b), v -> (c - tau) v injective on the window of depth - 2
     strict_to = 0
-    prev_rank = None
     prev_ech = None
-    filtration_ok = True
     rows: dict = {}
     for n in range(4):
         # (c - tau)^n on the window of depth - 2n (>= 0), one shift of level n - 1
@@ -494,137 +407,112 @@ def suite_dense(xi, tau, depth: int = 6) -> DenseReport:
         ech_n = Echelon(x_mod.key_sort_token)
         dependent = [key for key, r in rows.items() if not ech_n.insert(r)]
         if n == 1:
-            flags["shift_injective_on_window"] = not dependent
-            if dependent:
-                witness = witness or {"kind": "shift_dependent",
-                                      "key": x_mod.key_json(dependent[0])}
+            report.record("shift_injective_on_window", not dependent,
+                          {"kind": "shift_dependent", "key": x_mod.key_json(dependent[0])}
+                          if dependent else None)
         if prev_ech is not None:
             contained = all(prev_ech.contains(r) for r in rows.values())
-            strictly_smaller = ech_n.rank < prev_rank
-            if contained and strictly_smaller:
-                strict_to = n
-            else:
-                filtration_ok = False
-                witness = witness or {"kind": "filtration_failure", "n": n}
+            if not (contained and ech_n.rank < prev_ech.rank):
+                report.record("filtration_strict", False, {"kind": "filtration_failure", "n": n})
+                strict_to = 0
                 break
-        prev_rank, prev_ech = ech_n.rank, ech_n
-    flags["filtration_strict"] = filtration_ok and strict_to >= 3
-    strict_to = strict_to if filtration_ok else 0
+            strict_to = n
+        prev_ech = ech_n
+    else:
+        report.record("filtration_strict", True)
+    report.extra["filtration_strict_to"] = strict_to
 
     gen = generator_test(xi, tau)
-    if gen.generates:
-        branch, j0, pieces = "iso_to_Vdense", None, None
-        flags["dense_map_intertwines"] = True
-        xbar = XbarModule(xi, tau)
+    xbar = XbarModule(xi, tau)
+    if gen.extra["generates"]:
+        report.extra["branch"] = "iso_to_Vdense"
         dense = DenseModule(xi, tau)
         phi = _dense_intertwiner(xbar, depth)
-        for key in xbar.basis_keys(depth):
-            for g in ("e", "h", "f"):
-                if (lincomb(expand(xbar._row(g, key), [(1, 0, 1, phi)]))
-                        != lincomb(expand(phi(key), [(1, 0, 1, partial(dense._row, g))]))):
-                    flags["dense_map_intertwines"] = False
-                    witness = witness or {"kind": "intertwine_failure",
-                                          "key": xbar.key_json(key)}
-                    break
-            if not flags["dense_map_intertwines"]:
+        for key, g in product(xbar.basis_keys(depth), ("e", "h", "f")):
+            if (lincomb(expand(xbar._row(g, key), [(1, 0, 1, phi)]))
+                    != lincomb(expand(phi(key), [(1, 0, 1, partial(dense._row, g))]))):
+                report.record("dense_map_intertwines", False,
+                              {"kind": "intertwine_failure", "key": xbar.key_json(key)})
                 break
+        else:
+            report.record("dense_map_intertwines", True)
+        return report
+
+    j0 = gen.extra["witness_i"]
+    report.extra.update(branch="composition_series", j0=j0)
+    if j0 + 2 > depth:
+        raise DepthExceeded(f"j0 = {j0} needs depth at least {j0 + 2}")
+    top = xbar.basis_vec(("e", j0 + 1))
+    report.compare("f_kills_submodule_generator", xbar.vector({}), xbar.act(F, top))
+
+    for i, g in product(range(1, depth - j0 + 1), (E, H, F)):
+        key = ("e", j0 + i)
+        if any(k[0] != "e" or k[1] <= j0 for k in xbar.act(g, xbar.basis_vec(key)).terms):
+            report.record("submodule_invariant", False,
+                          {"kind": "submodule_escape", "key": xbar.key_json(key)})
+            break
     else:
-        branch = "composition_series"
-        j0 = gen.witness_i
-        if j0 + 2 > depth:
-            raise DepthExceeded(f"j0 = {j0} needs depth at least {j0 + 2}")
-        xbar = XbarModule(xi, tau)
-        top = xbar.basis_vec(("e", j0 + 1))
-        witness = _compare(flags, witness, "f_kills_submodule_generator",
-                           xbar.vector({}), xbar.act(F, top))
+        report.record("submodule_invariant", True)
 
-        invariant = True
-        for i in range(1, depth - j0 + 1):
-            v = xbar.basis_vec(("e", j0 + i))
-            for g in (E, H, F):
-                img = xbar.act(g, v)
-                if any(k[0] != "e" or k[1] <= j0 for k in img.terms):
-                    invariant = False
-                    witness = witness or {"kind": "submodule_escape",
-                                          "key": xbar.key_json(("e", j0 + i))}
-                    break
-            if not invariant:
-                break
-        flags["submodule_invariant"] = invariant
+    quotient = XbarQuotientModule(xi, tau, j0)
+    verma = VermaModule(xi + 2 * j0)
+    q_check = check_module_map(verma, quotient, quotient.basis_vec(("e", j0)), depth,
+                               window_span=False)
+    report.record("quotient_relations", q_check.flags["relations_hold"], q_check.witness)
+    report.record("quotient_injective", q_check.flags["injective_up_to_N"], q_check.witness)
 
-        quotient = XbarQuotientModule(xi, tau, j0)
-        verma = VermaModule(xi + 2 * j0)
-        q_check = check_module_map(verma, quotient,
-                                   quotient.basis_vec(("e", j0)), depth,
-                                   window_span=False)
-        flags["quotient_relations"] = q_check.relations_hold
-        flags["quotient_injective"] = q_check.injective_up_to_N
-        witness = witness or q_check.witness
+    low = LowVermaModule(xi + 2 * j0 + 2)
+    s_check = check_module_map(low, xbar, top, depth, window_span=False)
+    report.record("submodule_relations", s_check.flags["relations_hold"], s_check.witness)
+    report.record("submodule_injective", s_check.flags["injective_up_to_N"], s_check.witness)
 
-        low = LowVermaModule(xi + 2 * j0 + 2)
-        s_check = check_module_map(low, xbar, top, depth, window_span=False)
-        flags["submodule_relations"] = s_check.relations_hold
-        flags["submodule_injective"] = s_check.injective_up_to_N
-        witness = witness or s_check.witness
-
-        # window rank data: per weight xi + 2s the quotient piece carries
-        # dimension 1 for s <= j0 and 0 above; the submodule complements it.
-        ranks_ok = True
-        quot_weights: dict = {}
-        for key in quotient.basis_keys(depth):
-            w = quotient.key_weight(key)
-            quot_weights[w] = quot_weights.get(w, 0) + 1
-        sub_weights: dict = {}
-        for k in range(depth - j0):
-            w = low.key_weight(k)
-            sub_weights[w] = sub_weights.get(w, 0) + 1
-        for s in range(-depth, depth + 1):
-            w = xi + 2 * s
-            expected = {"quotient": 1, "sub": 0} if s <= j0 else {"quotient": 0, "sub": 1}
-            found = {"quotient": quot_weights.get(w, 0), "sub": sub_weights.get(w, 0)}
-            if found != expected:
-                ranks_ok = False
-                witness = witness or {"kind": "window_ranks_match", "s": s,
-                                      "expected": expected, "found": found}
-                break
-        flags["window_ranks_match"] = ranks_ok
-        pieces = {
-            "quotient": {"family": "Verma", "delta": (xi + 2 * j0).to_json()},
-            "sub": {"family": "LowVerma", "delta": (xi + 2 * j0 + 2).to_json()},
-        }
-
-    return DenseReport(branch, j0, strict_to, pieces, flags, witness, depth, params)
+    # window rank data: per weight xi + 2s the quotient piece carries
+    # dimension 1 for s <= j0 and 0 above; the submodule complements it.
+    quot_weights: dict = {}
+    for key in quotient.basis_keys(depth):
+        w = quotient.key_weight(key)
+        quot_weights[w] = quot_weights.get(w, 0) + 1
+    sub_weights: dict = {}
+    for k in range(depth - j0):
+        w = low.key_weight(k)
+        sub_weights[w] = sub_weights.get(w, 0) + 1
+    for s in range(-depth, depth + 1):
+        w = xi + 2 * s
+        expected = {"quotient": 1, "sub": 0} if s <= j0 else {"quotient": 0, "sub": 1}
+        found = {"quotient": quot_weights.get(w, 0), "sub": sub_weights.get(w, 0)}
+        if found != expected:
+            report.record("window_ranks_match", False,
+                          {"kind": "window_ranks_match", "s": s, "expected": expected,
+                           "found": found})
+            break
+    else:
+        report.record("window_ranks_match", True)
+    report.extra["pieces"] = {
+        "quotient": {"family": "Verma", "delta": (xi + 2 * j0).to_json()},
+        "sub": {"family": "LowVerma", "delta": (xi + 2 * j0 + 2).to_json()},
+    }
+    return report
 
 
 # -- restriction suites ---------------------------------------------------------
 
 
-@dataclass
-class SuiteReport(_Report):
-    """The report of a suite that identifies a module with a predicted
-    target: restriction, tensor_vermas or twist_induction."""
-
-    suite: str
-    target: dict
-    flags: dict
-    witness: object
-    depth: int
-    params: dict
-    notes: dict = field(default_factory=dict)
-
-    def extras(self):
-        return {"target": self.target, "scope": f"verified to depth {self.depth}",
-                **self.notes}
+def _twisted_target(inner: Module, aut: Automorphism, report: Report) -> TwistModule:
+    """The predicted target inner twisted by aut^-1; its JSON goes into
+    the report as ``target``."""
+    report.extra["target"] = {"family": "Twist",
+                              "inner": {"family": inner.family, **inner.params_json()},
+                              "aut": f"{aut.tag}^-1"}
+    return TwistModule(inner, aut.inverse())
 
 
-def _twisted_target(inner: Module, aut: Automorphism) -> tuple[TwistModule, dict]:
-    """The predicted target inner twisted by aut^-1, and its report JSON."""
-    target = {"family": "Twist", "inner": {"family": inner.family, **inner.params_json()},
-              "aut": f"{aut.tag}^-1"}
-    return TwistModule(inner, aut.inverse()), target
+def _record_map(report: Report, mc: Report) -> None:
+    """Record every flag of the map check mc, with its witness."""
+    for flag, ok in mc.flags.items():
+        report.record(flag, ok, mc.witness)
 
 
-def suite_restriction(mu: MuData, depth: int = 6) -> SuiteReport:
+def suite_restriction(mu: MuData, depth: int = 6) -> Report:
     """Identify the polynomial-subalgebra module as a twisted sl2 module.
 
     Degree 1 gives a twisted highest weight Verma module (with the
@@ -634,59 +522,53 @@ def suite_restriction(mu: MuData, depth: int = 6) -> SuiteReport:
     """
     k = mu.degree
     vp = VirPolyModule(mu, depth)
-    params = mu.to_json()
-    notes: dict = {"mu_is_zero": mu.is_zero()}
-    flags: dict = {}
-    witness = None
+    report = _scoped_report("restriction", mu.to_json(), depth)
+    report.extra["mu_is_zero"] = mu.is_zero()
     f_poly = mu.poly()
 
     if k == 1:
         lam = mu.roots[0][0]
         aut = Automorphism.gamma(lam)
         delta = mu_eval(mu, embed_sl2(aut.apply(H)))
-        witness = _compare(flags, witness, "parameter_formula_consistent",
-                           mu.value_at(0) * 2 / lam, delta)
-        target_mod, target = _twisted_target(VermaModule(delta), aut)
+        report.compare("parameter_formula_consistent", mu.value_at(0) * 2 / lam, delta)
+        target_mod = _twisted_target(VermaModule(delta), aut, report)
         scalar = (delta + 1) ** 2
         gen = vp.generator()
-        witness = _compare(flags, witness, "casimir_scalar_matches",
-                           gen.scale(scalar), casimir_action(vp, gen))
-        notes["casimir_scalar"] = scalar.to_json()
+        report.compare("casimir_scalar_matches", gen.scale(scalar), casimir_action(vp, gen))
+        report.extra["casimir_scalar"] = scalar.to_json()
     elif k == 2 and len(mu.roots) == 1:
         lam = mu.roots[0][0]
         aut = Automorphism.gamma(lam)
         eta = mu_eval(mu, embed_sl2(aut.apply(E)))
-        witness = _compare(flags, witness, "parameter_formula_consistent",
-                           mu.value_at(-1), eta)
-        target_mod, target = _twisted_target(WModule(eta), aut)
+        report.compare("parameter_formula_consistent", mu.value_at(-1), eta)
+        target_mod = _twisted_target(WModule(eta), aut, report)
         if eta.is_zero():
-            notes["target_note"] = "non-Whittaker induced (eta = 0)"
+            report.extra["target_note"] = "non-Whittaker induced (eta = 0)"
     elif k == 2:
         lam1, lam2 = mu.roots[0][0], mu.roots[1][0]
         aut = Automorphism.gamma2(lam1, lam2)
         xi = mu_eval(mu, embed_sl2(aut.apply(H)))
         shifted = VirElt.from_laurent(f_poly.shift(-1))
-        witness = _compare(flags, witness, "parameter_formula_consistent",
-                           mu_eval(mu, shifted) * (-2) / (lam2 - lam1), xi)
-        target_mod, target = _twisted_target(XModule(xi), aut)
+        report.compare("parameter_formula_consistent",
+                       mu_eval(mu, shifted) * (-2) / (lam2 - lam1), xi)
+        target_mod = _twisted_target(XModule(xi), aut, report)
     else:
         # degree 3: the restriction is free of rank one, so vp is its own
         # target: the images of all PBW monomials of degree < depth,
         # computed through the Virasoro action path, are independent and
         # span the window
-        target = {"family": "free", "description": "free of rank 1 over U(sl2)"}
+        report.extra["target"] = {"family": "free", "description": "free of rank 1 over U(sl2)"}
         mc = check_module_map(vp, vp, vp.generator(), depth - 1,
                               lift=cache(embed_sl2))  # once per distinct letter
-        notes["independent_images"] = mc.rank
+        report.extra["independent_images"] = mc.rank
     if k < 3:
         mc = check_module_map(vp, target_mod, target_mod.generator(), depth)
 
-    flags.update(mc.flags)
-    return SuiteReport("restriction", target, flags, witness or mc.witness, depth, params,
-                       notes)
+    _record_map(report, mc)
+    return report
 
 
-def suite_tensor_vermas(lam1, lam2, mu1, mu2, depth: int = 5) -> SuiteReport:
+def suite_tensor_vermas(lam1, lam2, mu1, mu2, depth: int = 5) -> Report:
     """Identify a tensor of two differently-twisted Verma modules.
 
     (a) sl2 level: the tensor of generators is an eigenvector for
@@ -701,21 +583,18 @@ def suite_tensor_vermas(lam1, lam2, mu1, mu2, depth: int = 5) -> SuiteReport:
         raise InvalidParameter("parameters must be nonzero and distinct")
     params = {"lambda1": lam1.to_json(), "lambda2": lam2.to_json(),
               "mu1": mu1.to_json(), "mu2": mu2.to_json()}
-    flags: dict = {}
-    witness = None
+    report = _scoped_report("tensor_vermas", params, depth)
 
     aut12 = Automorphism.gamma2(lam1, lam2)
-    src, target = _twisted_target(XModule(mu1 - mu2), aut12)
+    src = _twisted_target(XModule(mu1 - mu2), aut12, report)
     tensor = TensorModule(
         TwistModule(VermaModule(mu1), Automorphism.gamma(lam1).inverse()),
         TwistModule(VermaModule(mu2), Automorphism.gamma(lam2).inverse()),
     )
     gen = tensor.generator()
-    witness = _compare(flags, witness, "generator_is_twisted_eigenvector",
-                       gen.scale(mu1 - mu2), tensor.act(aut12.apply(H), gen))
-    mc = check_module_map(src, tensor, gen, depth)
-    flags.update(mc.flags)
-    witness = witness or mc.witness
+    report.compare("generator_is_twisted_eigenvector",
+                   gen.scale(mu1 - mu2), tensor.act(aut12.apply(H), gen))
+    _record_map(report, check_module_map(src, tensor, gen, depth))
 
     # Virasoro level: characters mu~_i(t - lam_i) = mu_i lam_i / 2, and the
     # summed character on the degree-2 subalgebra of (t-lam1)(t-lam2)
@@ -729,19 +608,17 @@ def suite_tensor_vermas(lam1, lam2, mu1, mu2, depth: int = 5) -> SuiteReport:
     summed = MuData(((lam1, 1), (lam2, 1)),
                     ((m1t * (lam1 - lam2),), (m2t * (lam2 - lam1),)))
     g_poly = summed.poly()
-    vir_ok = True
     for i in range(-depth, depth + 1):
         w = VirElt.from_laurent(g_poly.shift(i))
         if vir_tensor.act(w, vgen) != vgen.scale(summed.value_at(i)):
-            vir_ok = False
-            witness = witness or {"kind": "vir_relation_failure", "shift": i}
+            report.record("vir_relations_hold", False, {"kind": "vir_relation_failure", "shift": i})
             break
-    flags["vir_relations_hold"] = vir_ok
+    else:
+        report.record("vir_relations_hold", True)
+    return report
 
-    return SuiteReport("tensor_vermas", target, flags, witness, depth, params)
 
-
-def suite_twist_induction(sub: SubalgebraClass1D, mu0, depth: int = 6) -> SuiteReport:
+def suite_twist_induction(sub: SubalgebraClass1D, mu0, depth: int = 6) -> Report:
     """Identify the module induced from a one-dimensional subalgebra.
 
     ``mu0`` is the character value on the classifier's canonical
@@ -752,16 +629,14 @@ def suite_twist_induction(sub: SubalgebraClass1D, mu0, depth: int = 6) -> SuiteR
     mu0 = Scalar.of(mu0)
     params = {"kind": sub.kind, "generator": sub.generator.to_json(),
               "mu0": mu0.to_json(), "aut": sub.aut.tag}
+    report = _scoped_report("twist_induction", params, depth)
     src = InducedModule([(sub.generator, mu0)], depth)
-    notes: dict = {}
     if sub.kind in ("n_lambda", "n_minus"):
         inner: Module = WModule(mu0)
         if mu0.is_zero():
-            notes["target_note"] = "non-Whittaker induced (eta = 0)"
+            report.extra["target_note"] = "non-Whittaker induced (eta = 0)"
     else:
         inner = XModule(mu0)
-    dst, target = _twisted_target(inner, sub.aut)
-    mc = check_module_map(src, dst, dst.generator(), depth)
-    return SuiteReport("twist_induction", target, mc.flags, mc.witness, depth,
-                       params, notes)
-
+    dst = _twisted_target(inner, sub.aut, report)
+    _record_map(report, check_module_map(src, dst, dst.generator(), depth))
+    return report

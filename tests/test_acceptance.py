@@ -182,16 +182,16 @@ def test_c04_dense_structure():
                         (S(0), S(25)), (S(-3), S(4)), (S(2), S(49))]
         for xi, tau in iso_cases:
             report = suite_dense(xi, tau, 6)
-            assert report.branch == "iso_to_Vdense" and report.all_ok, (xi, tau)
-            assert report.filtration_strict_to == 3
+            assert report.extra["branch"] == "iso_to_Vdense" and report.all_ok, (xi, tau)
+            assert report.extra["filtration_strict_to"] == 3
         for xi, tau in series_cases:
             report = suite_dense(xi, tau, 6)
-            assert report.branch == "composition_series" and report.all_ok, (xi, tau)
-            assert report.filtration_strict_to == 3
-            delta_q = Scalar.from_json(report.pieces["quotient"]["delta"])
-            delta_s = Scalar.from_json(report.pieces["sub"]["delta"])
-            assert delta_q == xi + 2 * report.j0
-            assert delta_s == xi + 2 * report.j0 + 2
+            assert report.extra["branch"] == "composition_series" and report.all_ok, (xi, tau)
+            assert report.extra["filtration_strict_to"] == 3
+            delta_q = Scalar.from_json(report.extra["pieces"]["quotient"]["delta"])
+            delta_s = Scalar.from_json(report.extra["pieces"]["sub"]["delta"])
+            assert delta_q == xi + 2 * report.extra["j0"]
+            assert delta_s == xi + 2 * report.extra["j0"] + 2
 
     _criterion(4, "dense-structure", 5.0, body)
 
@@ -205,11 +205,11 @@ def test_c05_degree_one_restriction():
             report = suite_restriction(mu, 6)
             assert report.all_ok, (lam, m, report.flags)
             delta = m * 2 / lam
-            assert report.target["inner"] == {"family": "Verma",
-                                              "delta": delta.to_json()}
-            assert report.notes["casimir_scalar"] == ((delta + 1) ** 2).to_json()
+            assert report.extra["target"]["inner"] == {"family": "Verma",
+                                                       "delta": delta.to_json()}
+            assert report.extra["casimir_scalar"] == ((delta + 1) ** 2).to_json()
         nine = suite_restriction(MuData(((S(1), 1),), ((S(1),),)), 6)
-        assert nine.notes["casimir_scalar"] == S(9).to_json()
+        assert nine.extra["casimir_scalar"] == S(9).to_json()
 
     _criterion(5, "restriction-degree-1", 5.0, body)
 
@@ -223,7 +223,7 @@ def test_c06_degree_two_restriction():
             mu = MuData(((lam, 2),), (p,))
             report = suite_restriction(mu, 6)
             assert report.all_ok, (lam, p, report.flags)
-            assert report.target["inner"]["family"] == "W"
+            assert report.extra["target"]["inner"]["family"] == "W"
         split = [((S(1), S(2)), (S(1), S(0))), ((S(1), S(-1)), (S(1), S(1))),
                  ((S(2), S(3)), (S("1/2"), S(1))), ((S("1/2"), S(1)), (S(1), S(2))),
                  ((S("1*i"), S(1)), (S(1), S(1)))]
@@ -231,7 +231,7 @@ def test_c06_degree_two_restriction():
             mu = MuData(((l1, 1), (l2, 1)), ((p1,), (p2,)))
             report = suite_restriction(mu, 6)
             assert report.all_ok, (l1, l2, report.flags)
-            assert report.target["inner"]["family"] == "X"
+            assert report.extra["target"]["inner"]["family"] == "X"
 
     _criterion(6, "restriction-degree-2", 10.0, body)
 
@@ -242,7 +242,7 @@ def test_c07_cubic_freeness():
                     ((S(1),), (S(1),), (S(1),)))
         report = suite_restriction(mu, 6)
         assert report.all_ok, report.flags
-        assert report.notes["independent_images"] == 56
+        assert report.extra["independent_images"] == 56
 
     _criterion(7, "cubic-freeness", 10.0, body)
 
@@ -255,8 +255,8 @@ def test_c08_tensor_of_twisted_vermas():
         for l1, l2, m1, m2 in samples:
             report = suite_tensor_vermas(l1, l2, m1, m2, 5)
             assert report.all_ok, (l1, l2, m1, m2, report.flags)
-            assert report.target["inner"] == {"family": "X",
-                                              "xi": (m1 - m2).to_json()}
+            assert report.extra["target"]["inner"] == {"family": "X",
+                                                       "xi": (m1 - m2).to_json()}
 
     _criterion(8, "tensor-vermas", 10.0, body)
 
@@ -278,7 +278,7 @@ def test_c09_twist_induction_all_types():
             assert sub.kind == kind, (elt, sub.kind)
             report = suite_twist_induction(sub, mu0, 6)
             assert report.all_ok, (kind, mu0, report.flags)
-            assert report.target["inner"]["family"] == family
+            assert report.extra["target"]["inner"]["family"] == family
 
     _criterion(9, "twist-induction", 5.0, body)
 
@@ -303,9 +303,9 @@ def test_c10_simplicity_against_window_oracle():
         assert len(pairs) >= 200
         for xi, tau in pairs:
             rep = simplicity_test(xi, tau)
-            assert rep.irreducible == (not oracle_reducible(xi, tau)), (xi, tau)
-            if rep.witness_i is not None:
-                assert (tau - (xi + 2 * rep.witness_i + 1) ** 2).is_zero()
+            assert rep.extra["irreducible"] == (not oracle_reducible(xi, tau)), (xi, tau)
+            if rep.extra["witness_i"] is not None:
+                assert (tau - (xi + 2 * rep.extra["witness_i"] + 1) ** 2).is_zero()
 
     _criterion(10, "simplicity-oracle", 2.0, body)
 
@@ -316,14 +316,14 @@ def test_depth_10_restriction_and_twist_induction():
         lam, m = S("1*i"), S(2)
         report = suite_restriction(MuData(((lam, 1),), ((m,),)), 10)
         assert report.all_ok, report.flags
-        assert report.target["inner"] == {"family": "Verma",
-                                          "delta": (m * 2 / lam).to_json()}
+        assert report.extra["target"]["inner"] == {"family": "Verma",
+                                                   "delta": (m * 2 / lam).to_json()}
         report = suite_restriction(MuData(((S(2), 2),), ((S(1), S(-1)),)), 10)
         assert report.all_ok, report.flags
-        assert report.target["inner"]["family"] == "W"
+        assert report.extra["target"]["inner"]["family"] == "W"
         report = suite_restriction(MuData(((S(2), 1), (S(-2), 1)), ((S(1),), (S(2),))), 10)
         assert report.all_ok, report.flags
-        assert report.target["inner"]["family"] == "X"
+        assert report.extra["target"]["inner"]["family"] == "X"
         for elt, mu0, kind, family in [
                 (SL2Elt(1, -3, -9), S(5), "n_lambda", "W"),
                 (SL2Elt(0, 1, 2), S("1/2+1*i"), "h_lambda", "X"),
@@ -332,7 +332,7 @@ def test_depth_10_restriction_and_twist_induction():
             assert sub.kind == kind, (elt, sub.kind)
             report = suite_twist_induction(sub, mu0, 10)
             assert report.all_ok, (kind, report.flags)
-            assert report.target["inner"]["family"] == family
+            assert report.extra["target"]["inner"]["family"] == family
             assert report.depth == 10
 
     _criterion(11, "depth-10", 3.0, body)
@@ -348,12 +348,12 @@ def test_c12_depth_30_restriction_and_twist_induction():
                 (MuData(((S(2), 1), (S(-2), 1)), ((S(1),), (S(2),))), "X")]:
             report = suite_restriction(mu, 30)
             assert report.all_ok, report.flags
-            assert report.target["inner"]["family"] == family
+            assert report.extra["target"]["inner"]["family"] == family
             assert report.depth == 30
         report = suite_restriction(
             MuData(((S(1), 1), (S(2), 1), (S(3), 1)), ((S(1),), (S(1),), (S(1),))), 30)
         assert report.all_ok, report.flags
-        assert report.target["family"] == "free"
+        assert report.extra["target"]["family"] == "free"
         for elt, mu0, kind, family in [
                 (SL2Elt(1, -3, -9), S(5), "n_lambda", "W"),
                 (SL2Elt(1, -3, -5), S(1), "h_pair", "X")]:
@@ -361,7 +361,7 @@ def test_c12_depth_30_restriction_and_twist_induction():
             assert sub.kind == kind, (elt, sub.kind)
             report = suite_twist_induction(sub, mu0, 30)
             assert report.all_ok, (kind, report.flags)
-            assert report.target["inner"]["family"] == family
+            assert report.extra["target"]["inner"]["family"] == family
             assert report.depth == 30
 
     _criterion(12, "depth-30", 15.0, body)

@@ -242,6 +242,12 @@ def test_report_config_empty_and_invalid(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert "unknown key 'paralel' in a config" in err
 
+    # "parallel" must be a JSON bool: "maybe" was accepted
+    bad.write_text(json.dumps({"suites": [], "parallel": "maybe"}))
+    code, out, err = run(capsys, "report", "--config", str(bad))
+    assert (code, out) == (2, "")
+    assert "'parallel'" in err and "'maybe'" in err
+
     missing = tmp_path / "missing.json"
     code, _, err = run(capsys, "report", "--config", str(missing))
     assert code == 2
@@ -439,8 +445,8 @@ GOLDEN = json.loads((REPO / "tests" / "cli_golden.json").read_text())
 @pytest.mark.parametrize("case", GOLDEN, ids=[f"{i:02d}-{c['argv'][0]}" for i, c in
                                               enumerate(GOLDEN)])
 def test_cli_output_matches_golden(capsys, case):
-    # classify, act and weights commands keep their recorded stdout, stderr
-    # and exit code byte for byte
+    # classify, act, weights, verify and simplicity commands (--text among
+    # them) keep their recorded stdout, stderr and exit code byte for byte
     code, out, err = run(capsys, *case["argv"])
     assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
 
@@ -657,14 +663,22 @@ def test_vector_input_is_read_whole(capsys, module, vec, named):
     ({"family": "Xbar", "xi": "1", "tau": "2"}, [[["e", [1]], "1"]], "bad Xbar key"),
     (TENSOR_VERMAS, [[[1, [1]], "1"]], "bad Verma key"),
     (VIRPOLY, [[5, "1"]], "bad VirPoly key 5"),
-], ids=["other-schema", "no-terms", "xbar-list-inside", "tensor-list-inside", "virpoly-int"])
+    ({"family": "X", "xi": "1"}, [[[0, 0], "1"], [[0, 0], "2"]], "repeated key [0, 0]"),
+    ({"family": "X", "xi": "1"}, {"schema": "modvec/1", "terms": [[[1, 0], "1"], [[0, 1], "1"],
+                                                                  [[1, 0], "2"]]},
+     "repeated key [1, 0]"),
+], ids=["other-schema", "no-terms", "xbar-list-inside", "tensor-list-inside", "virpoly-int",
+        "repeated-key", "modvec-repeated-key"])
 def test_vector_input_is_validated_before_use(capsys, module, vec, named):
     # a foreign schema used to be ignored, a key with a list inside failed as
-    # an unhashable dict key, and a VirPoly key that is no list as a raw TypeError
-    code, out, err = run(capsys, "act", "--module", json.dumps(module), "--elt", "e",
-                         "--vec", json.dumps(vec))
-    assert (code, out) == (2, "")
-    assert named in err and "unhashable" not in err and "Traceback" not in err
+    # an unhashable dict key, a VirPoly key that is no list as a raw TypeError,
+    # and a repeated key silently kept only its last coefficient
+    for verb in ("act", "weights"):
+        elt = ["--elt", "e"] if verb == "act" else []
+        code, out, err = run(capsys, verb, "--module", json.dumps(module), *elt,
+                             "--vec", json.dumps(vec))
+        assert (code, out) == (2, ""), verb
+        assert named in err and "unhashable" not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("verb, elt, vec, got", [

@@ -61,9 +61,9 @@ def module_reducible(xi, tau, window=25):
 def test_identity_map_on_verma():
     v = VermaModule(S(2))
     report = check_module_map(v, v, v.generator(), 6)
-    assert report.relations_hold
-    assert report.injective_up_to_N
-    assert report.surjective_onto_window
+    assert report.flags["relations_hold"]
+    assert report.flags["injective_up_to_N"]
+    assert report.flags["surjective_onto_window"]
     assert report.witness is None
     assert report.all_ok
 
@@ -77,8 +77,8 @@ def test_window_span_is_checked_on_w_targets(dst):
     # W: the span is checked on W targets as on every other, not read off
     # the generator
     report = check_module_map(VermaModule(S(0)), dst, dst.generator(), 4)
-    assert report.surjective_onto_window is False
-    assert report.injective_up_to_N
+    assert report.flags["surjective_onto_window"] is False
+    assert report.flags["injective_up_to_N"]
     assert report.rank == 5
 
 
@@ -87,17 +87,17 @@ def test_weight_preserving_candidate_fails_at_root():
     x = XModule(S(0))
     d = DenseModule(S(0), S(9))
     report = check_module_map(x, d, d.basis_vec(S(0)), 6)
-    assert report.relations_hold
-    assert not report.injective_up_to_N
+    assert report.flags["relations_hold"]
+    assert not report.flags["injective_up_to_N"]
     assert report.witness == {"kind": "dependent_image", "src_key": [0, 2]}
 
 
 def test_simplicity_examples():
-    assert simplicity_test(0, 1).irreducible is False
-    assert simplicity_test(0, 1).witness_i == 0
-    assert simplicity_test(0, 9).witness_i == 1
-    assert simplicity_test(0, 2).irreducible is True
-    assert simplicity_test(0, 2).witness_i is None
+    assert simplicity_test(0, 1).extra["irreducible"] is False
+    assert simplicity_test(0, 1).extra["witness_i"] == 0
+    assert simplicity_test(0, 9).extra["witness_i"] == 1
+    assert simplicity_test(0, 2).extra["irreducible"] is True
+    assert simplicity_test(0, 2).extra["witness_i"] is None
 
 
 def test_simplicity_gaussian_parameters():
@@ -105,8 +105,8 @@ def test_simplicity_gaussian_parameters():
     xi = S("1+1*i")
     tau = (xi + 5) ** 2
     rep = simplicity_test(xi, tau)
-    assert rep.irreducible is False and rep.witness_i == 2
-    assert simplicity_test(S("1*i"), S(2)).irreducible is True
+    assert rep.extra["irreducible"] is False and rep.extra["witness_i"] == 2
+    assert simplicity_test(S("1*i"), S(2)).extra["irreducible"] is True
 
 
 def test_simplicity_against_brute_force():
@@ -116,54 +116,54 @@ def test_simplicity_against_brute_force():
         for tau in taus:
             rep = simplicity_test(xi, tau)
             reducible, _ = brute_force_reducible(xi, tau)
-            assert rep.irreducible == (not reducible), (xi, tau)
+            assert rep.extra["irreducible"] == (not reducible), (xi, tau)
             assert module_reducible(xi, tau) == reducible, (xi, tau)
 
 
 def test_generator_examples():
-    assert generator_test(0, 9).generates is False
-    assert generator_test(0, 9).witness_i == 1
-    assert generator_test(4, 9).generates is True
-    assert generator_test(0, 2).generates is True
+    assert generator_test(0, 9).extra["generates"] is False
+    assert generator_test(0, 9).extra["witness_i"] == 1
+    assert generator_test(4, 9).extra["generates"] is True
+    assert generator_test(0, 2).extra["generates"] is True
     # negative-only roots do not obstruct generation
-    assert simplicity_test(4, 9).irreducible is False
-    assert generator_test(4, 9).generates is True
+    assert simplicity_test(4, 9).extra["irreducible"] is False
+    assert generator_test(4, 9).extra["generates"] is True
 
 
 def test_dense_suite_iso_branch():
     report = suite_dense(0, 2, 6)
-    assert report.branch == "iso_to_Vdense"
-    assert report.j0 is None
-    assert report.filtration_strict_to == 3
+    assert report.extra["branch"] == "iso_to_Vdense"
+    assert report.extra.get("j0") is None
+    assert report.extra["filtration_strict_to"] == 3
     assert report.all_ok, report.flags
-    assert report.pieces is None
+    assert report.extra.get("pieces") is None
 
 
 def test_dense_suite_composition_branch():
     report = suite_dense(0, 9, 6)
-    assert report.branch == "composition_series"
-    assert report.j0 == 1
-    assert report.pieces["quotient"] == {"family": "Verma", "delta": S(2).to_json()}
-    assert report.pieces["sub"] == {"family": "LowVerma", "delta": S(4).to_json()}
+    assert report.extra["branch"] == "composition_series"
+    assert report.extra["j0"] == 1
+    assert report.extra["pieces"]["quotient"] == {"family": "Verma", "delta": S(2).to_json()}
+    assert report.extra["pieces"]["sub"] == {"family": "LowVerma", "delta": S(4).to_json()}
     assert report.all_ok, report.flags
 
 
 def test_dense_suite_more_parameters():
-    assert suite_dense(1, 4, 6).j0 == 0
+    assert suite_dense(1, 4, 6).extra["j0"] == 0
     assert suite_dense(1, 4, 6).all_ok
     r = suite_dense(S("1*i"), S(-1), 6)  # tau = (i)^2 would need xi+2j+1 = i
-    assert r.branch == "iso_to_Vdense" and r.all_ok
+    assert r.extra["branch"] == "iso_to_Vdense" and r.all_ok
     r = suite_dense(S("1/2"), S("2*i"), 6)
-    assert r.branch == "iso_to_Vdense" and r.all_ok
+    assert r.extra["branch"] == "iso_to_Vdense" and r.all_ok
 
 
 def test_dense_suite_gaussian_composition_series():
     xi = S("1*i")
     tau = (xi + 3) ** 2  # root at j = 1, the mirror root is not an integer
     r = suite_dense(xi, tau, 6)
-    assert r.branch == "composition_series" and r.j0 == 1
+    assert r.extra["branch"] == "composition_series" and r.extra["j0"] == 1
     assert r.all_ok, r.flags
-    assert Scalar.from_json(r.pieces["quotient"]["delta"]) == xi + 2
+    assert Scalar.from_json(r.extra["pieces"]["quotient"]["delta"]) == xi + 2
 
 
 def test_dense_suite_depth_guards():
@@ -177,22 +177,22 @@ def test_restriction_degree_one():
     mu = mud([(S(1), 1)], [[S(1)]])
     report = suite_restriction(mu, 6)
     assert report.all_ok, report.flags
-    assert report.target["inner"] == {"family": "Verma", "delta": S(2).to_json()}
-    assert report.notes["casimir_scalar"] == S(9).to_json()
+    assert report.extra["target"]["inner"] == {"family": "Verma", "delta": S(2).to_json()}
+    assert report.extra["casimir_scalar"] == S(9).to_json()
     assert report.flags["parameter_formula_consistent"]
     # another sample: lambda = 2i, mu(f) = 1/2 gives delta = 1/(2i) = -i/2
     mu = mud([(S("2*i"), 1)], [[S("1/2")]])
     report = suite_restriction(mu, 6)
     assert report.all_ok
-    assert report.target["inner"]["delta"] == S("-1/2*i").to_json()
+    assert report.extra["target"]["inner"]["delta"] == S("-1/2*i").to_json()
 
 
 def test_restriction_double_root():
     mu = mud([(S(1), 2)], [[S(0), S(1)]])
     report = suite_restriction(mu, 6)
     assert report.all_ok, report.flags
-    assert report.target["inner"] == {"family": "W", "eta": S(-1).to_json()}
-    assert not report.notes["mu_is_zero"]
+    assert report.extra["target"]["inner"] == {"family": "W", "eta": S(-1).to_json()}
+    assert not report.extra["mu_is_zero"]
 
 
 def test_restriction_double_root_nonwhittaker_edge():
@@ -200,31 +200,31 @@ def test_restriction_double_root_nonwhittaker_edge():
     mu = mud([(S(1), 2)], [[]])
     report = suite_restriction(mu, 5)
     assert report.all_ok, report.flags
-    assert report.notes["mu_is_zero"] is True
-    assert report.notes["target_note"].startswith("non-Whittaker")
+    assert report.extra["mu_is_zero"] is True
+    assert report.extra["target_note"].startswith("non-Whittaker")
 
 
 def test_restriction_distinct_roots():
     mu = mud([(S(1), 1), (S(2), 1)], [[S(1)], []])
     report = suite_restriction(mu, 6)
     assert report.all_ok, report.flags
-    assert report.target["inner"] == {"family": "X", "xi": S(-2).to_json()}
+    assert report.extra["target"]["inner"] == {"family": "X", "xi": S(-2).to_json()}
 
 
 def test_restriction_cubic_freeness():
     mu = mud([(S(1), 1), (S(2), 1), (S(3), 1)], [[S(1)], [S(1)], [S(1)]])
     report = suite_restriction(mu, 6)
     assert report.all_ok, report.flags
-    assert report.notes["independent_images"] == 56
+    assert report.extra["independent_images"] == 56
 
 
 def test_tensor_suite():
     report = suite_tensor_vermas(1, 2, 3, 1, 5)
     assert report.all_ok, report.flags
-    assert report.target["inner"] == {"family": "X", "xi": S(2).to_json()}
+    assert report.extra["target"]["inner"] == {"family": "X", "xi": S(2).to_json()}
     report = suite_tensor_vermas(1, 2, 1, 1, 4)
     assert report.all_ok
-    assert report.target["inner"]["xi"] == S(0).to_json()
+    assert report.extra["target"]["inner"]["xi"] == S(0).to_json()
     with pytest.raises(InvalidParameter):
         suite_tensor_vermas(1, 1, 3, 1, 5)
     with pytest.raises(InvalidParameter):
@@ -235,30 +235,30 @@ def test_twist_induction_examples():
     sub = classify_subalgebra_1d(SL2Elt(1, -3, -9))
     report = suite_twist_induction(sub, 5, 6)
     assert report.all_ok, report.flags
-    assert report.target["inner"] == {"family": "W", "eta": S(5).to_json()}
+    assert report.extra["target"]["inner"] == {"family": "W", "eta": S(5).to_json()}
 
     sub = classify_subalgebra_1d(SL2Elt(0, 0, 1))
     report = suite_twist_induction(sub, 2, 6)
     assert report.all_ok
-    assert report.target["inner"] == {"family": "W", "eta": S(2).to_json()}
+    assert report.extra["target"]["inner"] == {"family": "W", "eta": S(2).to_json()}
     assert report.params["aut"] == "sigma"
 
     sub = classify_subalgebra_1d(SL2Elt(1, -3, -5))
     report = suite_twist_induction(sub, 1, 6)
     assert report.all_ok
-    assert report.target["inner"] == {"family": "X", "xi": S(1).to_json()}
+    assert report.extra["target"]["inner"] == {"family": "X", "xi": S(1).to_json()}
 
     sub = classify_subalgebra_1d(SL2Elt(0, 1, -2))  # h - 2f = gamma(-1)(h)
     report = suite_twist_induction(sub, S("1/2"), 6)
     assert report.all_ok
-    assert report.target["inner"] == {"family": "X", "xi": S("1/2").to_json()}
+    assert report.extra["target"]["inner"] == {"family": "X", "xi": S("1/2").to_json()}
 
 
 def test_twist_induction_whittaker_zero_flag():
     sub = classify_subalgebra_1d(SL2Elt(1, 0, 0))
     report = suite_twist_induction(sub, 0, 5)
     assert report.all_ok
-    assert report.notes["target_note"].startswith("non-Whittaker")
+    assert report.extra["target_note"].startswith("non-Whittaker")
 
 
 def test_report_shapes():
@@ -268,7 +268,7 @@ def test_report_shapes():
     assert data["suite"] == "dense"
     assert "elapsed_ms" not in data
     assert report.to_json(elapsed_ms=12)["elapsed_ms"] == 12
-    assert (report.j0 is not None) == (report.branch == "composition_series")
+    assert (report.extra.get("j0") is not None) == (report.extra["branch"] == "composition_series")
 
 
 def _per_word_images(act, words, vec):
@@ -668,7 +668,7 @@ def test_positive_checks_never_reach_the_full_route(monkeypatch):
     cubic = suite_restriction(mud([(S(1), 1), (S(2), 1), (S(3), 1)],
                                   [[S(1)], [S(1)], [S(1)]]), 10)
     assert cubic.all_ok, cubic.flags
-    assert cubic.notes["independent_images"] == 220
+    assert cubic.extra["independent_images"] == 220
     for elt, kind in ((SL2Elt(1, -3, -9), "n_lambda"), (SL2Elt(1, -3, -5), "h_pair")):
         sub = classify_subalgebra_1d(elt)
         assert sub.kind == kind
@@ -693,7 +693,7 @@ def test_graded_certificate_refuses_keys_above_the_expected_depth():
     assert not verify_mod._graded_certificate(dst, lambda x: x, src.basis_words(3), gen, 3,
                                               False)
     report = check_module_map(src, dst, gen, 3)
-    assert report.relations_hold and report.injective_up_to_N
+    assert report.flags["relations_hold"] and report.flags["injective_up_to_N"]
 
 
 # -- witnesses of the comparison flags -------------------------------------------
@@ -743,7 +743,7 @@ def test_f_kills_submodule_generator_witness(monkeypatch):
     fe = XbarModule._fe_scalar
     monkeypatch.setattr(XbarModule, "_fe_scalar", lambda self, l: fe(self, l) + 1)
     report = suite_dense(0, 9, 6)
-    assert report.j0 == 1 and report.flags["f_kills_submodule_generator"] is False
+    assert report.extra["j0"] == 1 and report.flags["f_kills_submodule_generator"] is False
     assert report.witness == {"kind": "f_kills_submodule_generator", "expected": [],
                               "found": [[["e", 1], S(1).to_json()]]}
 
@@ -787,6 +787,34 @@ def test_witness_keeps_the_first_failure(monkeypatch):
     report = suite_restriction(mud([(S(2), 1)], [[S(1)]]), 4)
     assert report.flags["casimir_scalar_matches"] is False
     assert report.witness["kind"] == "parameter_formula_consistent"
+
+
+def test_two_failing_checks_keep_the_earlier_witness(monkeypatch):
+    # each suite here has two checks broken independently: both flags read
+    # False, and the earlier check's witness is the one reported
+    mu_eval, casimir = verify_mod.mu_eval, verify_mod.casimir_action
+    with monkeypatch.context() as m:
+        m.setattr(verify_mod, "mu_eval", lambda mu, x: mu_eval(mu, x) + 1)
+        m.setattr(verify_mod, "casimir_action", lambda mod, v: casimir(mod, v).scale(2))
+        report = suite_restriction(mud([(S(2), 1)], [[S(1)]]), 4)
+    assert report.flags["parameter_formula_consistent"] is False
+    assert report.flags["casimir_scalar_matches"] is False
+    assert report.witness == {"kind": "parameter_formula_consistent",
+                              "expected": S(1).to_json(), "found": S(2).to_json()}
+
+    class Doubled(TensorModule):
+        def act(self, x, v):
+            return super().act(x, v).scale(2)
+
+    act_uenv = verify_mod.act_uenv
+    monkeypatch.setattr(verify_mod, "TensorModule", Doubled)
+    monkeypatch.setattr(verify_mod, "act_uenv", lambda mod, u, v: act_uenv(mod, u, v) + v)
+    report = suite_tensor_vermas(1, 2, 1, 2, 3)
+    assert report.flags["generator_is_twisted_eigenvector"] is False
+    assert report.flags["relations_hold"] is False
+    assert report.witness == {"kind": "generator_is_twisted_eigenvector",
+                              "expected": [[[0, 0], S(-1).to_json()]],
+                              "found": [[[0, 0], S(-2).to_json()]]}
 
 
 # -- the U(sl2) action and the Casimir shift ------------------------------------
@@ -870,7 +898,7 @@ def test_casimir_shifter_makes_no_act_uenv_call(monkeypatch):
     assert all(shift(unit_row(key)) for key in x.basis_keys(9))
     # the irreducible branch checks no module map, so it makes no act_uenv call
     report = suite_dense(S("1/2+1*i"), S(9), 6)
-    assert report.branch == "iso_to_Vdense" and report.all_ok
+    assert report.extra["branch"] == "iso_to_Vdense" and report.all_ok
 
 
 @settings(max_examples=15, deadline=None)
@@ -879,7 +907,7 @@ def test_dense_action_matches_xbar_act_generic_through_the_intertwiner(xi, tau):
     # an independent route to DenseModule: where v generates, the suite's
     # normalised intertwiner maps Xbar's action through X(xi) and nf_multiply
     # onto Vdense's closed form
-    assume(generator_test(xi, tau).generates)
+    assume(generator_test(xi, tau).extra["generates"])
     depth = 6
     xbar, dense = XbarModule(xi, tau), DenseModule(xi, tau)
     rows = _dense_intertwiner(xbar, depth)
@@ -906,6 +934,6 @@ def test_dense_intertwiner_failure_names_the_first_bad_key(monkeypatch):
     assert suite_dense(xi, tau, 6).flags["dense_map_intertwines"]
     monkeypatch.setattr(verify_mod, "_dense_intertwiner", broken)
     report = suite_dense(xi, tau, 6)
-    assert report.branch == "iso_to_Vdense"
+    assert report.extra["branch"] == "iso_to_Vdense"
     assert not report.flags["dense_map_intertwines"]
     assert report.witness == {"kind": "intertwine_failure", "key": ["e", 1]}
