@@ -62,8 +62,16 @@ def positive_int(value, name: str) -> int:
     return value
 
 
-# The largest depth a suite or a VirPoly handle accepts: work grows about as
-# depth^3.6 (~7 s at depth 80 on a 2-core x86-64 host), so 1000 would take hours.
+def integer(value, name: str) -> int:
+    """``value`` if it is an int, not a bool; else InvalidParameter naming
+    ``name`` and the value, so that 1.5 and True are never read as 1."""
+    if type(value) is not int:
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+# The largest depth a suite or a VirPoly handle accepts: the degree-3 restriction
+# takes 90-140 s at depth 60 on a 2-core x86-64 host (README), so 1000 would take hours.
 MAX_DEPTH = 100
 
 

@@ -138,7 +138,7 @@ def mu_eval(mu: MuData, w: VirElt) -> Scalar:
     The Laurent part must be exactly divisible by f (checked through the
     window reduction); the z component contributes nothing.
     """
-    q, r = divmod_window(w.laurent_part(), mu.poly())
+    q, r = divmod_window(LaurentPoly._raw(w.terms), mu.poly())
     if not r.is_zero():
         raise NotInSubalgebra(f"{w} is not in the polynomial subalgebra")
     total = Scalar.zero()

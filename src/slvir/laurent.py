@@ -1,6 +1,7 @@
 """Sparse Laurent polynomials over Q(i) and window reduction modulo t^i*f.
 
-A Laurent polynomial is a finite map exponent -> nonzero Scalar.  The key
+A Laurent polynomial is a finite map exponent -> nonzero Scalar, a
+:class:`~slvir.sparse.Terms` keyed by integers.  The key
 operation beyond ring arithmetic is :func:`divmod_window`: writing any
 p(t) as q(t)*f(t) + r(t) with r supported on a fixed complement window of
 the lattice spanned by {t^i f}.  For f of degree k with nonzero constant
@@ -15,28 +16,19 @@ quotient and remainder are unique.
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import partial
 
-from .errors import BadPolynomial
+from .errors import BadPolynomial, integer
 from .scalar import Scalar
-from .sparse import sum_terms
+from .sparse import Terms, sum_terms
 
 
-class LaurentPoly:
+class LaurentPoly(Terms):
     """Finite exponent -> Scalar map; the empty map is zero."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        object.__setattr__(self, "terms", sum_terms(
-            (int(exp), Scalar.of(coeff)) for exp, coeff in (terms or {}).items()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
-
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
+    _key = staticmethod(partial(integer, name="a Laurent exponent"))
 
     @staticmethod
     def one() -> "LaurentPoly":
@@ -56,9 +48,6 @@ class LaurentPoly:
                 out = out * factor
         return out
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, exp: int) -> Scalar:
         return self.terms.get(exp, Scalar.zero())
 
@@ -68,53 +57,24 @@ class LaurentPoly:
     def max_exp(self) -> int:
         return max(self.terms)
 
-    def __add__(self, other):
-        return LaurentPoly(sum_terms(chain(self.terms.items(), other.terms.items())))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
-
     def __mul__(self, other):
-        return LaurentPoly(sum_terms((e1 + e2, c1 * c2) for e1, c1 in self.terms.items()
-                                     for e2, c2 in other.terms.items()))
-
-    def scale(self, c) -> "LaurentPoly":
-        c = Scalar.of(c)
-        return LaurentPoly({e: v * c for e, v in self.terms.items()})
+        return LaurentPoly._raw(sum_terms((e1 + e2, c1 * c2) for e1, c1 in self.terms.items()
+                                          for e2, c2 in other.terms.items()))
 
     def shift(self, k: int) -> "LaurentPoly":
-        # the terms are already int exponents with canonical nonzero values
-        out = object.__new__(LaurentPoly)
-        object.__setattr__(out, "terms", {e + k: v for e, v in self.terms.items()})
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return LaurentPoly._raw({e + k: v for e, v in self.terms.items()})
 
     def __str__(self):
         if not self.terms:
             return "0"
-        bits = []
-        for exp in sorted(self.terms):
-            bits.append(f"({self.terms[exp]})*t^{exp}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
+        return " + ".join(f"({self.terms[exp]})*t^{exp}" for exp in sorted(self.terms))
 
     def to_json(self):
         return [[e, self.terms[e].to_json()] for e in sorted(self.terms)]
 
     @staticmethod
     def from_json(data) -> "LaurentPoly":
-        return LaurentPoly({int(e): Scalar.from_json(c) for e, c in data})
+        return LaurentPoly({e: Scalar.from_json(c) for e, c in data})
 
 
 def sl2_window(k: int) -> tuple[int, ...]:
@@ -169,6 +129,7 @@ def divmod_window(p: LaurentPoly, f: LaurentPoly, window=None):
     return q, r
 
 
+# kept while perfbench/tracing.py wraps it and tests/test_tooling.py pins it (ROADMAP item 7)
 def reduce_power(n: int, f: LaurentPoly, window=None):
     """divmod_window specialised to p = t^n."""
     return divmod_window(LaurentPoly.t(int(n)), f, window)

@@ -16,17 +16,19 @@ sigma) are recognised by the shape of g.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 from .errors import (
     InvalidParameter,
     NotASubalgebra,
     WrongAlgebra,
+    integer,
 )
 from .laurent import LaurentPoly, check_window_poly
 from .linalg import Echelon
 from .scalar import Scalar, sqrt_exact
-from .sparse import row_from_scalars, row_to_scalars, sum_terms
+from .sparse import Terms, row_from_scalars, row_to_scalars, sum_terms
 
 
 class SL2Elt:
@@ -108,18 +110,24 @@ def bracket_sl2(x: SL2Elt, y: SL2Elt) -> SL2Elt:
     )
 
 
-class VirElt:
-    """Finite combination of e_i plus a central z component."""
+class VirElt(Terms):
+    """Finite combination of e_i plus a central z component: a
+    :class:`~slvir.sparse.Terms` keyed by indices, which overrides only
+    what z changes."""
 
-    __slots__ = ("terms", "z")
+    __slots__ = ("z",)
+
+    _key = staticmethod(partial(integer, name="a Virasoro index"))
 
     def __init__(self, terms=None, z=0):
-        object.__setattr__(self, "terms", sum_terms(
-            (int(i), Scalar.of(c)) for i, c in (terms or {}).items()))
+        super().__init__(terms)
         object.__setattr__(self, "z", Scalar.of(z))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VirElt is immutable")
+    @classmethod
+    def _raw(cls, terms: dict, z: Scalar = Scalar.zero()) -> "VirElt":
+        obj = super()._raw(terms)
+        object.__setattr__(obj, "z", z)
+        return obj
 
     @staticmethod
     def e(i: int, coeff=1) -> "VirElt":
@@ -131,30 +139,24 @@ class VirElt:
 
     @staticmethod
     def from_laurent(p: LaurentPoly, z=0) -> "VirElt":
-        return VirElt(dict(p.terms), z)
-
-    def laurent_part(self) -> LaurentPoly:
-        return LaurentPoly(dict(self.terms))
+        return VirElt(p.terms, z)
 
     def is_zero(self) -> bool:
         return not self.terms and self.z.is_zero()
 
     def __add__(self, other):
-        return VirElt(sum_terms(chain(self.terms.items(), other.terms.items())),
-                      self.z + other.z)
-
-    def __sub__(self, other):
-        return self + (-other)
+        return VirElt._raw(sum_terms(chain(self.terms.items(), other.terms.items())),
+                           self.z + other.z)
 
     def __neg__(self):
-        return VirElt({i: -c for i, c in self.terms.items()}, -self.z)
+        return VirElt._raw({i: -c for i, c in self.terms.items()}, -self.z)
 
     def scale(self, c) -> "VirElt":
         c = Scalar.of(c)
-        return VirElt({i: v * c for i, v in self.terms.items()}, self.z * c)
+        return VirElt._raw(super().scale(c).terms, self.z * c)
 
     def __eq__(self, other):
-        if not isinstance(other, VirElt):
+        if type(other) is not VirElt:
             return NotImplemented
         return self.terms == other.terms and self.z == other.z
 
@@ -167,20 +169,14 @@ class VirElt:
             bits.append(f"({self.z})*z")
         return " + ".join(bits) if bits else "0"
 
-    __repr__ = __str__
-
     def to_json(self):
-        return {
-            "terms": [[i, self.terms[i].to_json()] for i in sorted(self.terms)],
-            "z": self.z.to_json(),
-        }
+        return {"terms": [[i, self.terms[i].to_json()] for i in sorted(self.terms)],
+                "z": self.z.to_json()}
 
     @staticmethod
     def from_json(data) -> "VirElt":
-        return VirElt(
-            {int(i): Scalar.from_json(c) for i, c in data["terms"]},
-            Scalar.from_json(data["z"]),
-        )
+        return VirElt({i: Scalar.from_json(c) for i, c in data["terms"]},
+                      Scalar.from_json(data["z"]))
 
 
 def bracket_vir(x: VirElt, y: VirElt) -> VirElt:
@@ -193,7 +189,7 @@ def bracket_vir(x: VirElt, y: VirElt) -> VirElt:
             pairs.append((i + j, c * (j - i)))
             if j == -i:
                 zpart = zpart + c * Scalar.of(i**3 - i) / 12
-    return VirElt(sum_terms(pairs), zpart)
+    return VirElt._raw(sum_terms(pairs), zpart)
 
 
 def embed_sl2(x: SL2Elt) -> VirElt:

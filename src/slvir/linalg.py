@@ -82,6 +82,7 @@ class Echelon:
         den, re, im = self._residue(row)
         return not re and not im
 
+    # kept while perfbench/tracing.py wraps it and tests/test_tooling.py pins it (ROADMAP item 7)
     def reduction_table(self) -> dict:
         """pivot key -> tail row, i.e. pivot = tail on the row space.
 

@@ -783,6 +783,7 @@ def act_uenv(module: Module, u: UEnvElt, vec: ModVec) -> ModVec:
     return ModVec._of_row(module, lincomb([coeff + (row,) for coeff, row in images]))
 
 
+# kept while perfbench/tracing.py wraps it and tests/test_tooling.py pins it (ROADMAP item 7)
 def act_word(module: Module, word, vec: ModVec) -> ModVec:
     """Apply a tuple of algebra elements right-to-left."""
     cur = vec

@@ -11,11 +11,11 @@ rewriting terminates; results are memoised per word.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain
 
+from .errors import InvalidParameter
 from .lie import SL2Elt
 from .scalar import Scalar
-from .sparse import sum_terms
+from .sparse import Terms, sum_terms
 
 _RANK = {"f": 0, "h": 1, "e": 2}
 
@@ -73,28 +73,16 @@ def gen_times_mono(letter: str, mono) -> dict[tuple[int, int, int], int]:
     return _word_normal_form((letter,) + monomial_letters(mono))
 
 
-class UEnvElt:
+class UEnvElt(Terms):
     """Finite map (a, b, c) -> nonzero Scalar for the monomial f^a h^b e^c."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        object.__setattr__(self, "terms", sum_terms(
-            (tuple(int(x) for x in mono), Scalar.of(c)) for mono, c in (terms or {}).items()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UEnvElt is immutable")
-
-    @classmethod
-    def _raw(cls, terms: dict) -> "UEnvElt":
-        # internal: terms must already map tuples to nonzero Scalars
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "terms", terms)
-        return obj
+    __slots__ = ()
 
     @staticmethod
-    def zero() -> "UEnvElt":
-        return UEnvElt()
+    def _key(mono):
+        if type(mono) is tuple and len(mono) == 3 and all(type(x) is int and x >= 0 for x in mono):
+            return mono
+        raise InvalidParameter(f"a PBW monomial must be three integers >= 0, got {mono!r}")
 
     @staticmethod
     def one() -> "UEnvElt":
@@ -108,51 +96,20 @@ class UEnvElt:
     def from_sl2(x: SL2Elt) -> "UEnvElt":
         return UEnvElt({(0, 0, 1): x.ce, (0, 1, 0): x.ch, (1, 0, 0): x.cf})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(m) for m in self.terms)
-
-    def __add__(self, other):
-        return UEnvElt._raw(sum_terms(chain(self.terms.items(), other.terms.items())))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return UEnvElt._raw({m: -c for m, c in self.terms.items()})
-
-    def scale(self, c) -> "UEnvElt":
-        c = Scalar.of(c)
-        if c.is_zero():
-            return UEnvElt._raw({})
-        return UEnvElt._raw({m: v * c for m, v in self.terms.items()})
+        return max(map(sum, self.terms), default=0)
 
     def __mul__(self, other):
         return nf_multiply(self, other)
-
-    def __eq__(self, other):
-        if not isinstance(other, UEnvElt):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __str__(self):
         if not self.terms:
             return "0"
         bits = []
         for mono in sorted(self.terms, key=lambda m: (sum(m), m)):
-            a, b, c = mono
-            name = "".join(s * n for s, n in zip(("f", "h", "e"), (a, b, c))) or "1"
+            name = "".join(s * n for s, n in zip(("f", "h", "e"), mono)) or "1"
             bits.append(f"({self.terms[mono]})*{name}")
         return " + ".join(bits)
-
-    __repr__ = __str__
 
     def to_json(self):
         return [[list(m), self.terms[m].to_json()]

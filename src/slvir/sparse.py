@@ -28,6 +28,7 @@ where the module-map certificate of :mod:`slvir.verify` tests ranks, and
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm
 
 from .scalar import Scalar, _reduced
@@ -114,6 +115,65 @@ def sum_terms(pairs) -> dict:
         prev = get(k)
         out[k] = c if prev is None else prev + c
     return {k: c for k, c in out.items() if c.n or c.m}
+
+
+class Terms:
+    """An immutable finite map key -> nonzero Scalar; the empty map is zero.
+
+    Each subclass reads the keys given to its constructor through its own
+    ``_key``, which returns a key or raises InvalidParameter naming it.  The
+    operations keep the subclass, and values of two subclasses never agree.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        key = self._key
+        object.__setattr__(self, "terms", sum_terms(
+            (key(k), Scalar.of(c)) for k, c in (terms or {}).items()))
+
+    @classmethod
+    def _raw(cls, terms: dict):
+        # internal: terms must already map valid keys to nonzero Scalars
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "terms", terms)
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls):
+        return cls._raw({})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        return self._raw(sum_terms(chain(self.terms.items(), other.terms.items())))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._raw({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = Scalar.of(c)
+        if c.is_zero():
+            return self.zero()
+        return self._raw({k: v * c for k, v in self.terms.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self):
+        return str(self)
 
 
 def rekey(row, f) -> tuple:

@@ -61,7 +61,8 @@ class Report:
     and verdict.
 
     ``flags`` are the pass/fail checks, set through :meth:`record`, which
-    keeps the witness of the first failure.  ``extra`` holds every other
+    keeps the witness of the first failure, or through :meth:`scan`, which
+    stops at the first failing candidate.  ``extra`` holds every other
     top-level key: a target, a scope, a suite's notes or branch, or a
     verdict's answer and ``witness_i``.  A verdict has no flags, so its
     JSON has no ``flags`` key and ``all_ok`` is True.  ``rank``, a map
@@ -86,6 +87,13 @@ class Report:
         self.flags[flag] = ok
         if not ok and self.witness is None:
             self.witness = witness
+
+    def scan(self, flag: str, failures) -> None:
+        """Record ``flag`` from a lazy iterable of witnesses (never None):
+        False with the first one it yields, True when it yields none.  No
+        candidate after the first failure is evaluated."""
+        witness = next(iter(failures), None)
+        self.record(flag, witness is None, witness)
 
     def compare(self, flag: str, expected, found) -> None:
         """Record whether found == expected; a mismatch is witnessed by both
@@ -218,13 +226,9 @@ def _eliminate(report: Report, src: Module, dst: Module, act, words, gen_image: 
                   {"kind": "dependent_image", "src_key": src.key_json(dependent[0])}
                   if dependent else None)
     if window_span:
-        for dkey in dst.basis_keys(depth):
-            if not ech.contains(unit_row(dkey)):
-                report.record("surjective_onto_window", False,
-                              {"kind": "not_spanned", "dst_key": dst.key_json(dkey)})
-                break
-        else:
-            report.record("surjective_onto_window", True)
+        report.scan("surjective_onto_window",
+                    ({"kind": "not_spanned", "dst_key": dst.key_json(dkey)}
+                     for dkey in dst.basis_keys(depth) if not ech.contains(unit_row(dkey))))
     report.rank = ech.rank
 
 
@@ -266,14 +270,11 @@ def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
     """
     lift = lift or (lambda x: x)
     report = _scoped_report("map_check", {}, depth)
-    for u, s in src.generator_relations():
-        if act_uenv(dst, u, gen_image) != gen_image.scale(s):
-            report.record("relations_hold", False,
-                          {"kind": "relation", "element": u.to_json(),
-                           "expected_scalar": Scalar.of(s).to_json()})
-            break
-    else:
-        report.record("relations_hold", True)
+    report.scan("relations_hold",
+                ({"kind": "relation", "element": u.to_json(),
+                  "expected_scalar": Scalar.of(s).to_json()}
+                 for u, s in src.generator_relations()
+                 if act_uenv(dst, u, gen_image) != gen_image.scale(s)))
 
     words = sorted(src.basis_words(depth),
                    key=lambda kw: (src.key_depth(kw[0]), src.key_sort_token(kw[0])))
@@ -387,40 +388,31 @@ def suite_dense(xi, tau, depth: int = 6) -> Report:
     shift = _casimir_shifter(x_mod, tau)
 
     # (a) (c - tau) v != 0 for every basis vector of the window
-    for key in x_mod.basis_keys(depth):
-        if shift(unit_row(key)) == ZERO_ROW:
-            report.record("shift_nonvanishing", False,
-                          {"kind": "casimir_shift_vanishes", "key": x_mod.key_json(key)})
-            break
-    else:
-        report.record("shift_nonvanishing", True)
+    report.scan("shift_nonvanishing",
+                ({"kind": "casimir_shift_vanishes", "key": x_mod.key_json(key)}
+                 for key in x_mod.basis_keys(depth) if shift(unit_row(key)) == ZERO_ROW))
 
     # (c) strictness of the shift-power filtration for n <= 3; its level n = 1
     # gives (b), v -> (c - tau) v injective on the window of depth - 2
-    strict_to = 0
-    prev_ech = None
-    rows: dict = {}
-    for n in range(4):
-        # (c - tau)^n on the window of depth - 2n (>= 0), one shift of level n - 1
-        rows = {key: shift(rows[key]) if n else unit_row(key)
-                for key in x_mod.basis_keys(depth - 2 * n)}
-        ech_n = Echelon(x_mod.key_sort_token)
-        dependent = [key for key, r in rows.items() if not ech_n.insert(r)]
-        if n == 1:
-            report.record("shift_injective_on_window", not dependent,
-                          {"kind": "shift_dependent", "key": x_mod.key_json(dependent[0])}
-                          if dependent else None)
-        if prev_ech is not None:
-            contained = all(prev_ech.contains(r) for r in rows.values())
-            if not (contained and ech_n.rank < prev_ech.rank):
-                report.record("filtration_strict", False, {"kind": "filtration_failure", "n": n})
-                strict_to = 0
-                break
-            strict_to = n
-        prev_ech = ech_n
-    else:
-        report.record("filtration_strict", True)
-    report.extra["filtration_strict_to"] = strict_to
+    def filtration_failures():
+        prev_ech, rows = None, {}
+        for n in range(4):
+            # (c - tau)^n on the window of depth - 2n (>= 0), one shift of level n - 1
+            rows = {key: shift(rows[key]) if n else unit_row(key)
+                    for key in x_mod.basis_keys(depth - 2 * n)}
+            ech_n = Echelon(x_mod.key_sort_token)
+            dependent = [key for key, r in rows.items() if not ech_n.insert(r)]
+            if n == 1:
+                report.record("shift_injective_on_window", not dependent,
+                              {"kind": "shift_dependent", "key": x_mod.key_json(dependent[0])}
+                              if dependent else None)
+            if prev_ech is not None and not (all(map(prev_ech.contains, rows.values()))
+                                             and ech_n.rank < prev_ech.rank):
+                yield {"kind": "filtration_failure", "n": n}
+            prev_ech = ech_n
+
+    report.scan("filtration_strict", filtration_failures())
+    report.extra["filtration_strict_to"] = 3 if report.flags["filtration_strict"] else 0
 
     gen = generator_test(xi, tau)
     xbar = XbarModule(xi, tau)
@@ -428,14 +420,11 @@ def suite_dense(xi, tau, depth: int = 6) -> Report:
         report.extra["branch"] = "iso_to_Vdense"
         dense = DenseModule(xi, tau)
         phi = _dense_intertwiner(xbar, depth)
-        for key, g in product(xbar.basis_keys(depth), ("e", "h", "f")):
-            if (lincomb(expand(xbar._row(g, key), [(1, 0, 1, phi)]))
-                    != lincomb(expand(phi(key), [(1, 0, 1, partial(dense._row, g))]))):
-                report.record("dense_map_intertwines", False,
-                              {"kind": "intertwine_failure", "key": xbar.key_json(key)})
-                break
-        else:
-            report.record("dense_map_intertwines", True)
+        report.scan("dense_map_intertwines",
+                    ({"kind": "intertwine_failure", "key": xbar.key_json(key)}
+                     for key, g in product(xbar.basis_keys(depth), ("e", "h", "f"))
+                     if (lincomb(expand(xbar._row(g, key), [(1, 0, 1, phi)]))
+                         != lincomb(expand(phi(key), [(1, 0, 1, partial(dense._row, g))])))))
         return report
 
     j0 = gen.extra["witness_i"]
@@ -445,14 +434,12 @@ def suite_dense(xi, tau, depth: int = 6) -> Report:
     top = xbar.basis_vec(("e", j0 + 1))
     report.compare("f_kills_submodule_generator", xbar.vector({}), xbar.act(F, top))
 
-    for i, g in product(range(1, depth - j0 + 1), (E, H, F)):
-        key = ("e", j0 + i)
-        if any(k[0] != "e" or k[1] <= j0 for k in xbar.act(g, xbar.basis_vec(key)).terms):
-            report.record("submodule_invariant", False,
-                          {"kind": "submodule_escape", "key": xbar.key_json(key)})
-            break
-    else:
-        report.record("submodule_invariant", True)
+    report.scan("submodule_invariant",
+                ({"kind": "submodule_escape", "key": xbar.key_json(key)}
+                 for key, g in product((("e", j0 + i) for i in range(1, depth - j0 + 1)),
+                                       (E, H, F))
+                 if any(k[0] != "e" or k[1] <= j0
+                        for k in xbar.act(g, xbar.basis_vec(key)).terms)))
 
     quotient = XbarQuotientModule(xi, tau, j0)
     verma = VermaModule(xi + 2 * j0)
@@ -468,25 +455,15 @@ def suite_dense(xi, tau, depth: int = 6) -> Report:
 
     # window rank data: per weight xi + 2s the quotient piece carries
     # dimension 1 for s <= j0 and 0 above; the submodule complements it.
-    quot_weights: dict = {}
-    for key in quotient.basis_keys(depth):
-        w = quotient.key_weight(key)
-        quot_weights[w] = quot_weights.get(w, 0) + 1
-    sub_weights: dict = {}
-    for k in range(depth - j0):
-        w = low.key_weight(k)
-        sub_weights[w] = sub_weights.get(w, 0) + 1
-    for s in range(-depth, depth + 1):
-        w = xi + 2 * s
-        expected = {"quotient": 1, "sub": 0} if s <= j0 else {"quotient": 0, "sub": 1}
-        found = {"quotient": quot_weights.get(w, 0), "sub": sub_weights.get(w, 0)}
-        if found != expected:
-            report.record("window_ranks_match", False,
-                          {"kind": "window_ranks_match", "s": s, "expected": expected,
-                           "found": found})
-            break
-    else:
-        report.record("window_ranks_match", True)
+    quot_weights = Counter(map(quotient.key_weight, quotient.basis_keys(depth)))
+    sub_weights = Counter(map(low.key_weight, range(depth - j0)))
+    expected = {s: {"quotient": int(s <= j0), "sub": int(s > j0)}
+                for s in range(-depth, depth + 1)}
+    found = {s: {"quotient": quot_weights[xi + 2 * s], "sub": sub_weights[xi + 2 * s]}
+             for s in expected}
+    report.scan("window_ranks_match",
+                ({"kind": "window_ranks_match", "s": s, "expected": expected[s],
+                  "found": found[s]} for s in expected if found[s] != expected[s]))
     report.extra["pieces"] = {
         "quotient": {"family": "Verma", "delta": (xi + 2 * j0).to_json()},
         "sub": {"family": "LowVerma", "delta": (xi + 2 * j0 + 2).to_json()},
@@ -608,13 +585,10 @@ def suite_tensor_vermas(lam1, lam2, mu1, mu2, depth: int = 5) -> Report:
     summed = MuData(((lam1, 1), (lam2, 1)),
                     ((m1t * (lam1 - lam2),), (m2t * (lam2 - lam1),)))
     g_poly = summed.poly()
-    for i in range(-depth, depth + 1):
-        w = VirElt.from_laurent(g_poly.shift(i))
-        if vir_tensor.act(w, vgen) != vgen.scale(summed.value_at(i)):
-            report.record("vir_relations_hold", False, {"kind": "vir_relation_failure", "shift": i})
-            break
-    else:
-        report.record("vir_relations_hold", True)
+    report.scan("vir_relations_hold",
+                ({"kind": "vir_relation_failure", "shift": i} for i in range(-depth, depth + 1)
+                 if vir_tensor.act(VirElt.from_laurent(g_poly.shift(i)), vgen)
+                 != vgen.scale(summed.value_at(i))))
     return report
 
 

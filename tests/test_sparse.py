@@ -1,5 +1,6 @@
 """The integer-form sparse rows against plain Scalar (Fraction) arithmetic."""
 
+import re
 from fractions import Fraction
 from math import comb, lcm
 
@@ -8,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from test_scalar import RefScalar, assert_canonical
 
-from slvir.errors import MAX_DEPTH
+from slvir.errors import MAX_DEPTH, InvalidParameter
+from slvir.laurent import LaurentPoly
+from slvir.lie import VirElt
 from slvir.linalg import BlockModP, Echelon
+from slvir.pbw import UEnvElt
 from slvir.scalar import Scalar
 from slvir.sparse import (
     MODULUS,
@@ -329,3 +333,46 @@ def test_slot_width_has_room_for_the_largest_block():
     # products of two residues
     assert comb(MAX_DEPTH + 2, 2) == 5151
     assert 2 * 5151 * P ** 2 < 2 ** slot_width(P)
+
+
+_int_keys = st.dictionaries(st.integers(-4, 4), scalars, max_size=4)
+terms_values = st.one_of(
+    st.builds(LaurentPoly, _int_keys),
+    st.builds(UEnvElt, st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), scalars,
+                                       max_size=4)),
+    st.builds(VirElt, _int_keys, scalars),
+)
+
+
+@given(terms_values, scalars.filter(lambda c: not c.is_zero()))
+def test_terms_laws_hold_for_every_element_type(x, c):
+    cls = type(x)
+    zero = cls.zero()
+    assert x - x == zero and x + (-x) == zero and (x - x).is_zero()
+    assert x.scale(0) == zero and x.scale(1) == x
+    # equal values built by different routes hash equal
+    for y in (x.scale(c).scale(Scalar.one() / c), x + zero, zero + x):
+        assert y == x and hash(y) == hash(x)
+    assert x + x == x.scale(2) and hash(x + x) == hash(x.scale(2))
+    # a value never equals one of another type with the same terms
+    for other in {LaurentPoly, UEnvElt, VirElt} - {cls}:
+        twin = other._raw(x.terms)
+        assert x != twin and twin != x and not x == twin
+    if cls is VirElt:
+        assert VirElt(x.terms, x.z) == x and VirElt(x.terms, x.z + 1) != x
+        with pytest.raises(AttributeError, match="VirElt"):
+            x.z = Scalar.zero()
+    with pytest.raises(AttributeError, match=cls.__name__):
+        x.terms = {}
+
+
+@pytest.mark.parametrize("cls, key", [
+    (LaurentPoly, 1.5),       # was read as t
+    (VirElt, 2.7),            # was read as e_2
+    (VirElt, True),           # was read as e_1
+    (UEnvElt, (0, 0, -1)),    # kept a negative exponent
+    (UEnvElt, (1, 2)),        # failed later, in monomial_letters
+])
+def test_terms_refuse_keys_that_would_be_coerced(cls, key):
+    with pytest.raises(InvalidParameter, match=re.escape(repr(key))):
+        cls({key: 1})

@@ -20,6 +20,7 @@ from slvir.scalar import Scalar
 from slvir.sparse import (MODULUS, expand, gauss, lincomb, residues, restrict, row_keys,
                           slot_width, unit_row)
 from slvir.verify import (
+    Report,
     _casimir_shifter,
     _dense_intertwiner,
     _word_images,
@@ -259,6 +260,36 @@ def test_twist_induction_whittaker_zero_flag():
     report = suite_twist_induction(sub, 0, 5)
     assert report.all_ok
     assert report.extra["target_note"].startswith("non-Whittaker")
+
+
+def test_report_scan_stops_at_the_first_failure():
+    evaluated = []
+
+    def fails(i):
+        evaluated.append(i)
+        return i in (3, 5)
+
+    report = Report("t", {})
+    report.scan("flag", ({"kind": "bad", "i": i} for i in range(10) if fails(i)))
+    assert report.flags == {"flag": False}
+    assert report.witness == {"kind": "bad", "i": 3}
+    assert evaluated == [0, 1, 2, 3]
+
+
+def test_report_scan_records_true_with_no_witness():
+    report = Report("t", {})
+    report.scan("flag", ({"kind": "bad"} for i in range(10) if i < 0))
+    assert report.flags == {"flag": True}
+    assert report.witness is None and "witness" not in report.to_json()
+
+
+def test_report_scan_keeps_an_earlier_witness():
+    report = Report("t", {})
+    report.record("first", False, {"kind": "first"})
+    report.scan("second", iter([{"kind": "second"}]))
+    report.scan("third", iter([]))
+    assert report.flags == {"first": False, "second": False, "third": True}
+    assert report.witness == {"kind": "first"}
 
 
 def test_report_shapes():
