@@ -31,10 +31,10 @@ Rows are the integer form of :mod:`slvir.sparse`.  Each division step is
 one :func:`~slvir.sparse.lincomb` of the cached integer normal forms of
 :mod:`slvir.pbw`, so reduction does no Scalar arithmetic.  A VirPoly
 handle's ops are the letters e, h, f and the indices n of e_n; it builds
-their rows on basis monomials (:meth:`VirPolyModule._build_row`) under
-the one memo of :class:`~slvir.modules.Module`, and an action on a vector
-is one lincomb of them.  The projection of each t^n is memoised per handle
-too.
+their rows on basis monomials (:meth:`VirPolyModule._build_row`, e_n's on
+the generator from the window letters' rows) under the one memo of
+:class:`~slvir.modules.Module`, and an action on a vector is one lincomb
+of them.  The projection of each t^n is memoised per handle too.
 """
 
 from __future__ import annotations
@@ -96,13 +96,15 @@ class MuData:
         for (lam, n), p in zip(roots, polys):
             if len(p) > n:
                 raise InvalidParameter(f"deg p >= multiplicity at root {lam}")
+        # expanded once per MuData: a restriction reads it several times
+        object.__setattr__(self, "_poly", LaurentPoly.from_roots(roots))
 
     @property
     def degree(self) -> int:
         return sum(n for _, n in self.roots)
 
     def poly(self) -> LaurentPoly:
-        return LaurentPoly.from_roots(self.roots)
+        return self._poly
 
     def value_at(self, j: int) -> Scalar:
         """mu(t^j f) = sum_i p_i(j) lambda_i^j."""
@@ -311,6 +313,8 @@ class VirPolyModule(InducedModule):
 
     family = "VirPoly"
     accepts_vir = True
+    # e_1, e_0 and e_{-1} as e, h/2 and -f: (letter, sign, denominator)
+    _WINDOW_LETTERS = {1: ("e", 1, 1), 0: ("h", 1, 2), -1: ("f", -1, 1)}
 
     def __init__(self, mu: MuData, depth: int = 6):
         self.mu = mu
@@ -358,11 +362,12 @@ class VirPolyModule(InducedModule):
         if isinstance(op, str):
             return super()._build_row(op, mono)
         if mono == (0, 0, 0):
-            # e_n v = a_n v + r_n v, r_n read as the sl2 element it embeds
+            # e_n v = a_n v + r_n v, the window part r_n through the letters' rows
             a, r = self._project(op)
-            x = sl2_from_vir(VirElt(dict(zip(self._window, r))))
-            v = unit_row(mono)
-            return lincomb([gauss(a) + (v,)] + expand(v, self._action(x)))
+            return lincomb([gauss(a) + (unit_row(mono),)] + [
+                (sign * c.n, sign * c.m, half * c.d, self._row(letter, mono))
+                for w, c in reversed(tuple(zip(self._window, r))) if c.n or c.m
+                for letter, sign, half in (self._WINDOW_LETTERS[w],)])
         a, b, c = mono
         if a > 0:
             letter, rest = "f", (a - 1, b, c)

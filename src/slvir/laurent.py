@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .errors import BadPolynomial, integer
+from .errors import BadPolynomial, integer, positive_int
 from .scalar import Scalar
 from .sparse import Terms, sum_terms
 
@@ -44,7 +44,7 @@ class LaurentPoly(Terms):
         out = LaurentPoly.one()
         for lam, mult in roots:
             factor = LaurentPoly({1: 1, 0: -Scalar.of(lam)})
-            for _ in range(int(mult)):
+            for _ in range(positive_int(mult, "a root multiplicity")):
                 out = out * factor
         return out
 
@@ -132,5 +132,5 @@ def divmod_window(p: LaurentPoly, f: LaurentPoly, window=None):
 # kept while perfbench/tracing.py wraps it and tests/test_tooling.py pins it (ROADMAP item 7)
 def reduce_power(n: int, f: LaurentPoly, window=None):
     """divmod_window specialised to p = t^n."""
-    return divmod_window(LaurentPoly.t(int(n)), f, window)
+    return divmod_window(LaurentPoly.t(integer(n, "the exponent of t^n")), f, window)
 

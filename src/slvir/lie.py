@@ -208,10 +208,6 @@ def sl2_from_vir(v: VirElt) -> SL2Elt:
 
 # -- automorphisms ----------------------------------------------------------
 
-def _mat_vec(m, v):
-    return tuple(sum((m[i][j] * v[j] for j in range(3)), Scalar.zero()) for i in range(3))
-
-
 class Automorphism:
     """The sl2 automorphism Ad(g): x -> g x g^-1, for an invertible
     g = [[p, q], [r, s]] over Q(i) taken up to scale; every automorphism of
@@ -276,7 +272,8 @@ class Automorphism:
         return Automorphism((0, 1, 1, 0))
 
     def apply(self, x: SL2Elt) -> SL2Elt:
-        return SL2Elt(*_mat_vec(self.matrix, x.coords()))
+        return SL2Elt(*(sum((a * b for a, b in zip(row, x.coords())), Scalar.zero())
+                        for row in self.matrix))
 
     def inverse(self) -> "Automorphism":
         """Ad of the adjugate (s, -q, -r, p); the inverse of an inverse is

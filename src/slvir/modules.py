@@ -7,17 +7,17 @@ lowest weight Verma modules, automorphism twists and tensor products.
 Modules over the Virasoro algebra induced from polynomial subalgebras
 live in :mod:`slvir.induced` and share this interface.
 
-Every sl2 family acts by closed forms, one basis key at a time
-(:meth:`Module._act_key`); the test suite keeps independent routes
-(multiply in U(sl2) and substitute, or act upstairs in X and reduce) and
-cross-checks the two.  One rule sits behind every action:
-:meth:`Module._ops` splits an element into ops (its letters e, h, f, or
-the indices n of its e_n), and a handle memoises per op and basis key the
-integer row of op . key (:mod:`slvir.sparse`).  A family supplies how rows
-and *top rows* (the part at depth ``key_depth(key) + 1`` that
-:func:`~slvir.verify.check_module_map` reads) are built: each sl2 family
-reads its tops off gr U(sl2), a tensor product sums its factors' rows and
-tops, a twist acts through its inner module's, and the others cut tops from rows.
+One rule sits behind every action: :meth:`Module._ops` splits an element
+into ops (its letters e, h, f, or the indices n of its e_n), and a handle
+memoises per op and basis key the integer row of op . key
+(:mod:`slvir.sparse`).  A family supplies how rows and *top rows* (the part
+at depth ``key_depth(key) + 1`` that :func:`~slvir.verify.check_module_map`
+reads) are built.  Each sl2 family builds the row of one letter on one key
+by its closed form in integer arithmetic, and reads its tops off gr U(sl2);
+the tests keep the Scalar closed forms and independent routes (multiply in
+U(sl2) and substitute, or act upstairs in X and reduce) to check them.  A
+tensor product sums its factors' rows and tops, a twist acts through its
+inner module's, and the others cut tops from rows.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .lie import E, F, H, SL2Elt, VirElt
 from .pbw import UEnvElt, aut_extend, casimir_elt, monomial_letters
 from .scalar import Scalar
 from .sparse import (ZERO_ROW, expand, gauss, lincomb, rekey, restrict, row_from_scalars,
-                     row_keys, row_to_scalars, sum_terms, unit_row)
+                     row_keys, row_of, row_to_scalars, unit_row)
 
 LETTERS = {"e": E, "h": H, "f": F}
 
@@ -52,9 +52,7 @@ class ModVec:
     __slots__ = ("module", "row", "_terms")
 
     def __init__(self, module, terms=None):
-        row = ZERO_ROW
-        if terms:
-            row = row_from_scalars({k: Scalar.of(c) for k, c in terms.items()})
+        row = row_from_scalars({k: Scalar.of(c) for k, c in (terms or {}).items()})
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "row", row)
         object.__setattr__(self, "_terms", None)
@@ -178,16 +176,13 @@ class Module:
         return [c + (partial(self._row, op),) for c, op in self._ops(x)]
 
     def _row(self, op, key) -> tuple:
-        """The row of op . key; memoised per handle (the cache only holds
-        recomputable values)."""
+        """The row of op . key, from the family's ``_build_row``; memoised per
+        handle (the cache only holds recomputable values)."""
         rows = self.__dict__.setdefault("_rows", {})
         row = rows.get((op, key))
         if row is None:
             row = rows[(op, key)] = self._build_row(op, key)
         return row
-
-    def _build_row(self, op, key) -> tuple:
-        return row_from_scalars(self._act_key(LETTERS[op], key))
 
     def _top(self, op, key) -> tuple:
         """The part of op . key at depth key_depth(key) + 1, cut from its row."""
@@ -200,14 +195,6 @@ class Module:
         if depths and max(depths.values()) > target:
             raise KeyAboveTop(f"{self.family}: a key above depth {target}")
         return restrict(row, lambda k: depths[k] == target)
-
-    def _act_key(self, x: SL2Elt, key) -> dict:
-        """x on one basis key as a dict key -> Scalar (zero values allowed).
-
-        Every sl2 family defines its action here; the default
-        :meth:`_build_row` evaluates it once per letter and key.
-        """
-        raise NotImplementedError
 
     # -- structure metadata ---------------------------------------------------
 
@@ -342,16 +329,18 @@ class WModule(_PairModule):
     def __init__(self, eta):
         self.eta = Scalar.of(eta)
 
-    def _act_key(self, x, key):
+    def _build_row(self, letter, key):
         # h f^a = f^a (h - 2a), e f^a = f^a e + a f^(a-1) (h - a + 1) and
         # e h^b = (h - 2)^b e, with e x = eta x
         a, b = key
-        pairs = [((a + 1, b), x.cf), ((a, b + 1), x.ch), (key, x.ch * (-2 * a))]
-        ce_eta = x.ce * self.eta
-        pairs += [((a, j), ce_eta * (comb(b, j) * (-2) ** (b - j))) for j in range(b + 1)]
-        if a:
-            pairs += [((a - 1, b + 1), x.ce * a), ((a - 1, b), x.ce * (-a * (a - 1)))]
-        return sum_terms(pairs)
+        if letter == "f":
+            return unit_row((a + 1, b))
+        if letter == "h":
+            return row_of(((a, b + 1), 1, 0, 1), (key, -2 * a, 0, 1))
+        n, m, d = gauss(self.eta)
+        return row_of(*[((a, j), c * n, c * m, d) for j in (b, *range(b))
+                        for c in (comb(b, j) * (-2) ** (b - j),)],
+                      ((a - 1, b + 1), a, 0, 1), ((a - 1, b), -a * (a - 1), 0, 1))
 
     def key_str(self, key):
         return f"f^{key[0]} h^{key[1]} x"
@@ -373,14 +362,16 @@ class XModule(_PairModule):
     def __init__(self, xi):
         self.xi = Scalar.of(xi)
 
-    def _act_key(self, x, key):
+    def _build_row(self, letter, key):
         # h f^k = f^k (h - 2k), e f^k = f^k e + k f^(k-1) (h - k + 1), and h
         # acts by xi + 2l on e^l x
         k, l = key
-        out = {(k + 1, l): x.cf, key: x.ch * (self.xi + 2 * (l - k)), (k, l + 1): x.ce}
-        if k:
-            out[(k - 1, l)] = x.ce * k * (self.xi + 2 * l - k + 1)
-        return out
+        if letter == "f":
+            return unit_row((k + 1, l))
+        n, m, d = gauss(self.xi)
+        if letter == "h":
+            return row_of((key, n + 2 * (l - k) * d, m, d))
+        return row_of(((k, l + 1), 1, 0, 1), ((k - 1, l), k * (n + (2 * l - k + 1) * d), k * m, d))
 
     def key_weight(self, key):
         return self.xi + 2 * (key[1] - key[0])
@@ -395,12 +386,20 @@ class XModule(_PairModule):
         return [((k, l), (F,) * k + (E,) * l) for k, l in _pairs_up_to(depth)]
 
 
+def _fe(tau: Scalar, n: int, m: int, d: int) -> tuple:
+    """fe on a vector of weight (n + m*i)/d where the Casimir 4fe + (h+1)^2
+    acts by tau: (tau - (weight + 1)^2)/4 as (re, im, den), not reduced."""
+    n += d
+    dd = d * d
+    return (tau.n * dd - tau.d * (n * n - m * m), tau.m * dd - 2 * tau.d * n * m, 4 * tau.d * dd)
+
+
 class XbarModule(Module):
     """The quotient of X(xi) on which the Casimir acts by tau.
 
     Basis keys ("e", l) for l >= 0 and ("f", k) for k >= 1; the key
     ("e", 0) is the generator.  The closed forms below come from rewriting
-    fe = (c - (h+1)^2)/4 with c -> tau and h -> the weight.
+    fe = (c - (h+1)^2)/4 with c -> tau and h -> the weight (:func:`_fe`).
     """
 
     family = "Xbar"
@@ -410,23 +409,19 @@ class XbarModule(Module):
         self.xi = Scalar.of(xi)
         self.tau = Scalar.of(tau)
 
-    def _fe_scalar(self, l: int) -> Scalar:
-        # action of fe on the weight-(xi + 2(l-1)) vector e^{l-1} x
-        w = self.xi + 2 * l - 1
-        return (self.tau - w * w) / 4
-
-    def _act_key(self, x, key):
+    def _build_row(self, letter, key):
         side, n = key
-        if side == "e":
-            out = {("e", n + 1): x.ce, key: x.ch * (self.xi + 2 * n)}
-            if n >= 1:
-                out[("e", n - 1)] = x.cf * self._fe_scalar(n)
-            else:
-                out[("f", 1)] = x.cf
-            return out
-        coeff = self._fe_scalar(1) + n * self.xi - Scalar.of(n * (n - 1))
-        return {("f", n - 1) if n > 1 else ("e", 0): x.ce * coeff,
-                key: x.ch * (self.xi - 2 * n), ("f", n + 1): x.cf}
+        xn, xm, xd = gauss(self.xi)
+        if letter == "h":
+            return row_of((key, xn + 2 * n * xd if side == "e" else xn - 2 * n * xd, xm, xd))
+        if letter == side or not n:  # e e^n, f f^n and f e^0 are basis vectors
+            return unit_row((letter, n + 1))
+        if side == "e":  # f e^n xbar = fe e^(n-1) xbar
+            return row_of((("e", n - 1),) + _fe(self.tau, xn + 2 * (n - 1) * xd, xm, xd))
+        # e f^n xbar = (fe + n xi - n(n-1)) f^(n-1) xbar, with fe on the weight xi
+        fr, fi, fd = _fe(self.tau, xn, xm, xd)
+        return row_of((("f", n - 1) if n > 1 else ("e", 0),
+                       fr * xd + fd * (n * xn - n * (n - 1) * xd), fi * xd + fd * n * xm, fd * xd))
 
     def _top(self, letter, key):
         # gr U(sl2) commutes: e raises ("e", n), f raises ("f", n) and ("e", 0); h has top 0
@@ -488,9 +483,8 @@ class XbarQuotientModule(XbarModule):
     def _keep(self, key):
         return key[0] == "f" or key[1] <= self.j0
 
-    def _act_key(self, x, key):
-        inner = super()._act_key(x, key)
-        return {k: c for k, c in inner.items() if self._keep(k)}
+    def _build_row(self, letter, key):
+        return restrict(super()._build_row(letter, key), self._keep)
 
     def _top(self, letter, key):
         return restrict(super()._top(letter, key), self._keep)
@@ -523,9 +517,10 @@ class DenseModule(Module):
         self.xi = Scalar.of(xi)
         self.tau = Scalar.of(tau)
 
-    def _act_key(self, x, key):
-        w = key
-        return {w - 2: x.cf, w: x.ch * w, w + 2: x.ce * (self.tau - (w + 1) ** 2) / 4}
+    def _build_row(self, letter, w):
+        if letter == "e":
+            return row_of((w + 2,) + _fe(self.tau, w.n, w.m, w.d))
+        return unit_row(w - 2) if letter == "f" else row_of((w, w.n, w.m, w.d))
 
     def validate_key(self, key):
         if not isinstance(key, Scalar):
@@ -577,6 +572,18 @@ class _VermaBase(Module):
     def basis_keys(self, depth):
         return list(range(depth + 1))
 
+    def key_weight(self, key):
+        return self.delta + 2 * self._SIGN * key
+
+    def _build_row(self, letter, k):
+        # the third letter lowers k: e f^k m = k (delta - k + 1) f^(k-1) m on a Verma module
+        if letter == self._RAISE:
+            return unit_row(k + 1)
+        n, m, d, s = *gauss(self.delta), self._SIGN
+        if letter == "h":
+            return row_of((k, n + 2 * s * k * d, m, d))
+        return row_of((k - 1, -s * k * (n + s * (k - 1) * d), -s * k * m, d))
+
     def _top(self, letter, key):
         # gr U(sl2) commutes: only the letter _RAISE reaches depth k + 1, by coefficient 1
         return unit_row(key + 1) if letter == self._RAISE else ZERO_ROW
@@ -586,17 +593,7 @@ class VermaModule(_VermaBase):
     """Highest weight Verma module; keys k >= 0 for f^k m."""
 
     family = "Verma"
-    _RAISE = "f"
-
-    def _act_key(self, x, key):
-        k = key
-        out = {k: x.ch * (self.delta - 2 * k), k + 1: x.cf}
-        if k >= 1:
-            out[k - 1] = x.ce * k * (self.delta - (k - 1))
-        return out
-
-    def key_weight(self, key):
-        return self.delta - 2 * key
+    _RAISE, _SIGN = "f", -1
 
     def key_str(self, key):
         return f"f^{key} m"
@@ -612,17 +609,7 @@ class LowVermaModule(_VermaBase):
     """Lowest weight Verma module; keys k >= 0 for e^k m."""
 
     family = "LowVerma"
-    _RAISE = "e"
-
-    def _act_key(self, x, key):
-        k = key
-        out = {k + 1: x.ce, k: x.ch * (self.delta + 2 * k)}
-        if k >= 1:
-            out[k - 1] = -x.cf * k * (self.delta + (k - 1))
-        return out
-
-    def key_weight(self, key):
-        return self.delta + 2 * key
+    _RAISE, _SIGN = "e", 1
 
     def key_str(self, key):
         return f"e^{key} m"
@@ -655,7 +642,13 @@ class TwistModule(Module):
             raise InvalidParameter("Twist needs an inner module")
         self.inner = inner
         self.aut = aut
-        self._ops = cache(lambda x: inner._ops(aut.apply(x)))
+        # aut(e), aut(h) and aut(f), the columns of aut's matrix, as rows over the letters
+        images = [row_from_scalars(dict(zip("ehf", col))) for col in zip(*aut.matrix)]
+
+        def image(x):  # aut(x) by one lincomb of the images, in least-denominator form
+            terms = row_to_scalars(lincomb([gauss(c) + (r,) for c, r in zip(x.coords(), images)]))
+            return SL2Elt(*(terms.get(letter, Scalar.zero()) for letter in "ehf"))
+        self._ops = cache(lambda x: inner._ops(image(x)))
         self._row, self._top = inner._row, inner._top
         for name in _KEY_METHODS:
             setattr(self, name, getattr(inner, name))

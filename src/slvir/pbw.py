@@ -117,7 +117,9 @@ class UEnvElt(Terms):
 
     @staticmethod
     def from_json(data) -> "UEnvElt":
-        return UEnvElt({tuple(m): Scalar.from_json(c) for m, c in data})
+        # each monomial is read (a list as a tuple) before its coefficient
+        return UEnvElt({UEnvElt._key(tuple(m) if type(m) is list else m): Scalar.from_json(c)
+                        for m, c in data})
 
 
 def nf_multiply(u: UEnvElt, v: UEnvElt) -> UEnvElt:

@@ -51,15 +51,7 @@ def gauss(s: Scalar) -> tuple:
 
 def row_from_scalars(terms: dict) -> tuple:
     """The canonical row of a dict key -> Scalar."""
-    den = lcm(*[c.d for c in terms.values()])
-    re, im = {}, {}
-    for k, c in terms.items():
-        f = den // c.d
-        if c.n:
-            re[k] = c.n * f
-        if c.m:
-            im[k] = c.m * f
-    return (den, re, im)
+    return row_of(*[(k, c.n, c.m, c.d) for k, c in terms.items()])
 
 
 def row_keys(row) -> list:
@@ -181,15 +173,27 @@ def rekey(row, f) -> tuple:
     return (den, {f(k): v for k, v in re.items()}, {f(k): v for k, v in im.items()})
 
 
-def restrict(row, keep) -> tuple:
-    """The canonical row of the part of a row on the keys k with keep(k)."""
-    den, re, im = row
-    re = {k: v for k, v in re.items() if keep(k)}
-    im = {k: v for k, v in im.items() if keep(k)}
+def _canonical(den, re, im) -> tuple:
+    # (den, re, im) with no zero values, divided by the gcd of all its ints
     g = gcd(den, *re.values(), *im.values())
     if g == 1:
         return (den, re, im)
     return (den // g, {k: v // g for k, v in re.items()}, {k: v // g for k, v in im.items()})
+
+
+def restrict(row, keep) -> tuple:
+    """The canonical row of the part of a row on the keys k with keep(k)."""
+    den, re, im = row
+    return _canonical(den, {k: v for k, v in re.items() if keep(k)},
+                      {k: v for k, v in im.items() if keep(k)})
+
+
+def row_of(*terms) -> tuple:
+    """The canonical row of terms ``(key, re, im, den)`` with den > 0, one per
+    key: zero terms drop out, and the keys keep the order of the terms."""
+    den = lcm(*[d for _, _, _, d in terms])
+    return _canonical(den, {k: a * (den // d) for k, a, _, d in terms if a},
+                      {k: b * (den // d) for k, _, b, d in terms if b})
 
 
 def lincomb(items) -> tuple:

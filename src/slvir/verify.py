@@ -501,7 +501,6 @@ def suite_restriction(mu: MuData, depth: int = 6) -> Report:
     vp = VirPolyModule(mu, depth)
     report = _scoped_report("restriction", mu.to_json(), depth)
     report.extra["mu_is_zero"] = mu.is_zero()
-    f_poly = mu.poly()
 
     if k == 1:
         lam = mu.roots[0][0]
@@ -525,7 +524,7 @@ def suite_restriction(mu: MuData, depth: int = 6) -> Report:
         lam1, lam2 = mu.roots[0][0], mu.roots[1][0]
         aut = Automorphism.gamma2(lam1, lam2)
         xi = mu_eval(mu, embed_sl2(aut.apply(H)))
-        shifted = VirElt.from_laurent(f_poly.shift(-1))
+        shifted = VirElt.from_laurent(mu.poly().shift(-1))
         report.compare("parameter_formula_consistent",
                        mu_eval(mu, shifted) * (-2) / (lam2 - lam1), xi)
         target_mod = _twisted_target(XModule(xi), aut, report)
@@ -584,10 +583,9 @@ def suite_tensor_vermas(lam1, lam2, mu1, mu2, depth: int = 5) -> Report:
     vgen = vir_tensor.generator()
     summed = MuData(((lam1, 1), (lam2, 1)),
                     ((m1t * (lam1 - lam2),), (m2t * (lam2 - lam1),)))
-    g_poly = summed.poly()
     report.scan("vir_relations_hold",
                 ({"kind": "vir_relation_failure", "shift": i} for i in range(-depth, depth + 1)
-                 if vir_tensor.act(VirElt.from_laurent(g_poly.shift(i)), vgen)
+                 if vir_tensor.act(VirElt.from_laurent(summed.poly().shift(i)), vgen)
                  != vgen.scale(summed.value_at(i))))
     return report
 

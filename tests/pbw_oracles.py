@@ -7,6 +7,8 @@ of W, X, Xbar, Verma and LowVerma against these.
 """
 
 from slvir.modules import ModVec
+
+from closed_forms import fe_scalar
 from slvir.pbw import UEnvElt, nf_multiply
 from slvir.sparse import sum_terms
 
@@ -51,7 +53,7 @@ def reduce_x_terms(xbar, terms: dict) -> dict:
     pairs = []
     for (k, l), coeff in terms.items():
         while k >= 1 and l >= 1:
-            coeff = coeff * xbar._fe_scalar(l)
+            coeff = coeff * fe_scalar(xbar, l)
             k -= 1
             l -= 1
         pairs.append((("e", l) if k == 0 else ("f", k), coeff))

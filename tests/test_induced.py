@@ -10,14 +10,14 @@ from slvir.errors import (
     NotInSubalgebra,
 )
 from slvir.induced import InducedModule, MuData, VirPolyModule, _monomials_up_to, mu_eval
-from slvir.laurent import reduce_power, sl2_window
+from slvir.laurent import LaurentPoly, reduce_power, sl2_window
 from slvir.lie import (Automorphism, E, F, H, SL2Elt, VirElt, bracket_vir,
                        classify_subalgebra_1d, embed_sl2, sl2_from_vir)
 from slvir.linalg import Echelon, degree_lex
 from slvir.modules import casimir_action
 from slvir.pbw import UEnvElt, gen_times_mono, nf_multiply
 from slvir.scalar import Scalar
-from slvir.sparse import row_from_scalars, unit_row
+from slvir.sparse import expand, gauss, lincomb, row_from_scalars, unit_row
 
 S = Scalar.of
 
@@ -490,3 +490,30 @@ def test_projection_matches_reduce_power(shape, lams, coeffs, rnd):
         for j, c in q.terms.items():
             a = a + c * mu.value_at(j)
         assert vp._project(n) == (a, tuple(r.coeff(w) for w in window)), n
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_root_shapes), st.lists(_gauss_ints, min_size=3, max_size=3),
+       st.lists(_gauss_ints, min_size=6, max_size=6))
+def test_generator_rows_of_e_n_match_the_sl2_route(shape, lams, coeffs):
+    # e_n v = a_n v + r_n v: the window part through the rows of e, h/2 and
+    # -f, against r_n read as the sl2 element it embeds and acting by it
+    assume(len(set(lams[:len(shape)])) == len(shape))
+    coeffs = iter(coeffs)
+    mu = mud(zip(lams, shape), [[next(coeffs) for _ in range(n)] for n in shape])
+    vp = VirPolyModule(mu, 1)
+    v = unit_row((0, 0, 0))
+    for n in range(-8, 9):
+        a, r = vp._project(n)
+        x = sl2_from_vir(VirElt(dict(zip(vp._window, r))))
+        want = lincomb([gauss(a) + (v,)] + expand(v, vp._action(x)))
+        got = vp._row(n, (0, 0, 0))
+        assert got == want, n
+        assert [list(got[1]), list(got[2])] == [list(want[1]), list(want[2])], n
+
+
+def test_mudata_expands_its_polynomial_once():
+    mu = mud([(S(2), 1), (S("1*i"), 2)], [[S(1)], [S(1), S(2)]])
+    assert mu.poly() is mu.poly()
+    assert mu.poly() == LaurentPoly.from_roots(mu.roots)
+    assert mu == mud([(S(2), 1), (S("1*i"), 2)], [[S(1)], [S(1), S(2)]])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slvir.errors import BadPolynomial
+from slvir.errors import BadPolynomial, InvalidParameter
 from slvir.laurent import LaurentPoly, divmod_window, reduce_power, sl2_window
 from slvir.scalar import Scalar
 
@@ -113,6 +113,18 @@ def test_from_roots():
     assert f == LaurentPoly({2: 1, 1: -2, 0: 1})
     g = LaurentPoly.from_roots([(S(1), 1), (S(2), 1), (S(3), 1)])
     assert g == LaurentPoly({3: 1, 2: -6, 1: 11, 0: -6})
+
+
+@pytest.mark.parametrize("mult", [1.5, True, 0, -1, "2"])
+def test_from_roots_refuses_a_multiplicity_that_is_no_positive_int(mult):
+    with pytest.raises(InvalidParameter, match=f"root multiplicity must be .*{mult!r}"):
+        LaurentPoly.from_roots([(S(1), mult)])
+
+
+@pytest.mark.parametrize("n", [1.5, True, "3"])
+def test_reduce_power_refuses_an_exponent_that_is_no_int(n):
+    with pytest.raises(InvalidParameter, match=f"exponent of t\\^n must be .*{n!r}"):
+        reduce_power(n, LaurentPoly({1: 1, 0: -1}))
 
 
 def test_json_round_trip():

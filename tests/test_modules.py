@@ -4,6 +4,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import slvir.modules as modules_mod
 from slvir.errors import InvalidParameter, NotWeightModule, WrongAlgebra
 from slvir.lie import Automorphism, E, F, H, SL2Elt, VirElt, bracket_sl2
 from slvir.induced import InducedModule, MuData, VirPolyModule
@@ -31,6 +32,7 @@ from slvir.pbw import UEnvElt, aut_extend
 from slvir.scalar import Scalar
 from slvir.sparse import expand, lincomb, row_from_scalars, unit_row
 
+from closed_forms import act_key
 from pbw_oracles import pair_act_key, reduce_x_terms, verma_act_generic, xbar_act_generic
 
 S = Scalar.of
@@ -283,9 +285,9 @@ def test_modvec_serialization():
 
 
 def _reference_key(module, x, key) -> dict:
-    """x on one basis key, summed from the families' per-key Scalar
-    ``_act_key``, or the PBW route for W and X: twists act by aut(x),
-    tensors by the Leibniz rule."""
+    """x on one basis key, summed from the families' per-key Scalar closed
+    forms (``closed_forms.act_key``), or the PBW route for W and X: twists
+    act by aut(x), tensors by the Leibniz rule."""
     if isinstance(module, TwistModule):
         return _reference_key(module.inner, module.aut.apply(x), key)
     if isinstance(module, TensorModule):
@@ -296,7 +298,7 @@ def _reference_key(module, x, key) -> dict:
         return out
     if isinstance(module, (WModule, XModule)):
         return pair_act_key(module, x, key)
-    return module._act_key(x, key)
+    return act_key(module, x, key)
 
 
 def _reference_act(module, x, vec):
@@ -370,6 +372,68 @@ def test_pair_rows_match_the_pbw_route(module):
             assert module._top(letter, key) == module._top_part(key, want), (letter, key)
 
 
+# every closed-form family builds the row of one letter on one key in
+# integer arithmetic: the same row, keys in the same order, as the Scalar
+# closed form on the whole letter
+
+_XI = S("1/2+1*i")
+CLOSED_FORM_HANDLES = [
+    WModule(S("1/2+1*i")), XModule(S("-1/3+1*i")), XbarModule(S("1/3+1*i"), S("2-1*i")),
+    XbarQuotientModule(_XI, (_XI + 5) ** 2, 2),  # tau = (xi + 2*j0 + 1)^2
+    DenseModule(S("1*i"), S("3-2*i")), VermaModule(S("2+1*i")), LowVermaModule(S("-1/2*i")),
+]
+
+
+@pytest.mark.parametrize("module", CLOSED_FORM_HANDLES, ids=lambda m: m.family)
+def test_letter_rows_match_the_scalar_closed_forms(module):
+    for key in module.basis_keys(7):
+        for letter, x in zip("ehf", GENS):
+            got, want = module._row(letter, key), row_from_scalars(act_key(module, x, key))
+            assert got == want, (letter, key)
+            assert [list(got[1]), list(got[2])] == [list(want[1]), list(want[2])], (letter, key)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_non_real, _non_real, _non_real, _non_real, _non_real)
+def test_twist_op_split_matches_aut_apply(a, b, ce, ch, cf):
+    # one lincomb of the rows of aut(e), aut(h), aut(f) gives the ops of
+    # aut(x), each coefficient in least-denominator form
+    auts = [Automorphism.gamma(a), Automorphism.sigma(), Automorphism((1, a, b, a * b + 1))]
+    if a != b:
+        auts += [Automorphism.gamma2(a, b), Automorphism.gamma2(a, b).inverse()]
+    for aut in auts:
+        for inner in (XModule(a), VermaModule(b)):
+            twist = TwistModule(inner, aut)
+            for x in (SL2Elt(ce, ch, cf), SL2Elt(ce, 0, cf), E, H, F):
+                assert twist._ops(x) == inner._ops(aut.apply(x)), (aut, x)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_non_real, _non_real, _non_real, _non_real, st.data())
+def test_twists_of_twists_and_tensors_act_by_aut_apply(a, ce, ch, cf, data):
+    # these inners take aut(x) whole; twisting twice is twisting by the composite
+    x = SL2Elt(ce, ch, cf)
+    g1, g2 = Automorphism.gamma(a), Automorphism.gamma2(S(1), a + 1)
+    twice = TwistModule(TwistModule(XModule(a), g1), g2)
+    tensor = TwistModule(TensorModule(VermaModule(a), LowVermaModule(S(1))), g1)
+    for module in (twice, tensor):
+        keys = module.basis_keys(3)
+        vec = ModVec(module, data.draw(st.dictionaries(st.sampled_from(keys), _gaussian,
+                                                       max_size=3)))
+        assert module.act(x, vec) == _reference_act(module, x, vec)
+    # Ad(g1) Ad(g2) = Ad(g1 g2)
+    once = TwistModule(XModule(a), Automorphism(_matmul(g1.g, g2.g)))
+    vec = twice.vector({(1, 2): S("1*i"), (0, 0): S(2)})
+    assert twice.act(x, vec).row == once.act(x, once.vector(vec.terms)).row
+
+
+def _matmul(g, h):
+    # the 2x2 product g h of matrices read row by row as (p, q, r, s)
+    p, q, r, s = g
+    p2, q2, r2, s2 = h
+    return (p * p2 + q * r2, p * q2 + q * s2, r * p2 + s * r2, r * q2 + s * s2)
+
+
 # Verma, LowVerma, Xbar and its quotient read their tops off gr U(sl2) too,
 # and a tensor product sums its factors' tops
 
@@ -379,6 +443,11 @@ GR_TOP_HANDLES = [
     TensorModule(TwistModule(VermaModule(S(1)), Automorphism.gamma(S("2+1*i"))),
                  TwistModule(VermaModule(S(-1)), Automorphism.gamma2(S("1/3"), S(2)))),
 ]
+
+
+# every class of the zoo that builds rows of its own
+ROW_BUILDERS = [cls for cls in vars(modules_mod).values()
+                if isinstance(cls, type) and "_build_row" in vars(cls)]
 
 
 @pytest.mark.parametrize("module", GR_TOP_HANDLES, ids=lambda m: m.family)
@@ -392,7 +461,7 @@ def test_gr_tops_match_the_row_route(module, monkeypatch):
     def no_rows(*args):
         raise AssertionError("a top built a full row")
     with monkeypatch.context() as mp:
-        for cls in (Module, TensorModule):
+        for cls in ROW_BUILDERS:
             mp.setattr(cls, "_build_row", no_rows)
         tops = [module._top(op, key) for op, key in pairs]
     for (op, key), top in zip(pairs, tops):

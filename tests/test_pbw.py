@@ -5,6 +5,9 @@ agreement between the two is a confluence check, not a shared code path.
 
 import itertools
 
+import pytest
+
+from slvir.errors import InvalidParameter
 from slvir.lie import Automorphism, E, F, H, bracket_sl2
 from slvir.pbw import (
     UEnvElt,
@@ -146,6 +149,13 @@ def test_aut_extend_is_algebra_homomorphism():
 def test_json_round_trip():
     u = UEnvElt({(1, 2, 0): S("1/2"), (0, 0, 3): S("-2*i")})
     assert UEnvElt.from_json(u.to_json()) == u
+
+
+@pytest.mark.parametrize("mono", [5, "fhe", [1, 2], [1, 2, "3"], [1, 0, -1], [True, 0, 0]])
+def test_from_json_names_a_bad_monomial(mono):
+    # the monomial is read before its coefficient, which is bad here too
+    with pytest.raises(InvalidParameter, match="PBW monomial.*got"):
+        UEnvElt.from_json([[mono, "1"]])
 
 
 # -- matrix oracle: the (n+1)-dimensional irreducible representation ---------

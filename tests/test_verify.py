@@ -671,11 +671,12 @@ def test_top_rows_check_the_filtered_normal_forms(monkeypatch):
     # cut from it refuses it, and the full route decides.  A dense module
     # cuts its tops from its rows; on the walk down from the generator by f,
     # the added key w - 4 is two depths past w
-    act_key = DenseModule._act_key
+    build = DenseModule._build_row
 
-    def raised(self, x, key):
-        return {**act_key(self, x, key), key - 4: x.cf}
-    monkeypatch.setattr(DenseModule, "_act_key", raised)
+    def raised(self, letter, key):
+        row = build(self, letter, key)
+        return lincomb([(1, 0, 1, row), (1, 0, 1, unit_row(key - 4))]) if letter == "f" else row
+    monkeypatch.setattr(DenseModule, "_build_row", raised)
     src, dst = VermaModule(S(1)), DenseModule(S(1), S(3))
     gen = dst.generator()
     assert not verify_mod._graded_certificate(dst, lambda x: x, src.basis_words(2), gen, 2,
@@ -771,8 +772,12 @@ def test_twisted_eigenvector_witness(monkeypatch):
 
 
 def test_f_kills_submodule_generator_witness(monkeypatch):
-    fe = XbarModule._fe_scalar
-    monkeypatch.setattr(XbarModule, "_fe_scalar", lambda self, l: fe(self, l) + 1)
+    fe = modules_mod._fe  # fe on a weight vector of Xbar, as (re, im, den): add 1
+
+    def shifted(tau, n, m, d):
+        re, im, den = fe(tau, n, m, d)
+        return (re + den, im, den)
+    monkeypatch.setattr(modules_mod, "_fe", shifted)
     report = suite_dense(0, 9, 6)
     assert report.extra["j0"] == 1 and report.flags["f_kills_submodule_generator"] is False
     assert report.witness == {"kind": "f_kills_submodule_generator", "expected": [],
