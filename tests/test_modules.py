@@ -15,7 +15,6 @@ from slvir.modules import (
     DenseModule,
     LowVermaModule,
     ModVec,
-    Module,
     TensorModule,
     TwistModule,
     VermaModule,
@@ -411,7 +410,7 @@ def test_twist_op_split_matches_aut_apply(a, b, ce, ch, cf):
 @settings(max_examples=15, deadline=None)
 @given(_non_real, _non_real, _non_real, _non_real, st.data())
 def test_twists_of_twists_and_tensors_act_by_aut_apply(a, ce, ch, cf, data):
-    # these inners take aut(x) whole; twisting twice is twisting by the composite
+    # their inners split aut(x) on their own; twisting twice is twisting by the composite
     x = SL2Elt(ce, ch, cf)
     g1, g2 = Automorphism.gamma(a), Automorphism.gamma2(S(1), a + 1)
     twice = TwistModule(TwistModule(XModule(a), g1), g2)
