@@ -364,10 +364,12 @@ class VirPolyModule(InducedModule):
         if mono == (0, 0, 0):
             # e_n v = a_n v + r_n v, the window part r_n through the letters' rows
             a, r = self._project(op)
-            return lincomb([gauss(a) + (unit_row(mono),)] + [
-                (sign * c.n, sign * c.m, half * c.d, self._row(letter, mono))
-                for w, c in reversed(tuple(zip(self._window, r))) if c.n or c.m
-                for letter, sign, half in (self._WINDOW_LETTERS[w],)])
+            items = [gauss(a) + (unit_row(mono),)]
+            for w, c in reversed(tuple(zip(self._window, r))):
+                if c.n or c.m:
+                    letter, sign, half = self._WINDOW_LETTERS[w]
+                    items.append((sign * c.n, sign * c.m, half * c.d, self._row(letter, mono)))
+            return lincomb(items)
         a, b, c = mono
         if a > 0:
             letter, rest = "f", (a - 1, b, c)

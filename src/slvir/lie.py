@@ -28,7 +28,7 @@ from .errors import (
 from .laurent import LaurentPoly, check_window_poly
 from .linalg import Echelon
 from .scalar import Scalar, sqrt_exact
-from .sparse import Terms, row_from_scalars, row_to_scalars, sum_terms
+from .sparse import Terms, gauss, lincomb, row_from_scalars, row_to_scalars, sum_terms
 
 
 class SL2Elt:
@@ -213,14 +213,15 @@ class Automorphism:
     g = [[p, q], [r, s]] over Q(i) taken up to scale; every automorphism of
     sl2 is one.
 
-    ``matrix`` is its 3x3 matrix on (e, h, f) coordinates.  ``kind`` is one
+    ``matrix`` is its 3x3 matrix on (e, h, f) coordinates; :meth:`apply`
+    sums its columns as integer rows over the letters.  ``kind`` is one
     of identity / gamma / gamma2 / sigma / composite, read off g by
     :func:`_recognize`.  The inverse is Ad of the adjugate; it remembers its
     origin (``_inverse``, set on the result only, so no reference cycle
     forms), so inverting it again is free.
     """
 
-    __slots__ = ("g", "matrix", "kind", "params", "_inverse")
+    __slots__ = ("g", "matrix", "kind", "params", "_images", "_inverse")
 
     def __init__(self, g):
         p, q, r, s = g = tuple(map(Scalar.of, g))
@@ -239,6 +240,7 @@ class Automorphism:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_images", tuple(_ehf_row(SL2Elt(*c)) for c in zip(*matrix)))
         object.__setattr__(self, "_inverse", None)
 
     def __setattr__(self, name, value):
@@ -272,8 +274,8 @@ class Automorphism:
         return Automorphism((0, 1, 1, 0))
 
     def apply(self, x: SL2Elt) -> SL2Elt:
-        return SL2Elt(*(sum((a * b for a, b in zip(row, x.coords())), Scalar.zero())
-                        for row in self.matrix))
+        terms = row_to_scalars(lincomb([gauss(c) + (r,) for c, r in zip(x.coords(), self._images)]))
+        return SL2Elt(*(terms.get(letter, Scalar.zero()) for letter in "ehf"))
 
     def inverse(self) -> "Automorphism":
         """Ad of the adjugate (s, -q, -r, p); the inverse of an inverse is

@@ -52,7 +52,9 @@ class ModVec:
     __slots__ = ("module", "row", "_terms")
 
     def __init__(self, module, terms=None):
-        row = row_from_scalars({k: Scalar.of(c) for k, c in (terms or {}).items()})
+        row = ZERO_ROW
+        if terms:
+            row = row_from_scalars({k: Scalar.of(c) for k, c in terms.items()})
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "row", row)
         object.__setattr__(self, "_terms", None)
@@ -338,8 +340,8 @@ class WModule(_PairModule):
         if letter == "h":
             return row_of(((a, b + 1), 1, 0, 1), (key, -2 * a, 0, 1))
         n, m, d = gauss(self.eta)
-        return row_of(*[((a, j), c * n, c * m, d) for j in (b, *range(b))
-                        for c in (comb(b, j) * (-2) ** (b - j),)],
+        binomials = [((a, j), comb(b, j) * (-2) ** (b - j)) for j in (b, *range(b))]
+        return row_of(*[(k, c * n, c * m, d) for k, c in binomials],
                       ((a - 1, b + 1), a, 0, 1), ((a - 1, b), -a * (a - 1), 0, 1))
 
     def key_str(self, key):
@@ -642,13 +644,7 @@ class TwistModule(Module):
             raise InvalidParameter("Twist needs an inner module")
         self.inner = inner
         self.aut = aut
-        # aut(e), aut(h) and aut(f), the columns of aut's matrix, as rows over the letters
-        images = [row_from_scalars(dict(zip("ehf", col))) for col in zip(*aut.matrix)]
-
-        def image(x):  # aut(x) by one lincomb of the images, in least-denominator form
-            terms = row_to_scalars(lincomb([gauss(c) + (r,) for c, r in zip(x.coords(), images)]))
-            return SL2Elt(*(terms.get(letter, Scalar.zero()) for letter in "ehf"))
-        self._ops = cache(lambda x: inner._ops(image(x)))
+        self._ops = cache(lambda x: inner._ops(aut.apply(x)))
         self._row, self._top = inner._row, inner._top
         for name in _KEY_METHODS:
             setattr(self, name, getattr(inner, name))

@@ -4,10 +4,13 @@ Each form gives x . key, for an sl2 element x and one basis key, as a dict
 key -> Scalar (zero values allowed), evaluated in Scalar arithmetic on the
 whole element.  The modules build the same action one letter at a time as
 integer rows; the tests compare the two, key by key and letter by letter.
+:func:`aut_apply_form` is the same kind of reference for
+``Automorphism.apply``: the Scalar product of its 3x3 matrix with x.
 """
 
 from math import comb
 
+from slvir.lie import SL2Elt
 from slvir.scalar import Scalar
 from slvir.sparse import sum_terms
 
@@ -83,3 +86,9 @@ FORMS = {"W": w_form, "X": x_form, "Xbar": xbar_form, "XbarModY": xbar_quotient_
 def act_key(module, x, key) -> dict:
     """x on one basis key of a closed-form family, by its Scalar form."""
     return FORMS[module.family](module, x, key)
+
+
+def aut_apply_form(aut, x) -> SL2Elt:
+    """aut(x) as the Scalar product of aut's matrix with x's coordinates."""
+    return SL2Elt(*(sum((a * b for a, b in zip(row, x.coords())), Scalar.zero())
+                    for row in aut.matrix))

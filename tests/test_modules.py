@@ -31,7 +31,7 @@ from slvir.pbw import UEnvElt, aut_extend
 from slvir.scalar import Scalar
 from slvir.sparse import expand, lincomb, row_from_scalars, unit_row
 
-from closed_forms import act_key
+from closed_forms import act_key, aut_apply_form
 from pbw_oracles import pair_act_key, reduce_x_terms, verma_act_generic, xbar_act_generic
 
 S = Scalar.of
@@ -286,9 +286,10 @@ def test_modvec_serialization():
 def _reference_key(module, x, key) -> dict:
     """x on one basis key, summed from the families' per-key Scalar closed
     forms (``closed_forms.act_key``), or the PBW route for W and X: twists
-    act by aut(x), tensors by the Leibniz rule."""
+    act by aut(x) (``closed_forms.aut_apply_form``), tensors by the Leibniz
+    rule."""
     if isinstance(module, TwistModule):
-        return _reference_key(module.inner, module.aut.apply(x), key)
+        return _reference_key(module.inner, aut_apply_form(module.aut, x), key)
     if isinstance(module, TensorModule):
         kl, kr = key
         out = {(k, kr): c for k, c in _reference_key(module.left, x, kl).items()}
@@ -395,8 +396,8 @@ def test_letter_rows_match_the_scalar_closed_forms(module):
 @settings(max_examples=40, deadline=None)
 @given(_non_real, _non_real, _non_real, _non_real, _non_real)
 def test_twist_op_split_matches_aut_apply(a, b, ce, ch, cf):
-    # one lincomb of the rows of aut(e), aut(h), aut(f) gives the ops of
-    # aut(x), each coefficient in least-denominator form
+    # aut.apply, one lincomb of the rows of aut(e), aut(h), aut(f), agrees
+    # with the Scalar matrix product, and a twist splits x into the ops of aut(x)
     auts = [Automorphism.gamma(a), Automorphism.sigma(), Automorphism((1, a, b, a * b + 1))]
     if a != b:
         auts += [Automorphism.gamma2(a, b), Automorphism.gamma2(a, b).inverse()]
@@ -404,7 +405,9 @@ def test_twist_op_split_matches_aut_apply(a, b, ce, ch, cf):
         for inner in (XModule(a), VermaModule(b)):
             twist = TwistModule(inner, aut)
             for x in (SL2Elt(ce, ch, cf), SL2Elt(ce, 0, cf), E, H, F):
-                assert twist._ops(x) == inner._ops(aut.apply(x)), (aut, x)
+                want = aut_apply_form(aut, x)
+                assert aut.apply(x) == want, (aut, x)
+                assert twist._ops(x) == inner._ops(want), (aut, x)
 
 
 @settings(max_examples=15, deadline=None)
