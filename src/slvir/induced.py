@@ -367,8 +367,8 @@ class VirPolyModule(InducedModule):
             items = [gauss(a) + (unit_row(mono),)]
             for w, c in reversed(tuple(zip(self._window, r))):
                 if c.n or c.m:
-                    letter, sign, half = self._WINDOW_LETTERS[w]
-                    items.append((sign * c.n, sign * c.m, half * c.d, self._row(letter, mono)))
+                    letter, sign, den = self._WINDOW_LETTERS[w]
+                    items.append((sign * c.n, sign * c.m, den * c.d, self._row(letter, mono)))
             return lincomb(items)
         a, b, c = mono
         if a > 0:
