@@ -46,9 +46,10 @@ from itertools import combinations
 from .errors import (BadPolynomial, DepthExceeded, InvalidParameter, NotInSubalgebra,
                      nonnegative_int, positive_int)
 from .laurent import LaurentPoly, divmod_window, sl2_window
-from .lie import VirElt, bracket_vir, embed_sl2, intersect_virf_sl2, sl2_from_vir
+from .lie import (EMBEDDING, LETTERS, VirElt, bracket_vir, embed_sl2, intersect_virf_sl2,
+                  sl2_from_vir)
 from .linalg import Echelon, degree_lex
-from .modules import LETTERS, Module
+from .modules import Module
 from .pbw import UEnvElt, _word_normal_form, gen_times_mono, monomial_letters
 from .scalar import Scalar
 from .sparse import ZERO_ROW, expand, gauss, lincomb, row_from_scalars, row_keys, unit_row
@@ -313,8 +314,10 @@ class VirPolyModule(InducedModule):
 
     family = "VirPoly"
     accepts_vir = True
-    # e_1, e_0 and e_{-1} as e, h/2 and -f: (letter, sign, denominator)
-    _WINDOW_LETTERS = {1: ("e", 1, 1), 0: ("h", 1, 2), -1: ("f", -1, 1)}
+    # e_i = sign/den * letter as (letter, sign, den), read off the embedding
+    # letter -> k e_i: sign/den = 1/k
+    _WINDOW_LETTERS = {i: (letter, 1 if k > 0 else -1, abs(k))
+                       for letter, (i, k) in EMBEDDING.items()}
 
     def __init__(self, mu: MuData, depth: int = 6):
         self.mu = mu

@@ -4,7 +4,11 @@ sl2(C) carries the basis {e, h, f} with [h,e] = 2e, [e,f] = h and
 [h,f] = -2f.  The Virasoro algebra has basis {z, e_i : i in Z} with z
 central and [e_i, e_j] = (j-i) e_{i+j} + delta_{j,-i} (i^3-i)/12 z.  The
 embedding h -> 2 e_0, e -> e_1, f -> -e_{-1} identifies sl2 with
-span{e_-1, e_0, e_1}.
+span{e_-1, e_0, e_1}.  An sl2 element is a term map keyed by the letters
+e, h and f, and the facts about the letters are stated here once, for
+every layer to read: their order (:data:`LETTER_RANK`), their brackets
+(:data:`LETTER_BRACKET`), their embedding (:data:`EMBEDDING`) and the
+basis elements themselves (:data:`LETTERS`).
 
 Every automorphism of sl2 is inner, x -> g x g^-1 for a g in PGL2(Q(i)),
 so an automorphism is stored as the 2x2 matrix g up to scale.  Its 3x3
@@ -27,87 +31,79 @@ from .errors import (
 )
 from .laurent import LaurentPoly, check_window_poly
 from .linalg import Echelon
-from .scalar import Scalar, sqrt_exact
+from .scalar import _ZERO, Scalar, sqrt_exact
 from .sparse import Terms, gauss, lincomb, row_from_scalars, row_to_scalars, sum_terms
 
 
-class SL2Elt:
-    """Coordinates (ce, ch, cf) in the basis {e, h, f}."""
+class SL2Elt(Terms):
+    """An sl2 element: a :class:`~slvir.sparse.Terms` keyed by the letters
+    e, h and f, with coordinates (ce, ch, cf)."""
 
-    __slots__ = ("ce", "ch", "cf", "_hash")
+    __slots__ = ("_hash",)
+
+    # the constructor names the letters itself
+    _key = staticmethod(lambda letter: letter)
 
     def __init__(self, ce=0, ch=0, cf=0):
-        object.__setattr__(self, "ce", Scalar.of(ce))
-        object.__setattr__(self, "ch", Scalar.of(ch))
-        object.__setattr__(self, "cf", Scalar.of(cf))
-        object.__setattr__(self, "_hash", None)
+        super().__init__({"e": ce, "h": ch, "f": cf})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SL2Elt is immutable")
+    @classmethod
+    def _raw(cls, terms: dict) -> "SL2Elt":
+        # the letters always in the order e, h, f, as the constructor has them
+        return super()._raw({letter: terms[letter] for letter in "ehf" if letter in terms})
+
+    ce = property(lambda self: self.terms.get("e", _ZERO))
+    ch = property(lambda self: self.terms.get("h", _ZERO))
+    cf = property(lambda self: self.terms.get("f", _ZERO))
 
     def coords(self):
         return (self.ce, self.ch, self.cf)
 
-    def is_zero(self) -> bool:
-        return self.ce.is_zero() and self.ch.is_zero() and self.cf.is_zero()
-
-    def __add__(self, other):
-        return SL2Elt(self.ce + other.ce, self.ch + other.ch, self.cf + other.cf)
-
-    def __sub__(self, other):
-        return SL2Elt(self.ce - other.ce, self.ch - other.ch, self.cf - other.cf)
-
-    def __neg__(self):
-        return SL2Elt(-self.ce, -self.ch, -self.cf)
-
-    def scale(self, c) -> "SL2Elt":
-        c = Scalar.of(c)
-        return SL2Elt(self.ce * c, self.ch * c, self.cf * c)
-
-    def __eq__(self, other):
-        if not isinstance(other, SL2Elt):
-            return NotImplemented
-        return self.coords() == other.coords()
-
     def __hash__(self):
-        # immutable, so the hash of its three Scalars is taken once
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.coords()))
-        return self._hash
+        # a memo key of twists and tensor products: hashed once
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", super().__hash__())
+            return self._hash
 
     def __str__(self):
-        bits = []
-        for c, name in zip(self.coords(), ("e", "h", "f")):
-            if not c.is_zero():
-                bits.append(f"({c})*{name}")
+        bits = [f"({c})*{name}" for name, c in zip("ehf", self.coords()) if not c.is_zero()]
         return " + ".join(bits) if bits else "0"
 
-    __repr__ = __str__
-
     def to_json(self):
-        return {"e": self.ce.to_json(), "h": self.ch.to_json(), "f": self.cf.to_json()}
+        return {name: c.to_json() for name, c in zip("ehf", self.coords())}
 
     @staticmethod
     def from_json(data) -> "SL2Elt":
-        return SL2Elt(
-            Scalar.from_json(data["e"]),
-            Scalar.from_json(data["h"]),
-            Scalar.from_json(data["f"]),
-        )
+        return SL2Elt(*(Scalar.from_json(data[name]) for name in "ehf"))
 
+
+# the PBW order f < h < e, also the pivot order of a span
+LETTER_RANK = {"f": 0, "h": 1, "e": 2}
+# [x, y] of two letters as an integer combination of letters
+LETTER_BRACKET = {
+    ("h", "e"): {"e": 2},
+    ("e", "h"): {"e": -2},
+    ("e", "f"): {"h": 1},
+    ("f", "e"): {"h": -1},
+    ("h", "f"): {"f": -2},
+    ("f", "h"): {"f": 2},
+}
+# the embedding in Vir: a letter goes to k e_i for its (i, k)
+EMBEDDING = {"e": (1, 1), "h": (0, 2), "f": (-1, -1)}
 
 E = SL2Elt(1, 0, 0)
 H = SL2Elt(0, 1, 0)
 F = SL2Elt(0, 0, 1)
+LETTERS = {"e": E, "h": H, "f": F}
 
 
 def bracket_sl2(x: SL2Elt, y: SL2Elt) -> SL2Elt:
-    """Bilinear antisymmetric extension of the three defining relations."""
-    return SL2Elt(
-        (x.ch * y.ce - x.ce * y.ch) * 2,
-        x.ce * y.cf - x.cf * y.ce,
-        (x.cf * y.ch - x.ch * y.cf) * 2,
-    )
+    """Bilinear extension of the letter brackets."""
+    return SL2Elt._raw(sum_terms((z, a * b * k)
+                                 for p, a in x.terms.items() for q, b in y.terms.items()
+                                 for z, k in LETTER_BRACKET.get((p, q), {}).items()))
 
 
 class VirElt(Terms):
@@ -193,17 +189,17 @@ def bracket_vir(x: VirElt, y: VirElt) -> VirElt:
 
 
 def embed_sl2(x: SL2Elt) -> VirElt:
-    """Linear extension of h -> 2 e_0, e -> e_1, f -> -e_{-1}."""
-    return VirElt({1: x.ce, 0: x.ch * 2, -1: -x.cf})
+    """Linear extension of the letters' :data:`EMBEDDING`."""
+    return VirElt._raw({i: c * k for letter, c in x.terms.items()
+                        for i, k in (EMBEDDING[letter],)})
 
 
 def sl2_from_vir(v: VirElt) -> SL2Elt:
     """Inverse of the embedding; defined on span{e_-1, e_0, e_1} with no z."""
-    if not v.z.is_zero() or any(i not in (-1, 0, 1) for i in v.terms):
+    terms = {letter: v.terms[i] / k for letter, (i, k) in EMBEDDING.items() if i in v.terms}
+    if not v.z.is_zero() or len(terms) < len(v.terms):
         raise WrongAlgebra(f"{v} is not in the embedded sl2")
-    return SL2Elt(v.terms.get(1, Scalar.zero()),
-                  v.terms.get(0, Scalar.zero()) / 2,
-                  -v.terms.get(-1, Scalar.zero()))
+    return SL2Elt._raw(terms)
 
 
 # -- automorphisms ----------------------------------------------------------
@@ -213,8 +209,9 @@ class Automorphism:
     g = [[p, q], [r, s]] over Q(i) taken up to scale; every automorphism of
     sl2 is one.
 
-    ``matrix`` is its 3x3 matrix on (e, h, f) coordinates; :meth:`apply`
-    sums its columns as integer rows over the letters.  ``kind`` is one
+    ``matrix`` is its 3x3 matrix on (e, h, f) coordinates; its columns,
+    the images of the letters, are kept as integer rows keyed by letter,
+    and :meth:`apply` sums them over the letters of x.  ``kind`` is one
     of identity / gamma / gamma2 / sigma / composite, read off g by
     :func:`_recognize`.  The inverse is Ad of the adjugate; it remembers its
     origin (``_inverse``, set on the result only, so no reference cycle
@@ -240,7 +237,8 @@ class Automorphism:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "_images", tuple(_ehf_row(SL2Elt(*c)) for c in zip(*matrix)))
+        object.__setattr__(self, "_images", {letter: row_from_scalars(dict(zip("ehf", c)))
+                                             for letter, c in zip("ehf", zip(*matrix))})
         object.__setattr__(self, "_inverse", None)
 
     def __setattr__(self, name, value):
@@ -274,8 +272,8 @@ class Automorphism:
         return Automorphism((0, 1, 1, 0))
 
     def apply(self, x: SL2Elt) -> SL2Elt:
-        terms = row_to_scalars(lincomb([gauss(c) + (r,) for c, r in zip(x.coords(), self._images)]))
-        return SL2Elt(*(terms.get(letter, Scalar.zero()) for letter in "ehf"))
+        return SL2Elt._raw(row_to_scalars(lincomb([gauss(c) + (self._images[letter],)
+                                                   for letter, c in x.terms.items()])))
 
     def inverse(self) -> "Automorphism":
         """Ad of the adjugate (s, -q, -r, p); the inverse of an inverse is
@@ -375,13 +373,6 @@ def classify_subalgebra_1d(x: SL2Elt) -> SubalgebraClass1D:
     return SubalgebraClass1D("n_minus", aut, aut.apply(E), ())
 
 
-_EHF_ORDER = {"f": 0, "h": 1, "e": 2}  # pivot order e > h > f
-
-
-def _ehf_row(x: SL2Elt) -> tuple:
-    return row_from_scalars(dict(zip("ehf", x.coords())))
-
-
 def classify_subalgebra_2d(x: SL2Elt, y: SL2Elt) -> SubalgebraClass2D:
     """Classify span{x, y} among the two-dimensional subalgebras.
 
@@ -390,12 +381,12 @@ def classify_subalgebra_2d(x: SL2Elt, y: SL2Elt) -> SubalgebraClass2D:
     (the conjugate gamma_{alpha/2} of span{h, e}), or contains f, which
     forces span{h, f}.
     """
-    ech = Echelon(_EHF_ORDER.get)
-    ech.insert(_ehf_row(x))
-    ech.insert(_ehf_row(y))
+    ech = Echelon(LETTER_RANK.get)  # pivot order e > h > f
+    ech.insert(row_from_scalars(x.terms))
+    ech.insert(row_from_scalars(y.terms))
     if ech.rank < 2:
         raise InvalidParameter("inputs are linearly dependent")
-    if not ech.contains(_ehf_row(bracket_sl2(x, y))):
+    if not ech.contains(row_from_scalars(bracket_sl2(x, y).terms)):
         raise NotASubalgebra(f"span of {x} and {y} is not bracket-closed")
     if "e" in ech.rows and "h" in ech.rows:
         # the reduced basis {e + beta f, h + alpha f}; closure forces alpha^2 = 4 beta

@@ -28,13 +28,11 @@ from math import comb
 
 from .errors import (InvalidParameter, NotWeightModule, WrongAlgebra, bounded_depth,
                      nonnegative_int, only_keys, required_keys)
-from .lie import E, F, H, SL2Elt, VirElt
+from .lie import LETTERS, E, F, H, SL2Elt, VirElt
 from .pbw import UEnvElt, aut_extend, casimir_elt, monomial_letters
 from .scalar import Scalar
 from .sparse import (ZERO_ROW, expand, gauss, lincomb, rekey, restrict, row_from_scalars,
                      row_keys, row_of, row_to_scalars, unit_row)
-
-LETTERS = {"e": E, "h": H, "f": F}
 
 
 class KeyAboveTop(Exception):
@@ -162,13 +160,11 @@ class Module:
         return ModVec._of_row(self, lincomb(expand(vec.row, self._action(x))))
 
     def _ops(self, x) -> list:
-        """x as a list of ``(gauss coefficient, op)``: an op is a letter e,
-        h or f of an sl2 element, or the index n of a Virasoro e_n (z acts
-        as zero).  Tensor products and twists override this."""
-        if isinstance(x, SL2Elt):
-            return [(gauss(c), letter) for letter, c in (("e", x.ce), ("h", x.ch), ("f", x.cf))
-                    if not c.is_zero()]
-        return [(gauss(c), n) for n, c in x.terms.items()]
+        """x as a list of ``(gauss coefficient, op)``, one per key of
+        ``x.terms``: an op is a letter e, h or f of an sl2 element, or the
+        index n of a Virasoro e_n (z acts as zero).  Tensor products and
+        twists override this."""
+        return [(gauss(c), op) for op, c in x.terms.items()]
 
     def _action(self, x) -> list:
         """The action of x as a list of ``(cr, ci, cd, row_of)``: x acts as

@@ -1,9 +1,10 @@
 """U(sl2) in PBW normal form.
 
 Elements are finite combinations of ordered monomials f^a h^b e^c (the
-PBW order is f < h < e).  Products are straightened by recursive
-single-swap rewriting: locate a misordered adjacent pair of generators,
-replace it by the swapped pair plus the bracket term, and recurse.  Each
+PBW order f < h < e of :data:`~slvir.lie.LETTER_RANK`).  Products are
+straightened by recursive single-swap rewriting: locate a misordered
+adjacent pair of generators, replace it by the swapped pair plus their
+bracket from :data:`~slvir.lie.LETTER_BRACKET`, and recurse.  Each
 step either shortens the word or lowers its inversion count, so the
 rewriting terminates; results are memoised per word.
 """
@@ -13,21 +14,9 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import InvalidParameter
-from .lie import SL2Elt
+from .lie import LETTER_BRACKET, LETTER_RANK, LETTERS, E, F, SL2Elt
 from .scalar import Scalar
 from .sparse import Terms, sum_terms
-
-_RANK = {"f": 0, "h": 1, "e": 2}
-
-# single-letter brackets [x, y] as integer combinations of letters
-_LETTER_BRACKET = {
-    ("h", "e"): {"e": 2},
-    ("e", "h"): {"e": -2},
-    ("e", "f"): {"h": 1},
-    ("f", "e"): {"h": -1},
-    ("h", "f"): {"f": -2},
-    ("f", "h"): {"f": 2},
-}
 
 _WORD_CACHE: dict[tuple[str, ...], dict[tuple[int, int, int], int]] = {}
 
@@ -42,7 +31,7 @@ def _word_normal_form(word: tuple[str, ...]) -> dict[tuple[int, int, int], int]:
         return cached
     swap_at = -1
     for idx in range(len(word) - 1):
-        if _RANK[word[idx]] > _RANK[word[idx + 1]]:
+        if LETTER_RANK[word[idx]] > LETTER_RANK[word[idx + 1]]:
             swap_at = idx
             break
     if swap_at < 0:
@@ -51,7 +40,7 @@ def _word_normal_form(word: tuple[str, ...]) -> dict[tuple[int, int, int], int]:
     else:
         x, y = word[swap_at], word[swap_at + 1]
         result = dict(_word_normal_form(word[:swap_at] + (y, x) + word[swap_at + 2:]))
-        for letter, coeff in _LETTER_BRACKET[(x, y)].items():
+        for letter, coeff in LETTER_BRACKET[(x, y)].items():
             sub = _word_normal_form(word[:swap_at] + (letter,) + word[swap_at + 2:])
             for mono, c in sub.items():
                 s = result.get(mono, 0) + coeff * c
@@ -137,7 +126,7 @@ def nf_multiply(u: UEnvElt, v: UEnvElt) -> UEnvElt:
 def casimir_elt() -> UEnvElt:
     """The central element 4fe + (h+1)^2 in normal form; built once, as
     UEnvElt is immutable."""
-    fe = nf_multiply(UEnvElt.from_sl2(SL2Elt(0, 0, 1)), UEnvElt.from_sl2(SL2Elt(1, 0, 0)))
+    fe = nf_multiply(UEnvElt.from_sl2(F), UEnvElt.from_sl2(E))
     h_plus_1 = UEnvElt({(0, 1, 0): 1, (0, 0, 0): 1})
     return fe.scale(4) + nf_multiply(h_plus_1, h_plus_1)
 
@@ -148,11 +137,7 @@ def aut_extend(aut, u: UEnvElt) -> UEnvElt:
     This is the unique algebra-homomorphism extension of the automorphism
     to U(sl2).
     """
-    images = {
-        "f": UEnvElt.from_sl2(aut.apply(SL2Elt(0, 0, 1))),
-        "h": UEnvElt.from_sl2(aut.apply(SL2Elt(0, 1, 0))),
-        "e": UEnvElt.from_sl2(aut.apply(SL2Elt(1, 0, 0))),
-    }
+    images = {letter: UEnvElt.from_sl2(aut.apply(x)) for letter, x in LETTERS.items()}
     out = UEnvElt.zero()
     for mono, coeff in u.terms.items():
         prod = UEnvElt.one()

@@ -250,14 +250,17 @@ class Scalar:
         m = _SCALAR_RE.fullmatch(s)
         if not m or (m.group("real") is None and m.group("imag") is None) or not s:
             raise ValueError(f"cannot parse scalar {text!r}")
-        re_part = Fraction(m.group("real").lstrip("+")) if m.group("real") else Fraction(0)
-        im_part = Fraction(0)
-        if m.group("imag"):
-            imtxt = m.group("imag").replace(" ", "")
-            sign = -1 if imtxt.startswith("-") else 1
-            imtxt = imtxt.lstrip("+-")
-            coeff = imtxt[:-1].rstrip("*")
-            im_part = sign * (Fraction(coeff) if coeff else Fraction(1))
+        try:
+            re_part = Fraction(m.group("real").lstrip("+")) if m.group("real") else Fraction(0)
+            im_part = Fraction(0)
+            if m.group("imag"):
+                imtxt = m.group("imag").replace(" ", "")
+                sign = -1 if imtxt.startswith("-") else 1
+                imtxt = imtxt.lstrip("+-")
+                coeff = imtxt[:-1].rstrip("*")
+                im_part = sign * (Fraction(coeff) if coeff else Fraction(1))
+        except ZeroDivisionError:
+            raise ValueError(f"cannot parse scalar {text!r}: zero denominator") from None
         return Scalar(re_part, im_part)
 
     def to_json(self):

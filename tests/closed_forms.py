@@ -5,12 +5,15 @@ key -> Scalar (zero values allowed), evaluated in Scalar arithmetic on the
 whole element.  The modules build the same action one letter at a time as
 integer rows; the tests compare the two, key by key and letter by letter.
 :func:`aut_apply_form` is the same kind of reference for
-``Automorphism.apply``: the Scalar product of its 3x3 matrix with x.
+``Automorphism.apply``: the Scalar product of its 3x3 matrix with x, and
+:func:`bracket_form` and :func:`embed_form` are the same for the sl2
+bracket and the embedding of sl2 in Vir, which slvir.lie reads off its
+letter tables.
 """
 
 from math import comb
 
-from slvir.lie import SL2Elt
+from slvir.lie import SL2Elt, VirElt
 from slvir.scalar import Scalar
 from slvir.sparse import sum_terms
 
@@ -92,3 +95,16 @@ def aut_apply_form(aut, x) -> SL2Elt:
     """aut(x) as the Scalar product of aut's matrix with x's coordinates."""
     return SL2Elt(*(sum((a * b for a, b in zip(row, x.coords())), Scalar.zero())
                     for row in aut.matrix))
+
+
+def bracket_form(x, y) -> SL2Elt:
+    """[x, y] by the bilinear antisymmetric extension of [h,e] = 2e,
+    [e,f] = h and [h,f] = -2f."""
+    return SL2Elt((x.ch * y.ce - x.ce * y.ch) * 2,
+                  x.ce * y.cf - x.cf * y.ce,
+                  (x.cf * y.ch - x.ch * y.cf) * 2)
+
+
+def embed_form(x) -> VirElt:
+    """x in Vir by h -> 2 e_0, e -> e_1, f -> -e_{-1}."""
+    return VirElt({1: x.ce, 0: x.ch * 2, -1: -x.cf})

@@ -576,7 +576,12 @@ W_VEC = json.dumps([[[1, 0], "1"]])
 
 
 def scalar_argv(tmp_path, where, value):
-    """A command that reads ``value`` as one JSON scalar at ``where``."""
+    """A command that reads ``value`` as one scalar at ``where``: JSON, or
+    the text of a flag."""
+    if where == "xi-flag":
+        return ["simplicity", "--xi", value, "--tau", "2"]
+    if where == "poly-flag":
+        return ["verify", "restriction", "--poly", f"(t-{value})", "--mu", "1"]
     if where == "vector-coefficient":
         return ["act", "--module", W_SPEC, "--elt", "f", "--vec", json.dumps([[[1, 0], value]])]
     if where == "module-parameter":
@@ -597,15 +602,35 @@ def scalar_argv(tmp_path, where, value):
     for name, coeff, reason in [
         ("coerced-entries", [1.5, 1, True, 1], "four integers expected"),
         ("zero-denominator", ["1", "0", "0", "1"], "zero denominator")]
+] + [
+    pytest.param(where, coeff, "zero denominator", id=f"{where}-{name}")
+    for where in ("vector-coefficient", "module-parameter", "sl2-coordinate", "config-param",
+                  "xi-flag", "poly-flag")
+    for name, coeff in [("text-zero-denominator", "1/0"),
+                        ("text-zero-imaginary-denominator", "1+1/0*i")]
 ])
 def test_list_scalars_are_integers_over_nonzero_denominators(tmp_path, capsys, where, coeff,
                                                              reason):
     # [re_num, re_den, im_num, im_den]: no truncation of 1.5, no true as 1,
-    # and a zero denominator is invalid input, not a ZeroDivisionError
+    # and a zero denominator is invalid input, not a ZeroDivisionError, in
+    # the text form a/b+c/d*i too, where it was a traceback with exit 1
     code, out, err = run(capsys, *scalar_argv(tmp_path, where, coeff))
     assert code == 2
     assert out == ""
     assert reason in err and "Traceback" not in err
+
+
+def test_negative_flag_values_follow_an_equals_sign(capsys):
+    # argparse reads "-1/2" after a space as an option, so "--xi=-1/2" is the form
+    code, out, _ = run(capsys, "simplicity", "--xi=-1/2", "--tau", "2")
+    assert code == 0 and json.loads(out)["params"]["xi"] == S("-1/2").to_json()
+    code, out, _ = run(capsys, "verify", "restriction", "--poly", "(t-1)^2", "--p=-1,2",
+                       "--depth", "4")
+    assert code == 0 and json.loads(out)["params"]["polys"] == [[S(-1).to_json(),
+                                                                 S(2).to_json()]]
+    code, out, err = run(capsys, "simplicity", "--xi", "-1/2", "--tau", "2")
+    assert (code, out) == (2, "")
+    assert "expected one argument" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("where", ["vector-coefficient", "module-parameter", "sl2-coordinate",

@@ -26,6 +26,8 @@ from slvir.linalg import Echelon
 from slvir.scalar import Scalar
 from slvir.sparse import row_from_scalars
 
+from closed_forms import bracket_form, embed_form
+
 S = Scalar.of
 SL2_BASIS = (E, H, F)
 
@@ -388,3 +390,15 @@ def test_ad_matches_the_3x3_routes(aut):
     assert _mat_det(aut.matrix) == Scalar.one()
     assert _recognize(aut.g) == _match_3x3(aut.matrix) == (aut.kind, aut.params)
     _assert_inverse_matches_the_cofactor_route(aut)
+
+
+@given(non_real, non_real, non_real, non_real, non_real, non_real)
+def test_letter_tables_match_the_closed_forms(a, b, c, d, e, f):
+    # bracket_sl2 and embed_sl2 read the letter tables; the closed forms
+    # write the three relations and the embedding out
+    x, y = SL2Elt(a, b, c), SL2Elt(d, e, f)
+    for u, v in ((x, y), (x, H), (F, y), (x, x.scale(2))):
+        assert bracket_sl2(u, v) == bracket_form(u, v)
+    for u in (x, y, E, H, F, SL2Elt(a, 0, c)):
+        assert embed_sl2(u) == embed_form(u)
+        assert sl2_from_vir(embed_form(u)) == u

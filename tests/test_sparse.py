@@ -11,7 +11,7 @@ from test_scalar import RefScalar, assert_canonical
 
 from slvir.errors import MAX_DEPTH, InvalidParameter
 from slvir.laurent import LaurentPoly
-from slvir.lie import VirElt
+from slvir.lie import SL2Elt, VirElt
 from slvir.linalg import BlockModP, Echelon
 from slvir.pbw import UEnvElt
 from slvir.scalar import Scalar
@@ -341,6 +341,7 @@ terms_values = st.one_of(
     st.builds(UEnvElt, st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), scalars,
                                        max_size=4)),
     st.builds(VirElt, _int_keys, scalars),
+    st.builds(SL2Elt, scalars, scalars, scalars),
 )
 
 
@@ -355,7 +356,7 @@ def test_terms_laws_hold_for_every_element_type(x, c):
         assert y == x and hash(y) == hash(x)
     assert x + x == x.scale(2) and hash(x + x) == hash(x.scale(2))
     # a value never equals one of another type with the same terms
-    for other in {LaurentPoly, UEnvElt, VirElt} - {cls}:
+    for other in {LaurentPoly, UEnvElt, VirElt, SL2Elt} - {cls}:
         twin = other._raw(x.terms)
         assert x != twin and twin != x and not x == twin
     if cls is VirElt:
