@@ -74,6 +74,10 @@ def integer(value, name: str) -> int:
 # takes 90-140 s at depth 60 on a 2-core x86-64 host (README), so 1000 would take hours.
 MAX_DEPTH = 100
 
+# The largest |n| of an e_n that Module.act accepts (the suites stay within MAX_DEPTH + 3):
+# VirPoly projects t^n in |n| steps on coefficients that grow with |n|.
+MAX_VIR_INDEX = 1000
+
 
 def bounded_depth(value, name: str) -> int:
     """:func:`positive_int`, and at most MAX_DEPTH (the error names it)."""

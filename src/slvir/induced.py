@@ -291,8 +291,7 @@ class InducedModule(Module):
         return [(UEnvElt.from_sl2(s), v) for s, v in self.relations]
 
     def basis_words(self, depth):
-        return [(m, tuple(LETTERS[g] for g in monomial_letters(m)))
-                for m in self.basis_keys(depth)]
+        return [(m, monomial_letters(m)) for m in self.basis_keys(depth)]
 
     def params_json(self):
         return {

@@ -23,13 +23,13 @@ inner module's, and the others cut tops from rows.
 from __future__ import annotations
 
 import json
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from math import comb
 
-from .errors import (InvalidParameter, NotWeightModule, WrongAlgebra, bounded_depth,
-                     nonnegative_int, only_keys, required_keys)
+from .errors import (MAX_VIR_INDEX, InvalidParameter, NotWeightModule, WrongAlgebra,
+                     bounded_depth, nonnegative_int, only_keys, required_keys)
 from .lie import LETTERS, E, F, H, SL2Elt, VirElt
-from .pbw import UEnvElt, aut_extend, casimir_elt, monomial_letters
+from .pbw import UEnvElt, casimir_elt, monomial_letters
 from .scalar import Scalar
 from .sparse import (ZERO_ROW, expand, gauss, lincomb, rekey, restrict, row_from_scalars,
                      row_keys, row_of, row_to_scalars, unit_row)
@@ -155,6 +155,8 @@ class Module:
         if isinstance(x, VirElt):
             if not self.accepts_vir:
                 raise WrongAlgebra(f"{self.family} only accepts sl2 elements")
+            if abs(n := max(x.terms, key=abs, default=0)) > MAX_VIR_INDEX:
+                raise InvalidParameter(f"Virasoro index {n} exceeds the limit of {MAX_VIR_INDEX}")
         elif not isinstance(x, SL2Elt):
             raise TypeError(f"cannot act by {x!r}")
         return ModVec._of_row(self, lincomb(expand(vec.row, self._action(x))))
@@ -244,7 +246,7 @@ class Module:
         raise NotImplementedError(f"{self.family} has no generator relations")
 
     def basis_words(self, depth: int) -> list:
-        """Pairs (key, word) where word is a tuple of sl2 elements whose
+        """Pairs (key, word), word a tuple of the letters "e", "h", "f" whose
         right-to-left application to the generator yields the basis vector."""
         raise NotImplementedError(f"{self.family} has no free monomial basis")
 
@@ -347,7 +349,7 @@ class WModule(_PairModule):
         return [(UEnvElt.from_sl2(E), self.eta)]
 
     def basis_words(self, depth):
-        return [((a, b), (F,) * a + (H,) * b) for a, b in _pairs_up_to(depth)]
+        return [((a, b), ("f",) * a + ("h",) * b) for a, b in _pairs_up_to(depth)]
 
 
 class XModule(_PairModule):
@@ -381,7 +383,7 @@ class XModule(_PairModule):
         return [(UEnvElt.from_sl2(H), self.xi)]
 
     def basis_words(self, depth):
-        return [((k, l), (F,) * k + (E,) * l) for k, l in _pairs_up_to(depth)]
+        return [((k, l), ("f",) * k + ("e",) * l) for k, l in _pairs_up_to(depth)]
 
 
 def _fe(tau: Scalar, n: int, m: int, d: int) -> tuple:
@@ -459,8 +461,8 @@ class XbarModule(Module):
         return [(UEnvElt.from_sl2(H), self.xi), (casimir_elt(), self.tau)]
 
     def basis_words(self, depth):
-        out = [(("e", l), (E,) * l) for l in range(depth + 1)]
-        out += [(("f", k), (F,) * k) for k in range(1, depth + 1)]
+        out = [(("e", l), ("e",) * l) for l in range(depth + 1)]
+        out += [(("f", k), ("f",) * k) for k in range(1, depth + 1)]
         return out
 
 
@@ -600,7 +602,7 @@ class VermaModule(_VermaBase):
         return [(UEnvElt.from_sl2(H), self.delta), (UEnvElt.from_sl2(E), Scalar.zero())]
 
     def basis_words(self, depth):
-        return [(k, (F,) * k) for k in range(depth + 1)]
+        return [(k, ("f",) * k) for k in range(depth + 1)]
 
 
 class LowVermaModule(_VermaBase):
@@ -616,7 +618,7 @@ class LowVermaModule(_VermaBase):
         return [(UEnvElt.from_sl2(H), self.delta), (UEnvElt.from_sl2(F), Scalar.zero())]
 
     def basis_words(self, depth):
-        return [(k, (E,) * k) for k in range(depth + 1)]
+        return [(k, ("e",) * k) for k in range(depth + 1)]
 
 
 # the methods on basis keys that a twist takes from its inner module
@@ -630,7 +632,8 @@ class TwistModule(Module):
     It builds no rows of its own: x splits into the ops of aut(x) on
     inner, computed once per x, and acts through inner's rows and tops.
     Its keys are inner's, with inner's key methods; a key's weight is
-    taken with respect to the twisted Cartan generator aut^{-1}(h).
+    taken with respect to the twisted Cartan generator aut^{-1}(h).  A
+    twist is only ever a map target: it has no generator relations or words.
     """
 
     family = "Twist"
@@ -644,21 +647,6 @@ class TwistModule(Module):
         self._row, self._top = inner._row, inner._top
         for name in _KEY_METHODS:
             setattr(self, name, getattr(inner, name))
-
-    @cached_property
-    def _aut_inv(self):
-        # read only when the twist is a map source
-        return self.aut.inverse()
-
-    def generator_relations(self):
-        return [(aut_extend(self._aut_inv, u), s)
-                for u, s in self.inner.generator_relations()]
-
-    def basis_words(self, depth):
-        words = self.inner.basis_words(depth)
-        # the words use a handful of distinct letters: map each one once
-        image = {g: self._aut_inv.apply(g) for g in {g for _, word in words for g in word}}
-        return [(key, tuple(image[g] for g in word)) for key, word in words]
 
     def params_json(self):
         return {"inner": {"family": self.inner.family, "params": self.inner.params_json()},
@@ -738,22 +726,20 @@ class TensorModule(Module):
 
 def _word_images(act, words, vec):
     """Yield (key, image) for each (key, word) of ``words``, in order: the
-    image of vec under the word, applied right to left by ``act(x, v)``.
+    image of vec under the word, a tuple of letters, applied right to left
+    by ``act(letter, v)``.
 
     The image of a word is word[0] acting on the image of word[1:], so
-    every distinct suffix is acted on once.  Suffixes are keyed by the ids
-    of their letters: ``words`` keeps them alive, and the families' words
-    share one object per distinct letter.
+    every distinct suffix, keyed by its letters, is acted on once.
     """
     images = {(): vec}
     for key, word in words:
-        ids = tuple(map(id, word))
         start = 0
-        while ids[start:] not in images:
+        while word[start:] not in images:
             start += 1
         for j in range(start - 1, -1, -1):
-            images[ids[j:]] = act(word[j], images[ids[j + 1:]])
-        yield key, images[ids]
+            images[word[j:]] = act(word[j], images[word[j + 1:]])
+        yield key, images[word]
 
 
 def act_uenv(module: Module, u: UEnvElt, vec: ModVec) -> ModVec:

@@ -131,6 +131,7 @@ def casimir_elt() -> UEnvElt:
     return fe.scale(4) + nf_multiply(h_plus_1, h_plus_1)
 
 
+# kept while perfbench/tracing.py wraps it and tests/test_tooling.py pins it (ROADMAP item 7)
 def aut_extend(aut, u: UEnvElt) -> UEnvElt:
     """Apply an sl2 automorphism to every tensor factor and renormalise.
 

@@ -25,6 +25,7 @@ from .errors import DepthExceeded, InvalidParameter, NotRepresentable
 from .induced import InducedModule, MuData, VirPolyModule, mu_eval
 from .lie import (
     Automorphism,
+    LETTERS,
     E,
     F,
     H,
@@ -124,15 +125,15 @@ class _Unreduced(ArithmeticError):
     """P divides a denominator on the walk of the graded certificate."""
 
 
-def _graded_certificate(dst: Module, lift, words, gen_image: ModVec, depth: int,
+def _graded_certificate(dst: Module, letters: dict, words, gen_image: ModVec, depth: int,
                         window_span: bool) -> bool:
     """Whether the top components of the images certify the map.
 
-    ``words`` are sorted by length, and a letter x acts as ``lift(x)``.
+    ``words`` are sorted by length, and the letter l acts as ``letters[l]``.
     With s the depth of gen_image, the top component of a word's image is
     its part at depth s + len(word); the top of g.v is the top of g acting
     on the top of v, so the tops are walked with the shared suffixes of
-    :func:`_word_images` from dst's top rows of the ops of lift(x)
+    :func:`_word_images` from dst's top rows of the ops of letters[l]
     (:meth:`~slvir.modules.Module._top`), never the full images.
     The walk runs in F_P (:data:`~slvir.sparse.MODULUS`) on packed rows
     (:func:`~slvir.sparse.pack`), the keys of each depth in slots in the
@@ -169,7 +170,7 @@ def _graded_certificate(dst: Module, lift, words, gen_image: ModVec, depth: int,
         return out
 
     op_tops: dict = {}  # (op, key) -> the residues of dst's top row of op on key
-    letters: dict = {}  # id(x) -> (the reduced ops of lift(x), {key: packed top of x on key})
+    walked: dict = {}  # l -> (the reduced ops of letters[l], {key: packed top of l on key})
 
     def letter_top(ops, key, slots):
         acc: dict = {}
@@ -181,13 +182,12 @@ def _graded_certificate(dst: Module, lift, words, gen_image: ModVec, depth: int,
                 acc[k] = acc.get(k, 0) + c * v
         return pack(((k, v % p) for k, v in acc.items()), slots, w)
 
-    def act(x, top):
+    def act(letter, top):
         d, row = top
-        letter = letters.get(id(x))
-        if letter is None:  # words keep x alive; a coefficient is reduced as a one-key row
-            letter = letters[id(x)] = ([(reduced((cd, {0: cr}, {0: ci})).get(0, 0), op)
-                                         for (cr, ci, cd), op in dst._ops(lift(x))], {})
-        ops, tops = letter
+        if letter not in walked:  # a coefficient is reduced as a one-key row
+            walked[letter] = ([(reduced((cd, {0: cr}, {0: ci})).get(0, 0), op)
+                               for (cr, ci, cd), op in dst._ops(letters[letter])], {})
+        ops, tops = walked[letter]
         out = 0
         for key in cols[d]:
             if not row:
@@ -240,11 +240,11 @@ def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
     generator.  injective_up_to_N: the images of src's basis monomials of
     depth <= N are linearly independent in dst (exact rank).
     surjective_onto_window, when ``window_span`` is True: the images span
-    every basis key of dst of depth <= N.  A letter x of src's words acts
-    on dst as ``lift(x)`` (x itself by default; the degree-3 restriction
-    passes the embedding into the Virasoro algebra): the images are
-    ``dst.act(lift(x), v)`` and the certificate's tops are read from the
-    same ops ``dst._ops(lift(x))``, so both come from one route.
+    every basis key of dst of depth <= N.  A letter l of src's words acts
+    on dst as ``lift(LETTERS[l])``, computed once per check (LETTERS[l] by
+    default; the degree-3 restriction passes the Virasoro embedding), for
+    the images and the certificate's tops alike.  src is never a twist:
+    check a map out of A twisted by a as one from A into dst twisted by a^-1.
 
     The graded certificate is tried first.  Every letter raises
     ``key_depth`` by at most one (the contract of :meth:`Module.key_depth`),
@@ -268,7 +268,7 @@ def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
     P, or a denominator P divides, proves nothing; the full route decides,
     with the report a certificate would give, so P never shows.
     """
-    lift = lift or (lambda x: x)
+    letters = {l: lift(x) for l, x in LETTERS.items()} if lift else LETTERS
     report = _scoped_report("map_check", {}, depth)
     report.scan("relations_hold",
                 ({"kind": "relation", "element": u.to_json(),
@@ -278,13 +278,13 @@ def check_module_map(src: Module, dst: Module, gen_image: ModVec, depth: int,
 
     words = sorted(src.basis_words(depth),
                    key=lambda kw: (src.key_depth(kw[0]), src.key_sort_token(kw[0])))
-    if _graded_certificate(dst, lift, words, gen_image, depth, window_span):
+    if _graded_certificate(dst, letters, words, gen_image, depth, window_span):
         report.record("injective_up_to_N", True)
         if window_span:
             report.record("surjective_onto_window", True)
         report.rank = len(words)
     else:
-        _eliminate(report, src, dst, lambda x, v: dst.act(lift(x), v), words, gen_image,
+        _eliminate(report, src, dst, lambda l, v: dst.act(letters[l], v), words, gen_image,
                    depth, window_span)
     return report
 
@@ -534,8 +534,7 @@ def suite_restriction(mu: MuData, depth: int = 6) -> Report:
         # computed through the Virasoro action path, are independent and
         # span the window
         report.extra["target"] = {"family": "free", "description": "free of rank 1 over U(sl2)"}
-        mc = check_module_map(vp, vp, vp.generator(), depth - 1,
-                              lift=cache(embed_sl2))  # once per distinct letter
+        mc = check_module_map(vp, vp, vp.generator(), depth - 1, lift=embed_sl2)
         report.extra["independent_images"] = mc.rank
     if k < 3:
         mc = check_module_map(vp, target_mod, target_mod.generator(), depth)
@@ -562,7 +561,9 @@ def suite_tensor_vermas(lam1, lam2, mu1, mu2, depth: int = 5) -> Report:
     report = _scoped_report("tensor_vermas", params, depth)
 
     aut12 = Automorphism.gamma2(lam1, lam2)
-    src = _twisted_target(XModule(mu1 - mu2), aut12, report)
+    # the report names the target X^(aut12^-1); as Hom(X^(aut12^-1), T) = Hom(X, T^(aut12)),
+    # the map is checked from X into the tensor twisted by aut12
+    src = _twisted_target(XModule(mu1 - mu2), aut12, report).inner
     tensor = TensorModule(
         TwistModule(VermaModule(mu1), Automorphism.gamma(lam1).inverse()),
         TwistModule(VermaModule(mu2), Automorphism.gamma(lam2).inverse()),
@@ -570,7 +571,8 @@ def suite_tensor_vermas(lam1, lam2, mu1, mu2, depth: int = 5) -> Report:
     gen = tensor.generator()
     report.compare("generator_is_twisted_eigenvector",
                    gen.scale(mu1 - mu2), tensor.act(aut12.apply(H), gen))
-    _record_map(report, check_module_map(src, tensor, gen, depth))
+    dst = TwistModule(tensor, aut12)
+    _record_map(report, check_module_map(src, dst, dst.generator(), depth))
 
     # Virasoro level: characters mu~_i(t - lam_i) = mu_i lam_i / 2, and the
     # summed character on the degree-2 subalgebra of (t-lam1)(t-lam2)

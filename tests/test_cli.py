@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -335,6 +336,30 @@ def test_bad_virasoro_indices_exit_two(capsys, terms, message):
                          json.dumps({"terms": terms}), "--vec", json.dumps([[[0, 0, 0], "1"]]))
     assert (code, out) == (2, "")
     assert message in err and "Traceback" not in err
+
+
+# e_n projects t^n in |n| steps on coefficients that grow with |n|: on this
+# module e_20000 took 7 s and ended in a str() of a 4,300-digit int, and
+# e_200000 ran on for minutes
+TWO_ROOTS = {"family": "VirPoly", "roots": [["1", 1], ["3", 1]], "polys": [["1"], ["1"]],
+             "depth": 2}
+
+
+@pytest.mark.parametrize("elt, index", [("e_1001", 1001), ("e_-1001", -1001),
+                                        (json.dumps({"terms": [[5000, "1"]]}), 5000)])
+def test_virasoro_index_beyond_the_limit_exits_two(capsys, elt, index):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "act", "--module", json.dumps(TWO_ROOTS), "--elt", elt,
+                         "--vec", json.dumps([[[0, 0, 0], "1"]]))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert f"Virasoro index {index} exceeds the limit of 1000" in err and "Traceback" not in err
+
+
+def test_virasoro_index_at_the_limit_acts(capsys):
+    code, out, _ = run(capsys, "act", "--module", json.dumps(TWO_ROOTS), "--elt", "e_1000",
+                       "--vec", json.dumps([[[0, 0, 0], "1"]]))
+    assert code == 0 and json.loads(out)["terms"]
 
 
 def test_depth_env_override(capsys, monkeypatch):

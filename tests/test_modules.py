@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slvir.modules as modules_mod
-from slvir.errors import InvalidParameter, NotWeightModule, WrongAlgebra
+from slvir.errors import MAX_VIR_INDEX, InvalidParameter, NotWeightModule, WrongAlgebra
 from slvir.lie import Automorphism, E, F, H, SL2Elt, VirElt, bracket_sl2
 from slvir.induced import InducedModule, MuData, VirPolyModule
 from slvir.modules import (
@@ -543,3 +543,15 @@ def test_pair_keys_reject_bools():
         WModule(S(1)).basis_vec((True, 0))
     with pytest.raises(InvalidParameter):
         XbarModule(S(1), S(2)).basis_vec(("e", True))
+
+
+def test_act_refuses_a_virasoro_index_beyond_the_limit():
+    # Module.act checks every index of the element before any row is built,
+    # on a VirPoly handle and on a tensor of them alike
+    vp = VirPolyModule(MuData([(S(1), 1), (S(3), 1)], [[S(1)], [S(1)]]), 2)
+    for module in (vp, TensorModule(vp, vp)):
+        gen = module.generator()
+        assert not module.act(VirElt({MAX_VIR_INDEX: 1, -MAX_VIR_INDEX: 1}), gen).is_zero()
+        for n in (MAX_VIR_INDEX + 1, -MAX_VIR_INDEX - 1):
+            with pytest.raises(InvalidParameter, match=rf"index {n} exceeds the limit"):
+                module.act(VirElt({1: 1, n: 2}), gen)

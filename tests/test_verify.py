@@ -15,7 +15,7 @@ from slvir.modules import (LETTERS, DenseModule, KeyAboveTop, LowVermaModule, Mo
                            TensorModule,
                            TwistModule, VermaModule, WModule, XbarModule, XbarQuotientModule,
                            XModule, act_uenv, act_word)
-from slvir.pbw import UEnvElt, casimir_elt, monomial_letters
+from slvir.pbw import UEnvElt, aut_extend, casimir_elt, monomial_letters
 from slvir.scalar import Scalar
 from slvir.sparse import (MODULUS, expand, gauss, lincomb, residues, restrict, row_keys,
                           slot_width, unit_row)
@@ -232,6 +232,39 @@ def test_tensor_suite():
         suite_tensor_vermas(0, 1, 3, 1, 5)
 
 
+@pytest.mark.parametrize("lam1, lam2, mu1, mu2", [
+    (S("1/2+1*i"), S("-2+1/3*i"), S("3-1*i"), S("1/5*i")),
+    (S("1*i"), S("-1*i"), S("2+1*i"), S("-1/3+2*i")),
+])
+def test_tensor_map_matches_the_twisted_source_route(lam1, lam2, mu1, mu2):
+    # the suite checks X(mu1 - mu2) into the tensor T twisted by aut12; the
+    # reference route maps X twisted by aut12^-1 into T, its words spelt in
+    # aut12's images of the letters and its relation carried through aut12
+    # extended to U(sl2): the same images, word by word
+    aut12 = Automorphism.gamma2(lam1, lam2)
+    tensor = TensorModule(TwistModule(VermaModule(mu1), Automorphism.gamma(lam1).inverse()),
+                          TwistModule(VermaModule(mu2), Automorphism.gamma(lam2).inverse()))
+    gen = tensor.generator()
+    src, dst = XModule(mu1 - mu2), TwistModule(tensor, aut12)
+    words = src.basis_words(4)
+    images = _word_images(lambda l, v: dst.act(LETTERS[l], v), words, dst.generator())
+    for (key, word), (_, image) in zip(words, images):
+        want = act_word(tensor, tuple(aut12.apply(LETTERS[l]) for l in word), gen)
+        assert image.row == want.row, key
+    ((u, xi),) = src.generator_relations()
+    assert xi == mu1 - mu2
+    assert (act_uenv(dst, u, dst.generator()).row
+            == act_uenv(tensor, aut_extend(aut12, u), gen).row == gen.scale(xi).row)
+    assert suite_tensor_vermas(lam1, lam2, mu1, mu2, 4).all_ok
+
+
+def test_a_twist_is_no_map_source():
+    # a map out of a twist is checked as the map into the opposite twist
+    twist = TwistModule(XModule(S(1)), Automorphism.gamma(S(2)))
+    with pytest.raises(NotImplementedError, match="Twist has no generator relations"):
+        check_module_map(twist, twist, twist.generator(), 2)
+
+
 def test_twist_induction_examples():
     sub = classify_subalgebra_1d(SL2Elt(1, -3, -9))
     report = suite_twist_induction(sub, 5, 6)
@@ -347,8 +380,8 @@ def test_shared_word_images_match_per_word_route(case, monkeypatch):
     calls = _full_route_only(monkeypatch)
     src, dst, gen = _negative_control(case)
     words = src.basis_words(6)
-    assert list(_word_images(dst.act, words, gen)) == \
-        [(key, act_word(dst, word, gen)) for key, word in words]
+    assert list(_word_images(lambda l, v: dst.act(LETTERS[l], v), words, gen)) == \
+        [(key, act_word(dst, tuple(LETTERS[l] for l in word), gen)) for key, word in words]
     shared = check_module_map(src, dst, gen, 6)
     assert not shared.all_ok and shared.witness["kind"] == case
     monkeypatch.setattr(verify_mod, "_word_images", _per_word_images)
@@ -356,6 +389,28 @@ def test_shared_word_images_match_per_word_route(case, monkeypatch):
     assert shared.to_json() == per_word.to_json()
     assert shared.witness == per_word.witness
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("module", [
+    WModule(S(2)), XbarModule(S("1/2"), S(9)),
+    InducedModule([(classify_subalgebra_1d(SL2Elt(1, -3, -5)).generator, S(2))], 6),
+], ids=lambda m: m.family)
+@pytest.mark.parametrize("fresh", [False, True], ids=["words", "fresh_tuples"])
+def test_word_images_act_once_per_distinct_suffix(module, fresh):
+    # suffixes are keyed by their letters, not by the word objects: a copy
+    # of every word shares its suffixes all the same
+    words = module.basis_words(6)
+    if fresh:
+        words = [(key, tuple(list(word))) for key, word in words]
+    calls = []
+
+    def act(letter, image):
+        calls.append(letter)
+        return (letter,) + image  # the image of a word is the word itself
+
+    assert list(_word_images(act, words, ())) == words
+    suffixes = {word[j:] for _, word in words for j in range(len(word))}
+    assert len(calls) == len(suffixes)
 
 
 # -- the graded certificate ------------------------------------------------------
@@ -401,17 +456,17 @@ def _map_case(case, a, b, c):
     return check_module_map(VermaModule(a), x, x.generator(), depth).to_json()
 
 
-def _exact_tops(dst, lift, words, gen_image):
+def _exact_tops(dst, letters, words, gen_image):
     """(key, top row) of each word's image, in order, walked exactly over
     Q(i) from the top of gen_image."""
     key_depth = dst.key_depth
     s = max(map(key_depth, row_keys(gen_image.row)))
-    tops = cache(lambda x: top_action(dst, lift(x)))
+    tops = cache(lambda l: top_action(dst, letters[l]))
     top = restrict(gen_image.row, lambda k: key_depth(k) == s)
     return _word_images(lambda x, row: lincomb(expand(row, tops(x))), words, top)
 
 
-def _exact_certificate(dst, lift, words, gen_image, depth, window_span):
+def _exact_certificate(dst, letters, words, gen_image, depth, window_span):
     """Reference for the graded certificate: the same walk of the tops,
     exact over Q(i), each length's block in an :class:`Echelon`."""
     key_depth = dst.key_depth
@@ -422,7 +477,7 @@ def _exact_certificate(dst, lift, words, gen_image, depth, window_span):
         return False
     blocks = defaultdict(lambda: Echelon(dst.key_sort_token))
     try:
-        for (_, word), (_, row) in zip(words, _exact_tops(dst, lift, words, gen_image)):
+        for (_, word), (_, row) in zip(words, _exact_tops(dst, letters, words, gen_image)):
             if not blocks[len(word)].insert(row):
                 return False
     except KeyAboveTop:
@@ -520,8 +575,8 @@ def test_certificate_rows_are_the_residues_of_the_exact_tops(case, modulus, monk
     run = partial(_map_case if isinstance(case, str) else _twisted_induced_map, case)
     run(S("1/2+1*i"), S("-2+1/3*i"), S("3-1*i"))
     assert any(rows for _, rows in runs)
-    for (dst, lift, words, gen_image, _, _), rows in runs:
-        for row, (_, exact) in zip(rows, _exact_tops(dst, lift, words, gen_image)):
+    for (dst, letters, words, gen_image, _, _), rows in runs:
+        for row, (_, exact) in zip(rows, _exact_tops(dst, letters, words, gen_image)):
             assert (sorted(v % p for v in _slots(row, w) if v % p)
                     == sorted(residues(exact, p, i).values()))
 
@@ -679,7 +734,7 @@ def test_top_rows_check_the_filtered_normal_forms(monkeypatch):
     monkeypatch.setattr(DenseModule, "_build_row", raised)
     src, dst = VermaModule(S(1)), DenseModule(S(1), S(3))
     gen = dst.generator()
-    assert not verify_mod._graded_certificate(dst, lambda x: x, src.basis_words(2), gen, 2,
+    assert not verify_mod._graded_certificate(dst, LETTERS, src.basis_words(2), gen, 2,
                                               False)
     got = check_module_map(src, dst, gen, 2).to_json()
     monkeypatch.setattr(verify_mod, "_graded_certificate", lambda *args: False)
@@ -722,7 +777,7 @@ def test_graded_certificate_refuses_keys_above_the_expected_depth():
     dst = TensorModule(VermaModule(S(1)), _SteepVerma(S(2)))
     src = VermaModule(S(3))
     gen = dst.generator()
-    assert not verify_mod._graded_certificate(dst, lambda x: x, src.basis_words(3), gen, 3,
+    assert not verify_mod._graded_certificate(dst, LETTERS, src.basis_words(3), gen, 3,
                                               False)
     report = check_module_map(src, dst, gen, 3)
     assert report.flags["relations_hold"] and report.flags["injective_up_to_N"]
@@ -881,10 +936,16 @@ def test_row_level_act_uenv_matches_the_letterwise_route(a, b, c, terms):
     shared = UEnvElt({(1, 0, 1): a, (0, 0, 1): b, (2, 1, 1): c, (0, 1, 1): 1})
     elements = [casimir_elt(), shared, UEnvElt(terms)]
     for module in _contract_handles(a, b, c):
-        try:
-            relations = [u for u, _ in module.generator_relations()]
-        except NotImplementedError:
-            relations = []
+        if isinstance(module, TwistModule):
+            # a twist is no map source; its inner module's relations carried
+            # through aut^-1 fix its generator up to scale, so they stay inputs
+            relations = [aut_extend(module.aut.inverse(), u)
+                         for u, _ in module.inner.generator_relations()]
+        else:
+            try:
+                relations = [u for u, _ in module.generator_relations()]
+            except NotImplementedError:
+                relations = []
         keys = module.basis_keys(2)
         vecs = [module.vector({k: c * (i + 1) + a for i, k in enumerate(keys)}),
                 module.basis_vec(keys[-1])]
