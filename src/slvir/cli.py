@@ -305,7 +305,7 @@ def _run_report(args) -> int:
         only_keys(params, suite.config_keys or suite.flags, what)
         required_keys(params, suite.config_keys
                       or [flag for flag, kw in suite.flags.items() if kw.get("required")], what)
-    depths = [_suite_depth(e) for e in entries]
+    depths = [_suite_depth(e, _SUITES[e["name"]].fallback) for e in entries]
     # the suites are bound by the interpreter lock, so a "parallel" key is
     # accepted but ignored: they run one after another
     reports = [_run_suite(e["name"], e.get("params", {}), d) for e, d in zip(entries, depths)]

@@ -209,37 +209,32 @@ class Automorphism:
     g = [[p, q], [r, s]] over Q(i) taken up to scale; every automorphism of
     sl2 is one.
 
-    ``matrix`` is its 3x3 matrix on (e, h, f) coordinates; its columns,
-    the images of the letters, are kept as integer rows keyed by letter,
-    and :meth:`apply` sums them over the letters of x.  ``kind`` is one
-    of identity / gamma / gamma2 / sigma / composite, read off g by
-    :func:`_recognize`.  The inverse is Ad of the adjugate; it remembers its
-    origin (``_inverse``, set on the result only, so no reference cycle
-    forms), so inverting it again is free.
+    It holds g and ``_images``, the integer rows of aut(e), aut(h) and
+    aut(f) keyed by letter; :meth:`apply` sums them over the letters of x.
+    The rows are canonical, so g and c*g compare equal.  Everything else is
+    computed when it is read: ``matrix``, the 3x3 matrix on (e, h, f)
+    coordinates whose columns are the images; ``kind``, one of identity /
+    gamma / gamma2 / sigma / composite, and its ``params``, read off g by
+    :func:`_recognize`; and the inverse, Ad of the adjugate.
     """
 
-    __slots__ = ("g", "matrix", "kind", "params", "_images", "_inverse")
+    __slots__ = ("g", "_images")
 
     def __init__(self, g):
         p, q, r, s = g = tuple(map(Scalar.of, g))
-        det = p * s - q * r
+        ps, qr = p * s, q * r
+        det = ps - qr
         if det.is_zero():
             raise InvalidParameter("an automorphism needs an invertible g")
-        # the columns are the images of e, h and f
-        inv_det = Scalar.one() / det
-        matrix = tuple(tuple(c * inv_det for c in row) for row in (
-            (p * p, p * q * -2, -(q * q)),
-            (-(p * r), p * s + q * r, q * s),
-            (-(r * r), r * s * 2, s * s),
-        ))
-        kind, params = _recognize(g)
+        # the images of e, h and f, the columns of the matrix, times det
+        images = {"e": (p * p, -(p * r), -(r * r)),
+                  "h": (p * q * -2, ps + qr, r * s * 2),
+                  "f": (-(q * q), q * s, s * s)}
+        inv = gauss(Scalar.one() / det)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "_images", {letter: row_from_scalars(dict(zip("ehf", c)))
-                                             for letter, c in zip("ehf", zip(*matrix))})
-        object.__setattr__(self, "_inverse", None)
+        object.__setattr__(self, "_images", {
+            x: lincomb([inv + (row_from_scalars(dict(zip("ehf", image))),)])
+            for x, image in images.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")
@@ -276,29 +271,30 @@ class Automorphism:
                                                    for letter, c in x.terms.items()])))
 
     def inverse(self) -> "Automorphism":
-        """Ad of the adjugate (s, -q, -r, p); the inverse of an inverse is
-        its origin."""
-        if self._inverse is not None:
-            return self._inverse
+        """Ad of the adjugate (s, -q, -r, p)."""
         p, q, r, s = self.g
-        inv = Automorphism((s, -q, -r, p))
-        object.__setattr__(inv, "_inverse", self)
-        return inv
+        return Automorphism((s, -q, -r, p))
 
     def __eq__(self, other):
         if not isinstance(other, Automorphism):
             return NotImplemented
-        return self.matrix == other.matrix
+        return self._images == other._images
 
     def __hash__(self):
         return hash(self.matrix)
 
     @property
+    def matrix(self) -> tuple:
+        cols = [row_to_scalars(self._images[x]) for x in "ehf"]
+        return tuple(tuple(col.get(y, _ZERO) for col in cols) for y in "ehf")
+
+    kind = property(lambda self: _recognize(self.g)[0])
+    params = property(lambda self: _recognize(self.g)[1])
+
+    @property
     def tag(self) -> str:
-        if self.kind in ("identity", "sigma", "composite"):
-            return self.kind
-        inner = ",".join(str(p) for p in self.params)
-        return f"{self.kind}({inner})"
+        kind, params = _recognize(self.g)
+        return f"{kind}({','.join(map(str, params))})" if params else kind
 
     def __repr__(self):
         return f"Automorphism[{self.tag}]"

@@ -28,7 +28,7 @@ from math import comb
 
 from .errors import (MAX_VIR_INDEX, InvalidParameter, NotWeightModule, WrongAlgebra,
                      bounded_depth, nonnegative_int, only_keys, required_keys)
-from .lie import LETTERS, E, F, H, SL2Elt, VirElt
+from .lie import LETTERS, Automorphism, E, F, H, SL2Elt, VirElt
 from .pbw import UEnvElt, casimir_elt, monomial_letters
 from .scalar import Scalar
 from .sparse import (ZERO_ROW, expand, gauss, lincomb, rekey, restrict, row_from_scalars,
@@ -131,9 +131,16 @@ class Module:
 
     family = "abstract"
     accepts_vir = False
-    # the attributes, all Scalars, that name a handle of the family: read by
-    # params_json and by make_module
+    # the attributes, all Scalars, that name a handle of the family, in the
+    # order the constructor takes them: read by params_json and make_module
     PARAMS: tuple = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.PARAMS):
+            raise TypeError(f"{self.family} takes the params {self.PARAMS}, "
+                            f"got {len(values)} values")
+        for name, value in zip(self.PARAMS, values):
+            setattr(self, name, Scalar.of(value))
 
     # -- vectors -------------------------------------------------------------
 
@@ -326,9 +333,6 @@ class WModule(_PairModule):
     PARAMS = ("eta",)
     _TOP_SLOTS = {"f": 0, "h": 1}
 
-    def __init__(self, eta):
-        self.eta = Scalar.of(eta)
-
     def _build_row(self, letter, key):
         # h f^a = f^a (h - 2a), e f^a = f^a e + a f^(a-1) (h - a + 1) and
         # e h^b = (h - 2)^b e, with e x = eta x
@@ -358,9 +362,6 @@ class XModule(_PairModule):
     family = "X"
     PARAMS = ("xi",)
     _TOP_SLOTS = {"f": 0, "e": 1}
-
-    def __init__(self, xi):
-        self.xi = Scalar.of(xi)
 
     def _build_row(self, letter, key):
         # h f^k = f^k (h - 2k), e f^k = f^k e + k f^(k-1) (h - k + 1), and h
@@ -404,10 +405,6 @@ class XbarModule(Module):
 
     family = "Xbar"
     PARAMS = ("xi", "tau")
-
-    def __init__(self, xi, tau):
-        self.xi = Scalar.of(xi)
-        self.tau = Scalar.of(tau)
 
     def _build_row(self, letter, key):
         side, n = key
@@ -513,10 +510,6 @@ class DenseModule(Module):
     family = "Vdense"
     PARAMS = ("xi", "tau")
 
-    def __init__(self, xi, tau):
-        self.xi = Scalar.of(xi)
-        self.tau = Scalar.of(tau)
-
     def _build_row(self, letter, w):
         if letter == "e":
             return row_of((w + 2,) + _fe(self.tau, w.n, w.m, w.d))
@@ -559,9 +552,6 @@ class _VermaBase(Module):
     highest (lowest) weight delta, keys k >= 0 of depth k, generator 0."""
 
     PARAMS = ("delta",)
-
-    def __init__(self, delta):
-        self.delta = Scalar.of(delta)
 
     def validate_key(self, key):
         nonnegative_int(key, f"{self.family} key")
@@ -789,8 +779,6 @@ _AUT_ARITY = {"identity": 0, "sigma": 0, "inverse": 0, "gamma": 1, "gamma2": 2}
 
 
 def aut_from_json(data, what="an automorphism spec"):
-    from .lie import Automorphism
-
     if not isinstance(data, dict):
         raise InvalidParameter(f"{what} must be a JSON object, got {data!r}")
     required_keys(data, ("kind",), what)
@@ -834,7 +822,7 @@ def make_module(spec: dict) -> Module:
     required_keys(spec, [key for key in _SPEC_KEYS[family] if key != "depth"], what)
     if family in _SCALAR_SPECS:
         cls = _SCALAR_SPECS[family]
-        return cls(*(Scalar.of(spec[k]) for k in cls.PARAMS))
+        return cls(*(spec[k] for k in cls.PARAMS))
     if family == "VirPoly":
         depth = bounded_depth(spec.get("depth", 6), "VirPoly depth")
         return VirPolyModule(MuData.from_json(spec), depth)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from slvir.cli import main, parse_factored_poly, parse_sl2
+from slvir.lie import Automorphism
 from slvir.scalar import Scalar
 
 S = Scalar.of
@@ -437,14 +438,20 @@ SUITE_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_CASES))
-def test_verb_and_report_entry_give_the_same_report(tmp_path, capsys, name):
+def test_verb_and_report_entry_give_the_same_report(tmp_path, capsys, monkeypatch, name):
+    # with the depth given, and with none: then both take the suite's default
+    monkeypatch.delenv("SLVIR_DEPTH", raising=False)
     argv, entry = SUITE_CASES[name]
-    code, out, _ = run(capsys, *argv)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"suites": [dict(entry, name=name)]}))
-    report_code, report_out, _ = run(capsys, "report", "--config", str(path))
-    assert code == report_code == 0
-    assert json.loads(report_out)["reports"] == [json.loads(out)]
+    # --depth N comes last in every argv that has it
+    no_depth = (argv[:argv.index("--depth")] if "--depth" in argv else argv,
+                {k: v for k, v in entry.items() if k != "depth"})
+    for argv, entry in ((argv, entry), no_depth):
+        code, out, _ = run(capsys, *argv)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"suites": [dict(entry, name=name)]}))
+        report_code, report_out, _ = run(capsys, "report", "--config", str(path))
+        assert code == report_code == 0
+        assert json.loads(report_out)["reports"] == [json.loads(out)]
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -465,18 +472,18 @@ def test_sample_report_is_byte_identical_across_hash_seeds(hash_seed):
 
 
 # Scalar operator calls of one in-process sample report, counted the way
-# perfbench/tracing.py counts them: 1,503 when recorded, from a cold start
-# (1,683 while Automorphism.apply took a Scalar matrix product, 3,166 while
-# every letter row went through a Scalar closed form); warm process-wide
-# caches only lower it
-SAMPLE_REPORT_SCALAR_OPS = 1600
+# perfbench/tracing.py counts them: 1,338 when recorded, from a cold start,
+# with a margin of about 5% (1,498 while each automorphism built a Scalar
+# 3x3 matrix, 1,683 while Automorphism.apply took a Scalar matrix product,
+# 3,166 while every letter row went through a Scalar closed form); warm
+# process-wide caches only lower it
+SAMPLE_REPORT_SCALAR_OPS = 1400
 _SCALAR_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                "__truediv__", "__rtruediv__", "__neg__")
 
 
-def test_sample_report_scalar_work_stays_bounded(capsys, monkeypatch):
-    # a host-independent work guard: the action path builds its rows in
-    # integer arithmetic, so a Scalar round trip coming back shows here
+def _count_scalar_ops(monkeypatch) -> list:
+    """A one-item list that counts the Scalar operator calls made from now on."""
     calls = [0]
 
     def counted(fn):
@@ -487,10 +494,29 @@ def test_sample_report_scalar_work_stays_bounded(capsys, monkeypatch):
 
     for op in _SCALAR_OPS:
         monkeypatch.setattr(Scalar, op, counted(getattr(Scalar, op)))
+    return calls
+
+
+def test_sample_report_scalar_work_stays_bounded(capsys, monkeypatch):
+    # a host-independent work guard: the action path builds its rows in
+    # integer arithmetic, so a Scalar round trip coming back shows here
+    calls = _count_scalar_ops(monkeypatch)
     code, out, _ = run(capsys, "report", "--config",
                        str(REPO / "configs" / "sample-suites.json"))
     assert code == 0 and hashlib.md5(out.encode()).hexdigest() == SAMPLE_REPORT_MD5
     assert 0 < calls[0] <= SAMPLE_REPORT_SCALAR_OPS, calls[0]
+
+
+def test_building_an_automorphism_stays_cheap(monkeypatch):
+    # 18 Scalar operator calls to build it and 38 with its inverse when
+    # recorded (31 and 62 while each automorphism built a Scalar 3x3 matrix
+    # and recognised its family at once)
+    lam1, lam2 = S("1/2+i"), S(-3)
+    calls = _count_scalar_ops(monkeypatch)
+    aut = Automorphism.gamma2(lam1, lam2)
+    assert calls[0] <= 20, calls[0]
+    aut.inverse()
+    assert calls[0] <= 40, calls[0]
 
 
 GOLDEN = json.loads((REPO / "tests" / "cli_golden.json").read_text())

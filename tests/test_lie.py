@@ -392,6 +392,15 @@ def test_ad_matches_the_3x3_routes(aut):
     _assert_inverse_matches_the_cofactor_route(aut)
 
 
+@given(automorphisms, non_real)
+def test_scaled_g_and_a_double_inverse_give_the_same_automorphism(aut, c):
+    scaled = Automorphism(tuple(x * c for x in aut.g))
+    assert scaled == aut and hash(scaled) == hash(aut)
+    assert scaled.to_json() == aut.to_json()
+    back = aut.inverse().inverse()
+    assert back == aut and back.tag == aut.tag and back.to_json() == aut.to_json()
+
+
 @given(non_real, non_real, non_real, non_real, non_real, non_real)
 def test_letter_tables_match_the_closed_forms(a, b, c, d, e, f):
     # bracket_sl2 and embed_sl2 read the letter tables; the closed forms

@@ -538,6 +538,28 @@ def test_scalar_families_declare_their_params_once(module):
     assert rebuilt.signature() == module.signature()
 
 
+# each Scalar family and the values that name a handle, in PARAMS order
+POSITIONAL = [(WModule, ("1/2+i",)), (XModule, ("-3",)), (XbarModule, ("1/2", "9*i")),
+              (DenseModule, ("i", "4")), (VermaModule, ("5",)), (LowVermaModule, ("-2/3",))]
+
+
+@pytest.mark.parametrize("cls, values", POSITIONAL, ids=[cls.family for cls, _ in POSITIONAL])
+def test_positional_values_name_the_handle_of_the_spec(cls, values):
+    spec = dict(zip(cls.PARAMS, values), family=cls.family)
+    assert cls(*values).params_json() == make_module(spec).params_json()
+    for wrong in (values[1:], values + ("1",)):
+        with pytest.raises(TypeError, match=rf"^{cls.family} takes the params"):
+            cls(*wrong)
+
+
+def test_xbar_quotient_is_named_by_the_xbar_values_and_j0():
+    spec = {"family": "Xbar", "xi": "1/2", "tau": "9*i"}
+    assert XbarQuotientModule("1/2", "9*i", 1).params_json() == \
+        dict(make_module(spec).params_json(), j0=1)
+    with pytest.raises(TypeError):
+        XbarQuotientModule("1/2", "9*i")
+
+
 def test_pair_keys_reject_bools():
     with pytest.raises(InvalidParameter):
         WModule(S(1)).basis_vec((True, 0))
