@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations
+from math import lcm
 
 from .errors import (BadPolynomial, DepthExceeded, InvalidParameter, NotInSubalgebra,
                      nonnegative_int, positive_int)
@@ -51,7 +52,7 @@ from .lie import (EMBEDDING, LETTERS, VirElt, bracket_vir, embed_sl2, intersect_
 from .linalg import Echelon, degree_lex
 from .modules import Module
 from .pbw import UEnvElt, _word_normal_form, gen_times_mono, monomial_letters
-from .scalar import Scalar
+from .scalar import Scalar, _reduced
 from .sparse import ZERO_ROW, expand, gauss, lincomb, row_from_scalars, row_keys, unit_row
 
 
@@ -108,16 +109,18 @@ class MuData:
         return self._poly
 
     def value_at(self, j: int) -> Scalar:
-        """mu(t^j f) = sum_i p_i(j) lambda_i^j."""
-        total = Scalar.zero()
+        """mu(t^j f) = sum_i p_i(j) lambda_i^j, summed as Gaussian integers
+        over one denominator; the only Scalar work is each lambda_i^j."""
+        re, im, den = 0, 0, 1
         for (lam, _), p in zip(self.roots, self.polys):
-            pj = Scalar.zero()
-            jp = Scalar.one()
-            for c in p:
-                pj = pj + c * jp
-                jp = jp * j
-            total = total + pj * lam**j
-        return total
+            ln, lm, ld = gauss(lam**j)
+            for e, c in enumerate(p):  # add c j^e lambda^j, over c.d * ld
+                cn, cm, cd = c.n * j**e, c.m * j**e, c.d * ld
+                g = lcm(den, cd)
+                re = re * (g // den) + (cn * ln - cm * lm) * (g // cd)
+                im = im * (g // den) + (cn * lm + cm * ln) * (g // cd)
+                den = g
+        return _reduced(re, im, den)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for p in self.polys for c in p)

@@ -24,7 +24,7 @@ singular mod P proves nothing, and the exact full route then decides.
 
 from __future__ import annotations
 
-from .sparse import lincomb, row_keys, slot_width
+from .sparse import lincomb, reduce_slots, row_keys, slot_width
 
 
 class Echelon:
@@ -133,13 +133,7 @@ class BlockModP:
             shift += w
         if not row:
             return False
-        inv = pow(row & mask, -1, p)
-        out, j = 0, shift
-        while row:
-            out |= (row & mask) * inv % p << j
-            row >>= w
-            j += w
-        self.rows.append((shift, out))
+        self.rows.append((shift, reduce_slots(row, p, w, pow(row & mask, -1, p)) << shift))
         return True
 
 

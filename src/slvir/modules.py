@@ -13,8 +13,8 @@ memoises per op and basis key the integer row of op . key
 (:mod:`slvir.sparse`).  A family supplies how rows and *top rows* (the part
 at depth ``key_depth(key) + 1`` that :func:`~slvir.verify.check_module_map`
 reads) are built.  Each sl2 family builds the row of one letter on one key
-by its closed form in integer arithmetic, and reads its tops off gr U(sl2);
-the tests keep the Scalar closed forms and independent routes (multiply in
+by its closed form in integer arithmetic, and reads its tops off gr U(sl2)
+(on W, X and the Verma families, one table of slot shifts); the tests keep the Scalar closed forms and independent routes (multiply in
 U(sl2) and substitute, or act upstairs in X and reduce) to check them.  A
 tensor product sums its factors' rows and tops, a twist acts through its
 inner module's, and the others cut tops from rows.
@@ -134,6 +134,7 @@ class Module:
     # the attributes, all Scalars, that name a handle of the family, in the
     # order the constructor takes them: read by params_json and make_module
     PARAMS: tuple = ()
+    _TOP_SLOTS: dict | None = None  # set on a _ShiftModule and its twists
 
     def __init__(self, *values):
         if len(values) != len(self.PARAMS):
@@ -297,10 +298,24 @@ def _pairs_up_to(depth: int):
             yield (first, total - first)
 
 
-class _PairModule(Module):
+class _ShiftModule(Module):
+    """A family whose gr is a polynomial ring with the basis keys as
+    monomials.  The keys of one depth sit in slots (``_slot(key)``, and
+    ``_key_at(depth, slot)`` back); the top of a letter l on a key is the
+    key of the next depth ``_TOP_SLOTS[l]`` slots up, or zero if l is not
+    in the table, which the certificate of :mod:`slvir.verify` reads too."""
+
+    def _top(self, letter, key):
+        shift = self._TOP_SLOTS.get(letter)
+        if shift is None:
+            return ZERO_ROW
+        return unit_row(self._key_at(self.key_depth(key) + 1, self._slot(key) + shift))
+
+
+class _PairModule(_ShiftModule):
     """The shared part of W and X: basis keys (a, b) with a, b >= 0, of
-    depth a + b, and the generator (0, 0).  ``_TOP_SLOTS`` maps each letter
-    but the parameter letter to the slot of the key it raises."""
+    depth a + b, in slot b, and the generator (0, 0).  The parameter
+    letter has top zero."""
 
     def validate_key(self, key):
         # type(), not isinstance(): a bool is not a key entry
@@ -320,10 +335,11 @@ class _PairModule(Module):
     def key_from_json(self, data):
         return tuple(_two_entries(self, data))
 
-    def _top(self, letter, key):
-        # gr U(sl2) = S(sl2) commutes: a letter raises its key slot; the parameter letter has top 0
-        slot, (a, b) = self._TOP_SLOTS.get(letter), key
-        return ZERO_ROW if slot is None else unit_row((a + 1, b) if slot == 0 else (a, b + 1))
+    def _slot(self, key):
+        return key[1]
+
+    def _key_at(self, depth, slot):
+        return (depth - slot, slot)
 
 
 class WModule(_PairModule):
@@ -547,9 +563,10 @@ class DenseModule(Module):
         return [(UEnvElt.from_sl2(H), self.xi), (casimir_elt(), self.tau)]
 
 
-class _VermaBase(Module):
+class _VermaBase(_ShiftModule):
     """The shared part of the highest and lowest weight Verma modules:
-    highest (lowest) weight delta, keys k >= 0 of depth k, generator 0."""
+    highest (lowest) weight delta, keys k >= 0 of depth k, in slot 0, and
+    generator 0."""
 
     PARAMS = ("delta",)
 
@@ -565,25 +582,27 @@ class _VermaBase(Module):
     def key_weight(self, key):
         return self.delta + 2 * self._SIGN * key
 
+    def _slot(self, key):
+        return 0
+
+    def _key_at(self, depth, slot):
+        return depth
+
     def _build_row(self, letter, k):
         # the third letter lowers k: e f^k m = k (delta - k + 1) f^(k-1) m on a Verma module
-        if letter == self._RAISE:
+        if letter in self._TOP_SLOTS:
             return unit_row(k + 1)
         n, m, d, s = *gauss(self.delta), self._SIGN
         if letter == "h":
             return row_of((k, n + 2 * s * k * d, m, d))
         return row_of((k - 1, -s * k * (n + s * (k - 1) * d), -s * k * m, d))
 
-    def _top(self, letter, key):
-        # gr U(sl2) commutes: only the letter _RAISE reaches depth k + 1, by coefficient 1
-        return unit_row(key + 1) if letter == self._RAISE else ZERO_ROW
-
 
 class VermaModule(_VermaBase):
     """Highest weight Verma module; keys k >= 0 for f^k m."""
 
     family = "Verma"
-    _RAISE, _SIGN = "f", -1
+    _TOP_SLOTS, _SIGN = {"f": 0}, -1
 
     def key_str(self, key):
         return f"f^{key} m"
@@ -599,7 +618,7 @@ class LowVermaModule(_VermaBase):
     """Lowest weight Verma module; keys k >= 0 for e^k m."""
 
     family = "LowVerma"
-    _RAISE, _SIGN = "e", 1
+    _TOP_SLOTS, _SIGN = {"e": 0}, 1
 
     def key_str(self, key):
         return f"e^{key} m"
@@ -621,9 +640,10 @@ class TwistModule(Module):
 
     It builds no rows of its own: x splits into the ops of aut(x) on
     inner, computed once per x, and acts through inner's rows and tops.
-    Its keys are inner's, with inner's key methods; a key's weight is
-    taken with respect to the twisted Cartan generator aut^{-1}(h).  A
-    twist is only ever a map target: it has no generator relations or words.
+    Its keys are inner's, with inner's key methods and slot table; a key's
+    weight is taken with respect to the twisted Cartan generator
+    aut^{-1}(h).  A twist is only ever a map target: it has no generator
+    relations or words.
     """
 
     family = "Twist"
@@ -635,6 +655,8 @@ class TwistModule(Module):
         self.aut = aut
         self._ops = cache(lambda x: inner._ops(aut.apply(x)))
         self._row, self._top = inner._row, inner._top
+        if inner._TOP_SLOTS is not None:
+            self._TOP_SLOTS, self._slot = inner._TOP_SLOTS, inner._slot
         for name in _KEY_METHODS:
             setattr(self, name, getattr(inner, name))
 

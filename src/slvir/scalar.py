@@ -184,19 +184,22 @@ class Scalar:
     def __rtruediv__(self, other):
         return Scalar.of(other).__truediv__(self)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
+    def __pow__(self, k: int):
+        # (n + m*i)^k / d^k by repeated squaring in integers, with one gcd;
+        # for k < 0 the base is 1/self = d*(n - m*i) / (n^2 + m^2)
+        if not isinstance(k, int):
             raise TypeError("Scalar exponents must be integers")
-        if n < 0:
-            return _ONE / self ** (-n)
-        out = _ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        n, m, d = self.n, self.m, self.d
+        if k < 0:
+            if not (n or m):
+                raise ZeroDivisionError("division by zero Scalar")
+            n, m, d, k = d * n, -d * m, n * n + m * m, -k
+        re, im, d = 1, 0, d**k
+        while k:
+            if k & 1:
+                re, im = re * n - im * m, re * m + im * n
+            n, m, k = n * n - m * m, 2 * n * m, k >> 1
+        return _reduced(re, im, d)
 
     def __eq__(self, other):
         if isinstance(other, Scalar):

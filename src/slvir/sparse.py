@@ -22,8 +22,9 @@ key -> Scalar (Laurent polynomials, Virasoro and U(sl2) elements, the
 per-key reference actions) are summed by :func:`sum_terms`.
 
 :func:`residues` sends a row to the finite field F_P of :data:`MODULUS`,
-where the module-map certificate of :mod:`slvir.verify` tests ranks, and
-:func:`pack` packs residues into one int of :func:`slot_width` bits a key.
+where the module-map certificate of :mod:`slvir.verify` tests ranks,
+:func:`pack` packs residues into one int of :func:`slot_width` bits a key,
+and :func:`reduce_slots` reduces every slot of such an int mod P.
 """
 
 from __future__ import annotations
@@ -90,6 +91,17 @@ def pack(items, cols: dict, w: int) -> int:
         if v:
             row |= v << w * cols.setdefault(k, len(cols))
     return row
+
+
+def reduce_slots(row: int, p: int, w: int, scale: int = 1) -> int:
+    """The packed row with each slot v, of w bits, replaced by v * scale mod p."""
+    mask = (1 << w) - 1
+    out, j = 0, 0
+    while row:
+        out |= (row & mask) * scale % p << j
+        row >>= w
+        j += w
+    return out
 
 
 def row_to_scalars(row) -> dict:

@@ -8,10 +8,13 @@ comparison fails a suite.  Witnesses are minimal in degree-lex order.
 A module map is certified degree by degree where it can be: the maps the
 paper predicts respect the PBW filtration, so the top-degree components of
 the images, one small block per degree of packed rows (one int each) of
-full rank mod a fixed prime, prove injectivity and the window span.
-Where they do not, one exact echelon of the whole images decides, and it
-alone supplies dependent_image and not_spanned witnesses.  Every target is checked the same way, the
-degree-3 restriction (a module that is its own target) included.
+full rank mod a fixed prime, prove injectivity and the window span (on
+the twisted Verma, W and X targets the paper predicts, a letter acts on a
+packed top as a few shifts of the whole int).  Where they do not, one
+exact echelon of the whole images decides, and it alone supplies
+dependent_image and not_spanned witnesses.  Every target is checked the
+same way, the degree-3 restriction (a module that is its own target)
+included.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ from .modules import (
     casimir_action,
 )
 from .scalar import Scalar, sqrt_exact
-from .sparse import (MODULUS, ZERO_ROW, expand, gauss, lincomb, pack, residues, restrict,
-                     row_from_scalars, row_keys, slot_width, unit_row)
+from .sparse import (MODULUS, ZERO_ROW, expand, gauss, lincomb, pack, reduce_slots, residues,
+                     restrict, row_from_scalars, row_keys, slot_width, unit_row)
 
 
 @dataclass
@@ -133,23 +136,30 @@ def _graded_certificate(dst: Module, letters: dict, words, gen_image: ModVec, de
     With s the depth of gen_image, the top component of a word's image is
     its part at depth s + len(word); the top of g.v is the top of g acting
     on the top of v, so the tops are walked with the shared suffixes of
-    :func:`_word_images` from dst's top rows of the ops of letters[l]
-    (:meth:`~slvir.modules.Module._top`), never the full images.
-    The walk runs in F_P (:data:`~slvir.sparse.MODULUS`) on packed rows
-    (:func:`~slvir.sparse.pack`), the keys of each depth in slots in the
-    order they first appear.  Each op's top on a key is read through
-    :func:`~slvir.sparse.residues` once per call, and each letter's top on
-    a key is packed once, every slot reduced to [0, P).  A word's top is
-    the sum of v * (letter's top on key) over the slots v, reduced where
-    read, of the top it acts on, so every multiplicand has its slots in
-    [0, P) and no slot carries; each length's block goes into a
-    :class:`~slvir.linalg.BlockModP`.  Sending i to I is a ring map where
-    P divides no denominator, and rank can only drop under it, so a block
-    of full rank mod P is independent over Q(i).  True when every block
-    has full rank mod P and, with ``window_span``, s = 0 and each block's
-    rank is the number of dst's window keys of that depth.  False, leaving
-    the map to :func:`_eliminate`, when P divides a denominator, a block
-    is singular mod P, or a top row reaches a key above its expected depth.
+    :func:`_word_images`, never the full images.  The walk runs in F_P
+    (:data:`~slvir.sparse.MODULUS`) on packed rows, one slot of
+    :func:`~slvir.sparse.slot_width` bits per key of a depth, with each
+    letter's op coefficients reduced mod P once.  Every top a letter acts
+    on has its slots in [0, P), and a slot of its image sums fewer than
+    2**32 products of two residues, so no slot carries.  On a target with
+    a slot table (``dst._TOP_SLOTS``: W, X, Verma, LowVerma and their
+    twists) key k sits in slot ``dst._slot(k)``, a letter acts on a top as
+    sum(c * (row << w * _TOP_SLOTS[op])) over its ops (c, op), at most
+    three products to a slot, and one pass reduces each slot mod P.  On
+    any other target the keys of a depth take slots in the order they
+    first appear, and a word's top is the sum of v * (the letter's top on
+    key) over the slots v of the top it acts on, reduced where read; the
+    letter's top on a key is packed once, from dst's top rows of its ops
+    (:meth:`~slvir.modules.Module._top`) read through
+    :func:`~slvir.sparse.residues` once per op and key.  Each length's
+    block goes into a :class:`~slvir.linalg.BlockModP`.  Sending i to I is
+    a ring map where P divides no denominator, and rank can only drop
+    under it, so a block of full rank mod P is independent over Q(i).
+    True when every block has full rank mod P and, with ``window_span``,
+    s = 0 and each block's rank is the number of dst's window keys of that
+    depth.  False, leaving the map to :func:`_eliminate`, when P divides a
+    denominator, a block is singular mod P, or a top row reaches a key
+    above its expected depth.
     """
     key_depth = dst.key_depth
     keys = row_keys(gen_image.row)
@@ -161,7 +171,6 @@ def _graded_certificate(dst: Module, letters: dict, words, gen_image: ModVec, de
     p, i = MODULUS
     w = slot_width(p)
     mask = (1 << w) - 1
-    cols = defaultdict(dict)  # depth -> {key: slot}
 
     def reduced(row):
         out = residues(row, p, i)
@@ -169,42 +178,58 @@ def _graded_certificate(dst: Module, letters: dict, words, gen_image: ModVec, de
             raise _Unreduced
         return out
 
-    op_tops: dict = {}  # (op, key) -> the residues of dst's top row of op on key
-    walked: dict = {}  # l -> (the reduced ops of letters[l], {key: packed top of l on key})
+    @cache
+    def letter_ops(letter):  # a coefficient is reduced as a one-key row
+        return [(reduced((cd, {0: cr}, {0: ci})).get(0, 0), op)
+                for (cr, ci, cd), op in dst._ops(letters[letter])]
 
-    def letter_top(ops, key, slots):
-        acc: dict = {}
-        for c, op in ops:
-            top = op_tops.get((op, key))
-            if top is None:
-                top = op_tops[op, key] = reduced(dst._top(op, key))
-            for k, v in top.items():
-                acc[k] = acc.get(k, 0) + c * v
-        return pack(((k, v % p) for k, v in acc.items()), slots, w)
+    shifts = dst._TOP_SLOTS
+    if shifts is not None:
+        moves = cache(lambda letter: [(c, w * shifts[op]) for c, op in letter_ops(letter)
+                                      if c and op in shifts])
 
-    def act(letter, top):
-        d, row = top
-        if letter not in walked:  # a coefficient is reduced as a one-key row
-            walked[letter] = ([(reduced((cd, {0: cr}, {0: ci})).get(0, 0), op)
-                               for (cr, ci, cd), op in dst._ops(letters[letter])], {})
-        ops, tops = walked[letter]
-        out = 0
-        for key in cols[d]:
-            if not row:
-                break
-            if v := (row & mask) % p:
-                t = tops.get(key)
-                if t is None:
-                    t = tops[key] = letter_top(ops, key, cols[d + 1])
-                out += v * t
-            row >>= w
-        return d + 1, out
+        def act(letter, top):
+            d, row = top
+            out = 0
+            for c, bits in moves(letter):
+                out += c * (row << bits)
+            return d + 1, reduce_slots(out, p, w)
+    else:
+        cols = defaultdict(dict)  # depth -> {key: slot}
+        op_tops: dict = {}  # (op, key) -> the residues of dst's top row of op on key
+        letter_tops = defaultdict(dict)  # letter -> {key: packed top of the letter on key}
+
+        def letter_top(letter, key, slots):
+            acc: dict = {}
+            for c, op in letter_ops(letter):
+                top = op_tops.get((op, key))
+                if top is None:
+                    top = op_tops[op, key] = reduced(dst._top(op, key))
+                for k, v in top.items():
+                    acc[k] = acc.get(k, 0) + c * v
+            return pack(((k, v % p) for k, v in acc.items()), slots, w)
+
+        def act(letter, top):
+            d, row = top
+            tops = letter_tops[letter]
+            out = 0
+            for key in cols[d]:
+                if not row:
+                    break
+                if v := (row & mask) % p:
+                    t = tops.get(key)
+                    if t is None:
+                        t = tops[key] = letter_top(letter, key, cols[d + 1])
+                    out += v * t
+                row >>= w
+            return d + 1, out
 
     blocks = defaultdict(partial(BlockModP, p))
     try:
         top = reduced(restrict(gen_image.row, lambda k: key_depth(k) == s))
-        tops = _word_images(act, words, (s, pack(top.items(), cols[s], w)))
-        for (_, word), (_, (_, row)) in zip(words, tops):
+        slots = cols[s] if shifts is None else {k: dst._slot(k) for k in top}
+        start = pack(top.items(), slots, w)
+        for (_, word), (_, (_, row)) in zip(words, _word_images(act, words, (s, start))):
             if not blocks[len(word)].insert(row):
                 return False
     except (KeyAboveTop, _Unreduced):
@@ -474,12 +499,17 @@ def suite_dense(xi, tau, depth: int = 6) -> Report:
 # -- restriction suites ---------------------------------------------------------
 
 
-def _twisted_target(inner: Module, aut: Automorphism, report: Report) -> TwistModule:
-    """The predicted target inner twisted by aut^-1; its JSON goes into
+def _name_target(inner: Module, aut: Automorphism, report: Report) -> None:
+    """Put the JSON of the predicted target, inner twisted by aut^-1, into
     the report as ``target``."""
     report.extra["target"] = {"family": "Twist",
                               "inner": {"family": inner.family, **inner.params_json()},
                               "aut": f"{aut.tag}^-1"}
+
+
+def _twisted_target(inner: Module, aut: Automorphism, report: Report) -> TwistModule:
+    """The predicted target inner twisted by aut^-1, named in the report."""
+    _name_target(inner, aut, report)
     return TwistModule(inner, aut.inverse())
 
 
@@ -563,7 +593,8 @@ def suite_tensor_vermas(lam1, lam2, mu1, mu2, depth: int = 5) -> Report:
     aut12 = Automorphism.gamma2(lam1, lam2)
     # the report names the target X^(aut12^-1); as Hom(X^(aut12^-1), T) = Hom(X, T^(aut12)),
     # the map is checked from X into the tensor twisted by aut12
-    src = _twisted_target(XModule(mu1 - mu2), aut12, report).inner
+    src = XModule(mu1 - mu2)
+    _name_target(src, aut12, report)
     tensor = TensorModule(
         TwistModule(VermaModule(mu1), Automorphism.gamma(lam1).inverse()),
         TwistModule(VermaModule(mu2), Automorphism.gamma(lam2).inverse()),

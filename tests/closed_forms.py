@@ -8,7 +8,8 @@ integer rows; the tests compare the two, key by key and letter by letter.
 ``Automorphism.apply``: the Scalar product of its 3x3 matrix with x, and
 :func:`bracket_form` and :func:`embed_form` are the same for the sl2
 bracket and the embedding of sl2 in Vir, which slvir.lie reads off its
-letter tables.
+letter tables, and :func:`value_at_form` for ``MuData.value_at``, which
+sums in integers.
 """
 
 from math import comb
@@ -108,3 +109,14 @@ def bracket_form(x, y) -> SL2Elt:
 def embed_form(x) -> VirElt:
     """x in Vir by h -> 2 e_0, e -> e_1, f -> -e_{-1}."""
     return VirElt({1: x.ce, 0: x.ch * 2, -1: -x.cf})
+
+
+def value_at_form(mu, j: int) -> Scalar:
+    """mu(t^j f) = sum_i p_i(j) lambda_i^j, in Scalar arithmetic."""
+    total = Scalar.zero()
+    for (lam, _), p in zip(mu.roots, mu.polys):
+        pj = Scalar.zero()
+        for e, c in enumerate(p):
+            pj = pj + c * j**e
+        total = total + pj * lam**j
+    return total

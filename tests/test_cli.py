@@ -472,12 +472,15 @@ def test_sample_report_is_byte_identical_across_hash_seeds(hash_seed):
 
 
 # Scalar operator calls of one in-process sample report, counted the way
-# perfbench/tracing.py counts them: 1,338 when recorded, from a cold start,
-# with a margin of about 5% (1,498 while each automorphism built a Scalar
-# 3x3 matrix, 1,683 while Automorphism.apply took a Scalar matrix product,
-# 3,166 while every letter row went through a Scalar closed form); warm
-# process-wide caches only lower it
-SAMPLE_REPORT_SCALAR_OPS = 1400
+# perfbench/tracing.py counts them: 721 when recorded, from a cold start,
+# with a margin of about 5% (1,338 while MuData.value_at summed Scalar
+# products, Scalar.__pow__ multiplied Scalars and the tensor suite built an
+# automorphism inverse it did not use,
+# 1,498 while each automorphism built a Scalar 3x3 matrix, 1,683 while
+# Automorphism.apply took a Scalar matrix product, 3,166 while every letter
+# row went through a Scalar closed form); warm process-wide caches only
+# lower it
+SAMPLE_REPORT_SCALAR_OPS = 760
 _SCALAR_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                "__truediv__", "__rtruediv__", "__neg__")
 

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -18,6 +19,8 @@ from slvir.modules import casimir_action
 from slvir.pbw import UEnvElt, gen_times_mono, nf_multiply
 from slvir.scalar import Scalar
 from slvir.sparse import expand, gauss, lincomb, row_from_scalars, unit_row
+
+from closed_forms import value_at_form
 
 S = Scalar.of
 
@@ -47,6 +50,32 @@ def test_mu_eval_examples():
     assert mu_eval(mu, VirElt.from_laurent(f.shift(-1))) == S(-1)
     mu2 = mud([(S(2), 1)], [[S("1/2")]])  # f = t-2, p = 1/2
     assert mu_eval(mu2, VirElt.from_laurent(mu2.poly().shift(2))) == S(2)
+
+
+_gauss_fracs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+_gauss = st.builds(Scalar, _gauss_fracs, _gauss_fracs)
+# every root shape of degree 1..3: the multiplicities of the distinct roots
+_ROOT_SHAPES = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_ROOT_SHAPES), st.data())
+def test_value_at_matches_the_scalar_form(shape, data):
+    # the integer sum against the Scalar one, on non-real roots among others,
+    # with polynomials of every length the multiplicities allow
+    lams = data.draw(st.lists(_gauss.filter(lambda s: not s.is_zero()), min_size=len(shape),
+                              max_size=len(shape), unique=True))
+    polys = [data.draw(st.lists(_gauss, max_size=n)) for n in shape]
+    mu = mud(list(zip(lams, shape)), polys)
+    for j in range(-40, 41):
+        assert mu.value_at(j) == value_at_form(mu, j), j
+
+
+def test_value_at_covers_non_real_roots():
+    mu = mud([(S("1+2*i"), 2), (S("-1/3*i"), 1)], [[S("1/2"), S("2-1*i")], [S(3)]])
+    for j in range(-40, 41):
+        assert mu.value_at(j) == value_at_form(mu, j), j
+    assert mu.value_at(-1) == (S("1/2") - S("2-1*i")) / S("1+2*i") + S(3) / S("-1/3*i")
 
 
 def test_mu_eval_rejects_outsiders():

@@ -298,18 +298,39 @@ def _independent_mod_p(rows, p):
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.sampled_from([MODULUS, (5, 2)]))
 def test_packed_block_matches_unpacked_elimination(data, modulus):
-    # rows are sums of products of residues near p - 1 over r base rows, as
-    # the certificate builds them: unreduced slots up to r * (p - 1)**2, and
-    # with r below the columns, many rows that must reduce to zero
+    # dense blocks: rows are sums of products of residues near p - 1 over r
+    # base rows, as the certificate builds them: unreduced slots up to
+    # r * (p - 1)**2, and with r below the columns, many rows that must
+    # reduce to zero.  Wide blocks: about 465 slots, as a degree-3
+    # restriction's at depth 30, each row one to three entries far apart
+    # (mostly unit rows, the edge slots among them), and rows that sum two
+    # earlier ones, which must reduce to zero
     p = modulus[0]
-    ncols = data.draw(st.integers(12, 16))
-    r = data.draw(st.integers(1, ncols))
     near = st.integers(max(p - 3, 0), p - 1) | st.integers(0, p - 1)
-    bases = data.draw(st.lists(st.lists(near, min_size=ncols, max_size=ncols),
-                               min_size=r, max_size=r))
-    coeffs = data.draw(st.lists(st.lists(near, min_size=r, max_size=r),
-                                min_size=ncols + 1, max_size=ncols + 4))
-    rows = [[sum(c * b[j] for c, b in zip(cs, bases)) for j in range(ncols)] for cs in coeffs]
+    if data.draw(st.booleans(), label="wide"):
+        ncols = data.draw(st.integers(440, 470))
+        col = st.sampled_from([0, ncols - 1]) | st.integers(0, ncols - 1)
+        entries = data.draw(st.lists(st.lists(st.tuples(col, st.just(1) | near), min_size=1,
+                                              max_size=3), min_size=1, max_size=25))
+        rows = []
+        for row_entries in entries:
+            row = [0] * ncols
+            for j, v in row_entries:
+                row[j] += v
+            rows.append(row)
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                             st.integers(0, len(rows) - 1)), max_size=5))
+        rows += [[x + y for x, y in zip(rows[a], rows[b])] for a, b in pairs]
+        r = ncols
+    else:
+        ncols = data.draw(st.integers(12, 16))
+        r = data.draw(st.integers(1, ncols))
+        bases = data.draw(st.lists(st.lists(near, min_size=ncols, max_size=ncols),
+                                   min_size=r, max_size=r))
+        coeffs = data.draw(st.lists(st.lists(near, min_size=r, max_size=r),
+                                    min_size=ncols + 1, max_size=ncols + 4))
+        rows = [[sum(c * b[j] for c, b in zip(cs, bases)) for j in range(ncols)]
+                for cs in coeffs]
     block, cols = BlockModP(p), {j: j for j in range(ncols)}
     got = [block.insert(pack(enumerate(row), cols, slot_width(p))) for row in rows]
     assert got == _independent_mod_p(rows, p)

@@ -419,6 +419,10 @@ _fracs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
 _non_real = st.builds(Scalar, _fracs, _fracs.filter(bool))
 
 
+_SHIFT_FAMILIES = {"twisted_W": WModule, "twisted_X": XModule, "twisted_Verma": VermaModule,
+                   "twisted_LowVerma": LowVermaModule}
+
+
 def _map_case(case, a, b, c):
     """The JSON of one suite or map check on non-real data a, b, c."""
     depth = 5
@@ -448,6 +452,13 @@ def _map_case(case, a, b, c):
         src = InducedModule([(sub.generator, c)], depth)
         dst = TwistModule(XModule(c + 1), sub.aut.inverse())
         return check_module_map(src, dst, dst.generator(), depth).to_json()
+    if case in _SHIFT_FAMILIES:
+        # a twist that mixes the letters, into each family of the shift
+        # route; the relations need not hold, the tops are walked all the same
+        inner = _SHIFT_FAMILIES[case](a)
+        src = (VermaModule if inner.family.endswith("Verma") else XModule)(c)
+        dst = TwistModule(inner, Automorphism.gamma2(b, c))
+        return check_module_map(src, dst, dst.generator(), depth, window_span=False).to_json()
     if case == "dependent_image":
         xbar = XbarModule(a, b)
         return check_module_map(XModule(a), xbar, xbar.generator(), depth).to_json()
@@ -456,12 +467,20 @@ def _map_case(case, a, b, c):
     return check_module_map(VermaModule(a), x, x.generator(), depth).to_json()
 
 
+def _cut_top_action(module, x) -> list:
+    """Like ``top_action``, but each op's top on a key is cut from its full
+    row (``_top_part``), never read from ``_top`` or a slot table."""
+    return [c + (lambda key, op=op: module._top_part(key, module._row(op, key)),)
+            for c, op in module._ops(x)]
+
+
 def _exact_tops(dst, letters, words, gen_image):
     """(key, top row) of each word's image, in order, walked exactly over
-    Q(i) from the top of gen_image."""
+    Q(i) from the top of gen_image, with every letter's top cut from its
+    full rows."""
     key_depth = dst.key_depth
     s = max(map(key_depth, row_keys(gen_image.row)))
-    tops = cache(lambda l: top_action(dst, letters[l]))
+    tops = cache(lambda l: _cut_top_action(dst, letters[l]))
     top = restrict(gen_image.row, lambda k: key_depth(k) == s)
     return _word_images(lambda x, row: lincomb(expand(row, tops(x))), words, top)
 
@@ -544,12 +563,23 @@ def _twisted_induced_map(src_family, a, b, c):
 _P64 = (2 ** 64 - 59, 2296021864060584341)
 
 
+# the cases whose targets are W, X, Verma or LowVerma, or twists of them:
+# their certificate takes the shift route, the others the generic walk
+_SHIFT_CASES = {"deg1", "double", "split", "n_lambda", "h_pair", "relation", "not_spanned",
+                *_SHIFT_FAMILIES}
+
+
 @pytest.mark.parametrize("modulus", [MODULUS, _P64])
-@pytest.mark.parametrize("case", _CASES + [WModule, XModule])
+@pytest.mark.parametrize("case", _CASES + [WModule, XModule] + list(_SHIFT_FAMILIES))
 def test_certificate_rows_are_the_residues_of_the_exact_tops(case, modulus, monkeypatch):
     # each packed row the certificate inserts holds, slot by slot mod p,
-    # the residues of the exact top row of its word; a multiplicand not
-    # reduced to [0, p) would make slots carry into their neighbours
+    # the residues of the exact top row of its word, cut from full rows; a
+    # multiplicand not reduced to [0, p) would make slots carry into their
+    # neighbours.  On the shift route each key has a fixed slot, so the
+    # rows are compared slot by slot, and a wrong slot shift fails here.
+    # The generic walk keeps its own cases: tensor products, Xbar and its
+    # quotient, twisted induced modules, and the degree-3 restriction
+    # (cubic), a VirPoly module mapped to itself with lift embed_sl2
     p, i = modulus
     assert i * i % p == p - 1
     monkeypatch.setattr(verify_mod, "MODULUS", modulus)
@@ -576,9 +606,15 @@ def test_certificate_rows_are_the_residues_of_the_exact_tops(case, modulus, monk
     run(S("1/2+1*i"), S("-2+1/3*i"), S("3-1*i"))
     assert any(rows for _, rows in runs)
     for (dst, letters, words, gen_image, _, _), rows in runs:
+        shift_route = dst._TOP_SLOTS is not None
+        assert shift_route == (case in _SHIFT_CASES)
         for row, (_, exact) in zip(rows, _exact_tops(dst, letters, words, gen_image)):
-            assert (sorted(v % p for v in _slots(row, w) if v % p)
-                    == sorted(residues(exact, p, i).values()))
+            want = residues(exact, p, i)
+            if shift_route:
+                assert ({j: v % p for j, v in enumerate(_slots(row, w)) if v % p}
+                        == {dst._slot(k): v for k, v in want.items()})
+            else:
+                assert sorted(v % p for v in _slots(row, w) if v % p) == sorted(want.values())
 
 
 _fracs5 = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 5]))
@@ -702,8 +738,11 @@ def test_twist_acts_through_its_inner_module(a, b, ce, ch, cf, coeffs):
 
 
 def test_certified_twisted_targets_build_no_deep_full_rows(monkeypatch):
-    # the certificate reads W's and X's top rows, which never build a full
-    # row: full rows are built only for the relations on the generator
+    # a work guard that does not depend on the host.  Full rows of W, X and
+    # Verma are built only for the relations on the generator.  Their
+    # certificate takes the shift route, which reads no top row and builds
+    # no row, and every check certifies: the generic walk, or the full
+    # route, raises here
     depths = []
     for cls in (WModule, XModule, VermaModule):
         build = cls._build_row
@@ -712,12 +751,30 @@ def test_certified_twisted_targets_build_no_deep_full_rows(monkeypatch):
             depths.append(self.key_depth(key))
             return build(self, letter, key)
         monkeypatch.setattr(cls, "_build_row", counted)
-    monkeypatch.setattr(verify_mod, "_eliminate", None)  # the full route must not run
-    for mu in (mud([(S(2), 2)], [[S(1), S(-1)]]),
+
+    def refuse(*args):
+        raise AssertionError("the shift route was not taken")
+
+    certificate = verify_mod._graded_certificate
+
+    def guarded(dst, *args):
+        with pytest.MonkeyPatch.context() as mp:
+            for cls in (WModule, XModule, VermaModule):
+                mp.setattr(cls, "_top", refuse)
+                mp.setattr(cls, "_build_row", refuse)
+            mp.setattr(dst, "_top", refuse)  # a twist holds its inner module's bound _top
+            return certificate(dst, *args)
+
+    monkeypatch.setattr(verify_mod, "_graded_certificate", guarded)
+    monkeypatch.setattr(verify_mod, "_eliminate", refuse)
+    for mu in (mud([(S(2), 1)], [[S(3)]]), mud([(S(2), 2)], [[S(1), S(-1)]]),
                mud([(S(2), 1), (S(-2), 1)], [[S(1)], [S(2)]])):
         assert suite_restriction(mu, 10).all_ok
-    for elt in (SL2Elt(1, -3, -9), SL2Elt(1, -3, -5)):
-        assert suite_twist_induction(classify_subalgebra_1d(elt), S(5), 10).all_ok
+    for elt, kind in ((SL2Elt(1, -3, -9), "n_lambda"), (SL2Elt(0, 0, 1), "n_minus"),
+                      (SL2Elt(0, 1, 4), "h_lambda"), (SL2Elt(1, -3, -5), "h_pair")):
+        sub = classify_subalgebra_1d(elt)
+        assert sub.kind == kind
+        assert suite_twist_induction(sub, S(5), 10).all_ok
     assert depths and max(depths) <= 1
 
 
