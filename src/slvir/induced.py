@@ -53,7 +53,7 @@ from .linalg import Echelon, degree_lex
 from .modules import Module
 from .pbw import UEnvElt, _word_normal_form, gen_times_mono, monomial_letters
 from .scalar import Scalar, _reduced
-from .sparse import ZERO_ROW, expand, gauss, lincomb, row_from_scalars, row_keys, unit_row
+from .sparse import ZERO_ROW, expand, gauss, lincomb, row_keys, unit_row
 
 
 @dataclass(frozen=True)
@@ -144,13 +144,10 @@ def mu_eval(mu: MuData, w: VirElt) -> Scalar:
     The Laurent part must be exactly divisible by f (checked through the
     window reduction); the z component contributes nothing.
     """
-    q, r = divmod_window(LaurentPoly._raw(w.terms), mu.poly())
+    q, r = divmod_window(LaurentPoly._of_row(w.row), mu.poly())
     if not r.is_zero():
         raise NotInSubalgebra(f"{w} is not in the polynomial subalgebra")
-    total = Scalar.zero()
-    for j, c in q.terms.items():
-        total = total + c * mu.value_at(j)
-    return total
+    return sum((c * mu.value_at(j) for j, c in q.terms.items()), Scalar.zero())
 
 
 def _monomials_up_to(depth: int, free=(True, True, True)):
@@ -166,11 +163,9 @@ def _monomials_up_to(depth: int, free=(True, True, True)):
 
 def _times(mono, g, sign=1) -> list:
     """lincomb items of sign * mono * g, for a row g over {1, e, h, f}."""
-    den, re, im = g
     word = monomial_letters(mono)
-    return [(sign * re.get(k, 0), sign * im.get(k, 0), den,
-             (1, _word_normal_form(word + monomial_letters(k)), {}))
-            for k in row_keys(g)]
+    return expand(g, [(sign, 0, 1,
+                       lambda k: (1, _word_normal_form(word + monomial_letters(k)), {}))])
 
 
 class InducedModule(Module):
@@ -187,8 +182,8 @@ class InducedModule(Module):
         # the leading monomial of a relation with coefficient one
         ech = Echelon(degree_lex)
         for s, v in self.relations:
-            ech.insert(row_from_scalars({(0, 0, 1): s.ce, (0, 1, 0): s.ch,
-                                         (1, 0, 0): s.cf, (0, 0, 0): -v}))
+            ech.insert(lincomb([(1, 0, 1, UEnvElt.from_sl2(s).row),
+                                (-v.n, -v.m, v.d, unit_row((0, 0, 0)))]))
         if (0, 0, 0) in ech.rows:
             raise InvalidParameter("degenerate relations: the generator vanishes")
         self._gens = list(ech.rows.items())
@@ -249,9 +244,7 @@ class InducedModule(Module):
         return rows[mono]
 
     def _reduce_poly(self, row):
-        den, re, im = row
-        return lincomb([(re.get(k, 0), im.get(k, 0), den, self._nf(k))
-                        for k in row_keys(row)])
+        return lincomb(expand(row, [(1, 0, 1, self._nf)]))
 
     def _reduce_row(self, mono):
         if sum(mono) > self.depth:
@@ -305,10 +298,9 @@ class InducedModule(Module):
 
 @cache
 def _en_bracket(n: int, letter: str) -> tuple:
-    """[e_n, letter] as (index, gauss form) pairs, computed once per process;
+    """The row of [e_n, letter] over the indices, computed once per process;
     its central part acts as zero and is left out."""
-    br = bracket_vir(VirElt.e(n), embed_sl2(LETTERS[letter]))
-    return tuple((m, gauss(c)) for m, c in br.terms.items())
+    return bracket_vir(VirElt.e(n), embed_sl2(LETTERS[letter])).row
 
 
 class VirPolyModule(InducedModule):
@@ -326,7 +318,7 @@ class VirPolyModule(InducedModule):
         self._f = mu.poly()
         window = self._window = sl2_window(mu.degree)
         # each w = t^i f in the embedded sl2 is a relation w - mu(t^i f)
-        super().__init__([(sl2_from_vir(w), mu.value_at(min(w.terms)))
+        super().__init__([(sl2_from_vir(w), mu.value_at(min(w.keys())))
                           for w in intersect_virf_sl2(self._f)], depth)
         self._projections = {w: (Scalar.zero(), tuple(Scalar.of(int(u == w)) for u in window))
                              for w in window}
@@ -384,7 +376,7 @@ class VirPolyModule(InducedModule):
             letter, rest = "e", (a, b, c - 1)
         # e_n . (letter rest v) = letter . (e_n . rest v) + [e_n, letter] . rest v
         items = expand(self._row(op, rest), [(1, 0, 1, partial(self._row, letter))])
-        items += [c2 + (self._row(m, rest),) for m, c2 in _en_bracket(op, letter)]
+        items += expand(_en_bracket(op, letter), [(1, 0, 1, lambda m: self._row(m, rest))])
         return lincomb(items)
 
     def params_json(self):

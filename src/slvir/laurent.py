@@ -1,10 +1,11 @@
 """Sparse Laurent polynomials over Q(i) and window reduction modulo t^i*f.
 
 A Laurent polynomial is a finite map exponent -> nonzero Scalar, a
-:class:`~slvir.sparse.Terms` keyed by integers.  The key
-operation beyond ring arithmetic is :func:`divmod_window`: writing any
-p(t) as q(t)*f(t) + r(t) with r supported on a fixed complement window of
-the lattice spanned by {t^i f}.  For f of degree k with nonzero constant
+:class:`~slvir.sparse.Terms` keyed by integers; a product is one
+:func:`~slvir.sparse.bilinear` of two rows.  The key operation beyond ring
+arithmetic is :func:`divmod_window`: writing any p(t) as q(t)*f(t) + r(t)
+with r supported on a fixed complement window of the lattice spanned by
+{t^i f}.  For f of degree k with nonzero constant
 and leading coefficients the windows are
 
     k = 1: {0}      k = 2: {0, 1}      k = 3: {-1, 0, 1}
@@ -19,8 +20,8 @@ from __future__ import annotations
 from functools import partial
 
 from .errors import BadPolynomial, integer, positive_int
-from .scalar import Scalar
-from .sparse import Terms, sum_terms
+from .scalar import Scalar, _reduced
+from .sparse import Terms, bilinear, gauss, lincomb, rekey, unit_row
 
 
 class LaurentPoly(Terms):
@@ -40,34 +41,33 @@ class LaurentPoly(Terms):
 
     @staticmethod
     def from_roots(roots) -> "LaurentPoly":
-        """Expand prod (t - lam)^mult for [(lam, mult), ...]."""
-        out = LaurentPoly.one()
+        """Expand prod (t - lam)^mult for [(lam, mult), ...]; each factor is
+        one lincomb, of the product so far times t and times -lam."""
+        row = unit_row(0)
         for lam, mult in roots:
-            factor = LaurentPoly({1: 1, 0: -Scalar.of(lam)})
+            n, m, d = gauss(Scalar.of(lam))
             for _ in range(positive_int(mult, "a root multiplicity")):
-                out = out * factor
-        return out
+                row = lincomb([(1, 0, 1, rekey(row, lambda e: e + 1)), (-n, -m, d, row)])
+        return LaurentPoly._of_row(row)
 
     def coeff(self, exp: int) -> Scalar:
-        return self.terms.get(exp, Scalar.zero())
+        den, re, im = self.row
+        return _reduced(re.get(exp, 0), im.get(exp, 0), den)
 
     def min_exp(self) -> int:
-        return min(self.terms)
+        return min(self.keys())
 
     def max_exp(self) -> int:
-        return max(self.terms)
+        return max(self.keys())
 
     def __mul__(self, other):
-        return LaurentPoly._raw(sum_terms((e1 + e2, c1 * c2) for e1, c1 in self.terms.items()
-                                          for e2, c2 in other.terms.items()))
+        return LaurentPoly._of_row(bilinear(self.row, other.row, lambda a, b: unit_row(a + b)))
 
     def shift(self, k: int) -> "LaurentPoly":
-        return LaurentPoly._raw({e + k: v for e, v in self.terms.items()})
+        return LaurentPoly._of_row(rekey(self.row, lambda e: e + k))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({self.terms[exp]})*t^{exp}" for exp in sorted(self.terms))
+        return " + ".join(f"({self.terms[exp]})*t^{exp}" for exp in sorted(self.terms)) or "0"
 
     def to_json(self):
         return [[e, self.terms[e].to_json()] for e in sorted(self.terms)]
@@ -100,37 +100,30 @@ def check_window_poly(f: LaurentPoly) -> int:
     return k
 
 
-def divmod_window(p: LaurentPoly, f: LaurentPoly, window=None):
-    """Write p = q*f + r with support(r) inside the window; return (q, r).
+def divmod_window(p: LaurentPoly, f: LaurentPoly):
+    """Write p = q*f + r with support(r) inside :func:`sl2_window`; return (q, r).
 
     Eliminates exponents above the window with the leading coefficient and
     exponents below it with the constant coefficient; each step strictly
     shrinks the out-of-window support interval, and neither phase can
-    reintroduce exponents eliminated by the other.
+    reintroduce exponents eliminated by the other (nor set a q exponent twice).
     """
     k = check_window_poly(f)
-    if window is None:
-        window = sl2_window(k)
-    lo, hi = min(window), max(window)
-    a0 = f.coeff(0)
-    ak = f.coeff(k)
-    q = LaurentPoly.zero()
+    window = sl2_window(k)
+    a0, ak = f.coeff(0), f.coeff(k)
+    q: dict = {}
     r = p
-    while not r.is_zero() and r.max_exp() > hi:
-        m = r.max_exp()
-        c = r.coeff(m) / ak
-        q = q + LaurentPoly.t(m - k, c)
+    while not r.is_zero() and (m := r.max_exp()) > window[-1]:
+        q[m - k] = c = r.coeff(m) / ak
         r = r - f.shift(m - k).scale(c)
-    while not r.is_zero() and r.min_exp() < lo:
-        m = r.min_exp()
-        c = r.coeff(m) / a0
-        q = q + LaurentPoly.t(m, c)
+    while not r.is_zero() and (m := r.min_exp()) < window[0]:
+        q[m] = c = r.coeff(m) / a0
         r = r - f.shift(m).scale(c)
-    return q, r
+    return LaurentPoly(q), r
 
 
 # kept while perfbench/tracing.py wraps it and tests/test_tooling.py pins it (ROADMAP item 7)
-def reduce_power(n: int, f: LaurentPoly, window=None):
+def reduce_power(n: int, f: LaurentPoly):
     """divmod_window specialised to p = t^n."""
-    return divmod_window(LaurentPoly.t(integer(n, "the exponent of t^n")), f, window)
+    return divmod_window(LaurentPoly.t(integer(n, "the exponent of t^n")), f)
 

@@ -11,28 +11,23 @@ every layer to read: their order (:data:`LETTER_RANK`), their brackets
 basis elements themselves (:data:`LETTERS`).
 
 Every automorphism of sl2 is inner, x -> g x g^-1 for a g in PGL2(Q(i)),
-so an automorphism is stored as the 2x2 matrix g up to scale.  Its 3x3
-matrix on (e, h, f) coordinates follows in closed form, its inverse is Ad
-of the adjugate of g, and the three named families (gamma, gamma2,
-sigma) are recognised by the shape of g.
+so an automorphism is stored as the 2x2 matrix g up to scale.  The image
+rows of e, h and f follow in integers, its inverse is Ad of the adjugate,
+and the three named families (gamma, gamma2, sigma) are recognised by the
+shape of g.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from math import lcm
 
-from .errors import (
-    InvalidParameter,
-    NotASubalgebra,
-    WrongAlgebra,
-    integer,
-)
+from .errors import InvalidParameter, NotASubalgebra, WrongAlgebra, integer
 from .laurent import LaurentPoly, check_window_poly
 from .linalg import Echelon
 from .scalar import _ZERO, Scalar, sqrt_exact
-from .sparse import Terms, gauss, lincomb, row_from_scalars, row_to_scalars, sum_terms
+from .sparse import ZERO_ROW, Terms, bilinear, expand, lincomb, row_keys, row_of
 
 
 class SL2Elt(Terms):
@@ -47,10 +42,10 @@ class SL2Elt(Terms):
     def __init__(self, ce=0, ch=0, cf=0):
         super().__init__({"e": ce, "h": ch, "f": cf})
 
-    @classmethod
-    def _raw(cls, terms: dict) -> "SL2Elt":
-        # the letters always in the order e, h, f, as the constructor has them
-        return super()._raw({letter: terms[letter] for letter in "ehf" if letter in terms})
+    def keys(self) -> list:
+        # the letters always in the order e, h, f, as the constructor takes them
+        _, re, im = self.row
+        return [letter for letter in "ehf" if letter in re or letter in im]
 
     ce = property(lambda self: self.terms.get("e", _ZERO))
     ch = property(lambda self: self.terms.get("h", _ZERO))
@@ -101,9 +96,8 @@ LETTERS = {"e": E, "h": H, "f": F}
 
 def bracket_sl2(x: SL2Elt, y: SL2Elt) -> SL2Elt:
     """Bilinear extension of the letter brackets."""
-    return SL2Elt._raw(sum_terms((z, a * b * k)
-                                 for p, a in x.terms.items() for q, b in y.terms.items()
-                                 for z, k in LETTER_BRACKET.get((p, q), {}).items()))
+    return SL2Elt._of_row(bilinear(x.row, y.row,
+                                   lambda p, q: (1, LETTER_BRACKET.get((p, q), {}), {})))
 
 
 class VirElt(Terms):
@@ -120,8 +114,8 @@ class VirElt(Terms):
         object.__setattr__(self, "z", Scalar.of(z))
 
     @classmethod
-    def _raw(cls, terms: dict, z: Scalar = Scalar.zero()) -> "VirElt":
-        obj = super()._raw(terms)
+    def _of_row(cls, row, z: Scalar = _ZERO) -> "VirElt":
+        obj = super()._of_row(row)
         object.__setattr__(obj, "z", z)
         return obj
 
@@ -135,29 +129,31 @@ class VirElt(Terms):
 
     @staticmethod
     def from_laurent(p: LaurentPoly, z=0) -> "VirElt":
-        return VirElt(p.terms, z)
+        return VirElt._of_row(p.row, Scalar.of(z))
 
     def is_zero(self) -> bool:
-        return not self.terms and self.z.is_zero()
+        return super().is_zero() and self.z.is_zero()
 
     def __add__(self, other):
-        return VirElt._raw(sum_terms(chain(self.terms.items(), other.terms.items())),
-                           self.z + other.z)
+        return VirElt._of_row(super().__add__(other).row, self.z + other.z)
+
+    def __sub__(self, other):
+        return VirElt._of_row(super().__sub__(other).row, self.z - other.z)
 
     def __neg__(self):
-        return VirElt._raw({i: -c for i, c in self.terms.items()}, -self.z)
+        return VirElt._of_row(super().__neg__().row, -self.z)
 
     def scale(self, c) -> "VirElt":
         c = Scalar.of(c)
-        return VirElt._raw(super().scale(c).terms, self.z * c)
+        return VirElt._of_row(super().scale(c).row, self.z * c)
 
     def __eq__(self, other):
         if type(other) is not VirElt:
             return NotImplemented
-        return self.terms == other.terms and self.z == other.z
+        return self.row == other.row and self.z == other.z
 
     def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.z))
+        return hash((super().__hash__(), self.z))
 
     def __str__(self):
         bits = [f"({c})*e_{i}" for i, c in sorted(self.terms.items())]
@@ -177,32 +173,48 @@ class VirElt(Terms):
 
 def bracket_vir(x: VirElt, y: VirElt) -> VirElt:
     """[e_i, e_j] = (j-i) e_{i+j} + delta_{j,-i} (i^3-i)/12 z; z central."""
-    pairs = []
-    zpart = Scalar.zero()
-    for i, ci in x.terms.items():
-        for j, cj in y.terms.items():
-            c = ci * cj
-            pairs.append((i + j, c * (j - i)))
-            if j == -i:
-                zpart = zpart + c * Scalar.of(i**3 - i) / 12
-    return VirElt._raw(sum_terms(pairs), zpart)
+    ys = y.terms
+    z = sum((c * ys[-i] * (i**3 - i) for i, c in x.terms.items() if -i in ys), _ZERO) / 12
+    return VirElt._of_row(bilinear(x.row, y.row, lambda i, j: (1, {i + j: j - i}, {})
+                                   if i != j else ZERO_ROW), z)
 
 
 def embed_sl2(x: SL2Elt) -> VirElt:
     """Linear extension of the letters' :data:`EMBEDDING`."""
-    return VirElt._raw({i: c * k for letter, c in x.terms.items()
-                        for i, k in (EMBEDDING[letter],)})
+    den, re, im = x.row
+    return VirElt._of_row(row_of(*[(i, k * re.get(letter, 0), k * im.get(letter, 0), den)
+                                   for letter, (i, k) in EMBEDDING.items()]))
 
 
 def sl2_from_vir(v: VirElt) -> SL2Elt:
-    """Inverse of the embedding; defined on span{e_-1, e_0, e_1} with no z."""
-    terms = {letter: v.terms[i] / k for letter, (i, k) in EMBEDDING.items() if i in v.terms}
-    if not v.z.is_zero() or len(terms) < len(v.terms):
+    """Inverse of the embedding, e_i -> letter/k = k letter/k^2; defined on
+    span{e_-1, e_0, e_1} with no z."""
+    den, re, im = v.row
+    row = row_of(*[(letter, k * re.get(i, 0), k * im.get(i, 0), k * k * den)
+                   for letter, (i, k) in EMBEDDING.items()])
+    if not v.z.is_zero() or len(row_keys(row)) < len(v.keys()):
         raise WrongAlgebra(f"{v} is not in the embedded sl2")
-    return SL2Elt._raw(terms)
+    return SL2Elt._of_row(row)
 
 
 # -- automorphisms ----------------------------------------------------------
+
+# the coordinates of aut(e), aut(h) and aut(f) times det g, and det g, as
+# sums of c * g[a] * g[b] over (c, a, b), with g = (p, q, r, s) indexed 0..3
+_IMAGES = {"e": {"e": [(1, 0, 0)], "h": [(-1, 0, 2)], "f": [(-1, 2, 2)]},
+           "h": {"e": [(-2, 0, 1)], "h": [(1, 0, 3), (1, 1, 2)], "f": [(2, 2, 3)]},
+           "f": {"e": [(-1, 1, 1)], "h": [(1, 1, 3)], "f": [(1, 3, 3)]}}
+_DET = [(1, 0, 3), (-1, 1, 2)]
+
+
+def _quadratic(g, terms) -> tuple:
+    """sum(c * g[a] * g[b]) over (c, a, b), for Gaussian integers g[j] = (re, im)."""
+    re = im = 0
+    for c, a, b in terms:
+        (ar, ai), (br, bi) = g[a], g[b]
+        re, im = re + c * (ar * br - ai * bi), im + c * (ar * bi + ai * br)
+    return re, im
+
 
 class Automorphism:
     """The sl2 automorphism Ad(g): x -> g x g^-1, for an invertible
@@ -210,30 +222,32 @@ class Automorphism:
     sl2 is one.
 
     It holds g and ``_images``, the integer rows of aut(e), aut(h) and
-    aut(f) keyed by letter; :meth:`apply` sums them over the letters of x.
-    The rows are canonical, so g and c*g compare equal.  Everything else is
-    computed when it is read: ``matrix``, the 3x3 matrix on (e, h, f)
-    coordinates whose columns are the images; ``kind``, one of identity /
-    gamma / gamma2 / sigma / composite, and its ``params``, read off g by
-    :func:`_recognize`; and the inverse, Ad of the adjugate.
+    aut(f) keyed by letter, built in integers from g over one denominator;
+    :meth:`apply` sums them over the letters of x.  The rows are canonical,
+    so g and c*g compare equal.  Everything else is computed when it is
+    read: ``matrix``, the 3x3 matrix on (e, h, f) coordinates whose columns
+    are the images; ``kind``, one of identity / gamma / gamma2 / sigma /
+    composite, and its ``params``, read off g by :func:`_recognize`; and
+    the inverse, Ad of the adjugate.
     """
 
     __slots__ = ("g", "_images")
 
     def __init__(self, g):
-        p, q, r, s = g = tuple(map(Scalar.of, g))
-        ps, qr = p * s, q * r
-        det = ps - qr
-        if det.is_zero():
+        g = tuple(map(Scalar.of, g))
+        # Ad(g) = Ad(c*g): over one denominator, g is four Gaussian integers
+        den = lcm(*(x.d for x in g))
+        ints = [(x.n * (den // x.d), x.m * (den // x.d)) for x in g]
+        dr, di = _quadratic(ints, _DET)
+        if not (dr or di):
             raise InvalidParameter("an automorphism needs an invertible g")
-        # the images of e, h and f, the columns of the matrix, times det
-        images = {"e": (p * p, -(p * r), -(r * r)),
-                  "h": (p * q * -2, ps + qr, r * s * 2),
-                  "f": (-(q * q), q * s, s * s)}
-        inv = gauss(Scalar.one() / det)
+        # an image over det is the image times conj(det) over |det|^2
+        norm = dr * dr + di * di
+        images = {x: {y: _quadratic(ints, terms) for y, terms in coords.items()}
+                  for x, coords in _IMAGES.items()}
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "_images", {
-            x: lincomb([inv + (row_from_scalars(dict(zip("ehf", image))),)])
+            x: row_of(*[(y, a * dr + b * di, b * dr - a * di, norm) for y, (a, b) in image.items()])
             for x, image in images.items()})
 
     def __setattr__(self, name, value):
@@ -267,8 +281,7 @@ class Automorphism:
         return Automorphism((0, 1, 1, 0))
 
     def apply(self, x: SL2Elt) -> SL2Elt:
-        return SL2Elt._raw(row_to_scalars(lincomb([gauss(c) + (self._images[letter],)
-                                                   for letter, c in x.terms.items()])))
+        return SL2Elt._of_row(lincomb(expand(x.row, [(1, 0, 1, self._images.__getitem__)])))
 
     def inverse(self) -> "Automorphism":
         """Ad of the adjugate (s, -q, -r, p)."""
@@ -285,8 +298,8 @@ class Automorphism:
 
     @property
     def matrix(self) -> tuple:
-        cols = [row_to_scalars(self._images[x]) for x in "ehf"]
-        return tuple(tuple(col.get(y, _ZERO) for col in cols) for y in "ehf")
+        # its columns are the coordinates of the images
+        return tuple(zip(*(SL2Elt._of_row(self._images[x]).coords() for x in "ehf")))
 
     kind = property(lambda self: _recognize(self.g)[0])
     params = property(lambda self: _recognize(self.g)[1])
@@ -378,15 +391,15 @@ def classify_subalgebra_2d(x: SL2Elt, y: SL2Elt) -> SubalgebraClass2D:
     forces span{h, f}.
     """
     ech = Echelon(LETTER_RANK.get)  # pivot order e > h > f
-    ech.insert(row_from_scalars(x.terms))
-    ech.insert(row_from_scalars(y.terms))
+    ech.insert(x.row)
+    ech.insert(y.row)
     if ech.rank < 2:
         raise InvalidParameter("inputs are linearly dependent")
-    if not ech.contains(row_from_scalars(bracket_sl2(x, y).terms)):
+    if not ech.contains(bracket_sl2(x, y).row):
         raise NotASubalgebra(f"span of {x} and {y} is not bracket-closed")
     if "e" in ech.rows and "h" in ech.rows:
         # the reduced basis {e + beta f, h + alpha f}; closure forces alpha^2 = 4 beta
-        beta, alpha = (row_to_scalars(ech.rows[p]).get("f", Scalar.zero()) for p in "eh")
+        beta, alpha = (SL2Elt._of_row(ech.rows[p]).cf for p in "eh")
         if alpha * alpha != beta * 4:
             raise NotASubalgebra("closed span with inconsistent basis shape")
         if alpha.is_zero():

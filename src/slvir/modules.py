@@ -7,17 +7,20 @@ lowest weight Verma modules, automorphism twists and tensor products.
 Modules over the Virasoro algebra induced from polynomial subalgebras
 live in :mod:`slvir.induced` and share this interface.
 
-One rule sits behind every action: :meth:`Module._ops` splits an element
-into ops (its letters e, h, f, or the indices n of its e_n), and a handle
-memoises per op and basis key the integer row of op . key
-(:mod:`slvir.sparse`).  A family supplies how rows and *top rows* (the part
-at depth ``key_depth(key) + 1`` that :func:`~slvir.verify.check_module_map`
-reads) are built.  Each sl2 family builds the row of one letter on one key
-by its closed form in integer arithmetic, and reads its tops off gr U(sl2)
-(on W, X and the Verma families, one table of slot shifts); the tests keep the Scalar closed forms and independent routes (multiply in
-U(sl2) and substitute, or act upstairs in X and reduce) to check them.  A
-tensor product sums its factors' rows and tops, a twist acts through its
-inner module's, and the others cut tops from rows.
+A vector (:class:`ModVec`) and an algebra element are both
+:class:`~slvir.sparse.Terms`, so :meth:`Module._ops` reads an element's
+ops (its letters e, h, f, or the indices n of its e_n) and their integer
+coefficients off its row, and a handle memoises per op and basis key the
+integer row of op . key.  A family supplies how rows and *top rows* (the
+part at depth ``key_depth(key) + 1`` that
+:func:`~slvir.verify.check_module_map` reads) are built.  Each sl2 family
+builds the row of one letter on one key by its closed form in integer
+arithmetic, and reads its tops off gr U(sl2) (on W, X and the Verma
+families, one table of slot shifts); the tests keep the Scalar closed
+forms and independent routes (multiply in U(sl2) and substitute, or act
+upstairs in X and reduce) to check them.  A tensor product sums its
+factors' rows and tops, a twist acts through its inner module's, and the
+others cut tops from rows.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .errors import (MAX_VIR_INDEX, InvalidParameter, NotWeightModule, WrongAlge
 from .lie import LETTERS, Automorphism, E, F, H, SL2Elt, VirElt
 from .pbw import UEnvElt, casimir_elt, monomial_letters
 from .scalar import Scalar
-from .sparse import (ZERO_ROW, expand, gauss, lincomb, rekey, restrict, row_from_scalars,
-                     row_keys, row_of, row_to_scalars, unit_row)
+from .sparse import (ZERO_ROW, Terms, expand, gauss, lincomb, rekey, restrict, row_keys, row_of,
+                     unit_row)
 
 
 class KeyAboveTop(Exception):
@@ -40,43 +43,27 @@ class KeyAboveTop(Exception):
     contract of :meth:`Module.key_depth`, so no top row exists."""
 
 
-class ModVec:
-    """Finite basis-key -> Scalar vector in a fixed module.
+class ModVec(Terms):
+    """Finite basis-key -> Scalar vector in a fixed module: a
+    :class:`~slvir.sparse.Terms` that adds only its module."""
 
-    The vector is held as a canonical row of :mod:`slvir.sparse`; ``terms``
-    is the same vector as a dict key -> nonzero Scalar, built on first use.
-    """
+    __slots__ = ("module",)
 
-    __slots__ = ("module", "row", "_terms")
+    # the module checks the keys (Module.basis_vec and Module.vector)
+    _key = staticmethod(lambda key: key)
 
     def __init__(self, module, terms=None):
-        row = ZERO_ROW
-        if terms:
-            row = row_from_scalars({k: Scalar.of(c) for k, c in terms.items()})
         object.__setattr__(self, "module", module)
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "_terms", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModVec is immutable")
+        super().__init__(terms)
 
     @classmethod
     def _of_row(cls, module, row) -> "ModVec":
-        # internal: row must be canonical and keyed by valid keys
-        obj = object.__new__(cls)
+        obj = super()._of_row(row)
         object.__setattr__(obj, "module", module)
-        object.__setattr__(obj, "row", row)
-        object.__setattr__(obj, "_terms", None)
         return obj
 
-    @property
-    def terms(self) -> dict:
-        if self._terms is None:
-            object.__setattr__(self, "_terms", row_to_scalars(self.row))
-        return self._terms
-
-    def is_zero(self) -> bool:
-        return not self.row[1] and not self.row[2]
+    def _like(self, row):
+        return ModVec._of_row(self.module, row)
 
     def _same_module(self, other):
         if self.module is not other.module and self.module != other.module:
@@ -84,18 +71,11 @@ class ModVec:
 
     def __add__(self, other):
         self._same_module(other)
-        return ModVec._of_row(self.module, lincomb([(1, 0, 1, self.row), (1, 0, 1, other.row)]))
+        return super().__add__(other)
 
     def __sub__(self, other):
         self._same_module(other)
-        return ModVec._of_row(self.module, lincomb([(1, 0, 1, self.row), (-1, 0, 1, other.row)]))
-
-    def scale(self, c) -> "ModVec":
-        cr, ci, cd = gauss(Scalar.of(c))
-        return ModVec._of_row(self.module, lincomb([(cr, ci, cd, self.row)]))
-
-    def __neg__(self):
-        return self.scale(-1)
+        return super().__sub__(other)
 
     def __eq__(self, other):
         if not isinstance(other, ModVec):
@@ -104,18 +84,14 @@ class ModVec:
         return self.module == other.module and self.row == other.row
 
     def __hash__(self):
-        den, re, im = self.row
-        return hash((self.module, den, frozenset(re.items()), frozenset(im.items())))
+        return hash((self.module, super().__hash__()))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: self.module.key_sort_token(kv[0]))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c})*[{self.module.key_str(k)}]" for k, c in self.sorted_terms())
-
-    __repr__ = __str__
+        key_str = self.module.key_str
+        return " + ".join(f"({c})*[{key_str(k)}]" for k, c in self.sorted_terms()) or "0"
 
     def to_json(self):
         return {
@@ -146,8 +122,7 @@ class Module:
     # -- vectors -------------------------------------------------------------
 
     def basis_vec(self, key, coeff=1) -> ModVec:
-        self.validate_key(key)
-        return ModVec(self, {key: coeff})
+        return self.vector({key: coeff})
 
     def vector(self, mapping) -> ModVec:
         for key in mapping:
@@ -163,18 +138,18 @@ class Module:
         if isinstance(x, VirElt):
             if not self.accepts_vir:
                 raise WrongAlgebra(f"{self.family} only accepts sl2 elements")
-            if abs(n := max(x.terms, key=abs, default=0)) > MAX_VIR_INDEX:
+            if abs(n := max(x.keys(), key=abs, default=0)) > MAX_VIR_INDEX:
                 raise InvalidParameter(f"Virasoro index {n} exceeds the limit of {MAX_VIR_INDEX}")
         elif not isinstance(x, SL2Elt):
             raise TypeError(f"cannot act by {x!r}")
         return ModVec._of_row(self, lincomb(expand(vec.row, self._action(x))))
 
     def _ops(self, x) -> list:
-        """x as a list of ``(gauss coefficient, op)``, one per key of
-        ``x.terms``: an op is a letter e, h or f of an sl2 element, or the
-        index n of a Virasoro e_n (z acts as zero).  Tensor products and
-        twists override this."""
-        return [(gauss(c), op) for op, c in x.terms.items()]
+        """x as ``((re, im, den), op)`` per key of ``x.keys()``, read off its
+        row: an op is a letter e, h or f of an sl2 element, or the index n
+        of a Virasoro e_n (z acts as zero).  Tensors and twists override it."""
+        den, re, im = x.row
+        return [((re.get(op, 0), im.get(op, 0), den), op) for op in x.keys()]
 
     def _action(self, x) -> list:
         """The action of x as a list of ``(cr, ci, cd, row_of)``: x acts as
@@ -757,13 +732,12 @@ def _word_images(act, words, vec):
 def act_uenv(module: Module, u: UEnvElt, vec: ModVec) -> ModVec:
     """Extend the action to U(sl2): each PBW monomial is a chain of letter
     rows applied to vec's row, monomials that share a suffix share its
-    image, and the monomials are summed in one lincomb."""
+    image, and the monomials are summed over u's row in one lincomb."""
     if vec.module is not module and vec.module != module:
         raise InvalidParameter("vector does not belong to this module")
-    words = [(gauss(c), monomial_letters(mono)) for mono, c in u.terms.items()]
-    images = _word_images(lambda x, row: lincomb(expand(row, module._action(LETTERS[x]))),
-                          words, vec.row)
-    return ModVec._of_row(module, lincomb([coeff + (row,) for coeff, row in images]))
+    images = dict(_word_images(lambda x, row: lincomb(expand(row, module._action(LETTERS[x]))),
+                               [(mono, monomial_letters(mono)) for mono in u.keys()], vec.row))
+    return ModVec._of_row(module, lincomb(expand(u.row, [(1, 0, 1, images.__getitem__)])))
 
 
 # kept while perfbench/tracing.py wraps it and tests/test_tooling.py pins it (ROADMAP item 7)

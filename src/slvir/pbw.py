@@ -6,50 +6,47 @@ straightened by recursive single-swap rewriting: locate a misordered
 adjacent pair of generators, replace it by the swapped pair plus their
 bracket from :data:`~slvir.lie.LETTER_BRACKET`, and recurse.  Each
 step either shortens the word or lowers its inversion count, so the
-rewriting terminates; results are memoised per word.
+rewriting terminates; results are memoised per word, as integer rows, and
+a product of two elements is one :func:`~slvir.sparse.bilinear` of theirs.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 
 from .errors import InvalidParameter
 from .lie import LETTER_BRACKET, LETTER_RANK, LETTERS, E, F, SL2Elt
 from .scalar import Scalar
-from .sparse import Terms, sum_terms
+from .sparse import Terms, bilinear, expand, lincomb, rekey
 
 _WORD_CACHE: dict[tuple[str, ...], dict[tuple[int, int, int], int]] = {}
 
 
 def _word_normal_form(word: tuple[str, ...]) -> dict[tuple[int, int, int], int]:
-    """Normal form of a word of generators; integer coefficients.
+    """Normal form of a word of generators; integer coefficients, the ``re``
+    of a row over denominator 1.
 
     Callers must not mutate the returned (cached) dict.
     """
     cached = _WORD_CACHE.get(word)
     if cached is not None:
         return cached
-    swap_at = -1
-    for idx in range(len(word) - 1):
-        if LETTER_RANK[word[idx]] > LETTER_RANK[word[idx + 1]]:
-            swap_at = idx
-            break
-    if swap_at < 0:
-        mono = (word.count("f"), word.count("h"), word.count("e"))
-        result = {mono: 1}
+    at = next((j for j in range(len(word) - 1)
+               if LETTER_RANK[word[j]] > LETTER_RANK[word[j + 1]]), None)
+    if at is None:
+        result = {(word.count("f"), word.count("h"), word.count("e")): 1}
     else:
-        x, y = word[swap_at], word[swap_at + 1]
-        result = dict(_word_normal_form(word[:swap_at] + (y, x) + word[swap_at + 2:]))
-        for letter, coeff in LETTER_BRACKET[(x, y)].items():
-            sub = _word_normal_form(word[:swap_at] + (letter,) + word[swap_at + 2:])
-            for mono, c in sub.items():
-                s = result.get(mono, 0) + coeff * c
-                if s:
-                    result[mono] = s
-                else:
-                    result.pop(mono, None)
+        # x y = y x + [x, y] at the first misordered pair
+        x, y, head, tail = word[at], word[at + 1], word[:at], word[at + 2:]
+        result = lincomb([(1, 0, 1, (1, _word_normal_form(head + (y, x) + tail), {}))]
+                         + [(k, 0, 1, (1, _word_normal_form(head + (z,) + tail), {}))
+                            for z, k in LETTER_BRACKET[(x, y)].items()])[1]
     _WORD_CACHE[word] = result
     return result
+
+
+# the monomial f^a h^b e^c of each letter, as (a, b, c)
+_LETTER_MONOMIAL = {"f": (1, 0, 0), "h": (0, 1, 0), "e": (0, 0, 1)}
 
 
 def monomial_letters(mono: tuple[int, int, int]) -> tuple[str, ...]:
@@ -83,7 +80,7 @@ class UEnvElt(Terms):
 
     @staticmethod
     def from_sl2(x: SL2Elt) -> "UEnvElt":
-        return UEnvElt({(0, 0, 1): x.ce, (0, 1, 0): x.ch, (1, 0, 0): x.cf})
+        return UEnvElt._of_row(rekey(x.row, _LETTER_MONOMIAL.__getitem__))
 
     def degree(self) -> int:
         return max(map(sum, self.terms), default=0)
@@ -92,13 +89,11 @@ class UEnvElt(Terms):
         return nf_multiply(self, other)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         bits = []
         for mono in sorted(self.terms, key=lambda m: (sum(m), m)):
             name = "".join(s * n for s, n in zip(("f", "h", "e"), mono)) or "1"
             bits.append(f"({self.terms[mono]})*{name}")
-        return " + ".join(bits)
+        return " + ".join(bits) or "0"
 
     def to_json(self):
         return [[list(m), self.terms[m].to_json()]
@@ -113,13 +108,8 @@ class UEnvElt(Terms):
 
 def nf_multiply(u: UEnvElt, v: UEnvElt) -> UEnvElt:
     """The normal form of the product u*v in U(sl2)."""
-    pairs = []
-    for m1, c1 in u.terms.items():
-        for m2, c2 in v.terms.items():
-            c = c1 * c2
-            word = monomial_letters(m1) + monomial_letters(m2)
-            pairs += [(mono, c * k) for mono, k in _word_normal_form(word).items()]
-    return UEnvElt._raw(sum_terms(pairs))
+    return UEnvElt._of_row(bilinear(u.row, v.row, lambda m1, m2: (
+        1, _word_normal_form(monomial_letters(m1) + monomial_letters(m2)), {})))
 
 
 @cache
@@ -133,16 +123,8 @@ def casimir_elt() -> UEnvElt:
 
 # kept while perfbench/tracing.py wraps it and tests/test_tooling.py pins it (ROADMAP item 7)
 def aut_extend(aut, u: UEnvElt) -> UEnvElt:
-    """Apply an sl2 automorphism to every tensor factor and renormalise.
-
-    This is the unique algebra-homomorphism extension of the automorphism
-    to U(sl2).
-    """
+    """Apply an sl2 automorphism to every tensor factor and renormalise: the
+    unique algebra-homomorphism extension of the automorphism to U(sl2)."""
     images = {letter: UEnvElt.from_sl2(aut.apply(x)) for letter, x in LETTERS.items()}
-    out = UEnvElt.zero()
-    for mono, coeff in u.terms.items():
-        prod = UEnvElt.one()
-        for letter in monomial_letters(mono):
-            prod = nf_multiply(prod, images[letter])
-        out = out + prod.scale(coeff)
-    return out
+    return UEnvElt._of_row(lincomb(expand(u.row, [(1, 0, 1, lambda mono: reduce(
+        nf_multiply, [images[letter] for letter in monomial_letters(mono)], UEnvElt.one()).row)])))

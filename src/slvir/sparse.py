@@ -13,13 +13,13 @@ All linear algebra on rows goes through :func:`lincomb`.  It sums integer
 multiples of rows over one common denominator and removes the common
 factor once per result, instead of reducing a fraction at every
 multiply-add.  A real row keeps ``im`` empty, so real data never pays for
-the imaginary half.
+the imaginary half.  :func:`expand` applies a linear action to a row, and
+:func:`bilinear` a product of two rows, as lincomb items.
 
 A Scalar is the one-key case of this form: its ``(n, m, d)`` is
 ``(re, im, den)`` of a single coefficient (:func:`gauss`), so rows are read
-from and written to Scalars with integer arithmetic only.  Sparse maps
-key -> Scalar (Laurent polynomials, Virasoro and U(sl2) elements, the
-per-key reference actions) are summed by :func:`sum_terms`.
+from and written to Scalars with integer arithmetic only.  :class:`Terms`,
+the sparse map behind algebra elements and module vectors, holds a row.
 
 :func:`residues` sends a row to the finite field F_P of :data:`MODULUS`,
 where the module-map certificate of :mod:`slvir.verify` tests ranks,
@@ -29,7 +29,7 @@ and :func:`reduce_slots` reduces every slot of such an int mod P.
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import partial
 from math import gcd, lcm
 
 from .scalar import Scalar, _reduced
@@ -104,80 +104,95 @@ def reduce_slots(row: int, p: int, w: int, scale: int = 1) -> int:
     return out
 
 
-def row_to_scalars(row) -> dict:
-    """The row as a dict key -> nonzero Scalar (each coefficient reduced)."""
+def row_to_scalars(row, keys=None) -> dict:
+    """The row as a dict key -> nonzero Scalar (each coefficient reduced),
+    over its support ``keys``, by default in the order of :func:`row_keys`."""
     den, re, im = row
-    return {k: _reduced(re.get(k, 0), im.get(k, 0), den) for k in row_keys(row)}
-
-
-def sum_terms(pairs) -> dict:
-    """The dict key -> nonzero Scalar summing the Scalars of (key, Scalar)
-    pairs that share a key; keys keep the order of their first pair."""
-    out: dict = {}
-    get = out.get
-    for k, c in pairs:
-        prev = get(k)
-        out[k] = c if prev is None else prev + c
-    return {k: c for k, c in out.items() if c.n or c.m}
+    return {k: _reduced(re.get(k, 0), im.get(k, 0), den)
+            for k in (row_keys(row) if keys is None else keys)}
 
 
 class Terms:
-    """An immutable finite map key -> nonzero Scalar; the empty map is zero.
+    """An immutable finite map key -> nonzero Scalar held as a canonical
+    ``row``; the empty map is zero.  ``terms``, the map as a dict in the
+    order of :meth:`keys`, is built when first read.
 
-    Each subclass reads the keys given to its constructor through its own
-    ``_key``, which returns a key or raises InvalidParameter naming it.  The
-    operations keep the subclass, and values of two subclasses never agree.
+    ``+``, ``-``, unary ``-`` and :meth:`scale` are one :func:`lincomb`
+    each; equality and the hash compare rows.  Each subclass reads the keys
+    given to its constructor through its own ``_key``, which returns a key
+    or raises InvalidParameter naming it.  The operations keep the subclass
+    (:meth:`_like`), and values of two subclasses never agree.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("row", "_terms")
 
     def __init__(self, terms=None):
+        # each key is read before its coefficient
         key = self._key
-        object.__setattr__(self, "terms", sum_terms(
-            (key(k), Scalar.of(c)) for k, c in (terms or {}).items()))
+        _set_row(self, row_of(*[(key(k), *gauss(Scalar.of(c))) for k, c in (terms or {}).items()]))
+        _set_terms(self, None)
 
     @classmethod
-    def _raw(cls, terms: dict):
-        # internal: terms must already map valid keys to nonzero Scalars
+    def _of_row(cls, row):
+        # internal: row must be canonical and keyed by valid keys
         obj = object.__new__(cls)
-        object.__setattr__(obj, "terms", terms)
+        _set_row(obj, row)
+        _set_terms(obj, None)
         return obj
+
+    def _like(self, row):
+        """The value of self's type (and module, for a vector) holding row."""
+        return self._of_row(row)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls):
-        return cls._raw({})
+        return cls._of_row(ZERO_ROW)
+
+    @property
+    def terms(self) -> dict:
+        terms = self._terms
+        if terms is None:
+            terms = row_to_scalars(self.row, self.keys())
+            _set_terms(self, terms)
+        return terms
+
+    def keys(self) -> list:
+        """The support, real keys first (:func:`row_keys`)."""
+        return row_keys(self.row)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.row[1] and not self.row[2]
 
     def __add__(self, other):
-        return self._raw(sum_terms(chain(self.terms.items(), other.terms.items())))
+        return self._like(lincomb([(1, 0, 1, self.row), (1, 0, 1, other.row)]))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._like(lincomb([(1, 0, 1, self.row), (-1, 0, 1, other.row)]))
 
     def __neg__(self):
-        return self._raw({k: -c for k, c in self.terms.items()})
+        return self._like(lincomb([(-1, 0, 1, self.row)]))
 
     def scale(self, c):
         c = Scalar.of(c)
-        if c.is_zero():
-            return self.zero()
-        return self._raw({k: v * c for k, v in self.terms.items()})
+        return self._like(lincomb([(c.n, c.m, c.d, self.row)]))
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.terms == other.terms
+        return self.row == other.row
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        den, re, im = self.row
+        return hash((den, frozenset(re.items()), frozenset(im.items())))
 
     def __repr__(self):
         return str(self)
+
+
+_set_row, _set_terms = Terms.row.__set__, Terms._terms.__set__
 
 
 def rekey(row, f) -> tuple:
@@ -274,3 +289,12 @@ def expand(row, action) -> list:
         for k, ai in im.items():
             append((-ai * ci, ai * cr, dd, row_of(k)))
     return out
+
+
+def bilinear(x, y, product) -> tuple:
+    """The row of sum(x_a * y_b * product(a, b)) over the keys a of row x and
+    b of row y, where ``product(a, b)`` is a row: one :func:`expand` of y,
+    each key of x an operator on it, and one :func:`lincomb`."""
+    den, re, im = x
+    return lincomb(expand(y, [(re.get(a, 0), im.get(a, 0), den, partial(product, a))
+                              for a in row_keys(x)]))

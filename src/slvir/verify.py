@@ -26,34 +26,11 @@ from itertools import product
 
 from .errors import DepthExceeded, InvalidParameter, NotRepresentable
 from .induced import InducedModule, MuData, VirPolyModule, mu_eval
-from .lie import (
-    Automorphism,
-    LETTERS,
-    E,
-    F,
-    H,
-    SubalgebraClass1D,
-    VirElt,
-    embed_sl2,
-)
+from .lie import LETTERS, Automorphism, E, F, H, SubalgebraClass1D, VirElt, embed_sl2
 from .linalg import BlockModP, Echelon
-from .modules import (
-    DenseModule,
-    KeyAboveTop,
-    LowVermaModule,
-    ModVec,
-    Module,
-    TensorModule,
-    TwistModule,
-    VermaModule,
-    WModule,
-    XbarModule,
-    XbarQuotientModule,
-    XModule,
-    _word_images,
-    act_uenv,
-    casimir_action,
-)
+from .modules import (DenseModule, KeyAboveTop, LowVermaModule, ModVec, Module, TensorModule,
+                      TwistModule, VermaModule, WModule, XbarModule, XbarQuotientModule, XModule,
+                      _word_images, act_uenv, casimir_action)
 from .scalar import Scalar, sqrt_exact
 from .sparse import (MODULUS, ZERO_ROW, expand, gauss, lincomb, pack, reduce_slots, residues,
                      restrict, row_from_scalars, row_keys, slot_width, unit_row)

@@ -9,14 +9,25 @@ integer rows; the tests compare the two, key by key and letter by letter.
 :func:`bracket_form` and :func:`embed_form` are the same for the sl2
 bracket and the embedding of sl2 in Vir, which slvir.lie reads off its
 letter tables, and :func:`value_at_form` for ``MuData.value_at``, which
-sums in integers.
+sums in integers.  :func:`sum_terms` is the Scalar-dict sum they share,
+the reference for the row arithmetic of :class:`slvir.sparse.Terms`.
 """
 
 from math import comb
 
 from slvir.lie import SL2Elt, VirElt
 from slvir.scalar import Scalar
-from slvir.sparse import sum_terms
+
+
+def sum_terms(pairs) -> dict:
+    """The dict key -> nonzero Scalar summing the Scalars of (key, Scalar)
+    pairs that share a key; keys keep the order of their first pair."""
+    out: dict = {}
+    get = out.get
+    for k, c in pairs:
+        prev = get(k)
+        out[k] = c if prev is None else prev + c
+    return {k: c for k, c in out.items() if c.n or c.m}
 
 
 def w_form(w, x, key) -> dict:

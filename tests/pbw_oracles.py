@@ -8,9 +8,8 @@ of W, X, Xbar, Verma and LowVerma against these.
 
 from slvir.modules import ModVec
 
-from closed_forms import fe_scalar
+from closed_forms import fe_scalar, sum_terms
 from slvir.pbw import UEnvElt, nf_multiply
-from slvir.sparse import sum_terms
 
 
 def _times_monomial(x, mono) -> dict:

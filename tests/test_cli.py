@@ -472,15 +472,17 @@ def test_sample_report_is_byte_identical_across_hash_seeds(hash_seed):
 
 
 # Scalar operator calls of one in-process sample report, counted the way
-# perfbench/tracing.py counts them: 721 when recorded, from a cold start,
-# with a margin of about 5% (1,338 while MuData.value_at summed Scalar
+# perfbench/tracing.py counts them: 372 when recorded, from a cold start,
+# with a margin of about 5% (721 while algebra elements summed Scalar terms
+# and automorphisms built their image rows from Scalar products,
+# 1,338 while MuData.value_at summed Scalar
 # products, Scalar.__pow__ multiplied Scalars and the tensor suite built an
 # automorphism inverse it did not use,
 # 1,498 while each automorphism built a Scalar 3x3 matrix, 1,683 while
 # Automorphism.apply took a Scalar matrix product, 3,166 while every letter
 # row went through a Scalar closed form); warm process-wide caches only
 # lower it
-SAMPLE_REPORT_SCALAR_OPS = 760
+SAMPLE_REPORT_SCALAR_OPS = 390
 _SCALAR_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                "__truediv__", "__rtruediv__", "__neg__")
 
@@ -511,15 +513,17 @@ def test_sample_report_scalar_work_stays_bounded(capsys, monkeypatch):
 
 
 def test_building_an_automorphism_stays_cheap(monkeypatch):
-    # 18 Scalar operator calls to build it and 38 with its inverse when
-    # recorded (31 and 62 while each automorphism built a Scalar 3x3 matrix
-    # and recognised its family at once)
+    # no Scalar operator call to build it, as its image rows are built in
+    # integers, and 2 with its inverse (the adjugate's two negations) when
+    # recorded (18 and 38 while the images were Scalar products, 31 and 62
+    # while each automorphism built a Scalar 3x3 matrix and recognised its
+    # family at once)
     lam1, lam2 = S("1/2+i"), S(-3)
     calls = _count_scalar_ops(monkeypatch)
     aut = Automorphism.gamma2(lam1, lam2)
-    assert calls[0] <= 20, calls[0]
+    assert calls[0] == 0, calls[0]
     aut.inverse()
-    assert calls[0] <= 40, calls[0]
+    assert calls[0] <= 2, calls[0]
 
 
 GOLDEN = json.loads((REPO / "tests" / "cli_golden.json").read_text())

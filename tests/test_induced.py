@@ -254,7 +254,7 @@ class _ScalarReference:
     def _en(self, n, mono):
         mu = self.vp.mu
         if mono == (0, 0, 0):
-            q, r = reduce_power(n, mu.poly(), sl2_window(mu.degree))
+            q, r = reduce_power(n, mu.poly())
             val = Scalar.zero()
             for j, c in q.terms.items():
                 val = val + c * mu.value_at(j)
@@ -514,7 +514,7 @@ def test_projection_matches_reduce_power(shape, lams, coeffs, rnd):
     exponents = list(range(-12, 13))
     rnd.shuffle(exponents)
     for n in exponents:
-        q, r = reduce_power(n, f, window)
+        q, r = reduce_power(n, f)
         a = Scalar.zero()
         for j, c in q.terms.items():
             a = a + c * mu.value_at(j)

@@ -7,13 +7,14 @@ from math import comb, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from closed_forms import sum_terms
 from test_scalar import RefScalar, assert_canonical
 
 from slvir.errors import MAX_DEPTH, InvalidParameter
 from slvir.laurent import LaurentPoly
-from slvir.lie import SL2Elt, VirElt
+from slvir.lie import LETTER_BRACKET, SL2Elt, VirElt, bracket_sl2, bracket_vir
 from slvir.linalg import BlockModP, Echelon
-from slvir.pbw import UEnvElt
+from slvir.pbw import UEnvElt, _word_normal_form, monomial_letters, nf_multiply
 from slvir.scalar import Scalar
 from slvir.sparse import (
     MODULUS,
@@ -26,7 +27,6 @@ from slvir.sparse import (
     row_from_scalars,
     row_to_scalars,
     slot_width,
-    sum_terms,
     unit_row,
 )
 
@@ -378,7 +378,7 @@ def test_terms_laws_hold_for_every_element_type(x, c):
     assert x + x == x.scale(2) and hash(x + x) == hash(x.scale(2))
     # a value never equals one of another type with the same terms
     for other in {LaurentPoly, UEnvElt, VirElt, SL2Elt} - {cls}:
-        twin = other._raw(x.terms)
+        twin = other._of_row(x.row)
         assert x != twin and twin != x and not x == twin
     if cls is VirElt:
         assert VirElt(x.terms, x.z) == x and VirElt(x.terms, x.z + 1) != x
@@ -398,3 +398,80 @@ def test_terms_laws_hold_for_every_element_type(x, c):
 def test_terms_refuse_keys_that_would_be_coerced(cls, key):
     with pytest.raises(InvalidParameter, match=re.escape(repr(key))):
         cls({key: 1})
+
+
+# -- the row-backed arithmetic of Terms against Scalar-dict folds --------------
+
+_gaussian = st.builds(Scalar, fracs, fracs.filter(bool))  # never real
+_coeffs = _gaussian | scalars
+
+
+def _with_cancellation(keys, make):
+    """Two values of one type, the second holding the negations of some terms
+    of the first, so that their sum cancels those keys to zero."""
+    @st.composite
+    def pair(draw):
+        x = make(draw(st.dictionaries(keys, _coeffs, max_size=4)))
+        cancel = draw(st.lists(st.sampled_from(list(x.terms) or [None]), max_size=2))
+        terms = draw(st.dictionaries(keys, _coeffs, max_size=3))
+        terms.update({k: -x.terms[k] for k in cancel if k is not None})
+        return x, make(terms)
+    return pair()
+
+
+_mono_keys = st.tuples(*[st.integers(0, 2)] * 3)
+_pairs = st.one_of(
+    _with_cancellation(st.integers(-4, 4), LaurentPoly),
+    _with_cancellation(_mono_keys, UEnvElt),
+    _with_cancellation(st.integers(-3, 3), lambda t: VirElt(t, Scalar.of("1/2-3*i"))),
+    _with_cancellation(st.sampled_from("ehf"),
+                       lambda t: SL2Elt(*(t.get(letter, 0) for letter in "ehf"))),
+)
+
+
+def _negated(terms: dict):
+    return ((k, -c) for k, c in terms.items())
+
+
+@settings(max_examples=80)
+@given(_pairs, _coeffs | st.just(Scalar.zero()))
+def test_row_arithmetic_matches_scalar_folds(pair, c):
+    # +, -, scale (by zero too) and unary - are one lincomb each on the rows;
+    # the reference folds the Scalar terms with sum_terms
+    x, y = pair
+    assert (x + y).terms == sum_terms([*x.terms.items(), *y.terms.items()])
+    assert (x - y).terms == sum_terms([*x.terms.items(), *_negated(y.terms)])
+    assert (-x).terms == sum_terms(_negated(x.terms))
+    assert x.scale(c).terms == sum_terms((k, v * c) for k, v in x.terms.items())
+    # equal values from different routes are equal and hash equal
+    for a, b in ((x + y, y + x), (x - y, x + (-y)), (x.scale(c) + x, x.scale(c + 1))):
+        assert a == b and hash(a) == hash(b)
+    if type(x) is VirElt:
+        assert ((x + y).z, (x - y).z, (-x).z, x.scale(c).z) == (x.z + y.z, x.z - y.z,
+                                                                 -x.z, x.z * c)
+
+
+@settings(max_examples=60)
+@given(_pairs)
+def test_row_products_match_scalar_folds(pair):
+    # the products are one bilinear of two rows; the reference multiplies the
+    # Scalar terms pairwise and folds them with sum_terms
+    x, y = pair
+    pairs = [(a, b, c1 * c2) for a, c1 in x.terms.items() for b, c2 in y.terms.items()]
+    if type(x) is LaurentPoly:
+        assert (x * y).terms == sum_terms((a + b, c) for a, b, c in pairs)
+    elif type(x) is UEnvElt:
+        assert nf_multiply(x, y).terms == sum_terms(
+            (mono, c * k) for a, b, c in pairs
+            for mono, k in _word_normal_form(monomial_letters(a) + monomial_letters(b)).items())
+    elif type(x) is SL2Elt:
+        assert bracket_sl2(x, y).terms == sum_terms(
+            (z, c * k) for a, b, c in pairs for z, k in LETTER_BRACKET.get((a, b), {}).items())
+    else:
+        # y mirrored (e_i -> e_-i) meets every index of x at -i, where z gets its part
+        for y in (y, VirElt({-i: c for i, c in y.terms.items()})):
+            pairs = [(a, b, c1 * c2) for a, c1 in x.terms.items() for b, c2 in y.terms.items()]
+            got = bracket_vir(x, y)
+            assert got.terms == sum_terms((a + b, c * (b - a)) for a, b, c in pairs)
+            assert got.z == sum((c * Scalar.of(a**3 - a) / 12 for a, b, c in pairs if b == -a),
+                                Scalar.zero())

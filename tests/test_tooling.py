@@ -1,4 +1,5 @@
-"""The benchmark's tracer still finds every name it wraps.
+"""The benchmark's tracer still finds every name it wraps, and no module
+of the package imports a name it does not use.
 
 ``perfbench/tracing.py`` wraps named functions and methods of the slvir
 package; a rename or deletion there would only show when a traced
@@ -8,6 +9,7 @@ one small suite and one small report under it (about 0.5 s in all), so a
 wrapper that breaks at call time, or counts nothing, fails here too.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -45,3 +47,21 @@ def test_tracer_installs_on_a_fresh_import(tmp_path):
     proc = subprocess.run([sys.executable, "-c", TRACED_RUN, str(config)],
                           env=env, capture_output=True, text=True, timeout=60, check=False)
     assert proc.returncode == 0, proc.stderr
+
+
+def _unused_imports(path: Path) -> list:
+    """The names a module imports and never reads, with their lines."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.split(".")[0]: node.lineno
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__.py imports in order to export; every other module reads what it imports
+    unused = {path.name: _unused_imports(path)
+              for path in sorted((REPO / "src" / "slvir").glob("*.py"))
+              if path.name != "__init__.py"}
+    assert not any(unused.values()), {name: names for name, names in unused.items() if names}
