@@ -24,7 +24,7 @@ singular mod P proves nothing, and the exact full route then decides.
 
 from __future__ import annotations
 
-from .sparse import lincomb, reduce_slots, row_keys, slot_width
+from .sparse import lincomb, low_slot, reduce_slots, row_keys, slot_width
 
 
 class Echelon:
@@ -99,19 +99,26 @@ class BlockModP:
     no back-substitution.
 
     A row is one non-negative int whose slot j (w = slot_width(p) bits)
-    holds column j, reduced mod p only where read.  Each stored row has
-    every slot in [0, p), is reduced against the rows before it and is
-    scaled to one at its pivot, its first nonzero slot, so one pass in
-    order reduces a new row by ``row += (p - c) * prow`` per stored row:
-    no slot goes negative, and a row of slots below n * p*p stays below
-    (n + rank) * p*p < 2**w while n + rank < 2**32, so no slot carries.
-    The depth cap of 100 keeps a certificate block to 5,151 columns.
+    holds column j, reduced mod p only where read.  The stored rows are
+    keyed by their pivot slot, their lowest nonzero slot, and each is kept
+    from its pivot up (shifted down to start there), scaled to one at the
+    pivot, with every slot in [0, p).  Any such set of rows reduces a new
+    row in one pass up its slots, lowest first: at a slot that is nonzero
+    mod p and a pivot it adds ``(p - c) * prow``, which leaves the slot
+    zero mod p and touches no slot below, and the first slot nonzero mod p
+    that is no pivot is the new row's pivot, where the pass stops.  A run of
+    zero slots is jumped at once (:func:`~slvir.sparse.low_slot`), so a
+    sparse row costs its nonzero slots, and a dense one at most a step per
+    stored row below its pivot.  No slot goes negative, and a row of slots
+    below n * p*p stays below (n + rank) * p*p < 2**w while n + rank <
+    2**32, so no slot carries.  The depth cap of 100 keeps a certificate
+    block to 5,151 columns.
     """
 
     def __init__(self, p: int):
         self.p = p
         self.w = slot_width(p)
-        self.rows: list = []  # (bit offset of the pivot slot, row), in insertion order
+        self.rows: dict = {}  # pivot slot -> the stored row, from its pivot up
 
     @property
     def rank(self) -> int:
@@ -121,20 +128,22 @@ class BlockModP:
         """Add a packed row; True if it is independent of the stored rows mod p."""
         if row < 0:  # it has no slots: its shifts tend to -1, never 0
             raise ValueError("a packed row must be non-negative")
-        p, w = self.p, self.w
+        p, w, rows = self.p, self.w, self.rows
         mask = (1 << w) - 1
-        for shift, prow in self.rows:
-            c = (row >> shift & mask) % p
-            if c:
+        j = 0  # the slot at the bottom of row
+        while row:
+            if k := low_slot(row, mask):
+                row >>= w * k
+                j += k
+            if c := (row & mask) % p:
+                prow = rows.get(j)
+                if prow is None:
+                    rows[j] = reduce_slots(row, p, w, pow(c, -1, p))
+                    return True
                 row += (p - c) * prow
-        shift = 0
-        while row and not (row & mask) % p:
             row >>= w
-            shift += w
-        if not row:
-            return False
-        self.rows.append((shift, reduce_slots(row, p, w, pow(row & mask, -1, p)) << shift))
-        return True
+            j += 1
+        return False
 
 
 def _default_order(key):

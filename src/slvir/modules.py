@@ -230,7 +230,9 @@ class Module:
 
     def basis_words(self, depth: int) -> list:
         """Pairs (key, word), word a tuple of the letters "e", "h", "f" whose
-        right-to-left application to the generator yields the basis vector."""
+        right-to-left application to the generator yields the basis vector.
+        A word's length is its key's depth, and the words are closed under
+        suffixes, so sorted by depth they list each suffix first."""
         raise NotImplementedError(f"{self.family} has no free monomial basis")
 
     # -- identity --------------------------------------------------------------

@@ -24,12 +24,13 @@ the sparse map behind algebra elements and module vectors, holds a row.
 :func:`residues` sends a row to the finite field F_P of :data:`MODULUS`,
 where the module-map certificate of :mod:`slvir.verify` tests ranks,
 :func:`pack` packs residues into one int of :func:`slot_width` bits a key,
-and :func:`reduce_slots` reduces every slot of such an int mod P.
+:func:`reduce_slots` reduces every slot of such an int mod P, and
+:func:`low_slot` finds its lowest nonzero slot.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from math import gcd, lcm
 
 from .scalar import Scalar, _reduced
@@ -93,15 +94,59 @@ def pack(items, cols: dict, w: int) -> int:
     return row
 
 
+def low_slot(row: int, mask: int) -> int:
+    """The number of zero slots below the lowest nonzero slot of a packed
+    row > 0 whose slots are ``mask = 2**w - 1``: 0 at once when the lowest
+    slot is nonzero, else read off the lowest set bit, so that a run of
+    zero slots is jumped, never walked."""
+    if row & mask:
+        return 0
+    return ((row & -row).bit_length() - 1) // mask.bit_length()
+
+
+@cache
+def _fold_masks(n: int) -> tuple:
+    """The low 31 bits, the low 63 bits, the unit and 19 in each of n slots
+    of 94 bits, the slot width of P = 2**31 - 19; n is a power of two, so
+    the cache holds one entry per doubling of the widest row."""
+    ones = ((1 << 94 * n) - 1) // ((1 << 94) - 1)
+    return ones * ((1 << 31) - 1), ones * ((1 << 63) - 1), ones, 19 * ones
+
+
+def _fold(row: int, lo: int, hi: int) -> int:
+    # 2**31 = 19 (mod 2**31 - 19): three folds take a slot below 2**94 to
+    # below 2**68, 2**42 and 2**31 + 19 * 2**11
+    for _ in range(3):
+        row = (row & lo) + 19 * (row >> 31 & hi)
+    return row
+
+
 def reduce_slots(row: int, p: int, w: int, scale: int = 1) -> int:
-    """The packed row with each slot v, of w bits, replaced by v * scale mod p."""
-    mask = (1 << w) - 1
-    out, j = 0, 0
-    while row:
-        out |= (row & mask) * scale % p << j
-        row >>= w
-        j += w
-    return out
+    """The packed row with each slot v, of w bits, replaced by v * scale mod
+    p, in [0, p).
+
+    For p = 2**31 - 19, the first value of :data:`MODULUS`, with w = 94 and
+    more than three slots, every slot is reduced at once: 2**31 = 19 mod p,
+    so ``(row & LO) + 19 * (row >> 31 & HI)``, with LO and HI the low 31 and
+    the low 63 bits of every slot, keeps each slot's residue.  Three such
+    folds take any slot below 2**94 to below 2**31 + 38,912 < 2p, and one
+    masked subtraction of p, where adding 19 sets bit 31, makes every slot
+    canonical.  A scale in [0, p) multiplies the folded slots, below 2**32,
+    so the products stay below 2**63 and fold the same way.  Any other
+    modulus, and a row of at most three slots, take one slot at a time."""
+    if p != 2 ** 31 - 19 or w != 94 or row.bit_length() <= 3 * w:
+        mask = (1 << w) - 1
+        out, j = 0, 0
+        while row:
+            out |= (row & mask) * scale % p << j
+            row >>= w
+            j += w
+        return out
+    lo, hi, ones, nineteens = _fold_masks(1 << ((row.bit_length() - 1) // w).bit_length())
+    row = _fold(row, lo, hi)
+    if scale != 1:
+        row = _fold(row * scale, lo, hi)
+    return row - p * ((row + nineteens) >> 31 & ones)
 
 
 def row_to_scalars(row, keys=None) -> dict:

@@ -10,7 +10,7 @@ paper predicts respect the PBW filtration, so the top-degree components of
 the images, one small block per degree of packed rows (one int each) of
 full rank mod a fixed prime, prove injectivity and the window span (on
 the twisted Verma, W and X targets the paper predicts, a letter acts on a
-packed top as a few shifts of the whole int).  Where they do not, one
+packed top as one multiplication of the whole int).  Where they do not, one
 exact echelon of the whole images decides, and it alone supplies
 dependent_image and not_spanned witnesses.  Every target is checked the
 same way, the degree-3 restriction (a module that is its own target)
@@ -32,8 +32,8 @@ from .modules import (DenseModule, KeyAboveTop, LowVermaModule, ModVec, Module, 
                       TwistModule, VermaModule, WModule, XbarModule, XbarQuotientModule, XModule,
                       _word_images, act_uenv, casimir_action)
 from .scalar import Scalar, sqrt_exact
-from .sparse import (MODULUS, ZERO_ROW, expand, gauss, lincomb, pack, reduce_slots, residues,
-                     restrict, row_from_scalars, row_keys, slot_width, unit_row)
+from .sparse import (MODULUS, ZERO_ROW, expand, gauss, lincomb, low_slot, pack, reduce_slots,
+                     residues, restrict, row_from_scalars, row_keys, slot_width, unit_row)
 
 
 @dataclass
@@ -109,24 +109,26 @@ def _graded_certificate(dst: Module, letters: dict, words, gen_image: ModVec, de
                         window_span: bool) -> bool:
     """Whether the top components of the images certify the map.
 
-    ``words`` are sorted by length, and the letter l acts as ``letters[l]``.
-    With s the depth of gen_image, the top component of a word's image is
-    its part at depth s + len(word); the top of g.v is the top of g acting
-    on the top of v, so the tops are walked with the shared suffixes of
-    :func:`_word_images`, never the full images.  The walk runs in F_P
-    (:data:`~slvir.sparse.MODULUS`) on packed rows, one slot of
-    :func:`~slvir.sparse.slot_width` bits per key of a depth, with each
-    letter's op coefficients reduced mod P once.  Every top a letter acts
-    on has its slots in [0, P), and a slot of its image sums fewer than
-    2**32 products of two residues, so no slot carries.  On a target with
-    a slot table (``dst._TOP_SLOTS``: W, X, Verma, LowVerma and their
-    twists) key k sits in slot ``dst._slot(k)``, a letter acts on a top as
-    sum(c * (row << w * _TOP_SLOTS[op])) over its ops (c, op), at most
-    three products to a slot, and one pass reduces each slot mod P.  On
-    any other target the keys of a depth take slots in the order they
-    first appear, and a word's top is the sum of v * (the letter's top on
-    key) over the slots v of the top it acts on, reduced where read; the
-    letter's top on a key is packed once, from dst's top rows of its ops
+    ``words`` are sorted by length and closed under suffixes, and the
+    letter l acts as ``letters[l]``.  With s the depth of gen_image, the top
+    component of a word's image is its part at depth s + len(word), and it
+    is the word's first letter acting on the top of its suffix, so one flat
+    loop over the words computes each top from its suffix's, never a full
+    image.  The walk runs in F_P (:data:`~slvir.sparse.MODULUS`) on packed
+    rows, one slot of :func:`~slvir.sparse.slot_width` bits per key of a
+    depth, with each letter's op coefficients reduced mod P once.  Every
+    top has every slot in [0, P): a slot of a letter's image sums fewer
+    than 2**32 products of two residues, so no slot carries, and one
+    :func:`~slvir.sparse.reduce_slots` makes it canonical again.  On a
+    target with a slot table (``dst._TOP_SLOTS``: W, X, Verma, LowVerma and
+    their twists) key k sits in slot ``dst._slot(k)``, and a letter acts on
+    a top as one multiplication by its packed polynomial
+    sum(c << w * _TOP_SLOTS[op]) over its ops (c, op).  On any other target
+    the keys of a depth take slots in the order they first appear, and a
+    word's top is the sum of v * (the letter's top on key) over the nonzero
+    slots v of the top it acts on, which the walk jumps between
+    (:func:`~slvir.sparse.low_slot`); the letter's top on a key is packed
+    once, from dst's top rows of its ops
     (:meth:`~slvir.modules.Module._top`) read through
     :func:`~slvir.sparse.residues` once per op and key.  Each length's
     block goes into a :class:`~slvir.linalg.BlockModP`.  Sending i to I is
@@ -147,7 +149,6 @@ def _graded_certificate(dst: Module, letters: dict, words, gen_image: ModVec, de
         return False
     p, i = MODULUS
     w = slot_width(p)
-    mask = (1 << w) - 1
 
     def reduced(row):
         out = residues(row, p, i)
@@ -162,19 +163,17 @@ def _graded_certificate(dst: Module, letters: dict, words, gen_image: ModVec, de
 
     shifts = dst._TOP_SLOTS
     if shifts is not None:
-        moves = cache(lambda letter: [(c, w * shifts[op]) for c, op in letter_ops(letter)
-                                      if c and op in shifts])
+        poly = cache(lambda letter: sum(c << w * shifts[op] for c, op in letter_ops(letter)
+                                        if op in shifts))
 
-        def act(letter, top):
-            d, row = top
-            out = 0
-            for c, bits in moves(letter):
-                out += c * (row << bits)
-            return d + 1, reduce_slots(out, p, w)
+        def act(letter, d, row):
+            return reduce_slots(row * poly(letter), p, w)
     else:
+        mask = (1 << w) - 1
         cols = defaultdict(dict)  # depth -> {key: slot}
+        slot_keys: dict = {}  # depth -> the keys of cols[depth] in slot order
         op_tops: dict = {}  # (op, key) -> the residues of dst's top row of op on key
-        letter_tops = defaultdict(dict)  # letter -> {key: packed top of the letter on key}
+        letter_tops: dict = {}  # (letter, depth, slot) -> packed top of the letter on its key
 
         def letter_top(letter, key, slots):
             acc: dict = {}
@@ -186,28 +185,32 @@ def _graded_certificate(dst: Module, letters: dict, words, gen_image: ModVec, de
                     acc[k] = acc.get(k, 0) + c * v
             return pack(((k, v % p) for k, v in acc.items()), slots, w)
 
-        def act(letter, top):
-            d, row = top
-            tops = letter_tops[letter]
-            out = 0
-            for key in cols[d]:
-                if not row:
-                    break
-                if v := (row & mask) % p:
-                    t = tops.get(key)
-                    if t is None:
-                        t = tops[key] = letter_top(letter, key, cols[d + 1])
-                    out += v * t
+        def act(letter, d, row):
+            keys = slot_keys.get(d)
+            if keys is None or len(keys) < len(cols[d]):
+                keys = slot_keys[d] = list(cols[d])
+            out, j = 0, 0
+            while row:
+                if k := low_slot(row, mask):
+                    row >>= w * k
+                    j += k
+                t = letter_tops.get((letter, d, j))
+                if t is None:
+                    t = letter_tops[letter, d, j] = letter_top(letter, keys[j], cols[d + 1])
+                out += (row & mask) * t
                 row >>= w
-            return d + 1, out
+                j += 1
+            return reduce_slots(out, p, w)
 
-    blocks = defaultdict(partial(BlockModP, p))
+    blocks = defaultdict(lambda: BlockModP(p))
     try:
         top = reduced(restrict(gen_image.row, lambda k: key_depth(k) == s))
         slots = cols[s] if shifts is None else {k: dst._slot(k) for k in top}
-        start = pack(top.items(), slots, w)
-        for (_, word), (_, (_, row)) in zip(words, _word_images(act, words, (s, start))):
-            if not blocks[len(word)].insert(row):
+        tops = {(): pack(top.items(), slots, w)}
+        for _, word in words:
+            if word:
+                tops[word] = act(word[0], s + len(word) - 1, tops[word[1:]])
+            if not blocks[len(word)].insert(tops[word]):
                 return False
     except (KeyAboveTop, _Unreduced):
         return False

@@ -16,6 +16,7 @@ from slvir.lie import LETTER_BRACKET, SL2Elt, VirElt, bracket_sl2, bracket_vir
 from slvir.linalg import BlockModP, Echelon
 from slvir.pbw import UEnvElt, _word_normal_form, monomial_letters, nf_multiply
 from slvir.scalar import Scalar
+import slvir.sparse as sparse_mod
 from slvir.sparse import (
     MODULUS,
     ZERO_ROW,
@@ -23,6 +24,7 @@ from slvir.sparse import (
     gauss,
     lincomb,
     pack,
+    reduce_slots,
     residues,
     row_from_scalars,
     row_to_scalars,
@@ -304,25 +306,15 @@ def test_packed_block_matches_unpacked_elimination(data, modulus):
     # reduce to zero.  Wide blocks: about 465 slots, as a degree-3
     # restriction's at depth 30, each row one to three entries far apart
     # (mostly unit rows, the edge slots among them), and rows that sum two
-    # earlier ones, which must reduce to zero
+    # earlier ones, which must reduce to zero.  Mixed blocks: dense rows,
+    # each from a drawn first slot up, and unit rows in one block, their
+    # pivots arriving out of slot order, so that one insert steps from
+    # slot to slot through stored pivots and the next jumps a long run of
+    # zero slots to a single entry
     p = modulus[0]
     near = st.integers(max(p - 3, 0), p - 1) | st.integers(0, p - 1)
-    if data.draw(st.booleans(), label="wide"):
-        ncols = data.draw(st.integers(440, 470))
-        col = st.sampled_from([0, ncols - 1]) | st.integers(0, ncols - 1)
-        entries = data.draw(st.lists(st.lists(st.tuples(col, st.just(1) | near), min_size=1,
-                                              max_size=3), min_size=1, max_size=25))
-        rows = []
-        for row_entries in entries:
-            row = [0] * ncols
-            for j, v in row_entries:
-                row[j] += v
-            rows.append(row)
-        pairs = data.draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
-                                             st.integers(0, len(rows) - 1)), max_size=5))
-        rows += [[x + y for x, y in zip(rows[a], rows[b])] for a, b in pairs]
-        r = ncols
-    else:
+    kind = data.draw(st.sampled_from(["dense", "wide", "mixed"]), label="kind")
+    if kind == "dense":
         ncols = data.draw(st.integers(12, 16))
         r = data.draw(st.integers(1, ncols))
         bases = data.draw(st.lists(st.lists(near, min_size=ncols, max_size=ncols),
@@ -331,6 +323,29 @@ def test_packed_block_matches_unpacked_elimination(data, modulus):
                                     min_size=ncols + 1, max_size=ncols + 4))
         rows = [[sum(c * b[j] for c, b in zip(cs, bases)) for j in range(ncols)]
                 for cs in coeffs]
+    else:
+        if kind == "wide":
+            ncols = data.draw(st.integers(440, 470))
+            col = st.sampled_from([0, ncols - 1]) | st.integers(0, ncols - 1)
+            entries = st.lists(st.tuples(col, st.just(1) | near), min_size=1, max_size=3)
+        else:
+            ncols = data.draw(st.integers(20, 60))
+            col = st.integers(0, ncols - 1)
+            unit = st.lists(st.tuples(col, st.just(1) | near), min_size=1, max_size=1)
+            dense = st.integers(0, ncols - 1).flatmap(lambda first: st.lists(
+                near, min_size=ncols - first, max_size=ncols - first).map(
+                    lambda vs, first=first: list(enumerate(vs, first))))
+            entries = unit | dense
+        rows = []
+        for row_entries in data.draw(st.lists(entries, min_size=1, max_size=25)):
+            row = [0] * ncols
+            for j, v in row_entries:
+                row[j] += v
+            rows.append(row)
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                             st.integers(0, len(rows) - 1)), max_size=5))
+        rows += [[x + y for x, y in zip(rows[a], rows[b])] for a, b in pairs]
+        r = ncols
     block, cols = BlockModP(p), {j: j for j in range(ncols)}
     got = [block.insert(pack(enumerate(row), cols, slot_width(p))) for row in rows]
     assert got == _independent_mod_p(rows, p)
@@ -346,6 +361,43 @@ def test_packed_block_refuses_a_negative_row():
         with pytest.raises(ValueError):
             block.insert(row)
     assert block.rank == 1
+
+
+def _reduce_slots_reference(slots, p, w, scale=1) -> int:
+    return sum(v * scale % p << w * j for j, v in enumerate(slots))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_reduce_slots_matches_the_per_slot_reference(data):
+    # reduce_slots folds every slot at once for this P only; a change of P
+    # must not keep its fold constants
+    assert MODULUS[0] == 2 ** 31 - 19
+    w = slot_width(P)
+    value = (st.sampled_from([0, 1, P - 1, P, P + 1, 2 ** w - 1])
+             | st.integers(0, 2 ** w - 1) | st.integers(0, P - 1))
+    slots = data.draw(st.integers(1, 300).flatmap(
+        lambda n: st.lists(value, min_size=n, max_size=n)), label="slots")
+    scale = data.draw(st.just(1) | st.integers(0, P - 1), label="scale")
+    row = sum(v << w * j for j, v in enumerate(slots))
+    assert reduce_slots(row, P, w, scale) == _reduce_slots_reference(slots, P, w, scale)
+
+
+def test_reduce_slots_folds_only_wide_rows_mod_p(monkeypatch):
+    # rows of more than three slots mod P are folded; every other modulus
+    # the certificate tests patch in (5, 13 and a 64-bit prime) takes one
+    # slot at a time, as do short rows
+    folds = []
+    fold = sparse_mod._fold
+    monkeypatch.setattr(sparse_mod, "_fold", lambda *args: folds.append(1) or fold(*args))
+    for p in (P, 5, 13, 2 ** 64 - 59):
+        w = slot_width(p)
+        for n in (1, 3, 4, 200):
+            slots = [(p + 1) * (j + 1) ** 3 % (1 << w) for j in range(n)]
+            row = sum(v << w * j for j, v in enumerate(slots))
+            folds.clear()
+            assert reduce_slots(row, p, w, 3) == _reduce_slots_reference(slots, p, w, 3)
+            assert bool(folds) == (p == P and n > 3)
 
 
 def test_slot_width_has_room_for_the_largest_block():

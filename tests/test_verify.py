@@ -5,6 +5,7 @@ from functools import cache, partial
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import slvir.linalg as linalg_mod
 import slvir.modules as modules_mod
 import slvir.verify as verify_mod
 from slvir.errors import DepthExceeded, InvalidParameter
@@ -17,8 +18,8 @@ from slvir.modules import (LETTERS, DenseModule, KeyAboveTop, LowVermaModule, Mo
                            XModule, act_uenv, act_word)
 from slvir.pbw import UEnvElt, aut_extend, casimir_elt, monomial_letters
 from slvir.scalar import Scalar
-from slvir.sparse import (MODULUS, expand, gauss, lincomb, residues, restrict, row_keys,
-                          slot_width, unit_row)
+from slvir.sparse import (MODULUS, expand, gauss, lincomb, low_slot, residues, restrict,
+                          row_keys, slot_width, unit_row)
 from slvir.verify import (
     Report,
     _casimir_shifter,
@@ -652,6 +653,44 @@ def test_small_modulus_falls_back_on_certified_maps(monkeypatch):
     assert all(report["flags"] and all(report["flags"].values()) for report in expected)
 
 
+def _nonzero_slots(row, mask) -> int:
+    count = 0
+    while row:
+        row >>= mask.bit_length() * low_slot(row, mask)
+        count += 1
+        row >>= mask.bit_length()
+    return count
+
+
+@pytest.mark.parametrize("depth", [20, 30])
+def test_certificate_slot_visits_track_nonzero_slots(depth, monkeypatch):
+    # the degree-3 restriction of c12: every top is one nonzero slot in a
+    # block up to (depth + 1)(depth + 2)/2 slots wide.  The walk and
+    # BlockModP.insert visit a slot only through low_slot, so its calls
+    # count the slot visits; a walk of every slot, or an insert that loops
+    # over every stored row, costs the block's width per row instead
+    visits, rows, nonzero = [0], [0], [0]
+
+    def counted(row, mask):
+        visits[0] += 1
+        return low_slot(row, mask)
+
+    class Counting(BlockModP):
+        def insert(self, row):
+            rows[0] += 1
+            nonzero[0] += _nonzero_slots(row, (1 << self.w) - 1)
+            return super().insert(row)
+
+    monkeypatch.setattr(verify_mod, "BlockModP", Counting)
+    monkeypatch.setattr(verify_mod, "low_slot", counted)
+    monkeypatch.setattr(linalg_mod, "low_slot", counted)
+    report = suite_restriction(mud([(S(1), 1), (S(2), 1), (S(3), 1)], [[S(1)], [S(1)], [S(1)]]),
+                               depth)
+    assert report.all_ok and report.extra["target"]["family"] == "free"
+    assert rows[0] == nonzero[0] > depth ** 3 / 6
+    assert rows[0] <= visits[0] <= 3 * nonzero[0]
+
+
 def _contract_handles(a, b, c):
     """One handle of every family, with non-real parameters; the induced
     ones are built one degree deeper than the window read from them."""
@@ -687,6 +726,14 @@ def test_letters_raise_key_depth_by_at_most_one(a, b, c):
                     (module.family, key, letter)
                 assert all(k in listed for k in img.terms if module.key_depth(k) <= 5), \
                     (module.family, key, letter)
+        # a map source's words: a word's length is its key's depth, and its
+        # suffix is a listed word, which the certificate's flat loop reads
+        try:
+            words = dict(module.basis_words(5))
+        except NotImplementedError:
+            continue
+        assert all(len(word) == module.key_depth(key) for key, word in words.items())
+        assert {word[1:] for word in words.values() if word} <= set(words.values())
 
 
 @settings(max_examples=10, deadline=None)
