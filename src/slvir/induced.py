@@ -83,14 +83,10 @@ class MuData:
         polys = tuple(tuple(Scalar.of(c) for c in p) for p in self.polys)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "polys", polys)
-        for lam, _ in roots:
-            if lam.is_zero():
-                raise BadPolynomial("roots must be nonzero")
-        seen = set()
-        for lam, _ in roots:
-            if lam in seen:
-                raise InvalidParameter("repeated root; merge multiplicities")
-            seen.add(lam)
+        if any(lam.is_zero() for lam, _ in roots):
+            raise BadPolynomial("roots must be nonzero")
+        if len({lam for lam, _ in roots}) < len(roots):
+            raise InvalidParameter("repeated root; merge multiplicities")
         if self.degree not in (1, 2, 3):
             raise BadPolynomial(f"total degree {self.degree} outside 1..3")
         if len(polys) != len(roots):
@@ -109,18 +105,26 @@ class MuData:
         return self._poly
 
     def value_at(self, j: int) -> Scalar:
-        """mu(t^j f) = sum_i p_i(j) lambda_i^j, summed as Gaussian integers
-        over one denominator; the only Scalar work is each lambda_i^j."""
+        """mu(t^j f) = sum_i p_i(j) lambda_i^j."""
+        return _reduced(*self._pairing(unit_row(j)))
+
+    def _pairing(self, row) -> tuple:
+        """(re, im, den) with (re + im*i)/den = sum_j c_j mu(t^j f) for a row of
+        terms c_j t^j, in integers; the only Scalar work is each lambda_i^j."""
+        rd, rre, rim = row
         re, im, den = 0, 0, 1
-        for (lam, _), p in zip(self.roots, self.polys):
-            ln, lm, ld = gauss(lam**j)
-            for e, c in enumerate(p):  # add c j^e lambda^j, over c.d * ld
-                cn, cm, cd = c.n * j**e, c.m * j**e, c.d * ld
-                g = lcm(den, cd)
-                re = re * (g // den) + (cn * ln - cm * lm) * (g // cd)
-                im = im * (g // den) + (cn * lm + cm * ln) * (g // cd)
-                den = g
-        return _reduced(re, im, den)
+        for j in row_keys(row):
+            a, b = rre.get(j, 0), rim.get(j, 0)
+            for (lam, _), p in zip(self.roots, self.polys):
+                ln, lm, ld = gauss(lam**j)
+                ur, ui = a * ln - b * lm, a * lm + b * ln
+                for e, c in enumerate(p):  # add (a + b*i) c j^e lambda^j, over c.d * ld
+                    cn, cm, cd = c.n * j**e, c.m * j**e, c.d * ld
+                    g = lcm(den, cd)
+                    re = re * (g // den) + (cn * ur - cm * ui) * (g // cd)
+                    im = im * (g // den) + (cn * ui + cm * ur) * (g // cd)
+                    den = g
+        return re, im, den * rd
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for p in self.polys for c in p)
@@ -142,12 +146,13 @@ def mu_eval(mu: MuData, w: VirElt) -> Scalar:
     """Evaluate the character on an element of span{z, t^i f}.
 
     The Laurent part must be exactly divisible by f (checked through the
-    window reduction); the z component contributes nothing.
+    window reduction); the z component contributes nothing.  The quotient
+    is paired with mu in integers.
     """
     q, r = divmod_window(LaurentPoly._of_row(w.row), mu.poly())
     if not r.is_zero():
         raise NotInSubalgebra(f"{w} is not in the polynomial subalgebra")
-    return sum((c * mu.value_at(j) for j, c in q.terms.items()), Scalar.zero())
+    return _reduced(*mu._pairing(q.row))
 
 
 def _monomials_up_to(depth: int, free=(True, True, True)):
@@ -320,37 +325,36 @@ class VirPolyModule(InducedModule):
         # each w = t^i f in the embedded sl2 is a relation w - mu(t^i f)
         super().__init__([(sl2_from_vir(w), mu.value_at(min(w.keys())))
                           for w in intersect_virf_sl2(self._f)], depth)
-        self._projections = {w: (Scalar.zero(), tuple(Scalar.of(int(u == w)) for u in window))
-                             for w in window}
+        self._projections = {w: unit_row(w) for w in window}
 
     def _project(self, n: int) -> tuple:
-        """P(n) = (a_n, r_n), memoised per handle: t^n = q f + r_n with r_n
-        on the window (the tuple of its coefficients there) and
-        a_n = mu(q f).
+        """P(n), memoised per handle: the row of r_n on the window keys and a_n
+        at key "a", where t^n = q f + r_n with r_n on the window, a_n = mu(q f).
 
         P is linear in t^n, is (0, t^n) on the window and sends t^j f to
         (mu(t^j f), 0), so sum_i f_i P(j + i) = (value_at(j), 0).  Each
         exponent outside the window follows from the k next to it on the
-        window's side: one ``value_at`` and O(k) Scalar operations.
+        window's side: one ``value_at`` and one lincomb of rows.
         """
         proj = self._projections
-        coeffs, k = self._f.terms, self.mu.degree
-        step = 1 if n > 0 else -1
+        # the lead coefficient (x + y*i)/fd of f is its top above the window, else its bottom
+        step, lead = (1, self.mu.degree) if n > 0 else (-1, 0)
+        fd, fre, fim = self._f.row
+        x, y = fre.get(lead, 0), fim.get(lead, 0)
+        norm = x * x + y * y
+        others = [(i, fre.get(i, 0), fim.get(i, 0)) for i in row_keys(self._f.row) if i != lead]
         m = n
         while m not in proj:
             m -= step
         while m != n:
             m += step
-            # t^j f reaches t^m at its top (above the window) or bottom (below)
-            j = m - k if step > 0 else m
-            a, r = self.mu.value_at(j), (Scalar.zero(),) * k
-            for i, c in coeffs.items():
-                if j + i != m:
-                    a_i, r_i = proj[j + i]
-                    a = a - c * a_i
-                    r = tuple(x - c * y for x, y in zip(r, r_i))
-            lead = coeffs[m - j]
-            proj[m] = (a / lead, tuple(x / lead for x in r))
+            j = m - lead
+            # P(m) = (value_at(j), 0)/f_lead - sum_i f_i/f_lead P(j + i), where
+            # 1/f_lead = fd*(x - y*i)/norm and fd cancels from f_i/f_lead
+            vr, vi, vd = gauss(self.mu.value_at(j))
+            items = [(fd * (vr * x + vi * y), fd * (vi * x - vr * y), vd * norm, unit_row("a"))]
+            items += [(-(a * x + b * y), a * y - b * x, norm, proj[j + i]) for i, a, b in others]
+            proj[m] = lincomb(items)
         return proj[n]
 
     def _build_row(self, op, mono) -> tuple:
@@ -360,12 +364,13 @@ class VirPolyModule(InducedModule):
             return super()._build_row(op, mono)
         if mono == (0, 0, 0):
             # e_n v = a_n v + r_n v, the window part r_n through the letters' rows
-            a, r = self._project(op)
-            items = [gauss(a) + (unit_row(mono),)]
-            for w, c in reversed(tuple(zip(self._window, r))):
-                if c.n or c.m:
-                    letter, sign, den = self._WINDOW_LETTERS[w]
-                    items.append((sign * c.n, sign * c.m, den * c.d, self._row(letter, mono)))
+            den, re, im = self._project(op)
+            items = [(re.get("a", 0), im.get("a", 0), den, unit_row(mono))]
+            for w in reversed(self._window):
+                if w in re or w in im:
+                    letter, sign, wd = self._WINDOW_LETTERS[w]
+                    items.append((sign * re.get(w, 0), sign * im.get(w, 0), wd * den,
+                                  self._row(letter, mono)))
             return lincomb(items)
         a, b, c = mono
         if a > 0:

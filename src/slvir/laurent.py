@@ -21,7 +21,7 @@ from functools import partial
 
 from .errors import BadPolynomial, integer, positive_int
 from .scalar import Scalar, _reduced
-from .sparse import Terms, bilinear, gauss, lincomb, rekey, unit_row
+from .sparse import Terms, bilinear, gauss, lincomb, rekey, row_keys, row_of, unit_row
 
 
 class LaurentPoly(Terms):
@@ -104,22 +104,25 @@ def divmod_window(p: LaurentPoly, f: LaurentPoly):
     """Write p = q*f + r with support(r) inside :func:`sl2_window`; return (q, r).
 
     Eliminates exponents above the window with the leading coefficient and
-    exponents below it with the constant coefficient; each step strictly
-    shrinks the out-of-window support interval, and neither phase can
-    reintroduce exponents eliminated by the other (nor set a q exponent twice).
+    exponents below it with the constant coefficient, each step one lincomb
+    of integer rows; each step strictly shrinks the out-of-window support
+    interval, and neither phase can reintroduce exponents eliminated by the
+    other (nor set a q exponent twice).  q's terms are collected as ints.
     """
     k = check_window_poly(f)
     window = sl2_window(k)
-    a0, ak = f.coeff(0), f.coeff(k)
-    q: dict = {}
-    r = p
-    while not r.is_zero() and (m := r.max_exp()) > window[-1]:
-        q[m - k] = c = r.coeff(m) / ak
-        r = r - f.shift(m - k).scale(c)
-    while not r.is_zero() and (m := r.min_exp()) < window[0]:
-        q[m] = c = r.coeff(m) / a0
-        r = r - f.shift(m).scale(c)
-    return LaurentPoly(q), r
+    fd, fre, fim = f.row
+    q, r = [], p.row
+    for lead, pick, beyond in ((k, max, lambda e: e > window[-1]), (0, min, lambda e: e < window[0])):
+        x, y = fre.get(lead, 0), fim.get(lead, 0)
+        while (keys := row_keys(r)) and beyond(m := pick(keys)):
+            # c = r_m / f_lead = fd*(a + b*i)*(x - y*i) / (rd*(x^2 + y^2)), and r -= c*t^(m-lead)*f
+            rd, rre, rim = r
+            a, b = rre.get(m, 0), rim.get(m, 0)
+            cr, ci, cd = fd * (a * x + b * y), fd * (b * x - a * y), rd * (x * x + y * y)
+            q.append((m - lead, cr, ci, cd))
+            r = lincomb([(1, 0, 1, r), (-cr, -ci, cd, rekey(f.row, lambda e: e + m - lead))])
+    return LaurentPoly._of_row(row_of(*q)), LaurentPoly._of_row(r)
 
 
 # kept while perfbench/tracing.py wraps it and tests/test_tooling.py pins it (ROADMAP item 7)

@@ -27,7 +27,7 @@ from .errors import InvalidParameter, NotASubalgebra, WrongAlgebra, integer
 from .laurent import LaurentPoly, check_window_poly
 from .linalg import Echelon
 from .scalar import _ZERO, Scalar, sqrt_exact
-from .sparse import ZERO_ROW, Terms, bilinear, expand, lincomb, row_keys, row_of
+from .sparse import ZERO_ROW, Terms, _canonical, bilinear, expand, lincomb, row_keys, row_of
 
 
 class SL2Elt(Terms):
@@ -241,14 +241,19 @@ class Automorphism:
         dr, di = _quadratic(ints, _DET)
         if not (dr or di):
             raise InvalidParameter("an automorphism needs an invertible g")
-        # an image over det is the image times conj(det) over |det|^2
-        norm = dr * dr + di * di
-        images = {x: {y: _quadratic(ints, terms) for y, terms in coords.items()}
-                  for x, coords in _IMAGES.items()}
+        # an image over det is the image times conj(det), all over |det|^2
+        images = {}
+        for x, coords in _IMAGES.items():
+            re, im = {}, {}
+            for y, terms in coords.items():
+                a, b = _quadratic(ints, terms)
+                if u := a * dr + b * di:
+                    re[y] = u
+                if v := b * dr - a * di:
+                    im[y] = v
+            images[x] = _canonical(dr * dr + di * di, re, im)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "_images", {
-            x: row_of(*[(y, a * dr + b * di, b * dr - a * di, norm) for y, (a, b) in image.items()])
-            for x, image in images.items()})
+        object.__setattr__(self, "_images", images)
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")

@@ -11,10 +11,10 @@ A Scalar is three ints ``(n, m, d)`` standing for ``(n + m*i)/d``, with
 denominator, the one-key case of the rows of :mod:`slvir.sparse`.  Each
 value has exactly one such form, so equality compares the three ints, and
 every operation is a few integer multiplies and one gcd of its result.
-The real and imaginary parts are read as fractions.Fraction through
-``re`` and ``im``, for output.  The hot loops (module actions,
-elimination) run on the integer rows of :mod:`slvir.sparse` rather than
-on Scalars.
+Text and JSON are read with ``int()``, and :func:`sqrt_exact` takes
+``isqrt`` of the ints: fractions.Fraction only reads the real and imaginary
+parts through ``re`` and ``im``, for output.  The hot loops run on the
+integer rows of :mod:`slvir.sparse` rather than on Scalars.
 """
 
 from __future__ import annotations
@@ -37,16 +37,10 @@ _HASH_MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
 
 
-def _rational_sqrt(q):
-    """Exact square root of a nonnegative rational, or None."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    ns = isqrt(num)
-    ds = isqrt(den)
-    if ns * ns != num or ds * ds != den:
-        return None
-    return Fraction(ns, ds)
+def _ratio(digits: str) -> tuple:
+    """(numerator, denominator) of the digits ``a`` or ``a/b``, a signed."""
+    num, _, den = digits.partition("/")
+    return int(num), int(den) if den else 1
 
 
 class Scalar:
@@ -59,8 +53,7 @@ class Scalar:
         for x in (re, im):
             if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
                 raise TypeError(f"Scalar parts must be ints or Fractions, not {x!r}")
-        re, im = Fraction(re), Fraction(im)
-        # over the least common denominator the form is already canonical
+        # ints and Fractions alike: over the least common denominator the form is canonical
         d = lcm(re.denominator, im.denominator)
         _set_n(self, re.numerator * (d // re.denominator))
         _set_m(self, im.numerator * (d // im.denominator))
@@ -249,22 +242,17 @@ class Scalar:
         """Parse ``a/b+c/d*i`` with either part optional (``i`` means ``1*i``);
         spaces may stand at the ends and around the sign before the
         imaginary part, nowhere else."""
-        s = text.strip()
-        m = _SCALAR_RE.fullmatch(s)
-        if not m or (m.group("real") is None and m.group("imag") is None) or not s:
+        m = _SCALAR_RE.fullmatch(text.strip())
+        real, imag = m.group("real", "imag") if m else (None, None)
+        if not (real or imag):
             raise ValueError(f"cannot parse scalar {text!r}")
-        try:
-            re_part = Fraction(m.group("real").lstrip("+")) if m.group("real") else Fraction(0)
-            im_part = Fraction(0)
-            if m.group("imag"):
-                imtxt = m.group("imag").replace(" ", "")
-                sign = -1 if imtxt.startswith("-") else 1
-                imtxt = imtxt.lstrip("+-")
-                coeff = imtxt[:-1].rstrip("*")
-                im_part = sign * (Fraction(coeff) if coeff else Fraction(1))
-        except ZeroDivisionError:
-            raise ValueError(f"cannot parse scalar {text!r}: zero denominator") from None
-        return Scalar(re_part, im_part)
+        rn, rd = _ratio(real or "0")
+        # the imaginary coefficient has no sign of its own: a "-" is the part's sign
+        in_, id_ = _ratio(imag[:-1].rstrip("*").lstrip(" +-") or "1") if imag else (0, 1)
+        if not (rd and id_):
+            raise ValueError(f"cannot parse scalar {text!r}: zero denominator")
+        sign = -1 if imag and "-" in imag else 1
+        return _reduced(rn * id_, sign * in_ * rd, rd * id_)
 
     def to_json(self):
         n, m, d = self.n, self.m, self.d
@@ -283,7 +271,8 @@ class Scalar:
         rn, rd, im, id_ = (int(x) for x in data)
         if not rd or not id_:
             raise InvalidParameter(f"bad scalar {data!r}: zero denominator")
-        return Scalar(Fraction(rn, rd), Fraction(im, id_))
+        n, m, d = rn * id_, im * rd, rd * id_
+        return _reduced(n, m, d) if d > 0 else _reduced(-n, -m, -d)
 
 
 def _is_json_int(x) -> bool:
@@ -334,20 +323,18 @@ def sqrt_exact(a: Scalar) -> Scalar:
     NotRepresentable when no square root exists in Q(i).
     """
     a = Scalar.of(a)
-    re, im = a.re, a.im
-    if not im:
-        if not re:
-            return _ZERO
-        r = _rational_sqrt(abs(re))
-        if r is None:
-            raise NotRepresentable(f"{a} has no square root in Q(i)")
-        return Scalar(r) if re > 0 else Scalar(0, r)
-    # For re + im*i with im != 0 solve c^2 = (re + |a|)/2, d = im/(2c);
-    # both |a| and c must be rational for the root to exist in Q(i).
-    norm = _rational_sqrt(re * re + im * im)
-    if norm is None:
+    n, m, d = a.n, a.m, a.d
+    if not (n or m):
+        return _ZERO
+    # a real a < 0 has the root i*sqrt(-a), any other a the root c + im/(2c)*i with
+    # c^2 = (re + |a|)/2 > 0, re = n/d, im = m/d, |a| = s/d: in Q(i) iff s, c rational
+    turn = not m and n < 0
+    n = abs(n) if turn else n
+    s = isqrt(n * n + m * m)
+    g = gcd(n + s, 2 * d)
+    num, den = (n + s) // g, 2 * d // g
+    cn, cd = isqrt(num), isqrt(den)
+    if s * s != n * n + m * m or cn * cn != num or cd * cd != den:
         raise NotRepresentable(f"{a} has no square root in Q(i)")
-    c = _rational_sqrt((re + norm) / 2)
-    if c is None or not c:
-        raise NotRepresentable(f"{a} has no square root in Q(i)")
-    return Scalar(c, im / (2 * c))
+    re, im, den = 2 * d * cn * cn, m * cd * cd, 2 * d * cn * cd
+    return _reduced(0, re, den) if turn else _reduced(re, im, den)

@@ -11,10 +11,21 @@ bracket and the embedding of sl2 in Vir, which slvir.lie reads off its
 letter tables, and :func:`value_at_form` for ``MuData.value_at``, which
 sums in integers.  :func:`sum_terms` is the Scalar-dict sum they share,
 the reference for the row arithmetic of :class:`slvir.sparse.Terms`.
+
+:func:`parse_form`, :func:`from_json_form` and :func:`sqrt_form` are the
+Fraction-based readers that ``Scalar.parse``, ``Scalar.from_json`` and
+``sqrt_exact`` replace with integer arithmetic: each builds both parts as
+fractions.Fraction and the Scalar from them, and raises what they raise.
+:func:`divmod_window_form` is the Scalar-arithmetic division that
+``divmod_window`` runs on integer rows.
 """
 
-from math import comb
+import re
+from fractions import Fraction
+from math import comb, isqrt
 
+from slvir.errors import InvalidParameter, NotRepresentable
+from slvir.laurent import LaurentPoly, check_window_poly, sl2_window
 from slvir.lie import SL2Elt, VirElt
 from slvir.scalar import Scalar
 
@@ -131,3 +142,88 @@ def value_at_form(mu, j: int) -> Scalar:
             pj = pj + c * j**e
         total = total + pj * lam**j
     return total
+
+
+_SCALAR_TEXT = re.compile(
+    r"(?P<real>[+-]?\d+(?:/\d+)?)?(?P<imag>(?(real) *[+-] *|[+-]?)(?:\d+(?:/\d+)?\*)?i)?"
+)
+_JSON_INT_TEXT = re.compile(r"-?[0-9]+")
+
+
+def parse_form(text: str) -> Scalar:
+    """``Scalar.parse`` through Fraction's string reader, part by part."""
+    s = text.strip()
+    m = _SCALAR_TEXT.fullmatch(s)
+    if not m or (m.group("real") is None and m.group("imag") is None) or not s:
+        raise ValueError(f"cannot parse scalar {text!r}")
+    try:
+        re_part = Fraction(m.group("real").lstrip("+")) if m.group("real") else Fraction(0)
+        im_part = Fraction(0)
+        if m.group("imag"):
+            imtxt = m.group("imag").replace(" ", "")
+            sign = -1 if imtxt.startswith("-") else 1
+            imtxt = imtxt.lstrip("+-")
+            coeff = imtxt[:-1].rstrip("*")
+            im_part = sign * (Fraction(coeff) if coeff else Fraction(1))
+    except ZeroDivisionError:
+        raise ValueError(f"cannot parse scalar {text!r}: zero denominator") from None
+    return Scalar(re_part, im_part)
+
+
+def from_json_form(data) -> Scalar:
+    """``Scalar.from_json`` with each part a Fraction of two ints."""
+    def is_int(x):
+        return _JSON_INT_TEXT.fullmatch(x) is not None if isinstance(x, str) else type(x) is int
+
+    if not isinstance(data, (list, tuple)) or len(data) != 4 or not all(map(is_int, data)):
+        raise InvalidParameter(f"bad scalar {data!r}: four integers expected")
+    rn, rd, im, id_ = (int(x) for x in data)
+    if not rd or not id_:
+        raise InvalidParameter(f"bad scalar {data!r}: zero denominator")
+    return Scalar(Fraction(rn, rd), Fraction(im, id_))
+
+
+def _fraction_sqrt(q):
+    if q < 0:
+        return None
+    ns, ds = isqrt(q.numerator), isqrt(q.denominator)
+    if ns * ns != q.numerator or ds * ds != q.denominator:
+        return None
+    return Fraction(ns, ds)
+
+
+def sqrt_form(a: Scalar) -> Scalar:
+    """``sqrt_exact`` on Fraction parts: positive real part, or nonnegative
+    imaginary part when the real part is zero."""
+    re_part, im_part = a.re, a.im
+    if not im_part:
+        if not re_part:
+            return Scalar.zero()
+        r = _fraction_sqrt(abs(re_part))
+        if r is None:
+            raise NotRepresentable(f"{a} has no square root in Q(i)")
+        return Scalar(r) if re_part > 0 else Scalar(0, r)
+    norm = _fraction_sqrt(re_part * re_part + im_part * im_part)
+    if norm is None:
+        raise NotRepresentable(f"{a} has no square root in Q(i)")
+    c = _fraction_sqrt((re_part + norm) / 2)
+    if c is None or not c:
+        raise NotRepresentable(f"{a} has no square root in Q(i)")
+    return Scalar(c, im_part / (2 * c))
+
+
+def divmod_window_form(p, f):
+    """(q, r) with p = q*f + r and r on the window, one Scalar quotient
+    coefficient and one LaurentPoly subtraction per eliminated exponent."""
+    k = check_window_poly(f)
+    window = sl2_window(k)
+    a0, ak = f.coeff(0), f.coeff(k)
+    q: dict = {}
+    r = p
+    while not r.is_zero() and (m := r.max_exp()) > window[-1]:
+        q[m - k] = c = r.coeff(m) / ak
+        r = r - f.shift(m - k).scale(c)
+    while not r.is_zero() and (m := r.min_exp()) < window[0]:
+        q[m] = c = r.coeff(m) / a0
+        r = r - f.shift(m).scale(c)
+    return LaurentPoly(q), r

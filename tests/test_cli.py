@@ -4,13 +4,17 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import slvir.scalar
 from slvir.cli import main, parse_factored_poly, parse_sl2
-from slvir.lie import Automorphism
+from slvir.induced import MuData
+from slvir.lie import Automorphism, SL2Elt, classify_subalgebra_1d
 from slvir.scalar import Scalar
+from slvir.verify import suite_restriction, suite_twist_induction
 
 S = Scalar.of
 
@@ -472,17 +476,18 @@ def test_sample_report_is_byte_identical_across_hash_seeds(hash_seed):
 
 
 # Scalar operator calls of one in-process sample report, counted the way
-# perfbench/tracing.py counts them: 372 when recorded, from a cold start,
-# with a margin of about 5% (721 while algebra elements summed Scalar terms
-# and automorphisms built their image rows from Scalar products,
-# 1,338 while MuData.value_at summed Scalar
-# products, Scalar.__pow__ multiplied Scalars and the tensor suite built an
-# automorphism inverse it did not use,
+# perfbench/tracing.py counts them: 216 when recorded, from a cold start,
+# with a margin of about 5% (372 while the character's division, its
+# values and the projections of t^n took Scalar steps, 721 while algebra
+# elements summed Scalar terms and automorphisms built their image rows
+# from Scalar products, 1,338 while MuData.value_at summed Scalar
+# products, Scalar.__pow__ multiplied Scalars and the tensor suite built
+# an automorphism inverse it did not use,
 # 1,498 while each automorphism built a Scalar 3x3 matrix, 1,683 while
 # Automorphism.apply took a Scalar matrix product, 3,166 while every letter
 # row went through a Scalar closed form); warm process-wide caches only
 # lower it
-SAMPLE_REPORT_SCALAR_OPS = 390
+SAMPLE_REPORT_SCALAR_OPS = 227
 _SCALAR_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                "__truediv__", "__rtruediv__", "__neg__")
 
@@ -510,6 +515,58 @@ def test_sample_report_scalar_work_stays_bounded(capsys, monkeypatch):
                        str(REPO / "configs" / "sample-suites.json"))
     assert code == 0 and hashlib.md5(out.encode()).hexdigest() == SAMPLE_REPORT_MD5
     assert 0 < calls[0] <= SAMPLE_REPORT_SCALAR_OPS, calls[0]
+
+
+def _count_fractions(monkeypatch) -> list:
+    """A list of the "function:line" of each Fraction that slvir.scalar builds
+    from now on, except in Scalar.re and Scalar.im read by __str__ or
+    sort_key, the output edge."""
+    made = []
+
+    class AnyFraction(type(Fraction)):
+        # a plain Fraction still passes slvir.scalar's isinstance checks
+        def __instancecheck__(cls, x):
+            return isinstance(x, Fraction)
+
+    class CountedFraction(Fraction, metaclass=AnyFraction):
+        def __new__(cls, *args):
+            caller = sys._getframe(1)
+            if not (caller.f_code.co_name in ("re", "im")
+                    and caller.f_back.f_code.co_name in ("__str__", "sort_key")):
+                made.append(f"{caller.f_code.co_name}:{caller.f_lineno}")
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(slvir.scalar, "Fraction", CountedFraction)
+    return made
+
+
+# one depth-6 restriction of each kind and a twist induction, with
+# non-real parameters, every scalar given as a string
+_CHECKS_FROM_STRINGS = {
+    "degree-1": lambda: suite_restriction(MuData([["1/2+i", 1]], [["3-2*i"]]), 6),
+    "double-root": lambda: suite_restriction(MuData([["2-i", 2]], [["1/3", "1+i"]]), 6),
+    "split-roots": lambda: suite_restriction(
+        MuData([["1+i", 1], ["-2", 1]], [["1"], ["i"]]), 6),
+    "degree-3": lambda: suite_restriction(
+        MuData([["1", 2], ["i", 1]], [["1", "-2/3"], ["-1/2"]]), 6),
+    "twist-induction": lambda: suite_twist_induction(
+        classify_subalgebra_1d(SL2Elt("1", "-3", "-9")), "5/2+i", 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHECKS_FROM_STRINGS) + ["sample-report"])
+def test_checks_build_no_fraction_between_the_edges(case, capsys, monkeypatch):
+    # a host-independent work guard: scalars are read from strings and
+    # JSON in integers, and the set-up between input and output builds no
+    # Fraction; only the printed parts and the sort order read them
+    made = _count_fractions(monkeypatch)
+    if case == "sample-report":
+        code, out, _ = run(capsys, "report", "--config",
+                           str(REPO / "configs" / "sample-suites.json"))
+        assert code == 0 and hashlib.md5(out.encode()).hexdigest() == SAMPLE_REPORT_MD5
+    else:
+        assert _CHECKS_FROM_STRINGS[case]().all_ok
+    assert made == [], made
 
 
 def test_building_an_automorphism_stays_cheap(monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from closed_forms import divmod_window_form
 from slvir.errors import BadPolynomial, InvalidParameter
 from slvir.laurent import LaurentPoly, divmod_window, reduce_power, sl2_window
 from slvir.scalar import Scalar
@@ -147,3 +148,19 @@ def test_shift_matches_the_constructor_route(coeffs, k):
     assert list(shifted.terms.items()) == list(want.terms.items())
     assert all(type(e) is int for e in shifted.terms)
     assert p == LaurentPoly(dict(enumerate(coeffs)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.lists(_non_real, min_size=2, max_size=2),
+       st.lists(_non_real | st.just(Scalar.zero()), min_size=2, max_size=2),
+       st.dictionaries(st.integers(-40, 40), _non_real | _fracs.map(Scalar.of), max_size=6))
+def test_divmod_window_matches_the_scalar_route(k, ends, middle, p_terms):
+    # f of degree k with non-real ends, p anywhere in -40..40: the row
+    # elimination gives the Scalar route's quotient and remainder, in its order
+    f = LaurentPoly({0: ends[0], k: ends[1], **dict(enumerate(middle[:k - 1], 1))})
+    p = LaurentPoly(p_terms)
+    q, r = divmod_window(p, f)
+    want_q, want_r = divmod_window_form(p, f)
+    assert (q, r) == (want_q, want_r)
+    assert list(q.terms.items()) == list(want_q.terms.items())
+    assert list(r.terms.items()) == list(want_r.terms.items())

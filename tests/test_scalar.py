@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slvir.errors import NotRepresentable
+from closed_forms import from_json_form, parse_form, sqrt_form
+from slvir.errors import InvalidParameter, NotRepresentable
 from slvir.scalar import Scalar, sqrt_exact
 
 S = Scalar.of
@@ -303,3 +304,72 @@ def test_canonical_form_examples():
     assert (q.n, q.m, q.d) == (-1, -1, 2)
     with pytest.raises(AttributeError):
         q.n = 3
+
+
+# -- the integer input edge against the Fraction readers of closed_forms -------------
+
+
+def _outcome(fn, *args):
+    """fn's canonical value, or the type and text of the error it raises."""
+    try:
+        out = fn(*args)
+    except (ValueError, InvalidParameter, NotRepresentable) as exc:
+        return type(exc), str(exc)
+    assert_canonical(out)
+    return out
+
+
+# digits with leading zeros, zero denominators and 40-digit integers
+_digits = st.one_of(st.integers(0, 20).map(str), st.integers(10**39, 10**40 - 1).map(str),
+                    st.builds(lambda z, n: "0" * z + str(n), st.integers(1, 3),
+                              st.integers(0, 99)))
+_number = st.builds(lambda a, b: a if b is None else f"{a}/{b}", _digits, st.none() | _digits)
+_sign = st.sampled_from(["", "+", "-"])
+# the imaginary sign with spaces around it, and i, c*i, ci and c i
+_joins = st.sampled_from(["+", "-", " + ", " - ", "+ ", " -", "  +  ", " "])
+_imags = st.builds(lambda c, form: form.format(c), _number,
+                   st.sampled_from(["i", "{}*i", "{}i", "{} i", "{}* i", "{}/i"]))
+_pads = st.sampled_from(["", " ", "  ", "\t"])
+scalar_texts = st.one_of(
+    st.builds(lambda a, s, x, b: f"{a}{s}{x}{b}", _pads, _sign, _number, _pads),
+    st.builds(lambda a, s, x, b: f"{a}{s}{x}{b}", _pads, _sign, _imags, _pads),
+    st.builds(lambda s, x, j, y: f"{s}{x}{j}{y}", _sign, _number, _joins, _imags),
+    st.text(alphabet="0123456789+-/*i ", max_size=12),
+)
+
+
+@settings(max_examples=600)
+@given(scalar_texts)
+def test_parse_matches_the_fraction_reader(text):
+    assert _outcome(Scalar.parse, text) == _outcome(parse_form, text)
+
+
+def test_parse_rejects_as_the_fraction_reader_does():
+    for text in ["1 2", "2i", "1/0", "0/0*i", "1+1/0*i", "1/0+1/00*i", "", " ", "1//2",
+                 "i*i", "+-1", "1 /2", "- i", "1 + 2 * i", "12 *i", "1 2*i", "1+", "*i",
+                 "0" * 40 + "1/" + "0" * 40]:
+        got = _outcome(Scalar.parse, text)
+        assert got == _outcome(parse_form, text) and got[0] is ValueError, text
+
+
+_json_ints = st.integers(-5, 5) | st.integers(-10**40, 10**40)
+_json_parts = _json_ints | _json_ints.map(str)
+
+
+@settings(max_examples=300)
+@given(st.lists(_json_parts, min_size=4, max_size=4))
+def test_from_json_matches_the_fraction_reader(data):
+    # negative and zero denominators among them
+    assert _outcome(Scalar.from_json, data) == _outcome(from_json_form, data)
+
+
+_square_parts = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 5, 12]))
+
+
+@settings(max_examples=300)
+@given(st.one_of(gaussian, st.builds(lambda a, b: Scalar(a, b) ** 2, _square_parts,
+                                     _square_parts),
+                 st.builds(lambda a: -(a * a), gaussian)))
+def test_sqrt_exact_matches_the_fraction_reference(a):
+    # real, non-real and non-square values: the same root on the same branch
+    assert _outcome(sqrt_exact, a) == _outcome(sqrt_form, a)
