@@ -70,8 +70,9 @@ def integer(value, name: str) -> int:
     return value
 
 
-# The largest depth a suite or a VirPoly handle accepts: the degree-3 restriction
-# takes 90-140 s at depth 60 on a 2-core x86-64 host (README), so 1000 would take hours.
+# The largest depth a suite or a VirPoly handle accepts: the degree-3 restriction takes
+# 2.9 s and 143 MB at depth 60, and 25 s and 809 MB at depth 100, on a 2-core x86-64 host
+# (README); its time grows about as depth^4, so 1000 would take days.
 MAX_DEPTH = 100
 
 # The largest |n| of an e_n that Module.act accepts (the suites stay within MAX_DEPTH + 3):

@@ -462,6 +462,12 @@ class XbarQuotientModule(XbarModule):
     Only meaningful when tau = (xi + 2 j0 + 1)^2, where that span is
     invariant; the action is the Xbar action followed by dropping the
     truncated keys.
+
+    The composition-series map from a Verma module onto ("e", j0) always
+    takes the exact route of :func:`~slvir.verify.check_module_map`: that
+    generator sits at depth j0 and f lowers the e-side depth, so the first
+    certificate top is zero.  Grading from the generator would change
+    ``basis_keys``, and with it the report's window-rank data.
     """
 
     family = "XbarModY"

@@ -128,17 +128,18 @@ def _graded_certificate(dst: Module, letters: dict, words, gen_image: ModVec, de
     word's top is the sum of v * (the letter's top on key) over the nonzero
     slots v of the top it acts on, which the walk jumps between
     (:func:`~slvir.sparse.low_slot`); the letter's top on a key is packed
-    once, from dst's top rows of its ops
-    (:meth:`~slvir.modules.Module._top`) read through
-    :func:`~slvir.sparse.residues` once per op and key.  Each length's
-    block goes into a :class:`~slvir.linalg.BlockModP`.  Sending i to I is
-    a ring map where P divides no denominator, and rank can only drop
-    under it, so a block of full rank mod P is independent over Q(i).
-    True when every block has full rank mod P and, with ``window_span``,
-    s = 0 and each block's rank is the number of dst's window keys of that
-    depth.  False, leaving the map to :func:`_eliminate`, when P divides a
-    denominator, a block is singular mod P, or a top row reaches a key
-    above its expected depth.
+    from dst's top rows of its ops (:meth:`~slvir.modules.Module._top`)
+    where it is read, never cached: the tops of one length have disjoint
+    supports on every suite target, so no (letter, depth, slot) is visited
+    twice.  Only the tops of two lengths, the current one and the one it
+    reads, and the current length's :class:`~slvir.linalg.BlockModP` are
+    live.  Sending i to I is a ring map where P divides no denominator, and
+    rank can only drop under it, so a block of full rank mod P is
+    independent over Q(i).  True when every block has full rank mod P and,
+    with ``window_span``, s = 0 and each block's rank, its number of words,
+    is the number of dst's window keys of that depth.  False, leaving the
+    map to :func:`_eliminate`, when P divides a denominator, a block is
+    singular mod P, or a top row reaches a key above its expected depth.
     """
     key_depth = dst.key_depth
     keys = row_keys(gen_image.row)
@@ -171,51 +172,42 @@ def _graded_certificate(dst: Module, letters: dict, words, gen_image: ModVec, de
     else:
         mask = (1 << w) - 1
         cols = defaultdict(dict)  # depth -> {key: slot}
-        slot_keys: dict = {}  # depth -> the keys of cols[depth] in slot order
-        op_tops: dict = {}  # (op, key) -> the residues of dst's top row of op on key
-        letter_tops: dict = {}  # (letter, depth, slot) -> packed top of the letter on its key
+        # the keys of cols[d] in slot order, all in place by the first act at depth d
+        slot_keys = cache(lambda d: list(cols[d]))
 
         def letter_top(letter, key, slots):
             acc: dict = {}
             for c, op in letter_ops(letter):
-                top = op_tops.get((op, key))
-                if top is None:
-                    top = op_tops[op, key] = reduced(dst._top(op, key))
-                for k, v in top.items():
+                for k, v in reduced(dst._top(op, key)).items():
                     acc[k] = acc.get(k, 0) + c * v
             return pack(((k, v % p) for k, v in acc.items()), slots, w)
 
         def act(letter, d, row):
-            keys = slot_keys.get(d)
-            if keys is None or len(keys) < len(cols[d]):
-                keys = slot_keys[d] = list(cols[d])
-            out, j = 0, 0
+            keys, out, j = slot_keys(d), 0, 0
             while row:
                 if k := low_slot(row, mask):
                     row >>= w * k
                     j += k
-                t = letter_tops.get((letter, d, j))
-                if t is None:
-                    t = letter_tops[letter, d, j] = letter_top(letter, keys[j], cols[d + 1])
-                out += (row & mask) * t
+                out += (row & mask) * letter_top(letter, keys[j], cols[d + 1])
                 row >>= w
                 j += 1
             return reduce_slots(out, p, w)
 
-    blocks = defaultdict(lambda: BlockModP(p))
     try:
         top = reduced(restrict(gen_image.row, lambda k: key_depth(k) == s))
         slots = cols[s] if shifts is None else {k: dst._slot(k) for k in top}
-        tops = {(): pack(top.items(), slots, w)}
+        length, tops = -1, {}
         for _, word in words:
-            if word:
-                tops[word] = act(word[0], s + len(word) - 1, tops[word[1:]])
-            if not blocks[len(word)].insert(tops[word]):
+            if len(word) != length:  # the tops of the previous length are read, no older
+                length, prev, tops, block = len(word), tops, {}, BlockModP(p)
+            tops[word] = (act(word[0], s + length - 1, prev[word[1:]]) if word
+                          else pack(top.items(), slots, w))
+            if not block.insert(tops[word]):
                 return False
     except (KeyAboveTop, _Unreduced):
         return False
     return not window_span or (Counter(map(key_depth, dst.basis_keys(depth)))
-                               == Counter({d: block.rank for d, block in blocks.items()}))
+                               == Counter(len(word) for _, word in words))
 
 
 def _eliminate(report: Report, src: Module, dst: Module, act, words, gen_image: ModVec,

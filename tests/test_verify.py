@@ -1,6 +1,10 @@
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache, partial
+from itertools import count
+import sys
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -689,6 +693,49 @@ def test_certificate_slot_visits_track_nonzero_slots(depth, monkeypatch):
     assert report.all_ok and report.extra["target"]["family"] == "free"
     assert rows[0] == nonzero[0] > depth ** 3 / 6
     assert rows[0] <= visits[0] <= 3 * nonzero[0]
+
+
+@pytest.mark.parametrize("depth", [20, 30])
+def test_certificate_holds_one_block_and_two_lengths_of_tops(depth, monkeypatch):
+    # the degree-3 restriction of c12 again.  A length's tops are read only
+    # by the next length, and a finished block only for its rank: at every
+    # insert one block is live, and with the target's row memo warm, the
+    # certificate's peak memory is within twice the rows inserted at the two
+    # longest lengths.  A block kept per length fails the first bound, and
+    # the tops of every length (about 3x at d20 and 4x at d30) the second
+    live, sizes, runs = weakref.WeakSet(), Counter(), []
+    lengths = count()
+
+    class Tracked(BlockModP):
+        def __init__(self, p):
+            super().__init__(p)
+            self.length = next(lengths)  # blocks open in the order of word length
+            live.add(self)
+
+        def insert(self, row):
+            assert len(live) == 1
+            sizes[self.length] += sys.getsizeof(row)
+            return super().insert(row)
+
+    certificate = verify_mod._graded_certificate
+
+    def recorded(*args):
+        runs.append(args)
+        return certificate(*args)
+
+    monkeypatch.setattr(verify_mod, "BlockModP", Tracked)
+    monkeypatch.setattr(verify_mod, "_graded_certificate", recorded)
+    report = suite_restriction(mud([(S(1), 1), (S(2), 1), (S(3), 1)], [[S(1)], [S(1)], [S(1)]]),
+                               depth)
+    assert report.all_ok and len(runs) == 1 and len(sizes) == depth
+    monkeypatch.setattr(verify_mod, "BlockModP", BlockModP)
+    tracemalloc.start()
+    try:
+        assert certificate(*runs[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (sizes[depth - 1] + sizes[depth - 2])
 
 
 def _contract_handles(a, b, c):
