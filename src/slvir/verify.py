@@ -14,7 +14,7 @@ packed top as one multiplication of the whole int).  Where they do not, one
 exact echelon of the whole images decides, and it alone supplies
 dependent_image and not_spanned witnesses.  Every target is checked the
 same way, the degree-3 restriction (a module that is its own target)
-included.
+included.  The dense suite's Casimir filtration is certified mod P too.
 """
 
 from __future__ import annotations
@@ -366,6 +366,25 @@ def _dense_intertwiner(xbar: XbarModule, depth: int):
     return rows.__getitem__
 
 
+def _filtration_certificate(x_mod: XModule, shift, depth: int) -> bool:
+    """True when the proof in :func:`suite_dense` certifies the filtration."""
+    key_depth = x_mod.key_depth
+    windows = [x_mod.basis_keys(depth - 2 * n) for n in range(4)]
+    first = cache(lambda key: shift(unit_row(key)))
+    if any(len(windows[n]) >= len(windows[n - 1]) or any(
+            key_depth(j) > depth - 2 * n + 2 for key in windows[n] for j in row_keys(first(key)))
+           for n in (1, 2, 3)):
+        return False
+    p, i = MODULUS
+    cols = {key: j for j, key in enumerate(sorted(windows[0], key=key_depth, reverse=True))}
+    for rows in (map(first, windows[1]), (shift(first(key)) for key in windows[2])):
+        block = BlockModP(p)
+        if not all(res is not None and block.insert(pack(res.items(), cols, block.w))
+                   for res in (residues(row, p, i) for row in rows)):
+            return False
+    return True
+
+
 def suite_dense(xi, tau, depth: int = 6) -> Report:
     """Check the filtration/quotient structure of X(xi) at one (xi, tau).
 
@@ -375,6 +394,21 @@ def suite_dense(xi, tau, depth: int = 6) -> Report:
     with the dense module by an explicit intertwiner, or has the
     two-piece composition series with highest and lowest weight Verma
     constituents located at j0.
+
+    The filtration is certified first (:func:`_filtration_certificate`).
+    With W_n the window of depth - 2n and R_n the rows (c - tau)^n e_key,
+    key in W_n: the shift is linear (one lincomb of the per-key rows of
+    :func:`_casimir_shifter`), so (c - tau)^n e_key = sum c_j (c - tau)^(n-1) e_j
+    over the terms c_j e_j of (c - tau) e_key, and R_n lies in the span of
+    R_(n-1) when every such j has depth <= depth - 2n + 2.  R_0 is a basis;
+    if R_(n-1) has full rank, rank R_n <= |W_n| < |W_(n-1)| = rank R_(n-1)
+    (the size check is made), so full rank mod P at levels 1 and 2, one
+    BlockModP each as in :func:`check_module_map`, gives strictness through
+    n = 3 and, at level 1, injectivity on W_1; level 3 is never built.
+    Columns run from the deepest key down, so the level-n row of (k, l) has
+    its pivot (k + n, l + n) at the first step.  Anything else proves
+    nothing: the exact echelons decide, and only they give shift_dependent
+    and filtration_failure witnesses.
     """
     xi, tau = Scalar.of(xi), Scalar.of(tau)
     if depth < 6:
@@ -408,8 +442,12 @@ def suite_dense(xi, tau, depth: int = 6) -> Report:
                 yield {"kind": "filtration_failure", "n": n}
             prev_ech = ech_n
 
-    report.scan("filtration_strict", filtration_failures())
-    report.extra["filtration_strict_to"] = 3 if report.flags["filtration_strict"] else 0
+    certified = _filtration_certificate(x_mod, shift, depth)
+    if certified:
+        report.record("shift_injective_on_window", True)
+    failure = None if certified else next(filtration_failures(), None)
+    report.record("filtration_strict", failure is None, failure)
+    report.extra["filtration_strict_to"] = 3 if failure is None else failure["n"] - 1
 
     gen = generator_test(xi, tau)
     xbar = XbarModule(xi, tau)

@@ -1021,6 +1021,122 @@ def test_shift_dependent_witness_comes_before_the_filtration(monkeypatch):
     assert report.witness == {"kind": "shift_dependent", "key": x_mod.key_json(keys[-2])}
 
 
+def _dense_both_routes(*args):
+    """suite_dense's JSON with the filtration certificate in place, and with
+    it forced to fail, so that the exact echelons decide."""
+    certified = suite_dense(*args).to_json()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify_mod, "_filtration_certificate", lambda *a: False)
+        return certified, suite_dense(*args).to_json()
+
+
+_reals = st.builds(Scalar, _fracs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_reals, _non_real), st.one_of(_reals, _non_real), st.integers(-1, 3),
+       st.integers(6, 12))
+def test_filtration_certificate_gives_the_exact_report(xi, tau, j, depth):
+    # j >= 0 puts a root at j, which takes the composition-series branch
+    if j >= 0:
+        tau = (xi + 2 * j + 1) ** 2
+    certified, exact = _dense_both_routes(xi, tau, depth)
+    assert certified == exact
+    assert certified["flags"]["filtration_strict"] and certified["filtration_strict_to"] == 3
+
+
+def _count_echelons(monkeypatch):
+    built = []
+
+    class Counted(Echelon):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(verify_mod, "Echelon", Counted)
+    return built
+
+
+@pytest.mark.parametrize("depth", [6, 20])
+def test_dense_filtration_builds_no_echelon(monkeypatch, depth):
+    # the certificate decides the filtration: the iso branch builds no
+    # echelon, and the composition branch only the quotient map's one
+    built = _count_echelons(monkeypatch)
+    for args, echelons in (((0, 2), 0), (("1/2+i", 3), 0), ((0, 9), 1)):
+        built.clear()
+        assert suite_dense(*args, depth).all_ok
+        assert len(built) == echelons, args
+
+
+def test_forced_exact_filtration_gives_the_same_report(monkeypatch):
+    # valid input through the exact route gives the certificate's report,
+    # with one more echelon per level n = 0..3
+    built = _count_echelons(monkeypatch)
+    for args in ((0, 2, 6), (0, 9, 6), ("1/2+i", 3, 8), (S("1*i"), S(-1), 7), (1, 4, 9)):
+        built.clear()
+        expected = suite_dense(*args).to_json()
+        certified_echelons = len(built)
+        with monkeypatch.context() as mp:
+            mp.setattr(verify_mod, "_filtration_certificate", lambda *a: False)
+            assert suite_dense(*args).to_json() == expected, args
+        assert len(built) == 2 * certified_echelons + 4, args
+
+
+def _is_unit_row(row):
+    den, re, im = row
+    return den == 1 and not im and list(re.values()) == [1]
+
+
+def _assert_filtration_fails_at(args, n):
+    # both routes give the exact report: strict through n - 1, failing at n
+    certified, exact = _dense_both_routes(*args)
+    assert certified == exact
+    assert certified["flags"]["shift_injective_on_window"] is True
+    assert certified["flags"]["filtration_strict"] is False
+    assert certified["witness"] == {"kind": "filtration_failure", "n": n}
+    assert certified["filtration_strict_to"] == n - 1
+
+
+def test_filtration_collapsing_at_level_2_fails_at_n_3(monkeypatch):
+    # every non-unit row goes where (0, 0)'s shift goes: level 1 is the true
+    # shift, level 2 has rank 1, and the filtration is strict through n = 2
+    # only; a certificate that skips level 2's rank would call it strict
+    shifter = verify_mod._casimir_shifter
+
+    def collapsed(x, tau):
+        shift = shifter(x, tau)
+        return lambda row: shift(row if _is_unit_row(row) else unit_row((0, 0)))
+
+    monkeypatch.setattr(verify_mod, "_casimir_shifter", collapsed)
+    _assert_filtration_fails_at((0, 2, 6), 3)
+
+
+def test_filtration_shift_leaving_the_window_fails_at_n_1(monkeypatch):
+    # (c - tau) e_(2,2) gains the key (5, 5), of depth 10 > 6: level 1 leaves
+    # the window at once; a certificate that skips the key-depth check would
+    # call the filtration strict
+    shifter = verify_mod._casimir_shifter
+
+    def leaking(x, tau):
+        shift = shifter(x, tau)
+        return lambda row: lincomb([(1, 0, 1, shift(row))] + (
+            [(1, 0, 1, unit_row((5, 5)))] if row == unit_row((2, 2)) else []))
+
+    monkeypatch.setattr(verify_mod, "_casimir_shifter", leaking)
+    _assert_filtration_fails_at((0, 9, 6), 1)
+
+
+def test_filtration_window_that_does_not_shrink_fails(monkeypatch):
+    # with the identity for the shift and W_2 widened to W_1 (depth 4), every
+    # level stays in its window and levels 1 and 2 have full rank, but the
+    # rank cannot drop at n = 2; a certificate that skips the size check
+    # would call the filtration strict
+    monkeypatch.setattr(verify_mod, "_casimir_shifter", lambda x, tau: lambda row: row)
+    keys = XModule.basis_keys
+    monkeypatch.setattr(XModule, "basis_keys", lambda self, d: keys(self, 4 if d == 2 else d))
+    _assert_filtration_fails_at((0, 2, 6), 2)
+
+
 def test_witness_keeps_the_first_failure(monkeypatch):
     # a broken mu_eval fails the parameter formula before the map check,
     # whose own witness does not replace it
