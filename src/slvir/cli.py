@@ -106,23 +106,17 @@ def parse_algebra_elt(text: str):
 
 
 def _emit(obj, args) -> None:
-    if getattr(args, "text", False):
-        sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-    else:
-        sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    indent = 2 if getattr(args, "text", False) else None
+    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=indent) + "\n")
 
 
 def _run_classify(args) -> int:
     x = parse_sl2(args.x)
-    if args.y:
-        result = classify_subalgebra_2d(x, parse_sl2(args.y))
-        out = {"kind": result.kind, "automorphism": result.aut.tag,
-               "params": [str(p) for p in result.params]}
-    else:
-        result = classify_subalgebra_1d(x)
-        out = {"kind": result.kind, "automorphism": result.aut.tag,
-               "generator": result.generator.to_json(),
-               "params": [str(p) for p in result.params]}
+    result = classify_subalgebra_2d(x, parse_sl2(args.y)) if args.y else classify_subalgebra_1d(x)
+    out = {"kind": result.kind, "automorphism": result.aut.tag,
+           "params": [str(p) for p in result.params]}
+    if not args.y:
+        out["generator"] = result.generator.to_json()
     _emit(out, args)
     return 0
 

@@ -18,15 +18,17 @@ builds the row of one letter on one key by its closed form in integer
 arithmetic, and reads its tops off gr U(sl2) (on W, X and the Verma
 families, one table of slot shifts); the tests keep the Scalar closed
 forms and independent routes (multiply in U(sl2) and substitute, or act
-upstairs in X and reduce) to check them.  A tensor product sums its
-factors' rows and tops, a twist acts through its inner module's, and the
+upstairs in X and reduce) to check them.  A tensor product acts by its
+factors' ops tagged by side, through their rows and tops, and has a slot
+table when each factor has one key per depth (the density rule of
+:class:`TensorModule`); a twist acts through its inner module's, and the
 others cut tops from rows.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cache, partial
+from functools import cache, partial, partialmethod
 from math import comb
 
 from .errors import (MAX_VIR_INDEX, InvalidParameter, NotWeightModule, WrongAlgebra,
@@ -110,7 +112,7 @@ class Module:
     # the attributes, all Scalars, that name a handle of the family, in the
     # order the constructor takes them: read by params_json and make_module
     PARAMS: tuple = ()
-    _TOP_SLOTS: dict | None = None  # set on a _ShiftModule and its twists
+    _TOP_SLOTS: dict | None = None  # set on a _ShiftModule, some tensors and their twists
 
     def __init__(self, *values):
         if len(values) != len(self.PARAMS):
@@ -192,7 +194,7 @@ class Module:
         ``key_depth(key) + 1``; ``basis_keys(n)`` lists every key of depth
         at most n.  The graded certificate of
         :func:`~slvir.verify.check_module_map` rests on it; every top row
-        cut from a full row or summed over tensor factors checks the bound.
+        cut from a full row checks the bound.
         """
         raise NotImplementedError
 
@@ -434,9 +436,7 @@ class XbarModule(Module):
         return self.xi + 2 * n if side == "e" else self.xi - 2 * n
 
     def basis_keys(self, depth):
-        keys = [("e", l) for l in range(depth + 1)]
-        keys += [("f", k) for k in range(1, depth + 1)]
-        return keys
+        return [("e", l) for l in range(depth + 1)] + [("f", k) for k in range(1, depth + 1)]
 
     def key_str(self, key):
         return f"{key[0]}^{key[1]} xbar"
@@ -451,9 +451,7 @@ class XbarModule(Module):
         return [(UEnvElt.from_sl2(H), self.xi), (casimir_elt(), self.tau)]
 
     def basis_words(self, depth):
-        out = [(("e", l), ("e",) * l) for l in range(depth + 1)]
-        out += [(("f", k), ("f",) * k) for k in range(1, depth + 1)]
-        return out
+        return [((side, n), (side,) * n) for side, n in self.basis_keys(depth)]
 
 
 class XbarQuotientModule(XbarModule):
@@ -649,7 +647,17 @@ class TwistModule(Module):
 
 
 class TensorModule(Module):
-    """Tensor product with the Leibniz action x(a@b) = xa@b + a@xb."""
+    """Tensor product with the Leibniz action x(a@b) = xa@b + a@xb: x acts
+    as its factors' ops tagged by side (0 left, 1 right), each through its
+    factor's memoised rows and tops, rekeyed onto the pairs of keys.
+
+    Density rule: when each factor has one key per depth (a slot table
+    shifting every op by 0: Verma, LowVerma and their twists), (kl, kr)
+    sits in slot key_depth(kl), so depth d is d + 1 dense slots, and a left
+    op shifts a top one slot up, a right op none.  Other factors leave no
+    table: several keys per depth would need a packing base fixed over
+    MAX_DEPTH, and most slots would be zero.
+    """
 
     family = "Tensor"
 
@@ -657,24 +665,25 @@ class TensorModule(Module):
         self.left = left
         self.right = right
         self.accepts_vir = left.accepts_vir and right.accepts_vir
+        tables = (left._TOP_SLOTS, right._TOP_SLOTS)
+        if None not in tables and not any(v for table in tables for v in table.values()):
+            self._TOP_SLOTS = {(0, op): 1 for op in tables[0]} | {(1, op): 0 for op in tables[1]}
+
+    def _slot(self, key):
+        return self.left.key_depth(key[0])
 
     def _ops(self, x):
-        # whole elements: splitting them into letters made the tensor suite slower
-        return [((1, 0, 1), x)]
+        return ([(c, (0, op)) for c, op in self.left._ops(x)]
+                + [(c, (1, op)) for c, op in self.right._ops(x)])
 
-    def _build_row(self, x, key):
-        return self._leibniz(x, key, "_row")
+    def _on_side(self, part, tagged, key):
+        # the factor's row or top (part "_row" or "_top") of op on its own key, rekeyed
+        (side, op), (kl, kr) = tagged, key
+        if side:
+            return rekey(getattr(self.right, part)(op, kr), lambda k: (kl, k))
+        return rekey(getattr(self.left, part)(op, kl), lambda k: (k, kr))
 
-    def _top(self, x, key):  # the factors' tops, checked against the sum of their depths
-        return self._top_part(key, self._leibniz(x, key, "_top"))
-
-    def _leibniz(self, x, key, part):
-        # x(kl @ kr) = x kl @ kr + kl @ x kr, through each factor's _row or _top
-        kl, kr = key
-        left, right = (lincomb([c + (getattr(m, part)(op, k),) for c, op in m._ops(x)])
-                       for m, k in ((self.left, kl), (self.right, kr)))
-        return lincomb([(1, 0, 1, rekey(left, lambda k: (k, kr))),
-                        (1, 0, 1, rekey(right, lambda k: (kl, k)))])
+    _build_row, _top = partialmethod(_on_side, "_row"), partialmethod(_on_side, "_top")
 
     def validate_key(self, key):
         if not (isinstance(key, tuple) and len(key) == 2):
@@ -689,12 +698,8 @@ class TensorModule(Module):
         return self.left.key_weight(key[0]) + self.right.key_weight(key[1])
 
     def basis_keys(self, depth):
-        out = []
-        for kl in self.left.basis_keys(depth):
-            dl = self.left.key_depth(kl)
-            for kr in self.right.basis_keys(depth - dl):
-                out.append((kl, kr))
-        return out
+        return [(kl, kr) for kl in self.left.basis_keys(depth)
+                for kr in self.right.basis_keys(depth - self.left.key_depth(kl))]
 
     def key_sort_token(self, key):
         return (self.left.key_sort_token(key[0]), self.right.key_sort_token(key[1]))
@@ -710,10 +715,8 @@ class TensorModule(Module):
         return (self.left.key_from_json(kl), self.right.key_from_json(kr))
 
     def params_json(self):
-        return {
-            "left": {"family": self.left.family, "params": self.left.params_json()},
-            "right": {"family": self.right.family, "params": self.right.params_json()},
-        }
+        return {side: {"family": m.family, "params": m.params_json()}
+                for side, m in (("left", self.left), ("right", self.right))}
 
 
 # -- operations on top of the zoo ---------------------------------------------

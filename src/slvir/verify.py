@@ -9,12 +9,13 @@ A module map is certified degree by degree where it can be: the maps the
 paper predicts respect the PBW filtration, so the top-degree components of
 the images, one small block per degree of packed rows (one int each) of
 full rank mod a fixed prime, prove injectivity and the window span (on
-the twisted Verma, W and X targets the paper predicts, a letter acts on a
-packed top as one multiplication of the whole int).  Where they do not, one
-exact echelon of the whole images decides, and it alone supplies
-dependent_image and not_spanned witnesses.  Every target is checked the
-same way, the degree-3 restriction (a module that is its own target)
-included.  The dense suite's Casimir filtration is certified mod P too.
+the targets the paper predicts, twisted Verma, W and X modules and twisted
+tensors of twisted Vermas, a letter acts on a packed top as one
+multiplication of the whole int).  Where they do not, one exact echelon
+of the whole images decides, and it alone supplies dependent_image and
+not_spanned witnesses.  Every target is checked the same way, the
+degree-3 restriction (a module that is its own target) included.  The
+dense suite's Casimir filtration is certified mod P too.
 """
 
 from __future__ import annotations
@@ -120,10 +121,11 @@ def _graded_certificate(dst: Module, letters: dict, words, gen_image: ModVec, de
     top has every slot in [0, P): a slot of a letter's image sums fewer
     than 2**32 products of two residues, so no slot carries, and one
     :func:`~slvir.sparse.reduce_slots` makes it canonical again.  On a
-    target with a slot table (``dst._TOP_SLOTS``: W, X, Verma, LowVerma and
-    their twists) key k sits in slot ``dst._slot(k)``, and a letter acts on
-    a top as one multiplication by its packed polynomial
-    sum(c << w * _TOP_SLOTS[op]) over its ops (c, op).  On any other target
+    target with a slot table (``dst._TOP_SLOTS``: W, X, Verma, LowVerma, a
+    tensor of two of the Verma families, and their twists) key k sits in
+    slot ``dst._slot(k)``, and a letter acts on a top as one multiplication
+    by its packed polynomial sum(c << w * _TOP_SLOTS[op]) over its ops
+    (c, op), and no top row of dst is read.  On any other target
     the keys of a depth take slots in the order they first appear, and a
     word's top is the sum of v * (the letter's top on key) over the nonzero
     slots v of the top it acts on, which the walk jumps between
@@ -366,11 +368,10 @@ def _dense_intertwiner(xbar: XbarModule, depth: int):
     return rows.__getitem__
 
 
-def _filtration_certificate(x_mod: XModule, shift, depth: int) -> bool:
+def _filtration_certificate(x_mod: XModule, shift, first, depth: int) -> bool:
     """True when the proof in :func:`suite_dense` certifies the filtration."""
     key_depth = x_mod.key_depth
     windows = [x_mod.basis_keys(depth - 2 * n) for n in range(4)]
-    first = cache(lambda key: shift(unit_row(key)))
     if any(len(windows[n]) >= len(windows[n - 1]) or any(
             key_depth(j) > depth - 2 * n + 2 for key in windows[n] for j in row_keys(first(key)))
            for n in (1, 2, 3)):
@@ -417,11 +418,12 @@ def suite_dense(xi, tau, depth: int = 6) -> Report:
     x_mod = XModule(xi)
 
     shift = _casimir_shifter(x_mod, tau)
+    first = cache(lambda key: shift(unit_row(key)))  # read by (a) and the certificate
 
     # (a) (c - tau) v != 0 for every basis vector of the window
     report.scan("shift_nonvanishing",
                 ({"kind": "casimir_shift_vanishes", "key": x_mod.key_json(key)}
-                 for key in x_mod.basis_keys(depth) if shift(unit_row(key)) == ZERO_ROW))
+                 for key in x_mod.basis_keys(depth) if first(key) == ZERO_ROW))
 
     # (c) strictness of the shift-power filtration for n <= 3; its level n = 1
     # gives (b), v -> (c - tau) v injective on the window of depth - 2
@@ -442,7 +444,7 @@ def suite_dense(xi, tau, depth: int = 6) -> Report:
                 yield {"kind": "filtration_failure", "n": n}
             prev_ech = ech_n
 
-    certified = _filtration_certificate(x_mod, shift, depth)
+    certified = _filtration_certificate(x_mod, shift, first, depth)
     if certified:
         report.record("shift_injective_on_window", True)
     failure = None if certified else next(filtration_failures(), None)

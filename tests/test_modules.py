@@ -29,7 +29,7 @@ from slvir.modules import (
 )
 from slvir.pbw import UEnvElt, aut_extend
 from slvir.scalar import Scalar
-from slvir.sparse import expand, lincomb, row_from_scalars, unit_row
+from slvir.sparse import ZERO_ROW, expand, lincomb, row_from_scalars, unit_row
 
 from closed_forms import act_key, aut_apply_form
 from pbw_oracles import pair_act_key, reduce_x_terms, verma_act_generic, xbar_act_generic
@@ -437,7 +437,7 @@ def _matmul(g, h):
 
 
 # Verma, LowVerma, Xbar and its quotient read their tops off gr U(sl2) too,
-# and a tensor product sums its factors' tops
+# and a tensor product rekeys its factors' tops
 
 GR_TOP_HANDLES = [
     VermaModule(S("1/3")), LowVermaModule(S("-2+1*i")), XbarModule(S("1/2"), S("3+1*i")),
@@ -455,7 +455,9 @@ ROW_BUILDERS = [cls for cls in vars(modules_mod).values()
 @pytest.mark.parametrize("module", GR_TOP_HANDLES, ids=lambda m: m.family)
 def test_gr_tops_match_the_row_route(module, monkeypatch):
     if isinstance(module, TensorModule):
-        ops = [E, H, F, SL2Elt(S("1*i"), S(2), S("-1/3"))]
+        # the factors' ops tagged by side, read off letters and an element that is none
+        ops = list(dict.fromkeys(op for x in (E, H, F, SL2Elt(S("1*i"), S(2), S("-1/3")))
+                                 for _, op in module._ops(x)))
     else:
         ops = list(LETTERS)
     pairs = [(op, key) for key in module.basis_keys(7) for op in ops]
@@ -468,6 +470,52 @@ def test_gr_tops_match_the_row_route(module, monkeypatch):
         tops = [module._top(op, key) for op, key in pairs]
     for (op, key), top in zip(pairs, tops):
         assert top == module._top_part(key, module._row(op, key)), (op, key)
+
+
+# the slot table of a tensor: factors with one key per depth, under twists that mix the letters
+_ONE_KEY_PAIRS = [(VermaModule, VermaModule), (VermaModule, LowVermaModule),
+                  (LowVermaModule, VermaModule)]
+_MIXING_AUTS = {"gamma": Automorphism.gamma(S("2+1*i")),
+                "gamma2": Automorphism.gamma2(S("1/3"), S(-2)), "sigma": Automorphism.sigma()}
+
+
+@pytest.mark.parametrize("aut_name", _MIXING_AUTS)
+@pytest.mark.parametrize("pair", _ONE_KEY_PAIRS, ids=lambda p: f"{p[0].family}-{p[1].family}")
+def test_tensor_slot_table_shifts_the_tops_of_the_rows(pair, aut_name):
+    # every tagged op on every key to depth 7: the op's table shift moves the
+    # key's slot to the slot of the top cut from the whole row, a depth up;
+    # an op out of the table has top zero
+    aut = _MIXING_AUTS[aut_name]
+    left, right = pair
+    tensor = TensorModule(TwistModule(left(S("1/2")), aut), TwistModule(right(S("-1+1*i")), aut))
+    module = TwistModule(tensor, aut.inverse())
+    table = module._TOP_SLOTS
+    assert table == tensor._TOP_SLOTS and set(table) == {(0, "f" if left is VermaModule else "e"),
+                                                         (1, "f" if right is VermaModule else "e")}
+    ops = {op for x in GENS for _, op in module._ops(x)}
+    assert ops == {(side, l) for side in (0, 1) for l in LETTERS}
+    for key in module.basis_keys(7):
+        depth = module.key_depth(key)
+        at_slot = {module._slot(k): k for k in module.basis_keys(depth + 1)
+                   if module.key_depth(k) == depth + 1}
+        assert sorted(at_slot) == list(range(depth + 2))
+        for op in ops:
+            top = module._top_part(key, module._row(op, key))
+            want = unit_row(at_slot[module._slot(key) + table[op]]) if op in table else ZERO_ROW
+            assert top == want == module._top(op, key), (op, key)
+
+
+@pytest.mark.parametrize("module", [
+    TensorModule(WModule(S(1)), VermaModule(S(2))),
+    TensorModule(VermaModule(S(1)), TwistModule(XModule(S("1*i")), Automorphism.sigma())),
+    TensorModule(LowVermaModule(S(1)), XbarModule(S(1), S(2))),
+    TensorModule(VermaModule(S(1)), TensorModule(VermaModule(S(2)), VermaModule(S(3)))),
+    TensorModule(VirPolyModule(MuData([(S(2), 1)], [[S(1)]]), 3), VermaModule(S(1))),
+], ids=lambda m: f"{m.left.family}-{m.right.family}")
+def test_a_tensor_with_another_factor_has_no_slot_table(module):
+    # a factor with several keys per depth: its tops take the generic walk
+    assert module._TOP_SLOTS is None
+    assert TwistModule(module, Automorphism.sigma())._TOP_SLOTS is None
 
 
 def top_action(module, x) -> list:

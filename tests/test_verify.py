@@ -464,6 +464,12 @@ def _map_case(case, a, b, c):
         src = (VermaModule if inner.family.endswith("Verma") else XModule)(c)
         dst = TwistModule(inner, Automorphism.gamma2(b, c))
         return check_module_map(src, dst, dst.generator(), depth, window_span=False).to_json()
+    if case == "tensor_X":
+        # a tensor with an X factor has no slot table: its tops take the generic walk
+        tensor = TensorModule(XModule(a), TwistModule(VermaModule(b), Automorphism.gamma(c)))
+        dst = TwistModule(tensor, Automorphism.gamma2(b, c))
+        return check_module_map(XModule(c), dst, dst.generator(), depth,
+                                window_span=False).to_json()
     if case == "dependent_image":
         xbar = XbarModule(a, b)
         return check_module_map(XModule(a), xbar, xbar.generator(), depth).to_json()
@@ -568,22 +574,23 @@ def _twisted_induced_map(src_family, a, b, c):
 _P64 = (2 ** 64 - 59, 2296021864060584341)
 
 
-# the cases whose targets are W, X, Verma or LowVerma, or twists of them:
-# their certificate takes the shift route, the others the generic walk
-_SHIFT_CASES = {"deg1", "double", "split", "n_lambda", "h_pair", "relation", "not_spanned",
-                *_SHIFT_FAMILIES}
+# the cases whose targets are W, X, Verma or LowVerma, twists of them, or a
+# twisted tensor of Verma twists: their certificate takes the shift route,
+# the others the generic walk
+_SHIFT_CASES = {"deg1", "double", "split", "n_lambda", "h_pair", "tensor", "relation",
+                "not_spanned", *_SHIFT_FAMILIES}
 
 
 @pytest.mark.parametrize("modulus", [MODULUS, _P64])
-@pytest.mark.parametrize("case", _CASES + [WModule, XModule] + list(_SHIFT_FAMILIES))
+@pytest.mark.parametrize("case", _CASES + ["tensor_X", WModule, XModule] + list(_SHIFT_FAMILIES))
 def test_certificate_rows_are_the_residues_of_the_exact_tops(case, modulus, monkeypatch):
     # each packed row the certificate inserts holds, slot by slot mod p,
     # the residues of the exact top row of its word, cut from full rows; a
     # multiplicand not reduced to [0, p) would make slots carry into their
     # neighbours.  On the shift route each key has a fixed slot, so the
     # rows are compared slot by slot, and a wrong slot shift fails here.
-    # The generic walk keeps its own cases: tensor products, Xbar and its
-    # quotient, twisted induced modules, and the degree-3 restriction
+    # The generic walk keeps its own cases: a tensor with an X factor, Xbar
+    # and its quotient, twisted induced modules, and the degree-3 restriction
     # (cubic), a VirPoly module mapped to itself with lift embed_sl2
     p, i = modulus
     assert i * i % p == p - 1
@@ -916,7 +923,15 @@ def test_positive_checks_never_reach_the_full_route(monkeypatch):
 
 class _SteepVerma(VermaModule):
     """A Verma module whose key_depth counts f twice, so that f raises it
-    by two: outside the contract of Module.key_depth."""
+    by two: outside the contract of Module.key_depth.  It has no slot
+    table, and cuts its tops from its rows, so that the tensor below takes
+    the generic walk and the cut sees the deeper key."""
+
+    _TOP_SLOTS = None
+    _top = modules_mod.Module._top
+
+    def _build_row(self, letter, key):  # a Verma module's rows read its slot table
+        return VermaModule(self.delta)._build_row(letter, key)
 
     def key_depth(self, key):
         return 2 * key
@@ -928,10 +943,61 @@ def test_graded_certificate_refuses_keys_above_the_expected_depth():
     dst = TensorModule(VermaModule(S(1)), _SteepVerma(S(2)))
     src = VermaModule(S(3))
     gen = dst.generator()
+    assert dst._TOP_SLOTS is None
+    with pytest.raises(KeyAboveTop):  # at the factor, whose top the tensor rekeys
+        dst._top((1, "f"), (0, 0))
     assert not verify_mod._graded_certificate(dst, LETTERS, src.basis_words(3), gen, 3,
                                               False)
     report = check_module_map(src, dst, gen, 3)
     assert report.flags["relations_hold"] and report.flags["injective_up_to_N"]
+
+
+_scalars = st.one_of(st.builds(Scalar, _fracs), _non_real)
+
+
+class _Walked(TensorModule):
+    """The same tensor with no slot table: its tops take the generic walk."""
+
+    def __init__(self, left, right):
+        super().__init__(left, right)
+        self._TOP_SLOTS = None
+
+
+@settings(max_examples=20, deadline=None)
+@given(_scalars, _scalars, _scalars, _scalars, st.integers(3, 12))
+def test_tensor_slot_table_keeps_every_report(lam1, lam2, mu1, mu2, depth):
+    # the map check on the tensor's slot table (the shift route) against the
+    # generic walk over its factors' tops, on real and non-real parameters
+    assume(not lam1.is_zero() and not lam2.is_zero() and lam1 != lam2)
+    with_table = suite_tensor_vermas(lam1, lam2, mu1, mu2, depth).to_json()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify_mod, "TensorModule", _Walked)
+        assert suite_tensor_vermas(lam1, lam2, mu1, mu2, depth).to_json() == with_table
+
+
+@pytest.mark.parametrize("depth", [5, 20])
+def test_tensor_map_check_builds_no_tensor_row_or_top(monkeypatch, depth):
+    # a host-independent work guard: on the slot table, the map check of the
+    # tensor suite builds no tensor row and reads no tensor top; the rows of
+    # the eigenvector check and the Virasoro half are built outside it
+    calls, inside = Counter(), [False]
+    for name in ("_build_row", "_top"):
+        def counted(self, *args, name=name, original=getattr(TensorModule, name)):
+            calls[name, inside[0]] += 1
+            return original(self, *args)
+        monkeypatch.setattr(TensorModule, name, counted)
+    check = verify_mod.check_module_map
+
+    def checked(*args, **kwargs):
+        inside[0] = True
+        try:
+            return check(*args, **kwargs)
+        finally:
+            inside[0] = False
+    monkeypatch.setattr(verify_mod, "check_module_map", checked)
+    assert suite_tensor_vermas(1, 2, 1, 2, depth).all_ok
+    assert calls["_build_row", False] > 0
+    assert not any(within for _, within in calls), calls
 
 
 # -- witnesses of the comparison flags -------------------------------------------
